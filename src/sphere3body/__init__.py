@@ -4,7 +4,7 @@ two-sphere under the cotangent potential.
 Submodules: geometry (sphere primitives), potential (pair potentials),
 dynamics (equations of motion, integrator, residual oracles), equator
 (closed-form equatorial rotators), meridian (rotating-meridian solver),
-cli (command-line interface), kernels (compiled/pure scan backend).
+cli (command-line interface), kernels (the reduced equation g).
 """
 
 from . import kernels

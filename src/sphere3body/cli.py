@@ -49,9 +49,12 @@ def _parse_grid(text: str) -> np.ndarray:
     # lo:hi:n inclusive grid
     try:
         lo, hi, n = text.split(":")
-        return np.linspace(float(lo), float(hi), int(n))
+        lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise argparse.ArgumentTypeError("grid expects lo:hi:n")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"grid needs n >= 1 points, got {n}")
+    return np.linspace(lo, hi, n)
 
 
 def _add_common(p: argparse.ArgumentParser, masses_required: bool = True):
@@ -64,7 +67,6 @@ def _add_common(p: argparse.ArgumentParser, masses_required: bool = True):
     p.add_argument("--tol-root", type=float, default=1e-13)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _emit(text: str, out: str | None):
@@ -189,11 +191,19 @@ def cmd_sweep(args) -> int:
     a_grid = args.a_grid
     nu1_grid = args.nu1_grid
     nu2_grid = args.nu2_grid
+    # main() reports a ValueError and exits 1
+    bad_a = [a for a in a_grid if not 0.0 < a < math.pi]
+    if bad_a:
+        raise ValueError(f"--a-grid values must lie in (0, pi), got {bad_a[0]}")
+    if min(nu1_grid.min(), nu2_grid.min()) <= 0.0:
+        raise ValueError("--nu1-grid and --nu2-grid values must be positive")
+    if args.samples < 2:
+        raise ValueError(f"--samples must be at least 2, got {args.samples}")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["a", "nu1", "nu2", "count",
                      "count_I", "count_II", "count_III", "count_IV"])
-    max_count = 0
+    max_count = -1
     argmax = None
     for a in a_grid:
         per_region = mer.count_rotators_grid_regions(
@@ -245,6 +255,17 @@ def _sigma_drift(thetas, omega, masses, pot, R, periods=1.0, steps=4000):
     return drift, traj.c_drift, None
 
 
+def _verify_record(rec: dict) -> tuple:
+    """(x, thetas, omega) of one solution record; raises KeyError,
+    TypeError or ValueError when the record is malformed."""
+    thetas = tuple(float(t) for t in rec["theta"])
+    if len(thetas) != 3:
+        raise ValueError(f"theta needs 3 values, got {len(thetas)}")
+    omega2 = rec["omega_squared"]
+    omega = 0.0 if omega2 is None else math.sqrt(omega2)
+    return rec.get("x"), thetas, omega
+
+
 def cmd_verify(args) -> int:
     try:
         with open(args.solutions) as fh:
@@ -252,7 +273,7 @@ def cmd_verify(args) -> int:
         meta = data["metadata"]
         masses = MassTriple(*meta["masses"])
         R = SphereRadius(meta["radius"])
-        records = data["solutions"]
+        records = [_verify_record(rec) for rec in data["solutions"]]
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: cannot parse {args.solutions}: {exc}", file=sys.stderr)
         return 1
@@ -262,10 +283,7 @@ def cmd_verify(args) -> int:
 
     reports = []
     all_pass = True
-    for rec in records:
-        thetas = tuple(rec["theta"])
-        omega2 = rec["omega_squared"]
-        omega = 0.0 if omega2 is None else math.sqrt(omega2)
+    for x, thetas, omega in records:
         res = configuration_residuals(thetas, (0.0, 0.0, 0.0), omega,
                                       masses, pot, R)
         residual = float(np.max(np.abs(res)))
@@ -284,7 +302,7 @@ def cmd_verify(args) -> int:
             ok = ok and drift <= args.tol_sigma
         all_pass = all_pass and ok
         reports.append({
-            "x": rec.get("x"),
+            "x": x,
             "residual": residual,
             "cx": c.cx,
             "cy": c.cy,

@@ -229,6 +229,10 @@ def integrate(
         except SingularityError as err:
             error = str(err)
             break
+        except ZeroDivisionError:
+            # the phi equation divides by sin(theta_k)
+            error = "a body sits on a pole (sin theta = 0)"
+            break
         except (ValueError, OverflowError) as err:
             # accelerations blow up shortly before the singularity check
             # trips; report the partial trajectory either way

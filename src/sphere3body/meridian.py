@@ -1,7 +1,8 @@
 """Rotating-meridian machinery: shape <-> configuration translation,
-per-pair force/geometry terms with case classification, the reduced
-scalar equation with its region bookkeeping, root finding, the special
-families, and the flat-space (large radius) limit.
+per-pair force/geometry terms with case classification, the region
+bookkeeping and root finding for the reduced scalar equation g (defined
+in kernels), the special families, and the flat-space (large radius)
+limit.
 
 Shape angles: a = theta2 - theta1 in (0, pi) is fixed; the unknown is
 x = theta3 - theta1 in (0, 2*pi). The potential is singular at
@@ -29,9 +30,6 @@ CASE2 = "Case2"
 CASE3 = "Case3"
 CASE4_FIXED_POINT = "Case4-fixed-point"
 A_ZERO_FIXED_POINT = "A-zero-fixed-point"
-
-# region -> (alpha, beta): the signs of sin(x) and sin(x - a)
-_REGION_SIGNS = {"I": (1, -1), "II": (1, 1), "III": (-1, 1), "IV": (-1, -1)}
 
 
 class NotARotatorError(ValueError):
@@ -297,41 +295,6 @@ class MeridianSolution:
 
 
 @dataclass(frozen=True)
-class GFunctionParams:
-    """Inputs of the reduced scalar equation, with the region signs."""
-
-    a: float
-    nu1: float
-    nu2: float
-    alpha_sign: int
-    beta_sign: int
-
-
-def gfunction_params(a: float, nu1: float, nu2: float, region: str) -> GFunctionParams:
-    al, be = _REGION_SIGNS[region]
-    return GFunctionParams(a, nu1, nu2, al, be)
-
-
-def g_function(x: float, params: GFunctionParams) -> float:
-    """The reduced scalar equation g; its zeros away from the region
-    boundaries are the rigid rotators. Continuous across boundaries."""
-    a, nu1, nu2 = params.a, params.nu1, params.nu2
-    al, be = params.alpha_sign, params.beta_sign
-    sx = math.sin(x)
-    sxa = math.sin(x - a)
-    s2x = sx * sx
-    s2xa = sxa * sxa
-    sa2 = math.sin(a) ** 2
-    sin2x = math.sin(2.0 * x)
-    sin2xa = math.sin(2.0 * (x - a))
-    return (
-        al * be * s2x * s2xa * (nu1 * sin2x + nu2 * sin2xa)
-        - sa2 * (al * s2x * sin2x - be * s2xa * sin2xa)
-        - sa2 * math.sin(2.0 * a) * (nu2 * al * s2x + nu1 * be * s2xa)
-    )
-
-
-@dataclass(frozen=True)
 class ScanOptions:
     samples_per_region: int = 2000
     boundary_tol: float = 1e-8
@@ -422,8 +385,11 @@ def _scan_region_roots(
         roots.append(_newton_polish(f, r))
 
     # tangent roots: local extrema of |g| ~ 0 without an adjacent crossing
+    # a tie (d == 0) takes the sign opposite to its left neighbour, so a
+    # flat-topped extremum is counted once, on its left side only
     d = np.diff(gs)
-    ext = np.flatnonzero(d[:-1] * d[1:] < 0.0) + 1
+    d_next = np.where(d[1:] == 0.0, -d[:-1], d[1:])
+    ext = np.flatnonzero(d[:-1] * d_next < 0.0) + 1
     for i in ext:
         if crossing[max(i - 2, 0):min(i + 2, len(crossing))].any():
             continue
@@ -633,9 +599,9 @@ def count_rotators_grid_regions(
 ) -> dict[str, np.ndarray]:
     """Per-region sign-change counts over a (nu1, nu2) grid for one a.
 
-    Uses the linearity of g in (nu1, nu2): per region, g decomposes as
-    nu1 * P(x) + nu2 * Q(x) + S(x), so the whole grid shares one set of
-    x samples. Tangent roots are not detected here; this is the sweep's
+    Uses the linearity of g in (nu1, nu2): g = nu1 * P(x) + nu2 * Q(x)
+    + S(x) (kernels.g_terms), so the whole grid shares one set of x
+    samples. Tangent roots are not detected here; this is the sweep's
     coarse counter.
     """
     nu1v = np.asarray(nu1_values, dtype=float)
@@ -644,17 +610,7 @@ def count_rotators_grid_regions(
     for region in REGIONS:
         lo, hi = region_bounds(region, a)
         xs = np.linspace(lo + boundary_tol, hi - boundary_tol, samples_per_region)
-        al, be = _REGION_SIGNS[region]
-        sx = np.sin(xs)
-        sxa = np.sin(xs - a)
-        s2x = sx * sx
-        s2xa = sxa * sxa
-        sa2 = math.sin(a) ** 2
-        sin2x = np.sin(2.0 * xs)
-        sin2xa = np.sin(2.0 * (xs - a))
-        P = al * be * s2x * s2xa * sin2x - sa2 * math.sin(2.0 * a) * be * s2xa
-        Q = al * be * s2x * s2xa * sin2xa - sa2 * math.sin(2.0 * a) * al * s2x
-        S = -sa2 * (al * s2x * sin2x - be * s2xa * sin2xa)
+        P, Q, S = kernels.g_terms(xs, a)
         g = (
             nu1v[:, None, None] * P[None, None, :]
             + nu2v[None, :, None] * Q[None, None, :]

@@ -117,6 +117,31 @@ class TestVerifyRoundTrip:
         bad.write_text("{not json")
         assert main(["verify", str(bad)]) == 1
 
+    @pytest.mark.parametrize("key", ["theta", "omega_squared"])
+    def test_record_missing_key(self, tmp_path, capsys, key):
+        sol_file = tmp_path / "two.json"
+        main(["meridian", "--masses", "3,2,1", "--a", str(math.pi / 4),
+              "--out", str(sol_file)])
+        data = json.loads(sol_file.read_text())
+        del data["solutions"][0][key]
+        sol_file.write_text(json.dumps(data))
+        assert main(["verify", str(sol_file)]) == 1
+        assert "cannot parse" in capsys.readouterr().err
+
+    def test_body_on_pole_fails_cleanly(self, tmp_path, capsys):
+        # Table 2, m = (6, 6, 1): the lift of x = pi/4 puts body 3 on a pole
+        sol_file = tmp_path / "pole.json"
+        main(["meridian", "--masses", "6,6,1", "--a", str(math.pi / 2),
+              "--out", str(sol_file)])
+        data = json.loads(sol_file.read_text())
+        data["solutions"] = [s for s in data["solutions"]
+                             if s["x"] == pytest.approx(math.pi / 4)]
+        assert 0.0 in data["solutions"][0]["theta"]
+        sol_file.write_text(json.dumps(data))
+        code, out = run(capsys, ["verify", str(sol_file), "--integrate"])
+        assert code == 2
+        assert "pole" in json.loads(out)["solutions"][0]["error"]
+
 
 class TestSweep:
     def test_counts_match_scan(self, tmp_path):
@@ -132,6 +157,22 @@ class TestSweep:
         scan = count_rotators_scan(math.pi / 6, 3.0, 2.0)
         assert int(data[3]) == scan.total == 6
         assert [int(v) for v in data[4:8]] == list(scan.as_tuple())
+
+    def test_empty_grid_is_usage_error(self, capsys):
+        assert main(["sweep", "--a-grid", "0.15:1.55:0"]) == 1
+        assert "n >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--a-grid", "4:4:1"], "(0, pi)"),
+        (["--a-grid", "1:1:1", "--nu1-grid=-1:-1:1"], "must be positive"),
+        (["--a-grid", "1:1:1", "--samples", "1"], "at least 2"),
+    ])
+    def test_out_of_range_is_rejected(self, capsys, argv, message):
+        assert main(["sweep", "--nu1-grid", "1:1:1", "--nu2-grid", "1:1:1",
+                     *argv]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_footer_reports_max(self, tmp_path):
         out_file = tmp_path / "sweep.csv"

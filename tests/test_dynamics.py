@@ -154,6 +154,17 @@ class TestIntegrate:
         assert traj.error is not None
         assert len(traj.times) >= 1
 
+    def test_body_on_pole_reports_error(self):
+        m = MassTriple(6.0, 6.0, 1.0)
+        st = SphericalState(
+            (SpherePoint(-math.pi / 4, 0.0), SpherePoint(math.pi / 4, 0.0),
+             SpherePoint(0.0, 0.0)),
+            (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), R1,
+        )
+        traj = integrate(st, m, POT, 1.0, 0.01)
+        assert "pole" in traj.error
+        assert len(traj.times) == 1
+
     def test_rejects_bad_dt(self):
         m = MassTriple(1.0, 1.0, 1.0)
         st = equator_state(m, 1.0)

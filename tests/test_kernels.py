@@ -3,56 +3,65 @@ import math
 import numpy as np
 import pytest
 
-from sphere3body import _gscan_py, kernels
+from sphere3body import kernels
+from sphere3body.meridian import REGIONS, region_bounds
 
-try:
-    from sphere3body import _gscan
-except ImportError:
-    _gscan = None
+# region -> (alpha, beta): the signs of sin(x) and sin(x - a)
+REGION_SIGNS = {"I": (1, -1), "II": (1, 1), "III": (-1, 1), "IV": (-1, -1)}
+
+
+def g_reference(x, a, nu1, nu2, region):
+    """The paper's reduced equation written out term by term, with the
+    signs alpha and beta taken from the region table."""
+    al, be = REGION_SIGNS[region]
+    s2x = math.sin(x) ** 2
+    s2xa = math.sin(x - a) ** 2
+    sa2 = math.sin(a) ** 2
+    return (
+        al * be * s2x * s2xa * (nu1 * math.sin(2.0 * x) + nu2 * math.sin(2.0 * (x - a)))
+        - sa2 * (al * s2x * math.sin(2.0 * x) - be * s2xa * math.sin(2.0 * (x - a)))
+        - sa2 * math.sin(2.0 * a) * (nu2 * al * s2x + nu1 * be * s2xa)
+    )
+
+
+def random_cases(seed, n):
+    """(a, nu1, nu2, region, x) with x drawn inside the region."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        a = rng.uniform(0.05, math.pi - 0.05)
+        nu1, nu2 = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
+        region = REGIONS[k % 4]
+        lo, hi = region_bounds(region, a)
+        yield a, nu1, nu2, region, rng.uniform(lo + 1e-6, hi - 1e-6)
 
 
 def test_backend_identifier():
-    assert kernels.BACKEND in ("python", "cython")
-    assert _gscan_py.BACKEND == "python"
+    assert kernels.BACKEND == "python"
+
+
+def test_matches_paper_reference():
+    for a, nu1, nu2, region, x in random_cases(7, 400):
+        ref = g_reference(x, a, nu1, nu2, region)
+        tol = dict(rel=1e-12, abs=1e-14 * (2.0 + nu1 + nu2))
+        P, Q, S = kernels.g_terms(x, a)
+        assert nu1 * P + nu2 * Q + S == pytest.approx(ref, **tol)
+        assert kernels.g_scalar(x, a, nu1, nu2) == pytest.approx(ref, **tol)
+        assert kernels.g_array([x], a, nu1, nu2)[0] == pytest.approx(ref, **tol)
 
 
 def test_scalar_matches_array():
     a, nu1, nu2 = 0.6, 3.0, 2.0
     xs = np.linspace(0.01, 2 * math.pi - 0.01, 101)
     arr = kernels.g_array(xs, a, nu1, nu2)
-    for x, g in zip(xs, arr):
-        assert kernels.g_scalar(float(x), a, nu1, nu2) == pytest.approx(
-            float(g), rel=1e-15, abs=1e-15
-        )
-
-
-@pytest.mark.skipif(_gscan is None, reason="compiled kernel not built")
-def test_backends_agree():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        a = rng.uniform(0.05, math.pi - 0.05)
-        nu1, nu2 = rng.uniform(0.1, 10.0, size=2)
-        xs = rng.uniform(1e-6, 2 * math.pi - 1e-6, size=500)
-        ref = _gscan_py.g_array(xs, a, nu1, nu2)
-        alt = _gscan.g_array(np.ascontiguousarray(xs), a, nu1, nu2)
-        np.testing.assert_allclose(np.asarray(alt), ref, rtol=1e-13, atol=1e-13)
-
-
-@pytest.mark.skipif(_gscan is None, reason="compiled kernel not built")
-def test_scalar_backends_agree():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        a = rng.uniform(0.05, math.pi - 0.05)
-        nu1, nu2 = rng.uniform(0.1, 10.0, size=2)
-        x = rng.uniform(1e-6, 2 * math.pi - 1e-6)
-        assert _gscan.g_scalar(x, a, nu1, nu2) == pytest.approx(
-            _gscan_py.g_scalar(x, a, nu1, nu2), rel=1e-13, abs=1e-14
-        )
+    assert [kernels.g_scalar(float(x), a, nu1, nu2) for x in xs] == arr.tolist()
+    for a, nu1, nu2, _region, x in random_cases(11, 200):
+        assert kernels.g_scalar(x, a, nu1, nu2) == kernels.g_array([x], a, nu1, nu2)[0]
 
 
 def test_array_handles_noncontiguous_input():
     a = 0.5
     xs = np.linspace(0.01, 6.0, 200)[::2]
+    assert not xs.flags.c_contiguous
     out = kernels.g_array(xs, a, 1.5, 2.5)
-    ref = _gscan_py.g_array(np.ascontiguousarray(xs), a, 1.5, 2.5)
-    np.testing.assert_allclose(np.asarray(out), ref, rtol=1e-14)
+    ref = kernels.g_array(np.ascontiguousarray(xs), a, 1.5, 2.5)
+    np.testing.assert_array_equal(out, ref)

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from sphere3body import meridian as mer
 from sphere3body.dynamics import MassTriple, configuration_residuals
 from sphere3body.geometry import SphereRadius
 from sphere3body.potential import cotangent_potential, repulsive
+from test_kernels import REGION_SIGNS, g_reference
 
 R1 = SphereRadius(1.0)
 POT = cotangent_potential(R1)
@@ -23,12 +26,13 @@ class TestRegions:
         assert mer.region_of(5.0, a) == "IV"
 
     def test_region_signs(self):
-        # alpha = sign(sin x), beta = sign(sin(x - a))
+        # alpha = sign(sin x), beta = sign(sin(x - a)) in the reference table
         a = 0.5
         for region, x in [("I", 0.2), ("II", 2.0), ("III", 3.3), ("IV", 5.0)]:
-            p = mer.gfunction_params(a, 1.0, 1.0, region)
-            assert p.alpha_sign == (1 if math.sin(x) >= 0 else -1)
-            assert p.beta_sign == (1 if math.sin(x - a) >= 0 else -1)
+            assert mer.region_of(x, a) == region
+            al, be = REGION_SIGNS[region]
+            assert al == (1 if math.sin(x) >= 0 else -1)
+            assert be == (1 if math.sin(x - a) >= 0 else -1)
 
 
 class TestShape:
@@ -66,8 +70,7 @@ class TestGFunction:
         a, nu1, nu2 = 0.7, 2.5, 0.8
         for x in np.linspace(0.01, 2 * math.pi - 0.01, 57):
             region = mer.region_of(x, a)
-            p = mer.gfunction_params(a, nu1, nu2, region)
-            assert mer.g_function(x, p) == pytest.approx(
+            assert g_reference(x, a, nu1, nu2, region) == pytest.approx(
                 kernels.g_scalar(x, a, nu1, nu2), rel=1e-13, abs=1e-13
             )
 
@@ -224,6 +227,24 @@ class TestCounting:
         for i, n1 in enumerate(nu1s):
             for j, n2 in enumerate(nu2s):
                 assert grid[i, j] == mer.count_rotators_scan(a, n1, n2).total
+
+    # per-region counts stored from an earlier version of the counters:
+    # the named paper cases plus seeded random inputs, and a 10x10 grid
+    with open(Path(__file__).parent / "data" / "scan_counts.json") as fh:
+        STORED = json.load(fh)
+
+    @pytest.mark.parametrize("case", STORED["scan"], ids=lambda c: c["case"])
+    def test_scan_counts_match_stored(self, case):
+        counts = mer.count_rotators_scan(case["a"], case["nu1"], case["nu2"])
+        assert list(counts.as_tuple()) == case["counts"]
+
+    def test_grid_counts_match_stored(self):
+        grid = self.STORED["grid"]
+        for piece in grid["slices"]:
+            per_region = mer.count_rotators_grid_regions(
+                piece["a"], grid["nu1"], grid["nu2"])
+            for region in mer.REGIONS:
+                assert per_region[region].tolist() == piece["counts"][region]
 
 
 class TestSpecialFamilies:
