@@ -54,6 +54,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError("grid expects lo:hi:n")
     if n < 1:
         raise argparse.ArgumentTypeError(f"grid needs n >= 1 points, got {n}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"grid bounds must be finite, got {text}")
     return np.linspace(lo, hi, n)
 
 

@@ -3,13 +3,17 @@ residuals of the rotating-equilibrium conditions, and a fixed-step RK4
 integrator used only for independent verification.
 
 The residuals are evaluated on the untranslated equations, so the
-solvers and this verifier share no algebra.
+solvers and this verifier share no algebra. The equations of motion
+have one definition, the scalar kernel _accelerations: integrate calls
+it four times per RK4 step on twelve local floats, and eom_rhs calls it
+once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from math import cos, sin
 from typing import Sequence
 
 import numpy as np
@@ -29,8 +33,17 @@ class MassTriple:
     m3: float
 
     def __post_init__(self):
-        if min(self.m1, self.m2, self.m3) <= 0:
-            raise ValueError(f"masses must be positive: {self.as_tuple()}")
+        m = self.as_tuple()
+        # written so that nan fails too; min() would let it through
+        if not all(0.0 < v < math.inf for v in m):
+            raise ValueError(f"masses must be positive and finite: {m}")
+        # the lift and the residuals multiply masses pairwise, and the
+        # exceptional-angle test takes nu^3: none of these may overflow or
+        # vanish
+        total = m[0] + m[1] + m[2]
+        if not (total * total < math.inf
+                and all(0.0 < nu * nu * nu < math.inf for nu in (self.nu1, self.nu2))):
+            raise ValueError(f"masses or their ratios are too extreme: {m}")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.m1, self.m2, self.m3)
@@ -107,68 +120,78 @@ def kinetic_energy(state: SphericalState, masses: MassTriple) -> float:
     return R2 * k
 
 
-def _rhs(y, m, u_prime, R):
-    """Time derivative of the flat state
-    y = (t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3).
+def _accelerations(t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3,
+                   w1, w2, w3, u_prime, two_r2):
+    """Second derivatives (theta_ddot_1..3, phi_ddot_1..3) of the raw
+    equations of motion; w_k = 2 m_k and two_r2 = 2 R^2.
 
-    Written with plain floats; this is the integrator's hot loop.
+    This is the integrator's hot loop, written with plain floats: one
+    sine and cosine per colatitude and per longitude difference, one U'
+    per pair, shared by both bodies of the pair. cos and sin of
+    phi_i - phi_k are even and odd, so each pair's values serve both
+    orders. The floating-point operations are those of the per-pair
+    loop that tests/test_dynamics.py keeps as the reference, in the same
+    order, so results agree with it bit for bit.
+
+    Raises SingularityError labelled with the pair, ZeroDivisionError
+    for a body on a pole, and ValueError for an infinite angle.
     """
-    t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3 = y
-    th = (t1, t2, t3)
-    ph = (p1, p2, p3)
-    st = (math.sin(t1), math.sin(t2), math.sin(t3))
-    ct = (math.cos(t1), math.cos(t2), math.cos(t3))
-    R2 = R.R * R.R
-    # pairwise squared chords and U'
-    up = {}
-    for i, j in _PAIRS:
-        cs = ct[i] * ct[j] + st[i] * st[j] * math.cos(ph[i] - ph[j])
-        cs = max(-1.0, min(1.0, cs))
-        d2 = 2.0 * R2 * (1.0 - cs)
-        try:
-            val = u_prime(d2)
-        except SingularityError as err:
-            raise SingularityError(err.kind, err.d2, (i + 1, j + 1)) from None
-        up[(i, j)] = up[(j, i)] = val
-    tdd = []
-    pdd = []
-    tds = (td1, td2, td3)
-    pds = (pd1, pd2, pd3)
-    for k in range(3):
-        grav_t = 0.0
-        grav_p = 0.0
-        for i in range(3):
-            if i == k:
-                continue
-            grav_t += (
-                2.0
-                * m[i]
-                * up[(k, i)]
-                * (st[k] * ct[i] - ct[k] * st[i] * math.cos(ph[i] - ph[k]))
-            )
-            grav_p += (
-                2.0
-                * m[i]
-                * up[(k, i)]
-                * st[i]
-                * st[k]
-                * math.sin(ph[k] - ph[i])
-            )
-        tdd.append(st[k] * ct[k] * pds[k] * pds[k] + grav_t)
-        s2 = st[k] * st[k]
-        pdd.append(grav_p / s2 - 2.0 * (ct[k] / st[k]) * tds[k] * pds[k])
+    s1, s2, s3 = sin(t1), sin(t2), sin(t3)
+    c1, c2, c3 = cos(t1), cos(t2), cos(t3)
+    # U' of each pair at its squared chord 2 R^2 (1 - cos sigma), with
+    # cos sigma clamped to [-1, 1] as max(-1, min(1, .)) does
+    pair = (1, 2)
+    try:
+        cos12 = cos(p1 - p2)
+        cs = c1 * c2 + s1 * s2 * cos12
+        cs = cs if cs < 1.0 else 1.0
+        u12 = u_prime(two_r2 * (1.0 - (cs if cs > -1.0 else -1.0)))
+        pair = (2, 3)
+        cos23 = cos(p2 - p3)
+        cs = c2 * c3 + s2 * s3 * cos23
+        cs = cs if cs < 1.0 else 1.0
+        u23 = u_prime(two_r2 * (1.0 - (cs if cs > -1.0 else -1.0)))
+        pair = (3, 1)
+        cos31 = cos(p3 - p1)
+        cs = c3 * c1 + s3 * s1 * cos31
+        cs = cs if cs < 1.0 else 1.0
+        u31 = u_prime(two_r2 * (1.0 - (cs if cs > -1.0 else -1.0)))
+    except SingularityError as err:
+        raise SingularityError(err.kind, err.d2, pair) from None
+    sin12, sin23, sin31 = sin(p1 - p2), sin(p2 - p3), sin(p3 - p1)
+    # f_ki = 2 m_i U'_ki: the pull of body i on body k
+    f12, f13 = w2 * u12, w3 * u31
+    f21, f23 = w1 * u12, w3 * u23
+    f31, f32 = w1 * u31, w2 * u23
+    # each sum starts from 0.0, so a sum of zeros is +0.0 whatever
+    # the signs of its terms
+    gt1 = 0.0 + f12 * (s1 * c2 - c1 * s2 * cos12) + f13 * (s1 * c3 - c1 * s3 * cos31)
+    gt2 = 0.0 + f21 * (s2 * c1 - c2 * s1 * cos12) + f23 * (s2 * c3 - c2 * s3 * cos23)
+    gt3 = 0.0 + f31 * (s3 * c1 - c3 * s1 * cos31) + f32 * (s3 * c2 - c3 * s2 * cos23)
+    gp1 = 0.0 + f12 * s2 * s1 * sin12 - f13 * s3 * s1 * sin31
+    gp2 = 0.0 - f21 * s1 * s2 * sin12 + f23 * s3 * s2 * sin23
+    gp3 = 0.0 + f31 * s1 * s3 * sin31 - f32 * s2 * s3 * sin23
+    # the phi equations divide by sin(theta_k): ZeroDivisionError on a pole
     return (
-        td1, td2, td3, pd1, pd2, pd3,
-        tdd[0], tdd[1], tdd[2], pdd[0], pdd[1], pdd[2],
+        s1 * c1 * pd1 * pd1 + gt1,
+        s2 * c2 * pd2 * pd2 + gt2,
+        s3 * c3 * pd3 * pd3 + gt3,
+        gp1 / (s1 * s1) - 2.0 * (c1 / s1) * td1 * pd1,
+        gp2 / (s2 * s2) - 2.0 * (c2 / s2) * td2 * pd2,
+        gp3 / (s3 * s3) - 2.0 * (c3 / s3) * td3 * pd3,
     )
 
 
 def eom_rhs(state: SphericalState, masses: MassTriple, pot: PairPotential):
     """Second derivatives of (theta_k, phi_k) from the Euler-Lagrange
     equations. Returns (theta_ddot, phi_ddot) as tuples."""
-    y = state.thetas + state.phis + state.theta_dot + state.phi_dot
-    d = _rhs(y, masses.as_tuple(), pot.u_prime, state.R)
-    return d[6:9], d[9:12]
+    m1, m2, m3 = masses.as_tuple()
+    R = state.R.R
+    d = _accelerations(
+        *state.thetas, *state.phis, *state.theta_dot, *state.phi_dot,
+        2.0 * m1, 2.0 * m2, 2.0 * m3, pot.u_prime, 2.0 * (R * R),
+    )
+    return d[0:3], d[3:6]
 
 
 @dataclass
@@ -201,31 +224,58 @@ def integrate(
 ) -> Trajectory:
     """Classical fixed-step RK4 over the raw equations of motion.
 
+    The step works on twelve local floats and calls _accelerations once
+    per stage. Every (store_every)-th state and the last one are kept.
     Reports the relative drift of the energy K - V and of the angular
     momentum vector over the run. On a singularity the partial
     trajectory is returned with the error recorded.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    m = masses.as_tuple()
+    if store_every < 1:
+        raise ValueError(f"store_every must be at least 1, got {store_every}")
+    m1, m2, m3 = masses.as_tuple()
+    w1, w2, w3 = 2.0 * m1, 2.0 * m2, 2.0 * m3
     up = pot.u_prime
     R = state.R
-    y = state.thetas + state.phis + state.theta_dot + state.phi_dot
+    two_r2 = 2.0 * (R.R * R.R)
+    t1, t2, t3 = state.thetas
+    p1, p2, p3 = state.phis
+    td1, td2, td3 = state.theta_dot
+    pd1, pd2, pd3 = state.phi_dot
     n_steps = max(1, int(round(t_end / dt)))
     h = t_end / n_steps
+    hh = 0.5 * h
+    h6 = h / 6.0
 
     times = [0.0]
-    rows = [y]
+    rows = [(t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3)]
     error = None
     for step in range(n_steps):
+        # stage j evaluates the accelerations (tdd*j, pdd*j) at the state
+        # whose velocities are td*j, pd*j; stage a is the current state
         try:
-            k1 = _rhs(y, m, up, R)
-            y2 = tuple(a + 0.5 * h * b for a, b in zip(y, k1))
-            k2 = _rhs(y2, m, up, R)
-            y3 = tuple(a + 0.5 * h * b for a, b in zip(y, k2))
-            k3 = _rhs(y3, m, up, R)
-            y4 = tuple(a + h * b for a, b in zip(y, k3))
-            k4 = _rhs(y4, m, up, R)
+            tdd1a, tdd2a, tdd3a, pdd1a, pdd2a, pdd3a = _accelerations(
+                t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3,
+                w1, w2, w3, up, two_r2)
+            td1b, td2b, td3b = td1 + hh * tdd1a, td2 + hh * tdd2a, td3 + hh * tdd3a
+            pd1b, pd2b, pd3b = pd1 + hh * pdd1a, pd2 + hh * pdd2a, pd3 + hh * pdd3a
+            tdd1b, tdd2b, tdd3b, pdd1b, pdd2b, pdd3b = _accelerations(
+                t1 + hh * td1, t2 + hh * td2, t3 + hh * td3,
+                p1 + hh * pd1, p2 + hh * pd2, p3 + hh * pd3,
+                td1b, td2b, td3b, pd1b, pd2b, pd3b, w1, w2, w3, up, two_r2)
+            td1c, td2c, td3c = td1 + hh * tdd1b, td2 + hh * tdd2b, td3 + hh * tdd3b
+            pd1c, pd2c, pd3c = pd1 + hh * pdd1b, pd2 + hh * pdd2b, pd3 + hh * pdd3b
+            tdd1c, tdd2c, tdd3c, pdd1c, pdd2c, pdd3c = _accelerations(
+                t1 + hh * td1b, t2 + hh * td2b, t3 + hh * td3b,
+                p1 + hh * pd1b, p2 + hh * pd2b, p3 + hh * pd3b,
+                td1c, td2c, td3c, pd1c, pd2c, pd3c, w1, w2, w3, up, two_r2)
+            td1d, td2d, td3d = td1 + h * tdd1c, td2 + h * tdd2c, td3 + h * tdd3c
+            pd1d, pd2d, pd3d = pd1 + h * pdd1c, pd2 + h * pdd2c, pd3 + h * pdd3c
+            tdd1d, tdd2d, tdd3d, pdd1d, pdd2d, pdd3d = _accelerations(
+                t1 + h * td1c, t2 + h * td2c, t3 + h * td3c,
+                p1 + h * pd1c, p2 + h * pd2c, p3 + h * pd3c,
+                td1d, td2d, td3d, pd1d, pd2d, pd3d, w1, w2, w3, up, two_r2)
         except SingularityError as err:
             error = str(err)
             break
@@ -238,13 +288,21 @@ def integrate(
             # trips; report the partial trajectory either way
             error = f"numerical blow-up near a singularity: {err}"
             break
-        y = tuple(
-            a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-        )
+        t1 += h6 * (td1 + 2.0 * td1b + 2.0 * td1c + td1d)
+        t2 += h6 * (td2 + 2.0 * td2b + 2.0 * td2c + td2d)
+        t3 += h6 * (td3 + 2.0 * td3b + 2.0 * td3c + td3d)
+        p1 += h6 * (pd1 + 2.0 * pd1b + 2.0 * pd1c + pd1d)
+        p2 += h6 * (pd2 + 2.0 * pd2b + 2.0 * pd2c + pd2d)
+        p3 += h6 * (pd3 + 2.0 * pd3b + 2.0 * pd3c + pd3d)
+        td1 += h6 * (tdd1a + 2.0 * tdd1b + 2.0 * tdd1c + tdd1d)
+        td2 += h6 * (tdd2a + 2.0 * tdd2b + 2.0 * tdd2c + tdd2d)
+        td3 += h6 * (tdd3a + 2.0 * tdd3b + 2.0 * tdd3c + tdd3d)
+        pd1 += h6 * (pdd1a + 2.0 * pdd1b + 2.0 * pdd1c + pdd1d)
+        pd2 += h6 * (pdd2a + 2.0 * pdd2b + 2.0 * pdd2c + pdd2d)
+        pd3 += h6 * (pdd3a + 2.0 * pdd3b + 2.0 * pdd3c + pdd3d)
         if (step + 1) % store_every == 0 or step == n_steps - 1:
             times.append((step + 1) * h)
-            rows.append(y)
+            rows.append((t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3))
 
     arr = np.array(rows)
     traj = Trajectory(

@@ -36,8 +36,8 @@ class SphereRadius:
     epsilon: float = field(init=False)
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError(f"sphere radius must be positive, got {self.R}")
+        if not 0.0 < self.R < math.inf:
+            raise ValueError(f"sphere radius must be positive and finite, got {self.R}")
         object.__setattr__(self, "epsilon", 1.0 / (2.0 * self.R))
 
 

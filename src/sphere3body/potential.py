@@ -58,20 +58,39 @@ def cotangent_u(d2: float, R: SphereRadius) -> float:
     return (1.0 - 2.0 * e2 * d2) / math.sqrt(d2 * (1.0 - e2 * d2))
 
 
-def cotangent_u_prime(d2: float, R: SphereRadius) -> float:
-    """Derivative of the cotangent potential: -1 / (2 R^3 sin^3 sigma)."""
-    _check_domain(d2, R)
-    e2 = R.epsilon * R.epsilon
-    # sin^2(sigma) = (D^2/R^2)(1 - eps^2 D^2)
-    s2 = (d2 / (R.R * R.R)) * (1.0 - e2 * d2)
-    return -1.0 / (2.0 * R.R ** 3 * s2 ** 1.5)
-
-
 def cotangent_potential(R: SphereRadius) -> PairPotential:
-    """The cotangent pair potential bound to a sphere radius."""
+    """The cotangent pair potential bound to a sphere radius.
+
+    u_prime is the integrator's innermost call (three per right-hand
+    side), so R's constants and the domain check of _check_domain are
+    bound into it here, once per radius.
+    """
+    r2 = R.R * R.R
+    d2_antipodal = 4.0 * R.R * R.R
+    e2 = R.epsilon * R.epsilon
+    try:
+        scale = 2.0 * R.R ** 3
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"sphere radius {R.R} is out of range: 2 R^3 = {scale}")
+
+    def u_prime(d2: float) -> float:
+        """-1 / (2 R^3 sin^3 sigma), with sin^2(sigma) = (D^2/R^2)(1 - eps^2 D^2)."""
+        if d2 <= 0.0:
+            raise SingularityError(COLLISION, d2)
+        if d2 >= d2_antipodal:
+            raise SingularityError(ANTIPODAL, d2)
+        try:
+            return -1.0 / (scale * ((d2 / r2) * (1.0 - e2 * d2)) ** 1.5)
+        except ZeroDivisionError:
+            # 2 R^3 sin^3(sigma) underflowed: as singular as the bounds
+            kind = COLLISION if d2 < 0.5 * d2_antipodal else ANTIPODAL
+            raise SingularityError(kind, d2) from None
+
     return PairPotential(
         u=lambda d2: cotangent_u(d2, R),
-        u_prime=lambda d2: cotangent_u_prime(d2, R),
+        u_prime=u_prime,
         name="cotangent",
         attractive=True,
     )

@@ -166,6 +166,7 @@ class TestSweep:
         (["--a-grid", "4:4:1"], "(0, pi)"),
         (["--a-grid", "1:1:1", "--nu1-grid=-1:-1:1"], "must be positive"),
         (["--a-grid", "1:1:1", "--samples", "1"], "at least 2"),
+        (["--a-grid", "1:1:1", "--nu2-grid", "nan:1:2"], "finite"),
     ])
     def test_out_of_range_is_rejected(self, capsys, argv, message):
         assert main(["sweep", "--nu1-grid", "1:1:1", "--nu2-grid", "1:1:1",
@@ -198,6 +199,30 @@ class TestEulerLimit:
         lines = out.strip().splitlines()
         assert lines[0] == "R,max_coeff_deviation,root_deviation"
         assert lines[-1].startswith("# order_estimate")
+
+
+@pytest.mark.parametrize("argv", [
+    # inputs found by test_cli_fuzz that ended in a traceback
+    ["meridian", "--masses", "nan,15.5,0", "--a", "1.5"],
+    ["meridian", "--masses", "1e300,1,1", "--a", "0.5"],
+    ["meridian", "--masses", "12,5e-324,12", "--a", "5e-324"],
+    ["meridian", "--masses", "3,2,1", "--a", "0.5", "--radius", "1e-150"],
+    # 4 R^2 overflows here, so every chord read as antipodal: no solutions
+    ["meridian", "--masses", "3,2,1", "--a", "0.5", "--radius", "1e300"],
+])
+def test_out_of_range_input_is_usage_error(argv, capsys):
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_tiny_radius_is_usage_error(tmp_path, capsys):
+    sol_file = tmp_path / "tiny.json"
+    sol_file.write_text(json.dumps({
+        "metadata": {"masses": [1.4, 1.1, 1.1], "radius": 1e-150},
+        "solutions": [{"theta": [1.39, 2.14, 2.16], "omega_squared": 4.1}],
+    }))
+    assert main(["verify", str(sol_file)]) == 1
+    assert "out of range" in capsys.readouterr().err
 
 
 def test_usage_error_returns_one():

@@ -1,8 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from sphere3body import meridian as mer
 from sphere3body.dynamics import (
     MassTriple,
     SphericalState,
@@ -15,7 +17,8 @@ from sphere3body.dynamics import (
 )
 from sphere3body.equator import solve_equator
 from sphere3body.geometry import SpherePoint, SphereRadius
-from sphere3body.potential import cotangent_potential
+from sphere3body.potential import SingularityError, cotangent_potential, repulsive
+from test_potential import cotangent_u_prime_reference
 
 R1 = SphereRadius(1.0)
 POT = cotangent_potential(R1)
@@ -45,6 +48,17 @@ class TestMassTriple:
 
     @pytest.mark.parametrize("bad", [(0, 1, 1), (1, -2, 1), (1, 1, 0)])
     def test_rejects_nonpositive(self, bad):
+        with pytest.raises(ValueError):
+            MassTriple(*bad)
+
+    @pytest.mark.parametrize("bad", [
+        (math.nan, 15.5, 0.0),  # min() passes nan over the zero
+        (1.0, math.inf, 1.0),
+        (1e300, 1.0, 1.0),  # m1 * m1 overflows in the lift
+        (12.0, 5e-324, 12.0),  # nu2 underflows to 0
+        (1e110, 1.0, 1.0),  # nu1 ** 3 overflows
+    ])
+    def test_rejects_non_finite_and_extreme(self, bad):
         with pytest.raises(ValueError):
             MassTriple(*bad)
 
@@ -170,3 +184,229 @@ class TestIntegrate:
         st = equator_state(m, 1.0)
         with pytest.raises(ValueError):
             integrate(st, m, POT, 1.0, 0.0)
+
+    @pytest.mark.parametrize("store_every", [0, -1])
+    def test_rejects_bad_store_every(self, store_every):
+        m = MassTriple(1.0, 1.0, 1.0)
+        st = equator_state(m, 1.0)
+        with pytest.raises(ValueError, match="store_every"):
+            integrate(st, m, POT, 1.0, 0.01, store_every=store_every)
+
+
+# ------------------------------------------------------------------
+# Differential tests: the straight-line kernel in dynamics against a
+# literal transcription of the loop-and-dict right-hand side and the
+# tuple RK4 loop it replaced. Every floating-point operation is kept in
+# order, so results must agree bit for bit, errors included.
+
+_PAIRS = ((0, 1), (1, 2), (2, 0))
+
+
+def rhs_reference(y, m, u_prime, R):
+    t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3 = y
+    th = (t1, t2, t3)
+    ph = (p1, p2, p3)
+    st = (math.sin(t1), math.sin(t2), math.sin(t3))
+    ct = (math.cos(t1), math.cos(t2), math.cos(t3))
+    R2 = R.R * R.R
+    up = {}
+    for i, j in _PAIRS:
+        cs = ct[i] * ct[j] + st[i] * st[j] * math.cos(ph[i] - ph[j])
+        cs = max(-1.0, min(1.0, cs))
+        d2 = 2.0 * R2 * (1.0 - cs)
+        try:
+            val = u_prime(d2)
+        except SingularityError as err:
+            raise SingularityError(err.kind, err.d2, (i + 1, j + 1)) from None
+        up[(i, j)] = up[(j, i)] = val
+    tdd = []
+    pdd = []
+    tds = (td1, td2, td3)
+    pds = (pd1, pd2, pd3)
+    for k in range(3):
+        grav_t = 0.0
+        grav_p = 0.0
+        for i in range(3):
+            if i == k:
+                continue
+            grav_t += (
+                2.0
+                * m[i]
+                * up[(k, i)]
+                * (st[k] * ct[i] - ct[k] * st[i] * math.cos(ph[i] - ph[k]))
+            )
+            grav_p += (
+                2.0
+                * m[i]
+                * up[(k, i)]
+                * st[i]
+                * st[k]
+                * math.sin(ph[k] - ph[i])
+            )
+        tdd.append(st[k] * ct[k] * pds[k] * pds[k] + grav_t)
+        s2 = st[k] * st[k]
+        pdd.append(grav_p / s2 - 2.0 * (ct[k] / st[k]) * tds[k] * pds[k])
+    return (
+        td1, td2, td3, pd1, pd2, pd3,
+        tdd[0], tdd[1], tdd[2], pdd[0], pdd[1], pdd[2],
+    )
+
+
+def rk4_reference(state, masses, u_prime, t_end, dt, store_every):
+    """(times, rows, error) of the tuple RK4 loop."""
+    m = masses.as_tuple()
+    R = state.R
+    y = state.thetas + state.phis + state.theta_dot + state.phi_dot
+    n_steps = max(1, int(round(t_end / dt)))
+    h = t_end / n_steps
+    times = [0.0]
+    rows = [y]
+    error = None
+    for step in range(n_steps):
+        try:
+            k1 = rhs_reference(y, m, u_prime, R)
+            y2 = tuple(a + 0.5 * h * b for a, b in zip(y, k1))
+            k2 = rhs_reference(y2, m, u_prime, R)
+            y3 = tuple(a + 0.5 * h * b for a, b in zip(y, k2))
+            k3 = rhs_reference(y3, m, u_prime, R)
+            y4 = tuple(a + h * b for a, b in zip(y, k3))
+            k4 = rhs_reference(y4, m, u_prime, R)
+        except SingularityError as err:
+            error = str(err)
+            break
+        except ZeroDivisionError:
+            error = "a body sits on a pole (sin theta = 0)"
+            break
+        except (ValueError, OverflowError) as err:
+            error = f"numerical blow-up near a singularity: {err}"
+            break
+        y = tuple(
+            a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        )
+        if (step + 1) % store_every == 0 or step == n_steps - 1:
+            times.append((step + 1) * h)
+            rows.append(y)
+    return times, rows, error
+
+
+def _outcome(fn):
+    """("ok", bit patterns of fn's floats), or the error fn raised."""
+    try:
+        values = fn()
+    except SingularityError as err:
+        return ("SingularityError", err.kind, err.d2.hex(), err.pair, str(err))
+    except (ZeroDivisionError, ValueError, OverflowError) as err:
+        return (type(err).__name__, str(err))
+    return ("ok",) + tuple(float(v).hex() for v in values)
+
+
+def _random_state(rng):
+    R = SphereRadius(rng.choice([0.5, 1.0, 3.0]))
+    th = [rng.uniform(-math.pi, math.pi) for _ in range(3)]
+    ph = [rng.uniform(-7.0, 7.0) for _ in range(3)]
+    kind = rng.randrange(8)
+    j = rng.randrange(3)
+    i = (j + 1) % 3
+    if kind == 4:  # the non-finite values a blown-up step carries
+        (th if rng.random() < 0.5 else ph)[j] = rng.choice([math.nan, math.inf])
+    elif kind == 0:  # near or exact collision of bodies i and j
+        eps = 10.0 ** rng.uniform(-17, -3)
+        th[i] = th[j] + rng.choice([eps, 0.0])
+        ph[i] = ph[j] + rng.choice([eps, 0.0, -eps])
+    elif kind == 1:  # near-antipodal pair
+        th[i] = math.pi - th[j]
+        ph[i] = ph[j] + math.pi + rng.choice([0.0, 1e-9])
+    elif kind == 2:  # a body on or next to a pole
+        th[j] = rng.choice([0.0, math.pi, -math.pi, 1e-300])
+    elif kind == 3:  # equal longitudes
+        ph[i] = ph[j]
+    return SphericalState(
+        tuple(SpherePoint(t, p) for t, p in zip(th, ph)),
+        tuple(rng.uniform(-2.0, 2.0) for _ in range(3)),
+        tuple(rng.uniform(-2.0, 2.0) for _ in range(3)),
+        R,
+    )
+
+
+def test_eom_rhs_matches_reference_bitwise():
+    rng = random.Random(2022)
+    seen = set()
+    for n in range(1500):
+        st = _random_state(rng)
+        m = MassTriple(*(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(3)))
+        pot = cotangent_potential(st.R)
+        if n % 2:
+            pot = repulsive(pot)
+        y = st.thetas + st.phis + st.theta_dot + st.phi_dot
+        ref_u_prime = lambda d2, R=st.R: cotangent_u_prime_reference(d2, R)
+        if n % 2:
+            ref_u_prime = lambda d2, up=ref_u_prime: -up(d2)
+        expect = _outcome(lambda: rhs_reference(y, m.as_tuple(), ref_u_prime, st.R)[6:])
+        got = _outcome(lambda: sum(eom_rhs(st, m, pot), ()))
+        assert got == expect, (n, st)
+        seen.add(expect[0] if expect[0] != "SingularityError" else expect[1:4:2])
+    # the sample reaches a collision and an antipode of every pair, a pole
+    # and a math domain error; the integrator reports each differently
+    pairs = [(1, 2), (2, 3), (3, 1)]
+    assert {"ok", "ZeroDivisionError", "ValueError"} <= seen
+    assert {(k, p) for k in ("collision", "antipodal") for p in pairs} <= seen
+
+
+def _solution_state(a, masses, pick):
+    """The rigidly rotating state of one meridian solution, set up as
+    verify --integrate does; returns (state, period)."""
+    sols = mer.find_meridian_rotators(a, masses)
+    sol = pick(sols)
+    thetas, _, omega = sol.residual_inputs()
+    state = SphericalState(
+        tuple(SpherePoint(t % (2.0 * math.pi), 0.0) for t in thetas),
+        (0.0, 0.0, 0.0), (omega, omega, omega), R1,
+    )
+    return state, 2.0 * math.pi / omega
+
+
+DIFFERENTIAL_CASES = {
+    "pi/6 (3,2,1)": (math.pi / 6, (3.0, 2.0, 1.0), lambda s: s[0]),
+    "table 2 d=+5": (math.pi / 2, (11.0, 6.0, 1.0), lambda s: s[-1]),
+    "eight solutions": (
+        1.575, (0.1, 4.5, 1.0), lambda s: max(s, key=lambda x: x.omega_squared)),
+    "unstable RE": (
+        0.8863, (5.328, 4.586, 1.370),
+        lambda s: min(s, key=lambda x: abs(x.x - 3.603))),
+}
+
+
+def _integrate_both(state, masses, t_end, dt, store_every):
+    """integrate and the reference loop on one input; asserts that the
+    stored times and states are equal bit for bit, and returns
+    (trajectory, reference error)."""
+    traj = integrate(state, masses, POT, t_end, dt, store_every)
+    times, rows, error = rk4_reference(
+        state, masses, lambda d2: cotangent_u_prime_reference(d2, R1),
+        t_end, dt, store_every)
+    got = np.hstack([traj.thetas, traj.phis, traj.theta_dots, traj.phi_dots])
+    assert np.array_equal(got.view(np.int64), np.array(rows).view(np.int64))
+    assert np.array_equal(traj.times.view(np.int64), np.array(times).view(np.int64))
+    return traj, error
+
+
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+def test_integrate_matches_reference_bitwise(case):
+    a, m, pick = DIFFERENTIAL_CASES[case]
+    masses = MassTriple(*m)
+    state, period = _solution_state(a, masses, pick)
+    traj, error = _integrate_both(state, masses, period, period / 4000, 1)
+    assert traj.error is error is None
+    assert len(traj.times) == 4001
+
+
+def test_integrate_error_and_storing_match_reference():
+    # a collision part-way, with a stride that does not divide the steps
+    m = MassTriple(1.0, 1.0, 1.0)
+    st = SphericalState(
+        (SpherePoint(1.0, 0.0), SpherePoint(1.0, 0.05), SpherePoint(2.5, 3.0)),
+        (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), R1,
+    )
+    traj, error = _integrate_both(st, m, 50.0, 0.01, 7)
+    assert error is not None and traj.error == error

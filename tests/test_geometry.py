@@ -23,6 +23,12 @@ def test_sphere_radius_rejects_nonpositive(bad):
         SphereRadius(bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sphere_radius_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SphereRadius(bad)
+
+
 def test_chord_squared_matches_embedding():
     R = SphereRadius(3.0)
     p = SpherePoint(0.7, 1.1)

@@ -193,6 +193,36 @@ class TestSolver:
             assert sa.omega_squared == pytest.approx(sr.omega_squared, rel=1e-9)
             assert sr.s == -sa.s
 
+    @pytest.mark.parametrize("a, m, count", [
+        (1.2302, (0.3183, 0.2462, 0.2003), 6),
+        # solve-pool entry 856 of the benchmark
+        (1.8202418324125238,
+         (0.5889264248276225, 0.5475259581794261, 0.2835682163913604), 4),
+    ])
+    def test_small_amplitude_lift(self, a, m, count):
+        # a solution with A ~ 2e-4: the rounding of sin_part/A and
+        # cos_part/A grows like (m1+m2+m3)/A, past a fixed 1e-10
+        # consistency tolerance
+        masses = MassTriple(*m)
+        mirror = MassTriple(m[1], m[0], m[2])
+        sols = mer.find_meridian_rotators(a, masses)
+        mirror_sols = mer.find_meridian_rotators(a, mirror)
+        assert len(sols) == len(mirror_sols) == count
+        assert min(s.translation.A for s in sols) < 3e-4
+        # swapping m1 and m2 maps x to a - x (mod 2 pi)
+        mapped = sorted((a - s.x) % (2.0 * math.pi) for s in sols)
+        assert mapped == pytest.approx(sorted(s.x for s in mirror_sols), abs=1e-7)
+        for ms, found in ((masses, sols), (mirror, mirror_sols)):
+            for s in found:
+                t1, t2, t3 = s.translation.thetas
+                assert t2 - t1 == pytest.approx(a, abs=1e-12)
+                assert t3 - t1 == pytest.approx(s.x, abs=1e-12)
+                gate = 1e-9 * max(1.0, s.omega_squared) * sum(m)
+                res = configuration_residuals(
+                    s.translation.thetas_alt, (0.0, 0.0, 0.0),
+                    math.sqrt(s.omega_squared), ms, POT, R1)
+                assert np.max(np.abs(res)) < gate
+
     def test_larger_radius_scales_omega(self):
         # omega^2 ~ 1/R^3 at fixed shape angles
         R2 = SphereRadius(2.0)

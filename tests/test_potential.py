@@ -1,14 +1,29 @@
 import math
+import random
 
 import pytest
 
 from sphere3body.geometry import SpherePoint, SphereRadius, chord_from_arc
 from sphere3body.potential import (
+    ANTIPODAL,
+    COLLISION,
     SingularityError,
     cotangent_potential,
     repulsive,
     total_potential,
 )
+
+
+def cotangent_u_prime_reference(d2, R):
+    """The cotangent U' as written before its constants were bound once
+    per radius: a domain check, then -1 / (2 R^3 sin^3 sigma)."""
+    if d2 <= 0.0:
+        raise SingularityError(COLLISION, d2)
+    if d2 >= 4.0 * R.R * R.R - 0.0:
+        raise SingularityError(ANTIPODAL, d2)
+    e2 = R.epsilon * R.epsilon
+    s2 = (d2 / (R.R * R.R)) * (1.0 - e2 * d2)
+    return -1.0 / (2.0 * R.R ** 3 * s2 ** 1.5)
 
 
 @pytest.mark.parametrize("R_val", [0.5, 1.0, 4.0])
@@ -85,3 +100,39 @@ def test_total_potential_reports_pair():
     with pytest.raises(SingularityError) as exc:
         total_potential(pts, (1.0, 1.0, 1.0), pot, R)
     assert exc.value.pair == (1, 2)
+
+
+@pytest.mark.parametrize("R_val", [0.5, 1.0, 1.3, 4.0])
+def test_u_prime_equals_reference_bitwise(R_val):
+    R = SphereRadius(R_val)
+    u_prime = cotangent_potential(R).u_prime
+    top = 4.0 * R_val * R_val
+    rng = random.Random(11)
+    values = [rng.uniform(0.0, top) for _ in range(500)]
+    values += [top * 10.0 ** -rng.uniform(1, 17) for _ in range(100)]
+    values += [top * (1.0 - 10.0 ** -rng.uniform(1, 16)) for _ in range(100)]
+    values += [0.0, -0.0, -1.0, top, top * 2.0, math.nan, math.inf]
+    for d2 in values:
+        try:
+            expect = cotangent_u_prime_reference(d2, R).hex()
+        except SingularityError as err:
+            expect = (err.kind, err.d2, str(err))
+        try:
+            got = u_prime(d2).hex()
+        except SingularityError as err:
+            got = (err.kind, err.d2, str(err))
+        assert repr(got) == repr(expect), d2
+
+
+@pytest.mark.parametrize("R_val", [1e-150, 1e120])
+def test_radius_whose_cube_leaves_float_range_is_rejected(R_val):
+    with pytest.raises(ValueError, match="out of range"):
+        cotangent_potential(SphereRadius(R_val))
+
+
+def test_underflowing_u_prime_is_a_singularity():
+    # 2 R^3 sin^3(sigma) underflows to 0 at a chord far inside the domain
+    R = SphereRadius(1e-90)
+    with pytest.raises(SingularityError) as exc:
+        cotangent_potential(R).u_prime(1e-300)
+    assert exc.value.kind == "collision"
