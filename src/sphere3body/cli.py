@@ -201,29 +201,30 @@ def cmd_sweep(args) -> int:
         raise ValueError("--nu1-grid and --nu2-grid values must be positive")
     if args.samples < 2:
         raise ValueError(f"--samples must be at least 2, got {args.samples}")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["a", "nu1", "nu2", "count",
-                     "count_I", "count_II", "count_III", "count_IV"])
+    # the rows csv.writer would write: no field needs quoting, CRLF ends
+    nu1_text = [_fmt(v) for v in nu1_grid.tolist()]
+    nu2_text = [_fmt(v) for v in nu2_grid.tolist()]
+    lines = ["a,nu1,nu2,count,count_I,count_II,count_III,count_IV"]
     max_count = -1
-    argmax = None
-    for a in a_grid:
+    argmax_text = ""
+    for a in a_grid.tolist():
         per_region = mer.count_rotators_grid_regions(
             a, nu1_grid, nu2_grid, args.samples)
         total = sum(per_region.values())
-        for i, nu1 in enumerate(nu1_grid):
-            for j, nu2 in enumerate(nu2_grid):
-                c = int(total[i, j])
-                if c > max_count:
-                    max_count = c
-                    argmax = (a, nu1, nu2)
-                writer.writerow(
-                    [_fmt(a), _fmt(nu1), _fmt(nu2), c]
-                    + [int(per_region[r][i, j]) for r in mer.REGIONS]
-                )
-    writer.writerow(["# max_count", _fmt(argmax[0]), _fmt(argmax[1]),
-                     max_count, "", "", "", ""])
-    _emit(buf.getvalue(), args.out)
+        a_text = _fmt(a)
+        k = int(np.argmax(total))  # the first maximum in row order
+        if total.flat[k] > max_count:
+            max_count = int(total.flat[k])
+            argmax_text = f"{a_text},{nu1_text[k // len(nu2_text)]}"
+        counts = np.stack(
+            [total] + [per_region[r] for r in mer.REGIONS], axis=-1).tolist()
+        for nu1, row in zip(nu1_text, counts):
+            head = f"{a_text},{nu1},"
+            for nu2, (c, c1, c2, c3, c4) in zip(nu2_text, row):
+                lines.append(f"{head}{nu2},{c},{c1},{c2},{c3},{c4}")
+    lines.append(f"# max_count,{argmax_text},{max_count},,,,")
+    lines.append("")
+    _emit("\r\n".join(lines), args.out)
     return 0
 
 
@@ -243,7 +244,7 @@ def _sigma_drift(thetas, omega, masses, pot, R, periods=1.0, steps=4000):
     )
     traj = integrate(state, masses, pot, t_end, t_end / steps, store_every=50)
     if traj.error:
-        return math.inf, math.inf, traj.error
+        return None, None, traj.error
 
     def sigmas(th, ph):
         pts = [SpherePoint(th[k], ph[k]) for k in range(3)]
@@ -263,9 +264,23 @@ def _verify_record(rec: dict) -> tuple:
     thetas = tuple(float(t) for t in rec["theta"])
     if len(thetas) != 3:
         raise ValueError(f"theta needs 3 values, got {len(thetas)}")
+    if not all(math.isfinite(t) for t in thetas):
+        raise ValueError(f"theta must be finite, got {list(thetas)}")
     omega2 = rec["omega_squared"]
-    omega = 0.0 if omega2 is None else math.sqrt(omega2)
-    return rec.get("x"), thetas, omega
+    if omega2 is None:
+        return rec.get("x"), thetas, 0.0
+    if not (math.isfinite(omega2) and omega2 >= 0.0):
+        raise ValueError(
+            f"omega_squared must be finite and non-negative, got {omega2}")
+    return rec.get("x"), thetas, math.sqrt(omega2)
+
+
+def _json_value(v):
+    """v, or None (JSON null) in place of a float that strict JSON
+    cannot hold (nan, inf)."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    return v
 
 
 def cmd_verify(args) -> int:
@@ -296,7 +311,8 @@ def cmd_verify(args) -> int:
             R=R,
         )
         c = angular_momentum(state, masses)
-        drift, c_drift, err = (math.nan, math.nan, None)
+        # not integrated, or the integrator failed: no drift (null)
+        drift, c_drift, err = (None, None, None)
         if args.integrate:
             drift, c_drift, err = _sigma_drift(thetas, omega, masses, pot, R)
         ok = residual <= args.tol_residual and err is None
@@ -304,17 +320,17 @@ def cmd_verify(args) -> int:
             ok = ok and drift <= args.tol_sigma
         all_pass = all_pass and ok
         reports.append({
-            "x": x,
-            "residual": residual,
-            "cx": c.cx,
-            "cy": c.cy,
-            "sigma_drift": drift,
-            "c_drift": c_drift,
+            "x": _json_value(x),
+            "residual": _json_value(residual),
+            "cx": _json_value(c.cx),
+            "cy": _json_value(c.cy),
+            "sigma_drift": _json_value(drift),
+            "c_drift": _json_value(c_drift),
             "pass": bool(ok),
             **({"error": err} if err else {}),
         })
     payload = {"count": len(reports), "all_pass": all_pass, "solutions": reports}
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(json.dumps(payload, indent=2, allow_nan=False), args.out)
     return 0 if all_pass else 2
 
 

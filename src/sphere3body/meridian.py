@@ -607,20 +607,38 @@ def count_rotators_grid_regions(
     + S(x) (kernels.g_terms), so the whole grid shares one set of x
     samples. Tangent roots are not detected here; this is the sweep's
     coarse counter.
+
+    The grid is counted one nu1 row at a time in buffers reused through
+    the ufuncs' ``out=``, so the working memory is one nu2 row times the
+    samples, whatever the size of the nu1 grid. Each g value is summed
+    as (nu1 * P + nu2 * Q) + S and a sign change is a product of
+    neighbouring samples below zero (a zero sample, or a product that
+    underflows to zero, is no sign change), so a cell's count does not
+    depend on the rest of the grid.
     """
     nu1v = np.asarray(nu1_values, dtype=float)
     nu2v = np.asarray(nu2_values, dtype=float)
+    row_shape = (len(nu2v), samples_per_region)
+    nu1_p = np.empty(samples_per_region)
+    nu2_q = np.empty(row_shape)
+    g = np.empty(row_shape)
+    product = np.empty_like(g[:, 1:])
+    below = np.empty(product.shape, dtype=bool)
     out: dict[str, np.ndarray] = {}
     for region in REGIONS:
         lo, hi = region_bounds(region, a)
         xs = np.linspace(lo + boundary_tol, hi - boundary_tol, samples_per_region)
         P, Q, S = kernels.g_terms(xs, a)
-        g = (
-            nu1v[:, None, None] * P[None, None, :]
-            + nu2v[None, :, None] * Q[None, None, :]
-            + S[None, None, :]
-        )
-        out[region] = np.count_nonzero(g[:, :, :-1] * g[:, :, 1:] < 0.0, axis=2)
+        np.multiply(nu2v[:, None], Q, out=nu2_q)
+        counts = np.empty((len(nu1v), len(nu2v)), dtype=np.intp)
+        for i, nu1 in enumerate(nu1v):
+            np.multiply(nu1, P, out=nu1_p)
+            np.add(nu1_p, nu2_q, out=g)
+            np.add(g, S, out=g)
+            np.multiply(g[:, :-1], g[:, 1:], out=product)
+            np.less(product, 0.0, out=below)
+            counts[i] = np.count_nonzero(below, axis=1)
+        out[region] = counts
     return out
 
 

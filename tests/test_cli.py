@@ -3,9 +3,11 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from sphere3body.cli import main
+from sphere3body import meridian as mer
+from sphere3body.cli import _parse_grid as _grid, main
 from sphere3body.meridian import count_rotators_scan
 
 
@@ -181,6 +183,130 @@ class TestSweep:
               "--nu2-grid", "1:5:3", "--out", str(out_file)])
         footer = out_file.read_text().splitlines()[-1]
         assert footer.startswith("# max_count")
+
+
+def csv_writer_sweep(a_grid, nu1_grid, nu2_grid, samples=400):
+    """The sweep's CSV as csv.writer wrote it, one writerow per grid
+    point, before the rows were formatted by hand."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["a", "nu1", "nu2", "count",
+                     "count_I", "count_II", "count_III", "count_IV"])
+    max_count = -1
+    argmax = None
+    for a in a_grid:
+        per_region = mer.count_rotators_grid_regions(
+            a, nu1_grid, nu2_grid, samples)
+        total = sum(per_region.values())
+        for i, nu1 in enumerate(nu1_grid):
+            for j, nu2 in enumerate(nu2_grid):
+                c = int(total[i, j])
+                if c > max_count:
+                    max_count = c
+                    argmax = (a, nu1, nu2)
+                writer.writerow(
+                    [f"{a:.17g}", f"{nu1:.17g}", f"{nu2:.17g}", c]
+                    + [int(per_region[r][i, j]) for r in mer.REGIONS]
+                )
+    writer.writerow(["# max_count", f"{argmax[0]:.17g}", f"{argmax[1]:.17g}",
+                     max_count, "", "", "", ""])
+    return buf.getvalue()
+
+
+class TestSweepBytes:
+    @pytest.mark.parametrize("grids", [
+        {},  # the default 20 x 50 x 50 grid
+        {"--a-grid": "0.5:1.0:2", "--nu1-grid": "1:5:3", "--nu2-grid": "1:5:3"},
+        {"--a-grid": "1.2:1.2:1", "--nu1-grid": "2:2:1", "--nu2-grid": "3:3:1"},
+        {"--a-grid": "0.3:2.9:3", "--nu1-grid": "0.3:7:5",
+         "--nu2-grid": "0.2:9:4", "--samples": "3"},
+    ], ids=["default", "two-slices", "one-point", "ragged"])
+    def test_file_matches_csv_writer(self, tmp_path, grids):
+        defaults = {"--a-grid": "0.15:3.0:20", "--nu1-grid": "0.1:10:50",
+                    "--nu2-grid": "0.1:10:50", "--samples": "400"}
+        opts = {**defaults, **grids}
+        out_file = tmp_path / "sweep.csv"
+        argv = [v for k, val in grids.items() for v in (k, val)]
+        assert main(["sweep", *argv, "--out", str(out_file)]) == 0
+        want = csv_writer_sweep(_grid(opts["--a-grid"]), _grid(opts["--nu1-grid"]),
+                                _grid(opts["--nu2-grid"]), int(opts["--samples"]))
+        assert out_file.read_bytes() == want.encode()
+
+    def test_footer_names_first_max(self, tmp_path):
+        # both slices reach 8, at different cells; the footer keeps the first
+        a_grid, nu = _grid("1.55:1.6:3"), _grid("0.5:8:5")
+        totals = [mer.count_rotators_grid(a, nu, nu) for a in a_grid]
+        assert totals[0].max() == totals[1].max() == 8
+        first = [tuple(np.argwhere(t == 8)[0]) for t in totals[:2]]
+        assert first[0] != first[1] and first[0] != (0, 0)
+        out_file = tmp_path / "sweep.csv"
+        assert main(["sweep", "--a-grid", "1.55:1.6:3", "--nu1-grid", "0.5:8:5",
+                     "--nu2-grid", "0.5:8:5", "--out", str(out_file)]) == 0
+        assert out_file.read_bytes() == csv_writer_sweep(a_grid, nu, nu).encode()
+        assert out_file.read_bytes().endswith(b"# max_count,1.55,0.5,8,,,,\r\n")
+
+    def test_stdout_matches_csv_writer(self, capsys):
+        code, out = run(capsys, ["sweep", "--a-grid", "0.5:2.5:2",
+                                 "--nu1-grid", "1:9:4", "--nu2-grid", "2:2:1"])
+        assert code == 0
+        assert out == csv_writer_sweep(_grid("0.5:2.5:2"), _grid("1:9:4"),
+                                       _grid("2:2:1"))
+
+
+class TestVerifyReport:
+    @staticmethod
+    def strict_json(text):
+        def reject(name):
+            raise ValueError(f"not strict JSON: {name}")
+        return json.loads(text, parse_constant=reject)
+
+    def test_no_integration_writes_null_drifts(self, tmp_path, capsys):
+        sol_file = tmp_path / "six.json"
+        main(["meridian", "--masses", "3,2,1", "--a", str(math.pi / 6),
+              "--out", str(sol_file)])
+        code, out = run(capsys, ["verify", str(sol_file)])
+        assert code == 0
+        report = self.strict_json(out)
+        assert len(report["solutions"]) == 6
+        for sol in report["solutions"]:
+            assert sol["sigma_drift"] is None and sol["c_drift"] is None
+
+    def test_integrator_error_writes_null_drifts(self, tmp_path, capsys):
+        # Table 2, m = (6, 6, 1), x = pi/4: body 3 on a pole
+        sol_file = tmp_path / "pole.json"
+        main(["meridian", "--masses", "6,6,1", "--a", str(math.pi / 2),
+              "--out", str(sol_file)])
+        data = json.loads(sol_file.read_text())
+        data["solutions"] = [s for s in data["solutions"]
+                             if s["x"] == pytest.approx(math.pi / 4)]
+        sol_file.write_text(json.dumps(data))
+        report_file = tmp_path / "report.json"
+        code = main(["verify", str(sol_file), "--integrate",
+                     "--out", str(report_file)])
+        assert code == 2
+        sol = self.strict_json(report_file.read_text())["solutions"][0]
+        assert "pole" in sol["error"]
+        assert sol["sigma_drift"] is None and sol["c_drift"] is None
+
+    @pytest.mark.parametrize("field,value", [
+        ("omega_squared", math.inf),
+        ("omega_squared", -1.0),
+        ("omega_squared", math.nan),
+        ("theta", [0.1, math.nan, 0.3]),
+        ("theta", [0.1, math.inf, 0.3]),
+    ])
+    def test_bad_field_is_named(self, tmp_path, capsys, field, value):
+        sol_file = tmp_path / "two.json"
+        main(["meridian", "--masses", "3,2,1", "--a", str(math.pi / 4),
+              "--out", str(sol_file)])
+        data = json.loads(sol_file.read_text())
+        data["solutions"][0][field] = value
+        sol_file.write_text(json.dumps(data))
+        assert main(["verify", str(sol_file), "--integrate"]) == 1
+        captured = capsys.readouterr()
+        assert "cannot parse" in captured.err and field in captured.err
+        assert "dt" not in captured.err
+        assert captured.out == ""
 
 
 class TestEulerLimit:

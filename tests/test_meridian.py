@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,81 @@ class TestCounting:
                 piece["a"], grid["nu1"], grid["nu2"])
             for region in mer.REGIONS:
                 assert per_region[region].tolist() == piece["counts"][region]
+
+
+def broadcast_grid_regions(a, nu1_values, nu2_values, samples_per_region=400,
+                           boundary_tol=1e-8):
+    """The grid counter as it was before it counted one nu1 row at a
+    time: g on the whole (nu1, nu2, samples) grid by broadcasting."""
+    nu1v = np.asarray(nu1_values, dtype=float)
+    nu2v = np.asarray(nu2_values, dtype=float)
+    out = {}
+    for region in mer.REGIONS:
+        lo, hi = mer.region_bounds(region, a)
+        xs = np.linspace(lo + boundary_tol, hi - boundary_tol, samples_per_region)
+        P, Q, S = kernels.g_terms(xs, a)
+        g = (
+            nu1v[:, None, None] * P[None, None, :]
+            + nu2v[None, :, None] * Q[None, None, :]
+            + S[None, None, :]
+        )
+        out[region] = np.count_nonzero(g[:, :, :-1] * g[:, :, 1:] < 0.0, axis=2)
+    return out
+
+
+SWEEP_NU = np.linspace(0.1, 10.0, 50)
+
+
+def _grid_cases():
+    # the default sweep's 20 a values, Table 2 and the eight-solution point
+    for a in [*np.linspace(0.15, 3.0, 20), math.pi / 2, 1.575]:
+        yield a, SWEEP_NU, SWEEP_NU, 400
+    rng = np.random.default_rng(2024)
+    for a in rng.uniform(0.0, math.pi, 30):
+        yield a, SWEEP_NU, SWEEP_NU, 400
+    # nu1 a few ulps either side of a zero of g at one sample: the count
+    # there depends on the order in which g's terms are summed
+    for k, a in enumerate(rng.uniform(0.2, 3.0, 40)):
+        lo, hi = mer.region_bounds(mer.REGIONS[k % 4], a)
+        P, Q, S = kernels.g_terms(np.linspace(lo + 1e-8, hi - 1e-8, 400), a)
+        i, nu2 = rng.integers(1, 399), rng.uniform(0.1, 10.0)
+        nu1 = -(nu2 * Q[i] + S[i]) / P[i]
+        if nu1 > 0.0:
+            yield a, nu1 + np.arange(-4, 5) * np.spacing(nu1), [nu2], 400
+    ragged = (np.linspace(0.3, 9.0, 37), np.linspace(0.2, 7.5, 23))
+    tied = np.array([1.0, 2.0, 5.0, 6.0])  # Table 2's |nu1 - nu2| = 4
+    for a in (math.pi / 6, math.pi / 2, 2.5):
+        yield a, *ragged, 400
+        yield a, tied, tied, 400
+        yield a, [3.0], [2.0], 400
+        yield a, [6.0], SWEEP_NU, 400
+        yield a, SWEEP_NU, [6.0], 400
+        for samples in (2, 3):
+            yield a, *ragged, samples
+            yield a, tied, tied, samples
+
+
+class TestGridCounter:
+    def test_rows_match_broadcast_counter(self):
+        for a, nu1, nu2, samples in _grid_cases():
+            got = mer.count_rotators_grid_regions(a, nu1, nu2, samples)
+            want = broadcast_grid_regions(a, nu1, nu2, samples)
+            assert list(got) == list(want)
+            for region in mer.REGIONS:
+                assert got[region].dtype == want[region].dtype
+                assert np.array_equal(got[region], want[region]), (a, region)
+
+    def test_memory_is_one_row(self):
+        # numpy reports its allocations to tracemalloc; the whole
+        # (nu1, nu2, samples) grid in float64 would be 128 MB
+        nu = np.linspace(0.1, 10.0, 200)
+        tracemalloc.start()
+        try:
+            mer.count_rotators_grid_regions(1.0, nu, nu, 400)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestSpecialFamilies:
