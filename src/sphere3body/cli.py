@@ -66,7 +66,9 @@ def _add_common(p: argparse.ArgumentParser, masses_required: bool = True):
     p.add_argument("--potential", choices=["cotangent", "repulsive"],
                    default="cotangent")
     p.add_argument("--tol-residual", type=float, default=1e-9)
-    p.add_argument("--tol-root", type=float, default=1e-13)
+    p.add_argument("--tol-root", type=float, default=0.0,
+                   help="bracket width at which root bisection stops "
+                        "(default 0: floating-point resolution)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -152,6 +154,10 @@ CSV_HEADER = ["a", "nu1", "nu2", "region", "x", "theta1", "theta2",
 def cmd_meridian(args) -> int:
     if not 0.0 < args.a < math.pi:
         print(f"error: --a must lie in (0, pi), got {args.a}", file=sys.stderr)
+        return 1
+    if not 0.0 <= args.tol_root < math.inf:
+        print(f"error: --tol-root must be finite and non-negative, got "
+              f"{args.tol_root}", file=sys.stderr)
         return 1
     R = SphereRadius(args.radius)
     pot = _potential_for(args, R)

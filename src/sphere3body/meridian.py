@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 from . import kernels
 from .dynamics import MassTriple, configuration_residuals
@@ -23,6 +24,7 @@ from .geometry import SphereRadius
 from .potential import PairPotential, cotangent_potential
 
 TWO_PI = 2.0 * math.pi
+EPS = float(np.finfo(float).eps)
 REGIONS = ("I", "II", "III", "IV")
 
 CASE1 = "Case1"
@@ -300,17 +302,24 @@ class MeridianSolution:
 
 @dataclass(frozen=True)
 class ScanOptions:
-    samples_per_region: int = 2000
     boundary_tol: float = 1e-8
-    merge_tol: float = 1e-10
-    root_xtol: float = 1e-13
-    tangency_tol: float = 1e-9
+    root_xtol: float = 0.0  # 0: roots to floating-point resolution
     ratio_tol: float = 1e-6
     residual_tol: float = 1e-9
     case_tol: float = 1e-12
 
 
-def _bisect(f, lo, hi, flo, xtol):
+# a knot where |g| <= TANGENT_ULPS * eps * (|nu1*P| + |nu2*Q| + |S|), that
+# is, within the rounding error of evaluating g there, is a tangent root
+TANGENT_ULPS = 64.0
+# samples per region of the scan for a custom potential, whose ratio
+# equation has no polynomial form
+GENERIC_SCAN_SAMPLES = 2000
+
+
+def _bisect(f, lo, hi, flo, fhi, xtol):
+    """Narrow a sign change of f on [lo, hi] to width xtol or to
+    neighbouring floats; returns the end where |f| is smaller."""
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # at floating-point resolution
@@ -321,94 +330,66 @@ def _bisect(f, lo, hi, flo, xtol):
         if (flo < 0) == (fm < 0):
             lo, flo = mid, fm
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _newton_polish(f, x, steps=3):
-    """Drive a bisection root to machine precision; keeps the original
-    point when the iteration does not improve |f| (tangent roots)."""
-    fx = f(x)
-    for _ in range(steps):
-        h = 1e-7 * max(abs(x), 1.0)
-        df = (f(x + h) - f(x - h)) / (2.0 * h)
-        if df == 0.0:
-            break
-        x_new = x - fx / df
-        f_new = f(x_new)
-        if abs(f_new) >= abs(fx):
-            break
-        x, fx = x_new, f_new
-    return x
-
-
-def _refine_extremum(f, lo, hi, sign, iters=100):
-    # golden-section minimization of sign * f over [lo, hi]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = sign * f(c), sign * f(d)
-    for _ in range(iters):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = sign * f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = sign * f(d)
-        if hi - lo < 1e-13:
-            break
-    return 0.5 * (lo + hi)
+            hi, fhi = mid, fm
+    return lo if abs(flo) <= abs(fhi) else hi
 
 
 def _scan_region_roots(
     a: float, nu1: float, nu2: float, region: str, opts: ScanOptions
 ) -> list[float]:
-    """Roots of g strictly inside one region: bracketed sign changes
-    refined by bisection, plus tangent (even-order) roots located at
-    refined extrema where g vanishes to tolerance."""
+    """Roots of g strictly inside one region, each found once.
+
+    Inside a region g is a trigonometric polynomial of degree 6 in x
+    (kernels). With c the region's midpoint, L its length and
+    t = tan((x - c)/2), the product g * (1 + t^2)^6 is therefore a
+    polynomial of degree <= 12 in u = t / tan(L/4), which runs over
+    [-1, 1] on the region; 13 Chebyshev samples of g determine it. Its
+    derivative's roots (real parts; a spare knot does no harm) and the
+    region's ends are the knots: between neighbouring knots the
+    polynomial is monotone, so it and g, which has its sign, have at
+    most one root there. A sign change of g between knots is bisected to
+    floating-point resolution, or to opts.root_xtol if that is wider. A
+    knot where g vanishes to within the rounding of its evaluation is
+    one tangent (even-order) root.
+    """
     lo, hi = region_bounds(region, a)
+    mid = 0.5 * (lo + hi)
+    chart = math.tan(0.25 * (hi - lo))
     lo += opts.boundary_tol
     hi -= opts.boundary_tol
     if hi <= lo:
         return []
-    xs = np.linspace(lo, hi, opts.samples_per_region)
-    gs = kernels.g_array(xs, a, nu1, nu2)
-    scale = float(np.max(np.abs(gs)))
-    if scale == 0.0:
-        return []
+
+    def x_of(u):
+        return mid + 2.0 * np.arctan(u * chart)
+
+    def poly(u):
+        t = u * chart
+        return kernels.g_array(x_of(u), a, nu1, nu2) * (1.0 + t * t) ** 6
+
+    coef = cheb.chebinterpolate(poly, 12)
+    knots = x_of(cheb.chebroots(cheb.chebder(coef)).real)
+    inside = knots[(knots > lo) & (knots < hi)]
+    knots = np.unique(np.concatenate(([lo, hi], inside)))
+    P, Q, S = kernels.g_terms(knots, a)
+    gk = nu1 * P + nu2 * Q + S
+    zero = np.abs(gk) <= TANGENT_ULPS * EPS * (
+        np.abs(nu1 * P) + np.abs(nu2 * Q) + np.abs(S))
+    zero[0] = zero[-1] = False
 
     def f(x):
         return kernels.g_scalar(x, a, nu1, nu2)
 
     roots = []
-    crossing = gs[:-1] * gs[1:] < 0.0
-    for i in np.flatnonzero(crossing):
-        r = _bisect(f, xs[i], xs[i + 1], gs[i], opts.root_xtol)
-        roots.append(_newton_polish(f, r))
-
-    # tangent roots: local extrema of |g| ~ 0 without an adjacent crossing
-    # a tie (d == 0) takes the sign opposite to its left neighbour, so a
-    # flat-topped extremum is counted once, on its left side only
-    d = np.diff(gs)
-    d_next = np.where(d[1:] == 0.0, -d[:-1], d[1:])
-    ext = np.flatnonzero(d[:-1] * d_next < 0.0) + 1
-    for i in ext:
-        if crossing[max(i - 2, 0):min(i + 2, len(crossing))].any():
-            continue
-        sign = 1.0 if gs[i] > 0 else -1.0
-        x_star = _refine_extremum(f, xs[i - 1], xs[i + 1], sign)
-        if abs(f(x_star)) <= opts.tangency_tol * scale:
-            roots.append(x_star)
-
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if merged and r - merged[-1] < opts.merge_tol:
-            continue
-        merged.append(r)
-    return merged
+    for k in range(len(knots) - 1):
+        if zero[k + 1]:
+            # neighbouring zero knots are one root
+            if not zero[k]:
+                roots.append(float(knots[k + 1]))
+        elif not zero[k] and gk[k] * gk[k + 1] < 0.0:
+            roots.append(float(_bisect(f, knots[k], knots[k + 1], gk[k],
+                                       gk[k + 1], opts.root_xtol)))
+    return roots
 
 
 def _exceptional_a_match(a: float, nu: float, tol: float = 1e-9) -> bool:
@@ -479,9 +460,11 @@ def find_meridian_rotators(
 ) -> list[MeridianSolution]:
     """All rigid rotators on the rotating meridian for fixed a.
 
-    Cotangent potential: dense scan of the reduced equation per region,
-    with exceptional-case closed forms appended when the special angle
-    matches. A custom potential scans the generic ratio equation
+    Cotangent potential: every root of the reduced equation g in each
+    region (_scan_region_roots), to floating-point resolution unless
+    options.root_xtol is wider, with exceptional-case closed forms
+    appended when the special angle matches. A custom potential samples
+    the generic ratio equation at GENERIC_SCAN_SAMPLES points per region
     instead. Every survivor must pass the raw-equation residuals.
     """
     if not 0.0 < a < math.pi:
@@ -531,10 +514,11 @@ def _generic_scan_roots(a, masses, pot, R, opts) -> list[float]:
         lo, hi = region_bounds(region, a)
         lo += opts.boundary_tol
         hi -= opts.boundary_tol
-        xs = np.linspace(lo, hi, opts.samples_per_region)
+        xs = np.linspace(lo, hi, GENERIC_SCAN_SAMPLES)
         hs = np.array([h(x) for x in xs])
         for i in np.flatnonzero(hs[:-1] * hs[1:] < 0.0):
-            roots.append(_bisect(h, xs[i], xs[i + 1], hs[i], opts.root_xtol))
+            roots.append(_bisect(h, xs[i], xs[i + 1], hs[i], hs[i + 1],
+                                 opts.root_xtol))
     return roots
 
 
@@ -573,25 +557,12 @@ def count_rotators_scan(
     nu2: float,
     options: ScanOptions | None = None,
 ) -> RegionCounts:
-    """Root counts of the reduced equation per region (scan only; no
-    configuration lift)."""
+    """Root counts of the reduced equation per region, with no
+    configuration lift. Every root counts once: a simple root, a tangent
+    (even-order) root and each root of a close pair alike."""
     opts = options or ScanOptions()
     counts = [len(_scan_region_roots(a, nu1, nu2, r, opts)) for r in REGIONS]
     return RegionCounts(*counts)
-
-
-def count_rotators_grid(
-    a: float,
-    nu1_values: Sequence[float],
-    nu2_values: Sequence[float],
-    samples_per_region: int = 400,
-    boundary_tol: float = 1e-8,
-) -> np.ndarray:
-    """Total sign-change counts over a (nu1, nu2) grid for one a."""
-    per_region = count_rotators_grid_regions(
-        a, nu1_values, nu2_values, samples_per_region, boundary_tol
-    )
-    return sum(per_region.values())
 
 
 def count_rotators_grid_regions(
@@ -829,22 +800,10 @@ def euler_limit_check(
         fitted = np.linalg.solve(vander, scaled)
         dev = float(np.max(np.abs(fitted - np.array(coeffs))))
 
-        # locate the region-II root of g nearest the flat-space root
-        lam_grid = np.geomspace(1e-3, 50.0, 4000)
-        gv = kernels.g_array((1.0 + lam_grid) * a, a, nu1, nu2)
-        idx = np.flatnonzero(gv[:-1] * gv[1:] < 0.0)
-        if idx.size:
-            i = idx[0]
-            x_root = _bisect(
-                lambda x: kernels.g_scalar(x, a, nu1, nu2),
-                (1.0 + lam_grid[i]) * a,
-                (1.0 + lam_grid[i + 1]) * a,
-                gv[i],
-                1e-16 * a,
-            )
-            root_dev = abs(x_root / a - 1.0 - lam_root)
-        else:
-            root_dev = math.nan
+        # the region-II root of g nearest the flat-space root
+        roots = _scan_region_roots(a, nu1, nu2, "II", ScanOptions())
+        root_dev = min((abs(x / a - 1.0 - lam_root) for x in roots),
+                       default=math.nan)
         rows.append(EulerLimitRow(R, dev, root_dev))
 
     logs = [(math.log(r.R), math.log(r.max_coeff_deviation)) for r in rows]

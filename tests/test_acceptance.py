@@ -246,7 +246,7 @@ def test_criterion_11_sweep_conjecture_evidence():
     nus = np.linspace(0.1, 10.0, 50)
     max_count = 0
     for a in np.linspace(0.05, math.pi / 2 - 0.02, 20):
-        counts = mer.count_rotators_grid(a, nus, nus, 400)
+        counts = sum(mer.count_rotators_grid_regions(a, nus, nus, 400).values())
         s2a = math.sin(2.0 * a)
         cond = (nus[:, None] * s2a > 1.0) & (nus[None, :] * s2a > 1.0)
         if cond.any():

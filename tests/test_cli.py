@@ -73,6 +73,12 @@ class TestMeridian:
     def test_invalid_a(self, capsys):
         assert main(["meridian", "--masses", "1,1,1", "--a", "4.0"]) == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "-1e-13", "inf"])
+    def test_invalid_tol_root(self, tol, capsys):
+        argv = ["meridian", "--masses", "3,2,1", "--a", "0.5", "--tol-root", tol]
+        assert main(argv) == 1
+        assert "--tol-root" in capsys.readouterr().err
+
 
 class TestVerifyRoundTrip:
     def test_residuals_reproduced(self, tmp_path, capsys):
@@ -235,7 +241,8 @@ class TestSweepBytes:
     def test_footer_names_first_max(self, tmp_path):
         # both slices reach 8, at different cells; the footer keeps the first
         a_grid, nu = _grid("1.55:1.6:3"), _grid("0.5:8:5")
-        totals = [mer.count_rotators_grid(a, nu, nu) for a in a_grid]
+        totals = [sum(mer.count_rotators_grid_regions(a, nu, nu).values())
+                  for a in a_grid]
         assert totals[0].max() == totals[1].max() == 8
         first = [tuple(np.argwhere(t == 8)[0]) for t in totals[:2]]
         assert first[0] != first[1] and first[0] != (0, 0)

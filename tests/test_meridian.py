@@ -243,7 +243,13 @@ class TestCounting:
     def test_count_pi_over_2_closed_form(self, diff, expected):
         assert mer.count_pi_over_2(diff).as_tuple() == expected
 
-    @pytest.mark.parametrize("diff", [-5.0, -4.0, 0.0, 4.0, 5.0])
+    # beside the tangent roots at |nu1 - nu2| = 4: pairs of roots 5e-4 to
+    # 5e-7 apart (+-4 outwards) and no roots (+-4 inwards)
+    @pytest.mark.parametrize("diff", [
+        -5.0, -4.0, 0.0, 4.0, 5.0,
+        *[4.0 + s * d for s in (1.0, -1.0) for d in (1e-6, 1e-9, 1e-12)],
+        *[-4.0 + s * d for s in (1.0, -1.0) for d in (1e-6, 1e-9, 1e-12)],
+    ])
     def test_scan_agrees_with_closed_form(self, diff):
         nu2 = 6.0
         nu1 = nu2 + diff
@@ -254,7 +260,7 @@ class TestCounting:
         a = math.pi / 6
         nu1s = [1.0, 3.0, 6.0]
         nu2s = [2.0, 5.0]
-        grid = mer.count_rotators_grid(a, nu1s, nu2s)
+        grid = sum(mer.count_rotators_grid_regions(a, nu1s, nu2s).values())
         for i, n1 in enumerate(nu1s):
             for j, n2 in enumerate(nu2s):
                 assert grid[i, j] == mer.count_rotators_scan(a, n1, n2).total
