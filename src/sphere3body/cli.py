@@ -8,6 +8,7 @@ solution (or a verification failure), 1 = usage or domain error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -59,17 +60,12 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _add_common(p: argparse.ArgumentParser, masses_required: bool = True):
-    p.add_argument("--masses", type=_parse_masses, required=masses_required,
+def _add_masses(p: argparse.ArgumentParser):
+    p.add_argument("--masses", type=_parse_masses, required=True,
                    help="m1,m2,m3 (strictly positive)")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--potential", choices=["cotangent", "repulsive"],
-                   default="cotangent")
-    p.add_argument("--tol-residual", type=float, default=1e-9)
-    p.add_argument("--tol-root", type=float, default=0.0,
-                   help="bracket width at which root bisection stops "
-                        "(default 0: floating-point resolution)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+
+
+def _add_out(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
@@ -208,29 +204,31 @@ def cmd_sweep(args) -> int:
     if args.samples < 2:
         raise ValueError(f"--samples must be at least 2, got {args.samples}")
     # the rows csv.writer would write: no field needs quoting, CRLF ends
+    # each. Each a-slice is written as soon as it is counted.
     nu1_text = [_fmt(v) for v in nu1_grid.tolist()]
     nu2_text = [_fmt(v) for v in nu2_grid.tolist()]
-    lines = ["a,nu1,nu2,count,count_I,count_II,count_III,count_IV"]
     max_count = -1
     argmax_text = ""
-    for a in a_grid.tolist():
-        per_region = mer.count_rotators_grid_regions(
-            a, nu1_grid, nu2_grid, args.samples)
-        total = sum(per_region.values())
-        a_text = _fmt(a)
-        k = int(np.argmax(total))  # the first maximum in row order
-        if total.flat[k] > max_count:
-            max_count = int(total.flat[k])
-            argmax_text = f"{a_text},{nu1_text[k // len(nu2_text)]}"
-        counts = np.stack(
-            [total] + [per_region[r] for r in mer.REGIONS], axis=-1).tolist()
-        for nu1, row in zip(nu1_text, counts):
-            head = f"{a_text},{nu1},"
-            for nu2, (c, c1, c2, c3, c4) in zip(nu2_text, row):
-                lines.append(f"{head}{nu2},{c},{c1},{c2},{c3},{c4}")
-    lines.append(f"# max_count,{argmax_text},{max_count},,,,")
-    lines.append("")
-    _emit("\r\n".join(lines), args.out)
+    with (open(args.out, "w") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.write("a,nu1,nu2,count,count_I,count_II,count_III,count_IV\r\n")
+        for a in a_grid.tolist():
+            per_region = mer.count_rotators_grid_regions(
+                a, nu1_grid, nu2_grid, args.samples)
+            total = sum(per_region.values())
+            a_text = _fmt(a)
+            k = int(np.argmax(total))  # the first maximum in row order
+            if total.flat[k] > max_count:
+                max_count = int(total.flat[k])
+                argmax_text = f"{a_text},{nu1_text[k // len(nu2_text)]}"
+            counts = [total] + [per_region[r] for r in mer.REGIONS]
+            for i, nu1 in enumerate(nu1_text):
+                head = f"{a_text},{nu1},"
+                fh.write("".join([
+                    f"{head}{nu2},{c},{c1},{c2},{c3},{c4}\r\n"
+                    for nu2, c, c1, c2, c3, c4
+                    in zip(nu2_text, *(row[i].tolist() for row in counts))]))
+        fh.write(f"# max_count,{argmax_text},{max_count},,,,\r\n")
     return 0
 
 
@@ -381,24 +379,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each subcommand takes only the options it reads
     p = sub.add_parser("equator", help="closed-form equator RE")
-    _add_common(p)
+    _add_masses(p)
+    p.add_argument("--radius", type=float, default=1.0)
+    _add_out(p)
     p.set_defaults(func=cmd_equator)
 
     p = sub.add_parser("meridian", help="rigid rotators on a rotating meridian")
-    _add_common(p)
+    _add_masses(p)
     p.add_argument("--a", type=float, required=True,
                    help="theta2 - theta1 in radians, in (0, pi)")
+    p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--potential", choices=["cotangent", "repulsive"],
+                   default="cotangent")
+    p.add_argument("--tol-residual", type=float, default=1e-9)
+    p.add_argument("--tol-root", type=float, default=0.0,
+                   help="bracket width at which root bisection stops "
+                        "(default 0: floating-point resolution)")
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    _add_out(p)
     p.set_defaults(func=cmd_meridian)
 
     p = sub.add_parser("sweep", help="solution counts over a parameter grid")
-    _add_common(p, masses_required=False)
     p.add_argument("--a-grid", type=_parse_grid, default=_parse_grid("0.15:3.0:20"))
     p.add_argument("--nu1-grid", type=_parse_grid, default=_parse_grid("0.1:10:50"))
     p.add_argument("--nu2-grid", type=_parse_grid, default=_parse_grid("0.1:10:50"))
     p.add_argument("--samples", type=int, default=400,
                    help="x samples per region for the coarse counter")
-    p.set_defaults(func=cmd_sweep, format="csv")
+    _add_out(p)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="re-check a meridian solution file")
     p.add_argument("solutions", help="JSON file produced by the meridian command")
@@ -406,15 +416,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-sigma", type=float, default=1e-6)
     p.add_argument("--integrate", action="store_true",
                    help="also integrate one period and report drifts")
-    p.add_argument("--out", default=None)
+    _add_out(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("euler-limit", help="flat-space limit convergence check")
-    _add_common(p)
+    _add_masses(p)
     p.add_argument("--r21", type=float, default=1.0,
                    help="fixed arc distance between bodies 1 and 2")
     p.add_argument("--R-list", default="100,1000,10000",
                    help="comma-separated sphere radii, ascending")
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    _add_out(p)
     p.set_defaults(func=cmd_euler_limit)
 
     return parser

@@ -18,10 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import SpherePoint, SphereRadius, chord_squared
+from .geometry import SpherePoint, SphereRadius
 from .potential import PairPotential, SingularityError, total_potential
-
-_PAIRS = ((0, 1), (1, 2), (2, 0))
 
 
 @dataclass(frozen=True)
@@ -206,11 +204,15 @@ class Trajectory:
     error: str | None = None
 
     def state_at(self, idx: int, R: SphereRadius) -> SphericalState:
+        # plain floats: a blown-up state overflows to inf without a
+        # numpy RuntimeWarning
         pts = tuple(
-            SpherePoint(self.thetas[idx, k], self.phis[idx, k]) for k in range(3)
+            SpherePoint(t, p)
+            for t, p in zip(self.thetas[idx].tolist(), self.phis[idx].tolist())
         )
         return SphericalState(
-            pts, tuple(self.theta_dots[idx]), tuple(self.phi_dots[idx]), R
+            pts, tuple(self.theta_dots[idx].tolist()),
+            tuple(self.phi_dots[idx].tolist()), R
         )
 
 
@@ -319,9 +321,11 @@ def integrate(
         e0, c0 = _invariants(traj, 0, masses, pot, R)
         e1, c1 = _invariants(traj, len(times) - 1, masses, pot, R)
         escale = max(abs(e0), 1.0)
-        cscale = max(float(np.linalg.norm(c0)), 1.0)
         traj.energy_drift = abs(e1 - e0) / escale
-        traj.c_drift = float(np.linalg.norm(c1 - c0)) / cscale
+        # the norm of a blown-up state may overflow to inf, as it should
+        with np.errstate(over="ignore"):
+            cscale = max(float(np.linalg.norm(c0)), 1.0)
+            traj.c_drift = float(np.linalg.norm(c1 - c0)) / cscale
     except (SingularityError, ValueError, OverflowError):
         # terminal state unusable (blow-up); drift is undefined
         traj.energy_drift = math.inf
@@ -349,47 +353,64 @@ def configuration_residuals(
     Components: the two planar angular-momentum sums (only when
     omega != 0), the two independent differences of the phi equations,
     and the three theta equations.
+
+    Written on plain floats, with the floating-point operations of the
+    per-pair loop that tests/test_dynamics.py keeps as the reference, in
+    the same order, so results agree with it bit for bit.
     """
-    m = masses.as_tuple()
-    st = [math.sin(t) for t in thetas]
-    ct = [math.cos(t) for t in thetas]
-    up = {}
-    for i, j in _PAIRS:
-        pi = SpherePoint(thetas[i], phis[i])
-        pj = SpherePoint(thetas[j], phis[j])
-        d2 = chord_squared(pi, pj, R)
-        try:
-            val = pot.u_prime(d2)
-        except SingularityError as err:
-            raise SingularityError(err.kind, err.d2, (i + 1, j + 1)) from None
-        up[(i, j)] = up[(j, i)] = val
+    m1, m2, m3 = masses.as_tuple()
+    t1, t2, t3 = thetas
+    p1, p2, p3 = phis
+    s1, s2, s3 = sin(t1), sin(t2), sin(t3)
+    c1, c2, c3 = cos(t1), cos(t2), cos(t3)
+    two_r2 = 2.0 * R.R * R.R
+    # U' of each pair at its squared chord 2 R^2 (1 - cos sigma), with
+    # cos sigma clamped to [-1, 1] as max(-1, min(1, .)) does
+    pair = (1, 2)
+    try:
+        cos12 = cos(p1 - p2)
+        cs = c1 * c2 + s1 * s2 * cos12
+        cs = cs if cs < 1.0 else 1.0
+        u12 = pot.u_prime(two_r2 * (1.0 - (cs if cs > -1.0 else -1.0)))
+        pair = (2, 3)
+        cos23 = cos(p2 - p3)
+        cs = c2 * c3 + s2 * s3 * cos23
+        cs = cs if cs < 1.0 else 1.0
+        u23 = pot.u_prime(two_r2 * (1.0 - (cs if cs > -1.0 else -1.0)))
+        pair = (3, 1)
+        cos31 = cos(p3 - p1)
+        cs = c3 * c1 + s3 * s1 * cos31
+        cs = cs if cs < 1.0 else 1.0
+        u31 = pot.u_prime(two_r2 * (1.0 - (cs if cs > -1.0 else -1.0)))
+    except SingularityError as err:
+        raise SingularityError(err.kind, err.d2, pair) from None
 
-    res: list[float] = []
+    res = []
     if omega != 0.0:
-        res.append(sum(m[k] * st[k] * ct[k] * math.cos(phis[k]) for k in range(3)))
-        res.append(sum(m[k] * st[k] * ct[k] * math.sin(phis[k]) for k in range(3)))
+        res.append(sum((m1 * s1 * c1 * cos(p1), m2 * s2 * c2 * cos(p2),
+                        m3 * s3 * c3 * cos(p3))))
+        res.append(sum((m1 * s1 * c1 * sin(p1), m2 * s2 * c2 * sin(p2),
+                        m3 * s3 * c3 * sin(p3))))
 
-    r = [
-        m[i] * m[j] * up[(i, j)] * st[i] * st[j] * math.sin(phis[i] - phis[j])
-        for i, j in _PAIRS
-    ]
-    res.append(r[0] - r[1])
-    res.append(r[1] - r[2])
+    r12 = m1 * m2 * u12 * s1 * s2 * sin(p1 - p2)
+    r23 = m2 * m3 * u23 * s2 * s3 * sin(p2 - p3)
+    r31 = m3 * m1 * u31 * s3 * s1 * sin(p3 - p1)
+    res.append(r12 - r23)
+    res.append(r23 - r31)
 
-    for k in range(3):
-        lhs = -(omega ** 2) * m[k] * st[k] * ct[k]
-        rhs = 0.0
-        for i in range(3):
-            if i == k:
-                continue
-            rhs += (
-                2.0
-                * m[k]
-                * m[i]
-                * up[(k, i)]
-                * (st[k] * ct[i] - ct[k] * st[i] * math.cos(phis[k] - phis[i]))
-            )
-        res.append(lhs - rhs)
+    # theta_k: -omega^2 m_k sin cos = sum over i != k of
+    # 2 m_k m_i U'_ki (sin t_k cos t_i - cos t_k sin t_i cos(phi_k - phi_i)),
+    # each sum started from 0.0; cos is even, so cos12 serves phi_2 - phi_1
+    nw2 = -(omega ** 2)
+    res.append(nw2 * m1 * s1 * c1 - (
+        0.0 + 2.0 * m1 * m2 * u12 * (s1 * c2 - c1 * s2 * cos12)
+        + 2.0 * m1 * m3 * u31 * (s1 * c3 - c1 * s3 * cos31)))
+    res.append(nw2 * m2 * s2 * c2 - (
+        0.0 + 2.0 * m2 * m1 * u12 * (s2 * c1 - c2 * s1 * cos12)
+        + 2.0 * m2 * m3 * u23 * (s2 * c3 - c2 * s3 * cos23)))
+    res.append(nw2 * m3 * s3 * c3 - (
+        0.0 + 2.0 * m3 * m1 * u31 * (s3 * c1 - c3 * s1 * cos31)
+        + 2.0 * m3 * m2 * u23 * (s3 * c2 - c3 * s2 * cos23)))
     return np.array(res)
 
 

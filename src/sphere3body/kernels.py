@@ -10,6 +10,14 @@ region of x,
 g is linear in (nu1, nu2): g = nu1*P + nu2*Q + S, where P, Q and S
 depend on x and a only (``g_terms``). alpha*sin^2(x) is written as
 sin(x)*|sin(x)|, so no region table is needed.
+
+A float x (numpy's float64 is one) takes its sines from ``math``, an
+array from numpy: the root finder bisects on scalar g, where a numpy
+scalar costs more than the arithmetic. Both paths give the same bits
+only while numpy's float64 sin agrees with the C library's; numpy 2.4.6
+on an AVX512_SPR host (its highest dispatch target) disagreed at none of
+8 million points, and the exact g_scalar == g_array test in
+tests/test_kernels.py checks it on every host.
 """
 
 from __future__ import annotations
@@ -23,12 +31,13 @@ BACKEND = "python"
 
 def g_terms(x, a: float):
     """(P, Q, S) with g = nu1*P + nu2*Q + S, for a float or an array x."""
-    sx = np.sin(x)
-    sxa = np.sin(x - a)
+    sin = math.sin if isinstance(x, float) else np.sin
+    sx = sin(x)
+    sxa = sin(x - a)
     A = sx * abs(sx)  # alpha * sin^2(x)
     B = sxa * abs(sxa)  # beta * sin^2(x - a)
-    sin2x = np.sin(2.0 * x)
-    sin2xa = np.sin(2.0 * (x - a))
+    sin2x = sin(2.0 * x)
+    sin2xa = sin(2.0 * (x - a))
     sa2 = math.sin(a) ** 2
     sa2s2a = sa2 * math.sin(2.0 * a)
     AB = A * B

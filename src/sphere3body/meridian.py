@@ -12,7 +12,7 @@ x in {0, a, pi, a + pi}, which bound the four regular regions I-IV.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -187,19 +187,19 @@ def pair_quantities(
     shape.validate()
     if pot is None:
         pot = cotangent_potential(R)
-    m = masses.as_tuple()
-    th = (0.0, shape.theta21, shape.theta31)
-    F = {}
-    G = {}
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        d = th[j] - th[i]
-        d2 = 2.0 * R.R * R.R * (1.0 - math.cos(d))
-        F[(i, j)] = -2.0 * m[i] * m[j] * math.sin(d) * pot.u_prime(d2)
-        G[(i, j)] = m[i] * m[j] * math.sin(2.0 * d)
-    return PairQuantities(
-        F[(0, 1)], F[(1, 2)], F[(2, 0)],
-        G[(0, 1)], G[(1, 2)], G[(2, 0)],
-    )
+    m1, m2, m3 = masses.as_tuple()
+    t21, t31 = shape.theta21, shape.theta31
+    u_prime = pot.u_prime
+    two_r2 = 2.0 * R.R * R.R
+    # pairs 12, 23, 31 in turn, with d = theta_j - theta_i and theta_1 = 0
+    d12, d23, d31 = t21 - 0.0, t31 - t21, 0.0 - t31
+    F12 = -2.0 * m1 * m2 * math.sin(d12) * u_prime(two_r2 * (1.0 - math.cos(d12)))
+    G12 = m1 * m2 * math.sin(2.0 * d12)
+    F23 = -2.0 * m2 * m3 * math.sin(d23) * u_prime(two_r2 * (1.0 - math.cos(d23)))
+    G23 = m2 * m3 * math.sin(2.0 * d23)
+    F31 = -2.0 * m3 * m1 * math.sin(d31) * u_prime(two_r2 * (1.0 - math.cos(d31)))
+    G31 = m3 * m1 * math.sin(2.0 * d31)
+    return PairQuantities(F12, F23, F31, G12, G23, G31)
 
 
 def classify_case(pq: PairQuantities, masses: MassTriple, tol: float = 1e-12) -> str:
@@ -312,6 +312,10 @@ class ScanOptions:
 # a knot where |g| <= TANGENT_ULPS * eps * (|nu1*P| + |nu2*Q| + |S|), that
 # is, within the rounding error of evaluating g there, is a tangent root
 TANGENT_ULPS = 64.0
+# the 13 Chebyshev points of the first kind and the transposed matrix of
+# Chebyshev polynomials at them: chebinterpolate's, for degree 12
+_CHEB_NODES = cheb.chebpts1(13)
+_CHEB_VANDER_T = cheb.chebvander(_CHEB_NODES, 12).T
 # samples per region of the scan for a custom potential, whose ratio
 # equation has no polynomial form
 GENERIC_SCAN_SAMPLES = 2000
@@ -363,18 +367,25 @@ def _scan_region_roots(
     def x_of(u):
         return mid + 2.0 * np.arctan(u * chart)
 
-    def poly(u):
-        t = u * chart
-        return kernels.g_array(x_of(u), a, nu1, nu2) * (1.0 + t * t) ** 6
-
-    coef = cheb.chebinterpolate(poly, 12)
-    knots = x_of(cheb.chebroots(cheb.chebder(coef)).real)
-    inside = knots[(knots > lo) & (knots < hi)]
-    knots = np.unique(np.concatenate(([lo, hi], inside)))
-    P, Q, S = kernels.g_terms(knots, a)
-    gk = nu1 * P + nu2 * Q + S
-    zero = np.abs(gk) <= TANGENT_ULPS * EPS * (
-        np.abs(nu1 * P) + np.abs(nu2 * Q) + np.abs(S))
+    # chebinterpolate(poly, 12), with its nodes and matrix built once
+    t = _CHEB_NODES * chart
+    coef = np.dot(_CHEB_VANDER_T, kernels.g_array(x_of(_CHEB_NODES), a, nu1, nu2)
+                  * (1.0 + t * t) ** 6)
+    coef[0] /= 13
+    coef[1:] /= 6.5
+    inside = [k for k in x_of(cheb.chebroots(cheb.chebder(coef)).real).tolist()
+              if lo < k < hi]
+    knots = sorted({lo, hi, *inside})
+    # g at each knot, and whether it vanishes there to within the
+    # rounding of its evaluation (never at the region's ends)
+    gk = []
+    zero = []
+    for x in knots:
+        P, Q, S = kernels.g_terms(x, a)
+        g = nu1 * P + nu2 * Q + S
+        gk.append(g)
+        zero.append(abs(g) <= TANGENT_ULPS * EPS * (
+            abs(nu1 * P) + abs(nu2 * Q) + abs(S)))
     zero[0] = zero[-1] = False
 
     def f(x):
@@ -385,10 +396,10 @@ def _scan_region_roots(
         if zero[k + 1]:
             # neighbouring zero knots are one root
             if not zero[k]:
-                roots.append(float(knots[k + 1]))
+                roots.append(knots[k + 1])
         elif not zero[k] and gk[k] * gk[k + 1] < 0.0:
-            roots.append(float(_bisect(f, knots[k], knots[k + 1], gk[k],
-                                       gk[k + 1], opts.root_xtol)))
+            roots.append(_bisect(f, knots[k], knots[k + 1], gk[k], gk[k + 1],
+                                 opts.root_xtol))
     return roots
 
 
@@ -448,7 +459,10 @@ def solution_from_shape(
 def _with_residual(sol: MeridianSolution, masses, pot, R) -> MeridianSolution:
     thetas, phis, omega = sol.residual_inputs()
     res = configuration_residuals(thetas, phis, omega, masses, pot, R)
-    return replace(sol, residual_max=float(np.max(np.abs(res))))
+    return MeridianSolution(
+        sol.x, sol.shape, sol.translation, sol.s, sol.omega_squared,
+        sol.case_tag, sol.region, float(np.max(np.abs(res))),
+    )
 
 
 def find_meridian_rotators(
@@ -460,24 +474,24 @@ def find_meridian_rotators(
 ) -> list[MeridianSolution]:
     """All rigid rotators on the rotating meridian for fixed a.
 
-    Cotangent potential: every root of the reduced equation g in each
-    region (_scan_region_roots), to floating-point resolution unless
+    A potential with pot.reduced_g (the cotangent potential and its sign
+    flip): every root of the reduced equation g in each region
+    (_scan_region_roots), to floating-point resolution unless
     options.root_xtol is wider, with exceptional-case closed forms
-    appended when the special angle matches. A custom potential samples
+    appended when the special angle matches. Any other potential samples
     the generic ratio equation at GENERIC_SCAN_SAMPLES points per region
-    instead. Every survivor must pass the raw-equation residuals.
+    instead, whatever its name. Every survivor must pass the
+    raw-equation residuals.
     """
     if not 0.0 < a < math.pi:
         raise ValueError(f"a must lie in (0, pi), got {a}")
     opts = options or ScanOptions()
 
-    if pot is None or pot.name in ("cotangent", "repulsive-cotangent"):
-        scan_pot = pot
+    if pot is None or pot.reduced_g:
         roots = []
         for region in REGIONS:
             roots.extend(_scan_region_roots(a, masses.nu1, masses.nu2, region, opts))
     else:
-        scan_pot = pot
         roots = _generic_scan_roots(a, masses, pot, R, opts)
 
     for x, _tag in _exceptional_candidates(a, masses):
@@ -490,7 +504,7 @@ def find_meridian_rotators(
         shape = Shape(a, x)
         try:
             shape.validate(opts.boundary_tol)
-            sol = solution_from_shape(shape, masses, scan_pot, R, opts)
+            sol = solution_from_shape(shape, masses, pot, R, opts)
         except (ValueError, NotARotatorError):
             continue
         # gate relative to the equation scale: fast rotators near a

@@ -36,12 +36,19 @@ class SingularityError(ValueError):
 
 @dataclass(frozen=True)
 class PairPotential:
-    """Potential contract: u(D^2) and its derivative with respect to D^2."""
+    """Potential contract: u(D^2) and its derivative with respect to D^2.
+
+    reduced_g marks a potential whose rotating-meridian RE are the roots
+    of the reduced equation g (kernels); only cotangent_potential sets
+    it, and repulsive() keeps it. The name is a label and selects
+    nothing.
+    """
 
     u: Callable[[float], float]
     u_prime: Callable[[float], float]
     name: str = "custom"
     attractive: bool = True
+    reduced_g: bool = False
 
 
 def _check_domain(d2: float, R: SphereRadius, tol: float = 0.0):
@@ -93,6 +100,7 @@ def cotangent_potential(R: SphereRadius) -> PairPotential:
         u_prime=u_prime,
         name="cotangent",
         attractive=True,
+        reduced_g=True,
     )
 
 
@@ -103,6 +111,7 @@ def repulsive(pot: PairPotential) -> PairPotential:
         u_prime=lambda d2: -pot.u_prime(d2),
         name=f"repulsive-{pot.name}" if pot.attractive else pot.name,
         attractive=not pot.attractive,
+        reduced_g=pot.reduced_g,
     )
 
 

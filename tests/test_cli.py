@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +221,29 @@ def csv_writer_sweep(a_grid, nu1_grid, nu2_grid, samples=400):
     return buf.getvalue()
 
 
+class TestSweepStreaming:
+    def test_peak_memory_is_one_slice(self, tmp_path):
+        # six a-slices of 100 x 100 cells: the CSV is written slice by
+        # slice, so the peak holds one slice's counts and rows, not the
+        # whole text
+        out_file = tmp_path / "sweep.csv"
+        argv = ["sweep", "--a-grid", "0.5:2.5:6", "--nu1-grid", "0.1:10:100",
+                "--nu2-grid", "0.1:10:100", "--samples", "8",
+                "--out", str(out_file)]
+        assert main(argv) == 0  # warm-up: imports and first-call set-up
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slice_bytes = out_file.stat().st_size / 6
+        assert peak < 2.0 * slice_bytes
+        assert out_file.read_bytes() == csv_writer_sweep(
+            _grid("0.5:2.5:6"), _grid("0.1:10:100"), _grid("0.1:10:100"),
+            8).encode()
+
+
 class TestSweepBytes:
     @pytest.mark.parametrize("grids", [
         {},  # the default 20 x 50 x 50 grid
@@ -332,6 +357,58 @@ class TestEulerLimit:
         lines = out.strip().splitlines()
         assert lines[0] == "R,max_coeff_deviation,root_deviation"
         assert lines[-1].startswith("# order_estimate")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--potential", "repulsive"],
+    ["sweep", "--masses", "3,2,1"],
+    ["sweep", "--radius", "2"],
+    ["sweep", "--format", "json"],
+    ["sweep", "--tol-root", "1e-6"],
+    ["sweep", "--tol-residual", "1e-6"],
+    ["euler-limit", "--masses", "3,2,1", "--radius", "2"],
+    ["euler-limit", "--masses", "3,2,1", "--potential", "repulsive"],
+    ["euler-limit", "--masses", "3,2,1", "--tol-root", "1e-6"],
+    ["euler-limit", "--masses", "3,2,1", "--tol-residual", "1e-6"],
+    ["equator", "--masses", "1,1,1", "--format", "csv"],
+    ["equator", "--masses", "1,1,1", "--potential", "repulsive"],
+    ["equator", "--masses", "1,1,1", "--tol-root", "1e-6"],
+    ["equator", "--masses", "1,1,1", "--tol-residual", "1e-6"],
+])
+def test_option_a_command_does_not_read_is_rejected(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_blow_up_writes_no_warning(tmp_path, capsys):
+    # the isosceles RE x ~ 3.7187 is unstable: the integrator blows up,
+    # and the overflowing end state must not raise numpy RuntimeWarnings
+    a = math.acos((math.sqrt(2.0) - 1.0) / 2.0)
+    sol_file = tmp_path / "iso.json"
+    main(["meridian", "--masses", "1.3,2.2,0.7", "--a", repr(a),
+          "--out", str(sol_file)])
+    data = json.loads(sol_file.read_text())
+    data["solutions"] = [s for s in data["solutions"]
+                         if s["x"] == pytest.approx(3.7187, abs=1e-4)]
+    sol_file.write_text(json.dumps(data))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["verify", str(sol_file), "--integrate"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    assert json.loads(captured.out) == {
+        "count": 1, "all_pass": False, "solutions": [{
+            "x": pytest.approx(3.7186683671832457, abs=1e-12),
+            "residual": pytest.approx(0.0, abs=1e-13),
+            "cx": pytest.approx(0.0, abs=1e-15),
+            "cy": pytest.approx(0.0, abs=1e-15),
+            "sigma_drift": None, "c_drift": None, "pass": False,
+            "error": "numerical blow-up near a singularity: math domain error",
+        }]}
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,7 +17,12 @@ from sphere3body.dynamics import (
 )
 from sphere3body.equator import solve_equator
 from sphere3body.geometry import SpherePoint, SphereRadius
-from sphere3body.potential import SingularityError, cotangent_potential, repulsive
+from sphere3body.potential import (
+    PairPotential,
+    SingularityError,
+    cotangent_potential,
+    repulsive,
+)
 from test_potential import cotangent_u_prime_reference
 
 R1 = SphereRadius(1.0)
@@ -410,3 +415,80 @@ def test_integrate_error_and_storing_match_reference():
     )
     traj, error = _integrate_both(st, m, 50.0, 0.01, 7)
     assert error is not None and traj.error == error
+
+
+def dict_configuration_residuals(thetas, phis, omega, masses, pot, R):
+    """A literal transcription of the earlier configuration_residuals:
+    a SpherePoint pair and a clamped chord per pair, U' in a dict, the
+    residuals in lists."""
+    m = masses.as_tuple()
+    st = [math.sin(t) for t in thetas]
+    ct = [math.cos(t) for t in thetas]
+    up = {}
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        pi = SpherePoint(thetas[i], phis[i])
+        pj = SpherePoint(thetas[j], phis[j])
+        c = (
+            math.cos(pi.theta) * math.cos(pj.theta)
+            + math.sin(pi.theta) * math.sin(pj.theta) * math.cos(pi.phi - pj.phi)
+        )
+        d2 = 2.0 * R.R * R.R * (1.0 - max(-1.0, min(1.0, c)))
+        try:
+            val = pot.u_prime(d2)
+        except SingularityError as err:
+            raise SingularityError(err.kind, err.d2, (i + 1, j + 1)) from None
+        up[(i, j)] = up[(j, i)] = val
+
+    res = []
+    if omega != 0.0:
+        res.append(sum(m[k] * st[k] * ct[k] * math.cos(phis[k]) for k in range(3)))
+        res.append(sum(m[k] * st[k] * ct[k] * math.sin(phis[k]) for k in range(3)))
+
+    r = [
+        m[i] * m[j] * up[(i, j)] * st[i] * st[j] * math.sin(phis[i] - phis[j])
+        for i, j in ((0, 1), (1, 2), (2, 0))
+    ]
+    res.append(r[0] - r[1])
+    res.append(r[1] - r[2])
+
+    for k in range(3):
+        lhs = -(omega ** 2) * m[k] * st[k] * ct[k]
+        rhs = 0.0
+        for i in range(3):
+            if i == k:
+                continue
+            rhs += (
+                2.0
+                * m[k]
+                * m[i]
+                * up[(k, i)]
+                * (st[k] * ct[i] - ct[k] * st[i] * math.cos(phis[k] - phis[i]))
+            )
+        res.append(lhs - rhs)
+    return np.array(res)
+
+
+def test_configuration_residuals_match_dict_version_bitwise():
+    rng = random.Random(1931)
+    nan_pot = PairPotential(u=lambda d2: math.nan, u_prime=lambda d2: math.nan)
+    seen = set()
+    for n in range(1500):
+        st = _random_state(rng)
+        m = MassTriple(*(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(3)))
+        pot = [cotangent_potential(st.R), repulsive(cotangent_potential(st.R)),
+               nan_pot][n % 3]
+        omega = rng.choice([0.0, rng.uniform(0.1, 30.0), math.nan, 1e200])
+        args = (st.thetas, st.phis, omega, m, pot, st.R)
+        expect = _outcome(lambda: dict_configuration_residuals(*args))
+        got = _outcome(lambda: configuration_residuals(*args))
+        assert got == expect, (n, args)
+        if expect[0] == "ok":
+            seen.add("nan" if "nan" in expect else f"ok, {len(expect) - 1} rows")
+        else:
+            seen.add(expect[0] if expect[0] != "SingularityError" else expect[1:4:2])
+    # nonzero longitudes throughout; NaN residuals from omega or U', an
+    # overflowing omega^2, an infinite angle, and a collision and an
+    # antipode of every pair, each labelled with its pair
+    pairs = [(1, 2), (2, 3), (3, 1)]
+    assert {"ok, 5 rows", "ok, 7 rows", "nan", "OverflowError", "ValueError"} <= seen
+    assert {(k, p) for k in ("collision", "antipodal") for p in pairs} <= seen

@@ -65,3 +65,12 @@ def test_array_handles_noncontiguous_input():
     out = kernels.g_array(xs, a, 1.5, 2.5)
     ref = kernels.g_array(np.ascontiguousarray(xs), a, 1.5, 2.5)
     np.testing.assert_array_equal(out, ref)
+
+
+def test_scalar_path_stays_on_plain_floats():
+    # the bisection's g: no numpy scalar, whether x is a float or a
+    # numpy float64 (a float subclass)
+    for x in (1.0, np.float64(1.0)):
+        assert all(type(v) is float for v in kernels.g_terms(x, 0.5))
+        assert type(kernels.g_scalar(x, 0.5, 3.0, 2.0)) is float
+    assert all(type(v) is np.ndarray for v in kernels.g_terms(np.array([1.0]), 0.5))

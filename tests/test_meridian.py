@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +12,8 @@ from sphere3body import kernels
 from sphere3body import meridian as mer
 from sphere3body.dynamics import MassTriple, configuration_residuals
 from sphere3body.geometry import SphereRadius
-from sphere3body.potential import cotangent_potential, repulsive
+from sphere3body.potential import PairPotential, cotangent_potential, repulsive
+from test_dynamics import _outcome
 from test_kernels import REGION_SIGNS, g_reference
 
 R1 = SphereRadius(1.0)
@@ -223,6 +226,28 @@ class TestSolver:
                     s.translation.thetas_alt, (0.0, 0.0, 0.0),
                     math.sqrt(s.omega_squared), ms, POT, R1)
                 assert np.max(np.abs(res)) < gate
+
+    def test_potential_name_selects_nothing(self):
+        # a Newton-like potential is solved through its ratio equation
+        # whatever its name; boundary_tol=1e-6, because at the default
+        # 1e-8 pair_quantities rounds the chord of the boundary sample to 0
+        def newton(name):
+            return PairPotential(u=lambda d2: -d2 ** -0.5,
+                                 u_prime=lambda d2: 0.5 * d2 ** -1.5, name=name)
+
+        opts = mer.ScanOptions(boundary_tol=1e-6)
+
+        def solve(pot):
+            return [(s.x, s.region, s.omega_squared, s.residual_max)
+                    for s in mer.find_meridian_rotators(math.pi / 6, M321, opts, pot)]
+
+        custom = solve(newton("custom"))
+        assert custom and solve(newton("cotangent")) == custom
+        assert solve(POT) != custom
+
+    def test_reduced_g_is_the_cotangent_family(self):
+        assert POT.reduced_g and repulsive(POT).reduced_g
+        assert not PairPotential(u=abs, u_prime=abs, name="cotangent").reduced_g
 
     def test_larger_radius_scales_omega(self):
         # omega^2 ~ 1/R^3 at fixed shape angles
@@ -457,3 +482,46 @@ class TestEulerLimit:
         m = MassTriple(1.0, 1.0, 1.0)
         report = mer.euler_limit_check(m, 1.0, [1000.0, 10000.0])
         assert all(r.root_deviation < 1e-4 for r in report.rows)
+
+
+def dict_pair_quantities(masses, shape, pot, R):
+    """A literal transcription of the earlier pair_quantities, with F and
+    G kept in dicts."""
+    shape.validate()
+    m = masses.as_tuple()
+    th = (0.0, shape.theta21, shape.theta31)
+    F = {}
+    G = {}
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        d = th[j] - th[i]
+        d2 = 2.0 * R.R * R.R * (1.0 - math.cos(d))
+        F[(i, j)] = -2.0 * m[i] * m[j] * math.sin(d) * pot.u_prime(d2)
+        G[(i, j)] = m[i] * m[j] * math.sin(2.0 * d)
+    return (F[(0, 1)], F[(1, 2)], F[(2, 0)], G[(0, 1)], G[(1, 2)], G[(2, 0)])
+
+
+def test_pair_quantities_match_dict_version_bitwise():
+    rng = random.Random(77)
+    nan_pot = PairPotential(u=lambda d2: math.nan, u_prime=lambda d2: math.nan)
+    seen = set()
+    for n in range(1500):
+        R = SphereRadius(rng.choice([0.5, 1.0, 3.0]))
+        pot = [cotangent_potential(R), repulsive(cotangent_potential(R)),
+               nan_pot][n % 3]
+        masses = MassTriple(*(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(3)))
+        a = rng.uniform(1e-3, math.pi - 1e-3)
+        x = rng.uniform(1e-3, 2.0 * math.pi - 1e-3)
+        if n % 2:  # next to a boundary: a collision or an antipode
+            bound = rng.choice([0.0, a, math.pi, a + math.pi])
+            x = bound + rng.choice([1e-9, 1e-11]) * (1.0 if bound == 0.0
+                                                      else rng.choice([1.0, -1.0]))
+        shape = mer.Shape(a, x)
+        expect = _outcome(lambda: dict_pair_quantities(masses, shape, pot, R))
+        got = _outcome(lambda: dataclasses.astuple(
+            mer.pair_quantities(masses, shape, pot, R)))
+        assert got == expect, (n, a, x)
+        if "nan" in expect:
+            seen.add("nan")
+        else:
+            seen.add(expect[1] if expect[0] == "SingularityError" else expect[0])
+    assert {"ok", "nan", "collision", "antipodal"} <= seen

@@ -253,3 +253,84 @@ def test_root_xtol_is_bracket_width():
         assert len(coarse) == len(exact)
         for x, y in zip(exact, coarse):
             assert abs(x - y) <= 1e-6
+
+
+def numpy_g_scalar(x, a, nu1, nu2):
+    """The earlier g_scalar, on numpy scalars: g_terms took every sine
+    from numpy."""
+    sx = np.sin(x)
+    sxa = np.sin(x - a)
+    A = sx * abs(sx)
+    B = sxa * abs(sxa)
+    sin2x = np.sin(2.0 * x)
+    sin2xa = np.sin(2.0 * (x - a))
+    sa2 = math.sin(a) ** 2
+    sa2s2a = sa2 * math.sin(2.0 * a)
+    AB = A * B
+    P = AB * sin2x - sa2s2a * B
+    Q = AB * sin2xa - sa2s2a * A
+    S = -sa2 * (A * sin2x - B * sin2xa)
+    return float(nu1 * P + nu2 * Q + S)
+
+
+def numpy_scan_region_roots(a, nu1, nu2, region, opts):
+    """A literal transcription of the earlier ``_scan_region_roots``:
+    chebinterpolate on every call, knots through np.unique, g and the
+    tangent test at the knots on arrays, bisection on numpy scalars."""
+    lo, hi = mer.region_bounds(region, a)
+    mid = 0.5 * (lo + hi)
+    chart = math.tan(0.25 * (hi - lo))
+    lo += opts.boundary_tol
+    hi -= opts.boundary_tol
+    if hi <= lo:
+        return []
+
+    def x_of(u):
+        return mid + 2.0 * np.arctan(u * chart)
+
+    def poly(u):
+        t = u * chart
+        return kernels.g_array(x_of(u), a, nu1, nu2) * (1.0 + t * t) ** 6
+
+    coef = np.polynomial.chebyshev.chebinterpolate(poly, 12)
+    knots = x_of(np.polynomial.chebyshev.chebroots(
+        np.polynomial.chebyshev.chebder(coef)).real)
+    inside = knots[(knots > lo) & (knots < hi)]
+    knots = np.unique(np.concatenate(([lo, hi], inside)))
+    P, Q, S = kernels.g_terms(knots, a)
+    gk = nu1 * P + nu2 * Q + S
+    zero = np.abs(gk) <= mer.TANGENT_ULPS * mer.EPS * (
+        np.abs(nu1 * P) + np.abs(nu2 * Q) + np.abs(S))
+    zero[0] = zero[-1] = False
+
+    def f(x):
+        return numpy_g_scalar(x, a, nu1, nu2)
+
+    roots = []
+    for k in range(len(knots) - 1):
+        if zero[k + 1]:
+            if not zero[k]:
+                roots.append(float(knots[k + 1]))
+        elif not zero[k] and gk[k] * gk[k + 1] < 0.0:
+            roots.append(float(mer._bisect(f, knots[k], knots[k + 1], gk[k],
+                                           gk[k + 1], opts.root_xtol)))
+    return roots
+
+
+@pytest.mark.parametrize("opts", [
+    mer.ScanOptions(), mer.ScanOptions(root_xtol=1e-6),
+    mer.ScanOptions(boundary_tol=1e-6)], ids=["exact", "xtol", "boundary"])
+def test_scalar_scan_matches_numpy_scan_bitwise(opts):
+    """The plain-float scan finds the same roots, bit for bit, as the
+    numpy-scalar scan it replaced, tangent and close-pair roots included."""
+    cases = NAMED + _seeded(300, seed=7) + [
+        (1.0, 1.16979889864, 0.2),
+        *[(2.0, PITCHFORK_NU + d, PITCHFORK_NU + d) for d in (1e-6, 0.0, -1e-6)]]
+    roots = 0
+    for a, nu1, nu2 in cases:
+        for region in mer.REGIONS:
+            new = mer._scan_region_roots(a, nu1, nu2, region, opts)
+            old = numpy_scan_region_roots(a, nu1, nu2, region, opts)
+            assert [x.hex() for x in new] == [x.hex() for x in old], (a, nu1, nu2)
+            roots += len(new)
+    assert roots > 1000
