@@ -60,6 +60,32 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+# argparse types; a text float() rejects is reported by argparse as an
+# "invalid <function name> value"
+
+
+def tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return tol
+
+
+def positive(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def radii(text: str) -> list[float]:
+    """Comma-separated radii, at least two distinct, in ascending order."""
+    values = sorted(positive(r) for r in text.split(","))
+    if values[0] == values[-1]:
+        raise argparse.ArgumentTypeError(f"needs two distinct radii, got {text}")
+    return values
+
+
 def _add_masses(p: argparse.ArgumentParser):
     p.add_argument("--masses", type=_parse_masses, required=True,
                    help="m1,m2,m3 (strictly positive)")
@@ -79,17 +105,16 @@ def _emit(text: str, out: str | None):
             sys.stdout.write("\n")
 
 
-def _potential_for(args, R: SphereRadius):
+def _potential(name, R: SphereRadius):
     pot = cotangent_potential(R)
-    if args.potential == "repulsive":
-        pot = repulsive(pot)
-    return pot
+    return repulsive(pot) if name == "repulsive" else pot
 
 
 # ---------------------------------------------------------------- equator
 
 
 def cmd_equator(args) -> int:
+    R = SphereRadius(args.radius)
     try:
         result = eq.solve_equator(args.masses)
     except eq.NoEquatorSolution as exc:
@@ -111,8 +136,11 @@ def cmd_equator(args) -> int:
                          result.dphi_23 / math.pi,
                          result.dphi_31 / math.pi],
         "rho": result.rho,
-        "neg_potential_energy": result.neg_potential_energy / args.radius,
+        "neg_potential_energy": result.neg_potential_energy / R.R,
     }
+    if not math.isfinite(payload["neg_potential_energy"]):
+        raise ValueError(f"--radius {R.R} is out of range: the potential "
+                         f"energy overflows")
     _emit(json.dumps(payload, indent=2), args.out)
     return 0
 
@@ -149,15 +177,10 @@ CSV_HEADER = ["a", "nu1", "nu2", "region", "x", "theta1", "theta2",
 
 def cmd_meridian(args) -> int:
     if not 0.0 < args.a < math.pi:
-        print(f"error: --a must lie in (0, pi), got {args.a}", file=sys.stderr)
-        return 1
-    if not 0.0 <= args.tol_root < math.inf:
-        print(f"error: --tol-root must be finite and non-negative, got "
-              f"{args.tol_root}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--a must lie in (0, pi), got {args.a}")
     R = SphereRadius(args.radius)
-    pot = _potential_for(args, R)
-    opts = mer.ScanOptions(root_xtol=args.tol_root, residual_tol=args.tol_residual)
+    pot = _potential(args.potential, R)
+    opts = mer.ScanOptions(residual_tol=args.tol_residual)
     solutions = mer.find_meridian_rotators(args.a, args.masses, opts, pot, R)
     if args.format == "csv":
         buf = io.StringIO()
@@ -235,18 +258,20 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _sigma_drift(thetas, omega, masses, pot, R, periods=1.0, steps=4000):
-    """Integrate the configuration and report the max drift of the three
-    mutual arc angles, plus the relative drift of |c|."""
-    period = 2.0 * math.pi / omega if omega > 0 else 10.0
-    t_end = periods * period
+VERIFY_STEPS = 4000  # RK4 steps per period
+
+
+def _sigma_drift(thetas, omega, masses, pot, R):
+    """Integrate the configuration over one period and report the max
+    drift of the three mutual arc angles, plus the relative drift of |c|."""
+    t_end = 2.0 * math.pi / omega if omega > 0 else 10.0
     state = SphericalState(
         points=tuple(SpherePoint(t % (2 * math.pi), 0.0) for t in thetas),
         theta_dot=(0.0, 0.0, 0.0),
         phi_dot=(omega, omega, omega),
         R=R,
     )
-    traj = integrate(state, masses, pot, t_end, t_end / steps, store_every=50)
+    traj = integrate(state, masses, pot, t_end, t_end / VERIFY_STEPS, store_every=50)
     if traj.error:
         return None, None, traj.error
 
@@ -298,9 +323,7 @@ def cmd_verify(args) -> int:
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: cannot parse {args.solutions}: {exc}", file=sys.stderr)
         return 1
-    pot = cotangent_potential(R)
-    if meta.get("potential") == "repulsive":
-        pot = repulsive(pot)
+    pot = _potential(meta.get("potential"), R)
 
     reports = []
     all_pass = True
@@ -342,8 +365,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_euler_limit(args) -> int:
-    R_values = sorted(float(r) for r in args.R_list.split(","))
-    report = mer.euler_limit_check(args.masses, args.r21, R_values)
+    for R in args.R_list:
+        if not 0.0 < args.r21 / R < math.pi:
+            raise ValueError(f"--r21 / R must lie in (0, pi) for every R in "
+                             f"--R-list, got --r21 {args.r21} and R {R}")
+    report = mer.euler_limit_check(args.masses, args.r21, args.R_list)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -360,7 +386,7 @@ def cmd_euler_limit(args) -> int:
             "order_estimate": report.order_estimate,
             "rows": [
                 {"R": r.R, "max_coeff_deviation": r.max_coeff_deviation,
-                 "root_deviation": r.root_deviation}
+                 "root_deviation": _json_value(r.root_deviation)}
                 for r in report.rows
             ],
         }
@@ -393,10 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--potential", choices=["cotangent", "repulsive"],
                    default="cotangent")
-    p.add_argument("--tol-residual", type=float, default=1e-9)
-    p.add_argument("--tol-root", type=float, default=0.0,
-                   help="bracket width at which root bisection stops "
-                        "(default 0: floating-point resolution)")
+    p.add_argument("--tol-residual", type=tolerance, default=1e-9)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     _add_out(p)
     p.set_defaults(func=cmd_meridian)
@@ -412,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-check a meridian solution file")
     p.add_argument("solutions", help="JSON file produced by the meridian command")
-    p.add_argument("--tol-residual", type=float, default=1e-9)
-    p.add_argument("--tol-sigma", type=float, default=1e-6)
+    p.add_argument("--tol-residual", type=tolerance, default=1e-9)
+    p.add_argument("--tol-sigma", type=tolerance, default=1e-6)
     p.add_argument("--integrate", action="store_true",
                    help="also integrate one period and report drifts")
     _add_out(p)
@@ -421,10 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("euler-limit", help="flat-space limit convergence check")
     _add_masses(p)
-    p.add_argument("--r21", type=float, default=1.0,
-                   help="fixed arc distance between bodies 1 and 2")
-    p.add_argument("--R-list", default="100,1000,10000",
-                   help="comma-separated sphere radii, ascending")
+    p.add_argument("--r21", type=positive, default=1.0,
+                   help="fixed arc distance between bodies 1 and 2 (> 0)")
+    p.add_argument("--R-list", type=radii, default="100,1000,10000",
+                   help="comma-separated sphere radii, at least two distinct, "
+                        "each with r21/R in (0, pi)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     _add_out(p)
     p.set_defaults(func=cmd_euler_limit)

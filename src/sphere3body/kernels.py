@@ -47,6 +47,20 @@ def g_terms(x, a: float):
     return P, Q, S
 
 
+def g_terms_scale(x: float, a: float) -> tuple[float, float, float]:
+    """For a float x, the sums (Ps, Qs, Ss) of the magnitudes of the
+    products that P, Q and S add up. g's rounding error is a few ulps of
+    nu1*Ps + nu2*Qs + Ss, also where P, Q and S each cancel (all three
+    vanish at a = 2*pi/3, x = 4*pi/3)."""
+    sx, sxa = math.sin(x), math.sin(x - a)
+    A, B = sx * sx, sxa * sxa
+    sin2x, sin2xa = abs(math.sin(2.0 * x)), abs(math.sin(2.0 * (x - a)))
+    sa2 = math.sin(a) ** 2
+    sa2s2a = sa2 * abs(math.sin(2.0 * a))
+    return (A * B * sin2x + sa2s2a * B, A * B * sin2xa + sa2s2a * A,
+            sa2 * (A * sin2x + B * sin2xa))
+
+
 def g_array(x, a: float, nu1: float, nu2: float) -> np.ndarray:
     P, Q, S = g_terms(np.asarray(x, dtype=float), a)
     return nu1 * P + nu2 * Q + S

@@ -12,7 +12,7 @@ x in {0, a, pi, a + pi}, which bound the four regular regions I-IV.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +26,12 @@ from .potential import PairPotential, cotangent_potential
 TWO_PI = 2.0 * math.pi
 EPS = float(np.finfo(float).eps)
 REGIONS = ("I", "II", "III", "IV")
+
+# relative tolerances of the lift and the case classification
+A_TOL = 1e-12  # amplitude A under which a shape is a fixed point
+CASE_TOL = 1e-12  # two G values (or masses) closer than this are equal
+RATIO_TOL = 1e-6  # branch equations closer than this agree
+BOUNDARY_TOL = 1e-8  # distance kept from the singular points
 
 CASE1 = "Case1"
 CASE2 = "Case2"
@@ -99,7 +105,6 @@ class MeridianTranslation:
     """Configuration lift of a shape, with its antipodal partner."""
 
     A: float
-    alpha: float
     s: int
     thetas: tuple[float, float, float]
     thetas_alt: tuple[float, float, float]
@@ -109,7 +114,6 @@ def shape_to_configurations(
     masses: MassTriple,
     shape: Shape,
     s: int,
-    a_tol: float = 1e-12,
 ) -> MeridianTranslation:
     """Lift a shape to absolute colatitudes on the branch s = +/-1.
 
@@ -119,13 +123,11 @@ def shape_to_configurations(
     m1, m2, m3 = masses.as_tuple()
     t21, t31 = shape.theta21, shape.theta31
     A = amplitude_A(masses, shape)
-    if A <= a_tol * (m1 + m2 + m3):
+    if A <= A_TOL * (m1 + m2 + m3):
         raise AZeroFixedPoint(shape)
 
     cos_part = m1 + m2 * math.cos(2.0 * t21) + m3 * math.cos(2.0 * t31)
     sin_part = m2 * math.sin(2.0 * t21) + m3 * math.sin(2.0 * t31)
-    alpha = 0.5 * math.atan2(sin_part / A, cos_part / A)
-
     sin2t1 = s * (-sin_part) / A
     cos2t1 = s * cos_part / A
     t1 = 0.5 * math.atan2(sin2t1, cos2t1)
@@ -133,7 +135,7 @@ def shape_to_configurations(
     thetas_alt = tuple(t + math.pi for t in thetas)
 
     _check_translation(masses, shape, s, A, thetas)
-    return MeridianTranslation(A, alpha, s, thetas, thetas_alt)
+    return MeridianTranslation(A, s, thetas, thetas_alt)
 
 
 def _check_translation(masses, shape, s, A, thetas, tol=1e-10):
@@ -202,13 +204,13 @@ def pair_quantities(
     return PairQuantities(F12, F23, F31, G12, G23, G31)
 
 
-def classify_case(pq: PairQuantities, masses: MassTriple, tol: float = 1e-12) -> str:
+def classify_case(pq: PairQuantities, masses: MassTriple) -> str:
     """Which pair of rigid-rotator equations applies for this shape."""
     m1, m2, m3 = masses.as_tuple()
-    scale = m1 * m2 + m2 * m3 + m3 * m1
-    d1 = abs(pq.G12 - pq.G23) <= tol * scale
-    d2 = abs(pq.G31 - pq.G12) <= tol * scale
-    d3 = abs(pq.G23 - pq.G31) <= tol * scale
+    tol = CASE_TOL * (m1 * m2 + m2 * m3 + m3 * m1)
+    d1 = abs(pq.G12 - pq.G23) <= tol
+    d2 = abs(pq.G31 - pq.G12) <= tol
+    d3 = abs(pq.G23 - pq.G31) <= tol
     if d1 and d2 and d3:
         return CASE4_FIXED_POINT
     if d1:
@@ -233,38 +235,32 @@ def solve_omega_and_branch(
     pq: PairQuantities,
     masses: MassTriple,
     A: float,
-    ratio_tol: float = 1e-6,
-    case_tol: float = 1e-12,
 ) -> BranchResult:
     """Branch sign and rotation rate from the ratio equations.
 
     s is chosen so omega^2 = 2*A*s*ratio >= 0. Case 4 (all G equal)
     leaves both undetermined: a fixed point.
     """
-    case = classify_case(pq, masses, case_tol)
-    m1, m2, m3 = masses.as_tuple()
-    fscale = max(abs(pq.F12), abs(pq.F23), abs(pq.F31), 1e-300)
+    case = classify_case(pq, masses)
+    ftol = RATIO_TOL * max(abs(pq.F12), abs(pq.F23), abs(pq.F31), 1e-300)
     if case == CASE4_FIXED_POINT:
-        if (
-            abs(pq.F12 - pq.F23) > ratio_tol * fscale
-            or abs(pq.F31 - pq.F12) > ratio_tol * fscale
-        ):
+        if abs(pq.F12 - pq.F23) > ftol or abs(pq.F31 - pq.F12) > ftol:
             raise NotARotatorError("all G equal but the F values differ")
         return BranchResult(0, None, case)
     ratios = []
     if case in (CASE1, CASE3):
         ratios.append((pq.F12 - pq.F23) / (pq.G12 - pq.G23))
     else:
-        if abs(pq.F12 - pq.F23) > ratio_tol * fscale:
+        if abs(pq.F12 - pq.F23) > ftol:
             raise NotARotatorError("G12 = G23 but F12 != F23")
     if case in (CASE1, CASE2):
         ratios.append((pq.F31 - pq.F12) / (pq.G31 - pq.G12))
     else:
-        if abs(pq.F31 - pq.F12) > ratio_tol * fscale:
+        if abs(pq.F31 - pq.F12) > ftol:
             raise NotARotatorError("G31 = G12 but F31 != F12")
     if len(ratios) == 2:
         rscale = max(abs(ratios[0]), abs(ratios[1]), 1.0)
-        if abs(ratios[0] - ratios[1]) > ratio_tol * rscale:
+        if abs(ratios[0] - ratios[1]) > RATIO_TOL * rscale:
             raise NotARotatorError(
                 f"branch equations disagree: {ratios[0]} vs {ratios[1]}"
             )
@@ -302,15 +298,13 @@ class MeridianSolution:
 
 @dataclass(frozen=True)
 class ScanOptions:
-    boundary_tol: float = 1e-8
-    root_xtol: float = 0.0  # 0: roots to floating-point resolution
-    ratio_tol: float = 1e-6
+    boundary_tol: float = BOUNDARY_TOL
     residual_tol: float = 1e-9
-    case_tol: float = 1e-12
 
 
-# a knot where |g| <= TANGENT_ULPS * eps * (|nu1*P| + |nu2*Q| + |S|), that
-# is, within the rounding error of evaluating g there, is a tangent root
+# a knot where |g| <= TANGENT_ULPS * eps * (nu1*Ps + nu2*Qs + Ss)
+# (kernels.g_terms_scale), that is, within the rounding error of
+# evaluating g there, is a tangent root
 TANGENT_ULPS = 64.0
 # the 13 Chebyshev points of the first kind and the transposed matrix of
 # Chebyshev polynomials at them: chebinterpolate's, for degree 12
@@ -321,10 +315,10 @@ _CHEB_VANDER_T = cheb.chebvander(_CHEB_NODES, 12).T
 GENERIC_SCAN_SAMPLES = 2000
 
 
-def _bisect(f, lo, hi, flo, fhi, xtol):
-    """Narrow a sign change of f on [lo, hi] to width xtol or to
-    neighbouring floats; returns the end where |f| is smaller."""
-    while hi - lo > xtol:
+def _bisect(f, lo, hi, flo, fhi):
+    """Narrow a sign change of f on [lo, hi] to neighbouring floats;
+    returns the end where |f| is smaller."""
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # at floating-point resolution
             break
@@ -352,9 +346,8 @@ def _scan_region_roots(
     region's ends are the knots: between neighbouring knots the
     polynomial is monotone, so it and g, which has its sign, have at
     most one root there. A sign change of g between knots is bisected to
-    floating-point resolution, or to opts.root_xtol if that is wider. A
-    knot where g vanishes to within the rounding of its evaluation is
-    one tangent (even-order) root.
+    neighbouring floats. A knot where g vanishes to within the rounding
+    of its evaluation is one tangent (even-order) root.
     """
     lo, hi = region_bounds(region, a)
     mid = 0.5 * (lo + hi)
@@ -382,10 +375,10 @@ def _scan_region_roots(
     zero = []
     for x in knots:
         P, Q, S = kernels.g_terms(x, a)
+        Ps, Qs, Ss = kernels.g_terms_scale(x, a)
         g = nu1 * P + nu2 * Q + S
         gk.append(g)
-        zero.append(abs(g) <= TANGENT_ULPS * EPS * (
-            abs(nu1 * P) + abs(nu2 * Q) + abs(S)))
+        zero.append(abs(g) <= TANGENT_ULPS * EPS * (nu1 * Ps + nu2 * Qs + Ss))
     zero[0] = zero[-1] = False
 
     def f(x):
@@ -398,27 +391,8 @@ def _scan_region_roots(
             if not zero[k]:
                 roots.append(knots[k + 1])
         elif not zero[k] and gk[k] * gk[k + 1] < 0.0:
-            roots.append(_bisect(f, knots[k], knots[k + 1], gk[k], gk[k + 1],
-                                 opts.root_xtol))
+            roots.append(_bisect(f, knots[k], knots[k + 1], gk[k], gk[k + 1]))
     return roots
-
-
-def _exceptional_a_match(a: float, nu: float, tol: float = 1e-9) -> bool:
-    # the special a where G-equality and F-equality can hold jointly
-    target = 1.0 / ((1.0 + nu) * (1.0 + nu * nu))
-    return abs(math.cos(a) ** 2 - target) <= tol
-
-
-def _exceptional_candidates(a: float, masses: MassTriple) -> list[tuple[float, str]]:
-    out = []
-    nu1, nu2 = masses.nu1, masses.nu2
-    if _exceptional_a_match(a, nu1):
-        y = math.atan2(math.sin(a) / math.sqrt(nu1), nu1 ** 1.5 * math.cos(a))
-        out.append(((a + y) % TWO_PI, CASE2))
-    if _exceptional_a_match(a, nu2):
-        x = math.atan2(-math.sin(a) / math.sqrt(nu2), nu2 ** 1.5 * math.cos(a)) % TWO_PI
-        out.append((x, CASE3))
-    return out
 
 
 def solution_from_shape(
@@ -426,43 +400,31 @@ def solution_from_shape(
     masses: MassTriple,
     pot: PairPotential | None = None,
     R: SphereRadius = SphereRadius(),
-    opts: ScanOptions | None = None,
 ) -> MeridianSolution:
     """Lift a candidate shape to a verified solution (raises
     NotARotatorError when the branch equations reject it)."""
-    opts = opts or ScanOptions()
     if pot is None:
         pot = cotangent_potential(R)
     pq = pair_quantities(masses, shape, pot, R)
     A = amplitude_A(masses, shape)
-    branch = solve_omega_and_branch(pq, masses, A, opts.ratio_tol, opts.case_tol)
-    region = region_of(shape.theta31, shape.theta21)
-    if branch.is_fixed_point:
-        sol = MeridianSolution(
-            shape.theta31, shape, None, 0, None, branch.case_tag, region
-        )
-        return _with_residual(sol, masses, pot, R)
-    try:
-        translation = shape_to_configurations(masses, shape, branch.s)
-    except AZeroFixedPoint:
-        sol = MeridianSolution(
-            shape.theta31, shape, None, 0, None, A_ZERO_FIXED_POINT, region
-        )
-        return _with_residual(sol, masses, pot, R)
-    sol = MeridianSolution(
-        shape.theta31, shape, translation, branch.s,
-        branch.omega_squared, branch.case_tag, region,
-    )
+    branch = solve_omega_and_branch(pq, masses, A)
+    # a fixed point has no lift, no branch and no rotation rate
+    translation, s, omega_squared, tag = None, 0, None, branch.case_tag
+    if not branch.is_fixed_point:
+        try:
+            translation = shape_to_configurations(masses, shape, branch.s)
+            s, omega_squared = branch.s, branch.omega_squared
+        except AZeroFixedPoint:
+            tag = A_ZERO_FIXED_POINT
+    sol = MeridianSolution(shape.theta31, shape, translation, s, omega_squared,
+                           tag, region_of(shape.theta31, shape.theta21))
     return _with_residual(sol, masses, pot, R)
 
 
 def _with_residual(sol: MeridianSolution, masses, pot, R) -> MeridianSolution:
     thetas, phis, omega = sol.residual_inputs()
     res = configuration_residuals(thetas, phis, omega, masses, pot, R)
-    return MeridianSolution(
-        sol.x, sol.shape, sol.translation, sol.s, sol.omega_squared,
-        sol.case_tag, sol.region, float(np.max(np.abs(res))),
-    )
+    return replace(sol, residual_max=float(np.max(np.abs(res))))
 
 
 def find_meridian_rotators(
@@ -476,10 +438,9 @@ def find_meridian_rotators(
 
     A potential with pot.reduced_g (the cotangent potential and its sign
     flip): every root of the reduced equation g in each region
-    (_scan_region_roots), to floating-point resolution unless
-    options.root_xtol is wider, with exceptional-case closed forms
-    appended when the special angle matches. Any other potential samples
-    the generic ratio equation at GENERIC_SCAN_SAMPLES points per region
+    (_scan_region_roots), to floating-point resolution; the exceptional
+    Case 2/3 shapes are roots of g too. Any other potential samples the
+    generic ratio equation at GENERIC_SCAN_SAMPLES points per region
     instead, whatever its name. Every survivor must pass the
     raw-equation residuals.
     """
@@ -494,17 +455,12 @@ def find_meridian_rotators(
     else:
         roots = _generic_scan_roots(a, masses, pot, R, opts)
 
-    for x, _tag in _exceptional_candidates(a, masses):
-        if all(abs(x - r) > 1e-7 for r in roots):
-            roots.append(x)
-    roots.sort()
-
     solutions = []
     for x in roots:
         shape = Shape(a, x)
         try:
             shape.validate(opts.boundary_tol)
-            sol = solution_from_shape(shape, masses, pot, R, opts)
+            sol = solution_from_shape(shape, masses, pot, R)
         except (ValueError, NotARotatorError):
             continue
         # gate relative to the equation scale: fast rotators near a
@@ -531,8 +487,7 @@ def _generic_scan_roots(a, masses, pot, R, opts) -> list[float]:
         xs = np.linspace(lo, hi, GENERIC_SCAN_SAMPLES)
         hs = np.array([h(x) for x in xs])
         for i in np.flatnonzero(hs[:-1] * hs[1:] < 0.0):
-            roots.append(_bisect(h, xs[i], xs[i + 1], hs[i], hs[i + 1],
-                                 opts.root_xtol))
+            roots.append(_bisect(h, xs[i], xs[i + 1], hs[i], hs[i + 1]))
     return roots
 
 
@@ -584,7 +539,6 @@ def count_rotators_grid_regions(
     nu1_values: Sequence[float],
     nu2_values: Sequence[float],
     samples_per_region: int = 400,
-    boundary_tol: float = 1e-8,
 ) -> dict[str, np.ndarray]:
     """Per-region sign-change counts over a (nu1, nu2) grid for one a.
 
@@ -612,7 +566,7 @@ def count_rotators_grid_regions(
     out: dict[str, np.ndarray] = {}
     for region in REGIONS:
         lo, hi = region_bounds(region, a)
-        xs = np.linspace(lo + boundary_tol, hi - boundary_tol, samples_per_region)
+        xs = np.linspace(lo + BOUNDARY_TOL, hi - BOUNDARY_TOL, samples_per_region)
         P, Q, S = kernels.g_terms(xs, a)
         np.multiply(nu2v[:, None], Q, out=nu2_q)
         counts = np.empty((len(nu1v), len(nu2v)), dtype=np.intp)
@@ -645,16 +599,11 @@ def equilateral_rotator(
     uprime = pot.u_prime(3.0 * R.R * R.R)
     try:
         translation = shape_to_configurations(masses, shape, -1 if pot.attractive else 1)
+        sol = MeridianSolution(shape.theta31, shape, translation, translation.s,
+                               4.0 * A * abs(uprime), CASE1, region)
     except AZeroFixedPoint:
         sol = MeridianSolution(
-            shape.theta31, shape, None, 0, None, A_ZERO_FIXED_POINT, region
-        )
-        return _with_residual(sol, masses, pot, R)
-    omega_squared = 4.0 * A * abs(uprime)
-    sol = MeridianSolution(
-        shape.theta31, shape, translation, translation.s,
-        omega_squared, CASE1, region,
-    )
+            shape.theta31, shape, None, 0, None, A_ZERO_FIXED_POINT, region)
     return _with_residual(sol, masses, pot, R)
 
 
@@ -735,12 +684,12 @@ def exceptional_case_angles(which: str, nu: float) -> list[ExceptionalAngles]:
     ]
 
 
-def case4_fixed_point(masses: MassTriple, tol: float = 1e-12) -> MeridianSolution | None:
+def case4_fixed_point(masses: MassTriple) -> MeridianSolution | None:
     """The all-G-equal fixed point: exists only for equal masses, as the
     equilateral shape."""
     m1, m2, m3 = masses.as_tuple()
-    mmax = max(m1, m2, m3)
-    if abs(m1 - m2) > tol * mmax or abs(m2 - m3) > tol * mmax:
+    tol = CASE_TOL * max(m1, m2, m3)
+    if abs(m1 - m2) > tol or abs(m2 - m3) > tol:
         return None
     shape = Shape(2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
     sol = MeridianSolution(
@@ -809,8 +758,13 @@ def euler_limit_check(
     rows = []
     for R in R_values:
         a = r21 / R
+        try:
+            scale = (R / r21) ** 5
+        except OverflowError:
+            raise ValueError(f"R/r21 = {R / r21} is out of range: (R/r21)^5 "
+                             f"overflows") from None
         xs = (1.0 + lam_nodes) * a
-        scaled = kernels.g_array(xs, a, nu1, nu2) * (R / r21) ** 5 * m3 / 2.0
+        scaled = kernels.g_array(xs, a, nu1, nu2) * scale * m3 / 2.0
         fitted = np.linalg.solve(vander, scaled)
         dev = float(np.max(np.abs(fitted - np.array(coeffs))))
 

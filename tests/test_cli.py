@@ -45,6 +45,16 @@ class TestEquator:
         assert main(["equator", "--masses", "1,-1,1"]) == 1
         assert main(["equator", "--masses", "1,1"]) == 1
 
+    @pytest.mark.parametrize("masses,radius,message", [
+        # an exterior mass triple too: the radius is checked first
+        *[(m, r, "sphere radius") for m in ("1,1,1", "25,25,1")
+          for r in ("0", "-1", "nan")],
+        ("1,1,1", "5e-324", "--radius 5e-324 is out of range")])
+    def test_invalid_radius(self, masses, radius, message, capsys):
+        assert main(["equator", "--masses", masses, "--radius", radius]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
 
 class TestMeridian:
     def test_six_rows_csv(self, capsys):
@@ -77,9 +87,24 @@ class TestMeridian:
 
     @pytest.mark.parametrize("tol", ["nan", "-1e-13", "inf"])
     def test_invalid_tol_root(self, tol, capsys):
+        # roots are always bisected to neighbouring floats: no such option
         argv = ["meridian", "--masses", "3,2,1", "--a", "0.5", "--tol-root", tol]
         assert main(argv) == 1
-        assert "--tol-root" in capsys.readouterr().err
+        assert "unrecognized arguments: --tol-root" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["meridian", "--masses", "3,2,1", "--a", "0.5", "--tol-residual", "nan"],
+     "--tol-residual"),
+    (["meridian", "--masses", "3,2,1", "--a", "0.5", "--tol-residual", "-1"],
+     "--tol-residual"),
+    (["verify", "none.json", "--tol-residual", "inf"], "--tol-residual"),
+    (["verify", "none.json", "--tol-sigma", "nan"], "--tol-sigma"),
+    (["verify", "none.json", "--tol-sigma=-1e-6"], "--tol-sigma"),
+])
+def test_invalid_tolerance(argv, option, capsys):
+    assert main(argv) == 1
+    assert f"argument {option}: must be finite and >= 0" in capsys.readouterr().err
 
 
 class TestVerifyRoundTrip:
@@ -342,6 +367,35 @@ class TestVerifyReport:
 
 
 class TestEulerLimit:
+    @pytest.mark.parametrize("extra,option", [
+        (["--R-list", "0"], "--R-list"),
+        (["--R-list", "100"], "--R-list"),
+        (["--R-list", "100,100"], "--R-list"),
+        (["--R-list", "100,nan"], "--R-list"),
+        (["--R-list", "100,x"], "--R-list"),
+        (["--R-list", "0.1,100"], "--R-list"),
+        (["--R-list", "1e150,1e300"], "R/r21"),
+        (["--r21", "0"], "--r21"),
+        (["--r21", "-1"], "--r21"),
+        (["--r21", "inf"], "--r21"),
+    ])
+    def test_invalid_input(self, extra, option, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["euler-limit", "--masses", "3,2,1", *extra])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert option in captured.err
+        assert "Traceback" not in captured.err and "Warning" not in captured.err
+
+    def test_no_region_root_is_null(self, capsys):
+        # r21/R just below pi leaves region II narrower than the boundary
+        # margin: no root, so no root deviation
+        code, out = run(capsys, ["euler-limit", "--masses", "3,2,1",
+                                 "--R-list", "0.3183099,1"])
+        assert code == 0
+        assert json.loads(out)["rows"][0]["root_deviation"] is None
+
     def test_quintic_for_321(self, capsys):
         code, out = run(capsys, ["euler-limit", "--masses", "3,2,1"])
         assert code == 0

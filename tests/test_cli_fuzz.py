@@ -58,12 +58,34 @@ def run(argv) -> int:
     extra=st.lists(st.sampled_from([
         ["--radius", "2"], ["--radius", "0"], ["--radius", "nan"],
         ["--radius", "1e300"], ["--potential", "repulsive"],
-        ["--format", "csv"], ["--tol-residual", "-1"], ["--tol-root", "nan"],
+        ["--format", "csv"], ["--tol-residual", "-1"], ["--tol-residual", "nan"],
     ]), max_size=2),
 )
 def test_meridian(m, a, extra):
     argv = ["meridian", "--masses", ",".join(m), "--a", a]
     assert run(argv + sum(extra, [])) in (0, 1, 2)
+
+
+@fuzz(60)
+@given(m=st.lists(masses.map(repr), min_size=3, max_size=3),
+       radius=mostly(masses, edge_numbers))
+def test_equator(m, radius):
+    argv = ["equator", "--masses", ",".join(m), "--radius", repr(radius)]
+    assert run(argv) in (0, 1, 2)
+
+
+radii = mostly(st.floats(min_value=2.0, max_value=1e4), edge_numbers)
+
+
+@fuzz(60)
+@given(m=st.lists(masses.map(repr), min_size=3, max_size=3),
+       r21=mostly(masses, edge_numbers),
+       R_list=st.lists(radii.map(repr), min_size=1, max_size=3),
+       fmt=st.sampled_from(["json", "csv"]))
+def test_euler_limit(m, r21, R_list, fmt):
+    argv = ["euler-limit", "--masses", ",".join(m), "--r21", repr(r21),
+            "--R-list", ",".join(R_list), "--format", fmt]
+    assert run(argv) in (0, 1, 2)
 
 
 def grid(lo, hi, n):

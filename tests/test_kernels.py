@@ -74,3 +74,16 @@ def test_scalar_path_stays_on_plain_floats():
         assert all(type(v) is float for v in kernels.g_terms(x, 0.5))
         assert type(kernels.g_scalar(x, 0.5, 3.0, 2.0)) is float
     assert all(type(v) is np.ndarray for v in kernels.g_terms(np.array([1.0]), 0.5))
+
+
+def test_terms_scale_bounds_the_terms():
+    for a, nu1, nu2, _region, x in random_cases(13, 200):
+        P, Q, S = kernels.g_terms(x, a)
+        Ps, Qs, Ss = kernels.g_terms_scale(x, a)
+        assert abs(P) <= Ps and abs(Q) <= Qs and abs(S) <= Ss
+    # at the equilateral shape of a = 2*pi/3 the terms cancel to rounding
+    # noise while the products they add up stay of order one
+    P, Q, S = kernels.g_terms(4.0 * math.pi / 3.0, 2.0 * math.pi / 3.0)
+    scale = kernels.g_terms_scale(4.0 * math.pi / 3.0, 2.0 * math.pi / 3.0)
+    assert max(abs(P), abs(Q), abs(S)) < 1e-15
+    assert min(scale) > 0.1

@@ -448,6 +448,24 @@ class TestSpecialFamilies:
                 assert abs(G12 - G31) < 1e-12 * scale
                 assert abs(F12 - F31) < 1e-10 * max(abs(F12), 1.0)
 
+    @pytest.mark.parametrize("nu", [0.1, 0.5, 1.0, 2.0, 10.0])
+    def test_solver_finds_exceptional_shapes(self, nu):
+        # at the exceptional angle the region solver returns the closed-form
+        # shape (reflected, so that a = theta_pair lies in (0, pi)), tagged
+        # with its case
+        for row in mer.exceptional_case_angles(mer.CASE2, nu):
+            a = row.theta_pair
+            sols = mer.find_meridian_rotators(a, MassTriple(nu, 1.7, 1.0))
+            x = (a + row.theta_other) % (2.0 * math.pi)
+            assert any(s.case_tag == mer.CASE2 and abs(s.x - x) <= 1e-12
+                       for s in sols), (a, x, [(s.x, s.case_tag) for s in sols])
+        for row in mer.exceptional_case_angles(mer.CASE3, nu):
+            a = row.theta_pair
+            sols = mer.find_meridian_rotators(a, MassTriple(1.3, nu, 1.0))
+            x = -row.theta_other % (2.0 * math.pi)
+            assert any(s.case_tag == mer.CASE3 and abs(s.x - x) <= 1e-12
+                       for s in sols), (a, x, [(s.x, s.case_tag) for s in sols])
+
     def test_case4_only_for_equal_masses(self):
         assert mer.case4_fixed_point(M321) is None
         sol = mer.case4_fixed_point(MassTriple(2.0, 2.0, 2.0))

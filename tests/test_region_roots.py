@@ -243,16 +243,17 @@ def test_table2_tangent_root_is_exact(masses, region, x):
     assert tangent[0].x == pytest.approx(x, abs=1e-12)
 
 
-def test_root_xtol_is_bracket_width():
-    # a wider root_xtol stops the bisection early; the root stays within it
-    a, nu1, nu2 = math.pi / 6, 3.0, 2.0
-    for region in mer.REGIONS:
-        exact = mer._scan_region_roots(a, nu1, nu2, region, mer.ScanOptions())
-        coarse = mer._scan_region_roots(
-            a, nu1, nu2, region, mer.ScanOptions(root_xtol=1e-6))
-        assert len(coarse) == len(exact)
-        for x, y in zip(exact, coarse):
-            assert abs(x - y) <= 1e-6
+@pytest.mark.parametrize("masses", [(2.0, 3.0, 1.0), (0.2, 5.0, 1.0), (1.3, 1.0, 1.0)])
+def test_equilateral_tangent_root_at_two_thirds_pi(masses):
+    # at a = 2*pi/3 the equilateral x = 4*pi/3 is a tangent root of g for
+    # every mass ratio, where P, Q and S each vanish: g at the knot is
+    # within rounding of the products they add up, not of their values
+    a, x = 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0
+    sols = mer.find_meridian_rotators(a, MassTriple(*masses))
+    near = [s for s in sols if abs(s.x - x) < 1e-6]
+    assert len(near) == 1
+    assert near[0].x == pytest.approx(x, abs=1e-12)
+    assert near[0].residual_max < 1e-13
 
 
 def numpy_g_scalar(x, a, nu1, nu2):
@@ -313,13 +314,13 @@ def numpy_scan_region_roots(a, nu1, nu2, region, opts):
                 roots.append(float(knots[k + 1]))
         elif not zero[k] and gk[k] * gk[k + 1] < 0.0:
             roots.append(float(mer._bisect(f, knots[k], knots[k + 1], gk[k],
-                                           gk[k + 1], opts.root_xtol)))
+                                           gk[k + 1])))
     return roots
 
 
 @pytest.mark.parametrize("opts", [
-    mer.ScanOptions(), mer.ScanOptions(root_xtol=1e-6),
-    mer.ScanOptions(boundary_tol=1e-6)], ids=["exact", "xtol", "boundary"])
+    mer.ScanOptions(), mer.ScanOptions(boundary_tol=1e-6)],
+    ids=["exact", "boundary"])
 def test_scalar_scan_matches_numpy_scan_bitwise(opts):
     """The plain-float scan finds the same roots, bit for bit, as the
     numpy-scalar scan it replaced, tangent and close-pair roots included."""
