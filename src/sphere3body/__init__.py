@@ -13,7 +13,6 @@ from .equator import EquatorSolution, NoEquatorSolution, solve_equator
 from .geometry import SpherePoint, SphereRadius
 from .meridian import (
     MeridianSolution,
-    ScanOptions,
     Shape,
     find_meridian_rotators,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "NoEquatorSolution",
     "solve_equator",
     "MeridianSolution",
-    "ScanOptions",
     "Shape",
     "find_meridian_rotators",
     "cotangent_potential",

@@ -180,8 +180,8 @@ def cmd_meridian(args) -> int:
         raise ValueError(f"--a must lie in (0, pi), got {args.a}")
     R = SphereRadius(args.radius)
     pot = _potential(args.potential, R)
-    opts = mer.ScanOptions(residual_tol=args.tol_residual)
-    solutions = mer.find_meridian_rotators(args.a, args.masses, opts, pot, R)
+    solutions = mer.find_meridian_rotators(args.a, args.masses, pot, R,
+                                           residual_tol=args.tol_residual)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

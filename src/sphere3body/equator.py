@@ -19,7 +19,6 @@ EXTERIOR = "exterior"
 @dataclass(frozen=True)
 class ExistenceResult:
     region: str
-    solutions: int
     violated: str | None = None
 
 
@@ -37,8 +36,6 @@ class EquatorSolution:
     dphi_31: float
     rho: float
     neg_potential_energy: float
-    exists: bool = True
-    violated: str | None = None
 
     def phis(self) -> tuple[float, float, float]:
         """A concrete longitude assignment with phi_1 = 0."""
@@ -57,7 +54,7 @@ class NoEquatorSolution(ValueError):
         )
 
 
-def existence_check(masses: MassTriple, tol: float = 1e-12) -> ExistenceResult:
+def existence_check(masses: MassTriple) -> ExistenceResult:
     """Classify the mass triple by the triangle inequalities on mu_k.
 
     Interior (strict inequalities) has exactly one rotator; the boundary
@@ -71,7 +68,7 @@ def existence_check(masses: MassTriple, tol: float = 1e-12) -> ExistenceResult:
         i, j = (k + 1) % 3, (k + 2) % 3
         gap = (mu[i] + mu[j]) - mu[k]
         label = f"mu{k + 1} < mu{i + 1} + mu{j + 1}"
-        if abs(gap) <= tol * scale:
+        if abs(gap) <= 1e-12 * scale:
             region = BOUNDARY
             violated = label
             break
@@ -79,7 +76,7 @@ def existence_check(masses: MassTriple, tol: float = 1e-12) -> ExistenceResult:
             region = EXTERIOR
             violated = label
             break
-    return ExistenceResult(region, 1 if region == INTERIOR else 0, violated)
+    return ExistenceResult(region, violated)
 
 
 def _dphis_from_mu(mu: Sequence[float], rho: float) -> tuple[float, float, float]:
@@ -98,12 +95,19 @@ def solve_equator(masses: MassTriple) -> EquatorSolution:
     check = existence_check(masses)
     if check.region != INTERIOR:
         raise NoEquatorSolution(check)
+    return _closed_form(masses)
+
+
+def _closed_form(masses: MassTriple) -> EquatorSolution:
+    # prod > 0 inside the existence region; on its boundary (the antipodal
+    # limit) rounding may leave it just below 0
     mu1, mu2, mu3 = masses.mu
-    prod = (
+    prod = max(
+        0.0,
         (mu1 + mu2 + mu3)
         * (mu1 + mu2 - mu3)
         * (mu2 + mu3 - mu1)
-        * (mu3 + mu1 - mu2)
+        * (mu3 + mu1 - mu2),
     )
     rho = math.sqrt(prod) / (2.0 * mu1 * mu2 * mu3)
     d12, d23, d31 = _dphis_from_mu(masses.mu, rho)
@@ -111,8 +115,8 @@ def solve_equator(masses: MassTriple) -> EquatorSolution:
     return EquatorSolution(d12, d23, d31, rho, neg_v)
 
 
-def default_antipodal_path(m3: float = 1.0) -> Callable[[float], MassTriple]:
-    """Mass family m1 = m2 growing toward the antipodal limit.
+def default_antipodal_path() -> Callable[[float], MassTriple]:
+    """Mass family m1 = m2 growing toward the antipodal limit, m3 = 1.
 
     At t = 1, sqrt(m3/m1) + sqrt(m3/m2) = 1 exactly (m1 = m2 = 4 m3).
     The start m1 = 3 m3 puts the whole path on the tail where -V is
@@ -120,8 +124,8 @@ def default_antipodal_path(m3: float = 1.0) -> Callable[[float], MassTriple]:
     """
 
     def path(t: float) -> MassTriple:
-        m = (3.0 + t) * m3
-        return MassTriple(m, m, m3)
+        m = 3.0 + t
+        return MassTriple(m, m, 1.0)
 
     return path
 
@@ -157,7 +161,7 @@ def antipodal_limit_scan(
         if check.region == INTERIOR:
             sol = solve_equator(masses)
         elif n == steps:
-            sol = _limit_solution(masses)
+            sol = _closed_form(masses)
         else:
             raise ValueError(
                 f"path leaves the interior region at t={t} ({check.region})"
@@ -170,16 +174,3 @@ def antipodal_limit_scan(
         )
     return rows
 
-
-def _limit_solution(masses: MassTriple) -> EquatorSolution:
-    mu1, mu2, mu3 = masses.mu
-    prod = max(
-        0.0,
-        (mu1 + mu2 + mu3)
-        * (mu1 + mu2 - mu3)
-        * (mu2 + mu3 - mu1)
-        * (mu3 + mu1 - mu2),
-    )
-    rho = math.sqrt(prod) / (2.0 * mu1 * mu2 * mu3)
-    d12, d23, d31 = _dphis_from_mu(masses.mu, rho)
-    return EquatorSolution(d12, d23, d31, rho, math.sqrt(prod), exists=False)

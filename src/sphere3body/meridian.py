@@ -28,7 +28,14 @@ EPS = float(np.finfo(float).eps)
 REGIONS = ("I", "II", "III", "IV")
 
 # relative tolerances of the lift and the case classification
-A_TOL = 1e-12  # amplitude A under which a shape is a fixed point
+# the lift's consistency check allows TRANSLATION_TOL * (m1 + m2 + m3) / A
+TRANSLATION_TOL = 1e-10
+# amplitude A under which a shape is a fixed point. A is the root of A^2,
+# a sum of terms of size (m1 + m2 + m3)^2 that cancel, so its relative
+# error is about eps * ((m1 + m2 + m3) / A)^2 / 2; that meets the lift
+# check's allowance at A = eps / (2 * TRANSLATION_TOL) * (m1 + m2 + m3),
+# about 1e-6 * (m1 + m2 + m3). Below it the lift runs on rounding noise.
+A_TOL = 1e-6
 CASE_TOL = 1e-12  # two G values (or masses) closer than this are equal
 RATIO_TOL = 1e-6  # branch equations closer than this agree
 BOUNDARY_TOL = 1e-8  # distance kept from the singular points
@@ -134,18 +141,18 @@ def shape_to_configurations(
     thetas = (t1, t1 + t21, t1 + t31)
     thetas_alt = tuple(t + math.pi for t in thetas)
 
-    _check_translation(masses, shape, s, A, thetas)
+    _check_translation(masses, s, A, thetas)
     return MeridianTranslation(A, s, thetas, thetas_alt)
 
 
-def _check_translation(masses, shape, s, A, thetas, tol=1e-10):
+def _check_translation(masses, s, A, thetas):
     # the lifted angles must reproduce the translated (sin, cos) of
     # 2*theta_k for the remaining bodies. Both sides carry the rounding
     # of sin_part/A and cos_part/A, which grows like (m1+m2+m3)/A, so the
     # tolerance grows with it; the residual gate judges the lifted
     # configuration itself.
     m = masses.as_tuple()
-    tol = tol * (m[0] + m[1] + m[2]) / A
+    tol = TRANSLATION_TOL * (m[0] + m[1] + m[2]) / A
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
         sin_pred = (
@@ -220,33 +227,23 @@ def classify_case(pq: PairQuantities, masses: MassTriple) -> str:
     return CASE1
 
 
-@dataclass(frozen=True)
-class BranchResult:
-    s: int
-    omega_squared: float | None  # None encodes a fixed point
-    case_tag: str
-
-    @property
-    def is_fixed_point(self) -> bool:
-        return self.omega_squared is None
-
-
 def solve_omega_and_branch(
     pq: PairQuantities,
     masses: MassTriple,
     A: float,
-) -> BranchResult:
-    """Branch sign and rotation rate from the ratio equations.
+) -> tuple[int, float | None, str]:
+    """Branch sign s, rotation rate omega^2 and case tag from the ratio
+    equations.
 
     s is chosen so omega^2 = 2*A*s*ratio >= 0. Case 4 (all G equal)
-    leaves both undetermined: a fixed point.
+    leaves both undetermined: a fixed point, (0, None, tag).
     """
     case = classify_case(pq, masses)
     ftol = RATIO_TOL * max(abs(pq.F12), abs(pq.F23), abs(pq.F31), 1e-300)
     if case == CASE4_FIXED_POINT:
         if abs(pq.F12 - pq.F23) > ftol or abs(pq.F31 - pq.F12) > ftol:
             raise NotARotatorError("all G equal but the F values differ")
-        return BranchResult(0, None, case)
+        return 0, None, case
     ratios = []
     if case in (CASE1, CASE3):
         ratios.append((pq.F12 - pq.F23) / (pq.G12 - pq.G23))
@@ -266,7 +263,7 @@ def solve_omega_and_branch(
             )
     ratio = sum(ratios) / len(ratios)
     s = -1 if ratio < 0 else 1
-    return BranchResult(s, 2.0 * A * abs(ratio), case)
+    return s, 2.0 * A * abs(ratio), case
 
 
 @dataclass(frozen=True)
@@ -296,12 +293,6 @@ class MeridianSolution:
         return thetas, (0.0, 0.0, 0.0), omega
 
 
-@dataclass(frozen=True)
-class ScanOptions:
-    boundary_tol: float = BOUNDARY_TOL
-    residual_tol: float = 1e-9
-
-
 # a knot where |g| <= TANGENT_ULPS * eps * (nu1*Ps + nu2*Qs + Ss)
 # (kernels.g_terms_scale), that is, within the rounding error of
 # evaluating g there, is a tangent root
@@ -313,6 +304,11 @@ _CHEB_VANDER_T = cheb.chebvander(_CHEB_NODES, 12).T
 # samples per region of the scan for a custom potential, whose ratio
 # equation has no polynomial form
 GENERIC_SCAN_SAMPLES = 2000
+# distance of that scan's samples from each singular point.
+# pair_quantities computes the chord as 2R^2 (1 - cos d): within about
+# 1e-8 of a singular point it rounds to 0 or to 4R^2 (a singularity),
+# and at 1e-6 it keeps about 4 digits
+GENERIC_BOUNDARY_GAP = 1e-6
 
 
 def _bisect(f, lo, hi, flo, fhi):
@@ -332,9 +328,7 @@ def _bisect(f, lo, hi, flo, fhi):
     return lo if abs(flo) <= abs(fhi) else hi
 
 
-def _scan_region_roots(
-    a: float, nu1: float, nu2: float, region: str, opts: ScanOptions
-) -> list[float]:
+def _scan_region_roots(a: float, nu1: float, nu2: float, region: str) -> list[float]:
     """Roots of g strictly inside one region, each found once.
 
     Inside a region g is a trigonometric polynomial of degree 6 in x
@@ -352,8 +346,8 @@ def _scan_region_roots(
     lo, hi = region_bounds(region, a)
     mid = 0.5 * (lo + hi)
     chart = math.tan(0.25 * (hi - lo))
-    lo += opts.boundary_tol
-    hi -= opts.boundary_tol
+    lo += BOUNDARY_TOL
+    hi -= BOUNDARY_TOL
     if hi <= lo:
         return []
 
@@ -407,15 +401,14 @@ def solution_from_shape(
         pot = cotangent_potential(R)
     pq = pair_quantities(masses, shape, pot, R)
     A = amplitude_A(masses, shape)
-    branch = solve_omega_and_branch(pq, masses, A)
+    s, omega_squared, tag = solve_omega_and_branch(pq, masses, A)
     # a fixed point has no lift, no branch and no rotation rate
-    translation, s, omega_squared, tag = None, 0, None, branch.case_tag
-    if not branch.is_fixed_point:
+    translation = None
+    if omega_squared is not None:
         try:
-            translation = shape_to_configurations(masses, shape, branch.s)
-            s, omega_squared = branch.s, branch.omega_squared
+            translation = shape_to_configurations(masses, shape, s)
         except AZeroFixedPoint:
-            tag = A_ZERO_FIXED_POINT
+            s, omega_squared, tag = 0, None, A_ZERO_FIXED_POINT
     sol = MeridianSolution(shape.theta31, shape, translation, s, omega_squared,
                            tag, region_of(shape.theta31, shape.theta21))
     return _with_residual(sol, masses, pot, R)
@@ -430,9 +423,9 @@ def _with_residual(sol: MeridianSolution, masses, pot, R) -> MeridianSolution:
 def find_meridian_rotators(
     a: float,
     masses: MassTriple,
-    options: ScanOptions | None = None,
     pot: PairPotential | None = None,
     R: SphereRadius = SphereRadius(),
+    residual_tol: float = 1e-9,
 ) -> list[MeridianSolution]:
     """All rigid rotators on the rotating meridian for fixed a.
 
@@ -441,37 +434,38 @@ def find_meridian_rotators(
     (_scan_region_roots), to floating-point resolution; the exceptional
     Case 2/3 shapes are roots of g too. Any other potential samples the
     generic ratio equation at GENERIC_SCAN_SAMPLES points per region
-    instead, whatever its name. Every survivor must pass the
-    raw-equation residuals.
+    instead, whatever its name, from GENERIC_BOUNDARY_GAP off each
+    singular point: it misses tangent roots, close pairs and roots nearer
+    a singular point. Every survivor must pass the raw-equation residuals
+    to within residual_tol of the equation scale.
     """
     if not 0.0 < a < math.pi:
         raise ValueError(f"a must lie in (0, pi), got {a}")
-    opts = options or ScanOptions()
 
     if pot is None or pot.reduced_g:
         roots = []
         for region in REGIONS:
-            roots.extend(_scan_region_roots(a, masses.nu1, masses.nu2, region, opts))
+            roots.extend(_scan_region_roots(a, masses.nu1, masses.nu2, region))
     else:
-        roots = _generic_scan_roots(a, masses, pot, R, opts)
+        roots = _generic_scan_roots(a, masses, pot, R)
 
     solutions = []
     for x in roots:
         shape = Shape(a, x)
         try:
-            shape.validate(opts.boundary_tol)
+            shape.validate(BOUNDARY_TOL)
             sol = solution_from_shape(shape, masses, pot, R)
-        except (ValueError, NotARotatorError):
+        except ValueError:  # NotARotatorError included
             continue
         # gate relative to the equation scale: fast rotators near a
         # boundary have huge omega^2, so their raw residual floor grows
         scale = max(1.0, abs(sol.omega_squared or 0.0)) * sum(masses.as_tuple())
-        if sol.residual_max < opts.residual_tol * scale:
+        if sol.residual_max < residual_tol * scale:
             solutions.append(sol)
     return solutions
 
 
-def _generic_scan_roots(a, masses, pot, R, opts) -> list[float]:
+def _generic_scan_roots(a, masses, pot, R) -> list[float]:
     # scan the cross-multiplied ratio equation for a generic potential
     def h(x):
         pq = pair_quantities(masses, Shape(a, x), pot, R)
@@ -482,12 +476,15 @@ def _generic_scan_roots(a, masses, pot, R, opts) -> list[float]:
     roots = []
     for region in REGIONS:
         lo, hi = region_bounds(region, a)
-        lo += opts.boundary_tol
-        hi -= opts.boundary_tol
-        xs = np.linspace(lo, hi, GENERIC_SCAN_SAMPLES)
-        hs = np.array([h(x) for x in xs])
-        for i in np.flatnonzero(hs[:-1] * hs[1:] < 0.0):
-            roots.append(_bisect(h, xs[i], xs[i + 1], hs[i], hs[i + 1]))
+        lo += GENERIC_BOUNDARY_GAP
+        hi -= GENERIC_BOUNDARY_GAP
+        if hi <= lo:
+            continue
+        xs = np.linspace(lo, hi, GENERIC_SCAN_SAMPLES).tolist()
+        hs = [h(x) for x in xs]
+        for i in range(GENERIC_SCAN_SAMPLES - 1):
+            if hs[i] * hs[i + 1] < 0.0:
+                roots.append(_bisect(h, xs[i], xs[i + 1], hs[i], hs[i + 1]))
     return roots
 
 
@@ -524,13 +521,11 @@ def count_rotators_scan(
     a: float,
     nu1: float,
     nu2: float,
-    options: ScanOptions | None = None,
 ) -> RegionCounts:
     """Root counts of the reduced equation per region, with no
     configuration lift. Every root counts once: a simple root, a tangent
     (even-order) root and each root of a close pair alike."""
-    opts = options or ScanOptions()
-    counts = [len(_scan_region_roots(a, nu1, nu2, r, opts)) for r in REGIONS]
+    counts = [len(_scan_region_roots(a, nu1, nu2, r)) for r in REGIONS]
     return RegionCounts(*counts)
 
 
@@ -612,7 +607,7 @@ SPECIAL_ISOSCELES_COS_A = (math.sqrt(2.0) - 1.0) / 2.0
 
 def isosceles_rotators(
     masses: MassTriple,
-    a: float | str | None = "special",
+    a: float | None = None,
     pot: PairPotential | None = None,
     R: SphereRadius = SphereRadius(),
 ) -> list[MeridianSolution]:
@@ -621,9 +616,10 @@ def isosceles_rotators(
 
     nu1 = nu2: both families exist for every a. Unequal nu: the minor-arc
     family only at cos(a) = (sqrt(2)-1)/2, the major-arc family only at
-    a = 2*pi/3 (where it is the equilateral rotator).
+    a = 2*pi/3 (where it is the equilateral rotator). a = None is the
+    special angle.
     """
-    if a == "special" or a is None:
+    if a is None:
         a = math.acos(SPECIAL_ISOSCELES_COS_A)
     if not 0.0 < a < math.pi:
         raise ValueError(f"a must lie in (0, pi), got {a}")
@@ -769,7 +765,7 @@ def euler_limit_check(
         dev = float(np.max(np.abs(fitted - np.array(coeffs))))
 
         # the region-II root of g nearest the flat-space root
-        roots = _scan_region_roots(a, nu1, nu2, "II", ScanOptions())
+        roots = _scan_region_roots(a, nu1, nu2, "II")
         root_dev = min((abs(x / a - 1.0 - lam_root) for x in roots),
                        default=math.nan)
         rows.append(EulerLimitRow(R, dev, root_dev))

@@ -479,6 +479,18 @@ def test_out_of_range_input_is_usage_error(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("masses", ["1,1,1", "4,4,4"])
+def test_equal_masses_at_two_thirds_pi_end_cleanly(masses, capsys):
+    # the equilateral root of g is of higher order here, and bisection
+    # stops where the amplitude A is rounding noise: a fixed point, which
+    # has no lift to check
+    code = main(["meridian", "--masses", masses, "--a", "2.0943951023931953"])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    assert "Traceback" not in captured.err
+    json.loads(captured.out)
+
+
 def test_verify_tiny_radius_is_usage_error(tmp_path, capsys):
     sol_file = tmp_path / "tiny.json"
     sol_file.write_text(json.dumps({

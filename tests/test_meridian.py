@@ -15,6 +15,7 @@ from sphere3body.geometry import SphereRadius
 from sphere3body.potential import PairPotential, cotangent_potential, repulsive
 from test_dynamics import _outcome
 from test_kernels import REGION_SIGNS, g_reference
+from test_region_roots import NAMED
 
 R1 = SphereRadius(1.0)
 POT = cotangent_potential(R1)
@@ -229,21 +230,39 @@ class TestSolver:
 
     def test_potential_name_selects_nothing(self):
         # a Newton-like potential is solved through its ratio equation
-        # whatever its name; boundary_tol=1e-6, because at the default
-        # 1e-8 pair_quantities rounds the chord of the boundary sample to 0
+        # whatever its name
         def newton(name):
             return PairPotential(u=lambda d2: -d2 ** -0.5,
                                  u_prime=lambda d2: 0.5 * d2 ** -1.5, name=name)
 
-        opts = mer.ScanOptions(boundary_tol=1e-6)
-
         def solve(pot):
             return [(s.x, s.region, s.omega_squared, s.residual_max)
-                    for s in mer.find_meridian_rotators(math.pi / 6, M321, opts, pot)]
+                    for s in mer.find_meridian_rotators(math.pi / 6, M321, pot)]
 
         custom = solve(newton("custom"))
         assert custom and solve(newton("cotangent")) == custom
         assert solve(POT) != custom
+
+    def test_generic_path_matches_reduced_path(self):
+        # a cotangent clone without reduced_g is solved by sampling its
+        # ratio equation; it finds every root of g but the tangent roots
+        # of Table 2 at |nu1 - nu2| = 4, where no sample sees a sign change
+        clone = dataclasses.replace(POT, reduced_g=False, name="clone")
+        missing = []
+        for a, nu1, nu2 in NAMED[:10]:  # the paper's named inputs
+            m = MassTriple(nu1, nu2, 1.0)
+            generic = mer.find_meridian_rotators(a, m, clone)
+            assert all(type(s.x) is float for s in generic)
+            for r in mer.find_meridian_rotators(a, m):
+                near = [s for s in generic if s.region == r.region
+                        and abs(s.x - r.x) <= 1e-12]
+                assert len(near) <= 1
+                if near:
+                    generic.remove(near[0])
+                else:
+                    missing.append((a, nu1 - nu2, r.region))
+            assert generic == []
+        assert missing == [(math.pi / 2, -4.0, "IV"), (math.pi / 2, 4.0, "II")]
 
     def test_reduced_g_is_the_cotangent_family(self):
         assert POT.reduced_g and repulsive(POT).reduced_g
@@ -404,7 +423,7 @@ class TestSpecialFamilies:
         rng = np.random.default_rng(42)
         for _ in range(5):
             m = MassTriple(*rng.uniform(0.5, 5.0, size=3))
-            sols = mer.isosceles_rotators(m, "special")
+            sols = mer.isosceles_rotators(m)
             small = [s for s in sols if s.x == pytest.approx(
                 math.acos(mer.SPECIAL_ISOSCELES_COS_A) / 2.0, abs=1e-9)]
             assert len(small) == 1

@@ -157,7 +157,7 @@ def test_differential_against_sampled_scan():
     for a, nu1, nu2 in NAMED + _seeded():
         for region in mer.REGIONS:
             old = old_scan_region_roots(a, nu1, nu2, region)
-            new = mer._scan_region_roots(a, nu1, nu2, region, mer.ScanOptions())
+            new = mer._scan_region_roots(a, nu1, nu2, region)
             for x in old:
                 if any(abs(x - y) <= 1e-12 for y in new):
                     kinds["matched"] += 1
@@ -207,7 +207,7 @@ def test_close_pair_beside_a_fold():
     # just before, they are 2e-6 apart (the scan took them for one tangent
     # root)
     a, nu1, nu2 = 1.0, 1.16979889864, 0.2
-    roots = mer._scan_region_roots(a, nu1, nu2, "II", mer.ScanOptions())
+    roots = mer._scan_region_roots(a, nu1, nu2, "II")
     assert len(roots) == 2 and roots[1] - roots[0] < 1e-5
     h = (roots[1] - roots[0]) / 4.0
     assert all(_changes_sign(x, h, a, nu1, nu2) for x in roots)
@@ -225,7 +225,7 @@ def test_pitchfork_of_isosceles_root(d, count):
     # near the triple root several knots lie within rounding of zero;
     # they are one root
     a, nu = 2.0, PITCHFORK_NU + d
-    roots = mer._scan_region_roots(a, nu, nu, "I", mer.ScanOptions())
+    roots = mer._scan_region_roots(a, nu, nu, "I")
     assert len(roots) == count
     assert roots[count // 2] == pytest.approx(1.0, abs=1e-6)
     if count == 3:
@@ -274,15 +274,15 @@ def numpy_g_scalar(x, a, nu1, nu2):
     return float(nu1 * P + nu2 * Q + S)
 
 
-def numpy_scan_region_roots(a, nu1, nu2, region, opts):
+def numpy_scan_region_roots(a, nu1, nu2, region):
     """A literal transcription of the earlier ``_scan_region_roots``:
     chebinterpolate on every call, knots through np.unique, g and the
     tangent test at the knots on arrays, bisection on numpy scalars."""
     lo, hi = mer.region_bounds(region, a)
     mid = 0.5 * (lo + hi)
     chart = math.tan(0.25 * (hi - lo))
-    lo += opts.boundary_tol
-    hi -= opts.boundary_tol
+    lo += mer.BOUNDARY_TOL
+    hi -= mer.BOUNDARY_TOL
     if hi <= lo:
         return []
 
@@ -318,10 +318,7 @@ def numpy_scan_region_roots(a, nu1, nu2, region, opts):
     return roots
 
 
-@pytest.mark.parametrize("opts", [
-    mer.ScanOptions(), mer.ScanOptions(boundary_tol=1e-6)],
-    ids=["exact", "boundary"])
-def test_scalar_scan_matches_numpy_scan_bitwise(opts):
+def test_scalar_scan_matches_numpy_scan_bitwise():
     """The plain-float scan finds the same roots, bit for bit, as the
     numpy-scalar scan it replaced, tangent and close-pair roots included."""
     cases = NAMED + _seeded(300, seed=7) + [
@@ -330,8 +327,8 @@ def test_scalar_scan_matches_numpy_scan_bitwise(opts):
     roots = 0
     for a, nu1, nu2 in cases:
         for region in mer.REGIONS:
-            new = mer._scan_region_roots(a, nu1, nu2, region, opts)
-            old = numpy_scan_region_roots(a, nu1, nu2, region, opts)
+            new = mer._scan_region_roots(a, nu1, nu2, region)
+            old = numpy_scan_region_roots(a, nu1, nu2, region)
             assert [x.hex() for x in new] == [x.hex() for x in old], (a, nu1, nu2)
             roots += len(new)
     assert roots > 1000
