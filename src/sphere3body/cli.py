@@ -224,6 +224,12 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--a-grid values must lie in (0, pi), got {bad_a[0]}")
     if min(nu1_grid.min(), nu2_grid.min()) <= 0.0:
         raise ValueError("--nu1-grid and --nu2-grid values must be positive")
+    # g = nu1 * P + nu2 * Q + S with |P|, |Q|, |S| <= 2 (kernels.g_terms):
+    # every sum the counter forms stays below this bound
+    g_bound = 2.0 * (float(nu1_grid.max()) + float(nu2_grid.max())) + 2.0
+    if not math.isfinite(g_bound):
+        raise ValueError("--nu1-grid and --nu2-grid values are too large: "
+                         "g overflows")
     if args.samples < 2:
         raise ValueError(f"--samples must be at least 2, got {args.samples}")
     # the rows csv.writer would write: no field needs quoting, CRLF ends
@@ -236,23 +242,32 @@ def cmd_sweep(args) -> int:
           else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write("a,nu1,nu2,count,count_I,count_II,count_III,count_IV\r\n")
         for a in a_grid.tolist():
-            per_region = mer.count_rotators_grid_regions(
-                a, nu1_grid, nu2_grid, args.samples)
-            total = sum(per_region.values())
-            a_text = _fmt(a)
-            k = int(np.argmax(total))  # the first maximum in row order
-            if total.flat[k] > max_count:
-                max_count = int(total.flat[k])
-                argmax_text = f"{a_text},{nu1_text[k // len(nu2_text)]}"
-            counts = [total] + [per_region[r] for r in mer.REGIONS]
-            for i, nu1 in enumerate(nu1_text):
-                head = f"{a_text},{nu1},"
-                fh.write("".join([
-                    f"{head}{nu2},{c},{c1},{c2},{c3},{c4}\r\n"
-                    for nu2, c, c1, c2, c3, c4
-                    in zip(nu2_text, *(row[i].tolist() for row in counts))]))
+            count, text = _write_sweep_slice(fh, a, args, nu1_text, nu2_text)
+            if count > max_count:
+                max_count, argmax_text = count, text
         fh.write(f"# max_count,{argmax_text},{max_count},,,,\r\n")
     return 0
+
+
+def _write_sweep_slice(fh, a, args, nu1_text, nu2_text) -> tuple[int, str]:
+    """Count and write the rows of one a-slice. Returns its largest count
+    and the "a,nu1" text of the first cell (in row order) that has it.
+    The slice's arrays are freed on return, before the next is counted."""
+    per_region = mer.count_rotators_grid_regions(
+        a, args.nu1_grid, args.nu2_grid, args.samples)
+    total = per_region["I"].copy()
+    for region in mer.REGIONS[1:]:
+        total += per_region[region]
+    a_text = _fmt(a)
+    k = int(np.argmax(total))  # the first maximum in row order
+    counts = [total] + [per_region[r] for r in mer.REGIONS]
+    for i, nu1 in enumerate(nu1_text):
+        head = f"{a_text},{nu1},"
+        fh.write("".join([
+            f"{head}{nu2},{c},{c1},{c2},{c3},{c4}\r\n"
+            for nu2, c, c1, c2, c3, c4
+            in zip(nu2_text, *(row[i].tolist() for row in counts))]))
+    return int(total.flat[k]), f"{a_text},{nu1_text[k // len(nu2_text)]}"
 
 
 # ---------------------------------------------------------------- verify

@@ -529,6 +529,13 @@ def count_rotators_scan(
     return RegionCounts(*counts)
 
 
+# count_rotators_grid_regions counts blocks of nu2 rows: a block's
+# (sample, nu2) arrays and its (nu1 + 1, nu2) difference array each hold
+# at most this many cells (64 KB in float64) unless one row is larger.
+# At 400 samples, blocks of 12 to 25 rows ran fastest of 6 to 128.
+GRID_BLOCK_CELLS = 8192
+
+
 def count_rotators_grid_regions(
     a: float,
     nu1_values: Sequence[float],
@@ -539,41 +546,118 @@ def count_rotators_grid_regions(
 
     Uses the linearity of g in (nu1, nu2): g = nu1 * P(x) + nu2 * Q(x)
     + S(x) (kernels.g_terms), so the whole grid shares one set of x
-    samples. Tangent roots are not detected here; this is the sweep's
-    coarse counter.
+    samples, evenly spaced from BOUNDARY_TOL inside each singular point
+    (a region no wider than 2 * BOUNDARY_TOL has none and counts 0, as
+    in _scan_region_roots). Tangent roots are not detected here; this is
+    the sweep's coarse counter.
 
-    The grid is counted one nu1 row at a time in buffers reused through
-    the ufuncs' ``out=``, so the working memory is one nu2 row times the
-    samples, whatever the size of the nu1 grid. Each g value is summed
-    as (nu1 * P + nu2 * Q) + S and a sign change is a product of
-    neighbouring samples below zero (a zero sample, or a product that
-    underflows to zero, is no sign change), so a cell's count does not
-    depend on the rest of the grid.
+    Each g value is (nu1 * P + nu2 * Q) + S in floating point, and a sign
+    change is one sample below zero with its neighbour above zero (a zero
+    sample is no sign change), so a cell's count does not depend on the
+    rest of the grid. (Counting neighbour products below zero instead
+    misses a sign change whose product underflows to zero, which takes a
+    nonzero |nu1 * P|, |nu2 * Q| or |S| below about 1e-144.) The nu
+    values are finite.
+
+    Rounding is monotone, so for one nu2 and one sample the computed g
+    is monotone in nu1: non-decreasing where P >= 0, non-increasing
+    where P < 0. Over the sorted nu1 grid each (nu2, sample) pair is
+    therefore below zero, zero and above zero on three runs of indices
+    (the reverse where P < 0), which two thresholds bound. Each
+    threshold is guessed from the real root -(nu2 * Q + S) / P and
+    confirmed by g one index below and at it; a pair that fails the
+    check (a zero of g near the guess, P = 0, a guess off by rounding)
+    is settled by bisection over the indices. Neighbouring samples then
+    change sign on at most two intervals of nu1 indices, which a
+    difference array over nu1 counts. g is evaluated a few times per
+    (nu2, sample) pair rather than once per nu1 value, and the working
+    memory is one block of nu2 rows (GRID_BLOCK_CELLS) besides the
+    output.
     """
     nu1v = np.asarray(nu1_values, dtype=float)
     nu2v = np.asarray(nu2_values, dtype=float)
-    row_shape = (len(nu2v), samples_per_region)
-    nu1_p = np.empty(samples_per_region)
-    nu2_q = np.empty(row_shape)
-    g = np.empty(row_shape)
-    product = np.empty_like(g[:, 1:])
-    below = np.empty(product.shape, dtype=bool)
+    n1, n2 = len(nu1v), len(nu2v)
+    order = np.argsort(nu1v, kind="stable")
+    nu1s = nu1v[order]
+    rows = max(1, GRID_BLOCK_CELLS // max(samples_per_region, n1 + 1))
     out: dict[str, np.ndarray] = {}
     for region in REGIONS:
-        lo, hi = region_bounds(region, a)
-        xs = np.linspace(lo + BOUNDARY_TOL, hi - BOUNDARY_TOL, samples_per_region)
-        P, Q, S = kernels.g_terms(xs, a)
-        np.multiply(nu2v[:, None], Q, out=nu2_q)
-        counts = np.empty((len(nu1v), len(nu2v)), dtype=np.intp)
-        for i, nu1 in enumerate(nu1v):
-            np.multiply(nu1, P, out=nu1_p)
-            np.add(nu1_p, nu2_q, out=g)
-            np.add(g, S, out=g)
-            np.multiply(g[:, :-1], g[:, 1:], out=product)
-            np.less(product, 0.0, out=below)
-            counts[i] = np.count_nonzero(below, axis=1)
+        counts = np.zeros((n1, n2), dtype=np.intp)
         out[region] = counts
+        lo, hi = region_bounds(region, a)
+        lo += BOUNDARY_TOL
+        hi -= BOUNDARY_TOL
+        if hi <= lo or n1 == 0 or samples_per_region < 2:
+            continue
+        P, Q, S = kernels.g_terms(np.linspace(lo, hi, samples_per_region), a)
+        for j in range(0, n2, rows):
+            block = slice(j, j + rows)
+            counts[order, block] = _count_block(nu1s, nu2v[block], P, Q, S).T
     return out
+
+
+def _count_block(nu1s, nu2b, P, Q, S) -> np.ndarray:
+    """Sign changes of (nu1 * P + nu2 * Q) + S between neighbouring
+    samples, for sorted nu1s and each nu2 in nu2b: shape (nu2, nu1)."""
+    n1, n2 = len(nu1s), len(nu2b)
+    # h = g where P >= 0 and -g where P < 0, non-decreasing in nu1. The
+    # same sums of the negated terms give -g exactly, as rounding to
+    # nearest is symmetric. Arrays are (sample, nu2).
+    flip = (P < 0.0)[:, None]
+    sign = np.where(flip[:, 0], -1.0, 1.0)
+    P, Q, S = sign * P, sign * Q, sign * S
+    nu2_q = Q[:, None] * nu2b
+
+    def h(i, k=None, j=None):
+        """h at nu1s[i], on the whole block or at samples k, nu2 j."""
+        if k is None:
+            return (nu1s[i] * P[:, None] + nu2_q) + S[:, None]
+        return (nu1s[i] * P[k] + nu2_q[k, j]) + S[k]
+
+    # t_neg = #{h < 0} and t_pos = #{h <= 0} bound h's three runs; both
+    # are the guess where h is below zero one index below it and above
+    # zero at it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        guess = np.searchsorted(nu1s, (nu2_q + S[:, None]) * (-1.0 / P)[:, None])
+    ok = ((guess == 0) | (h(np.maximum(guess - 1, 0)) < 0.0)) & (
+        (guess == n1) | (h(np.minimum(guess, n1 - 1)) > 0.0))
+    # the rejected pairs, at sample k and nu2 j: bisect for the first
+    # index where h >= 0 (t_neg), or h > 0 (t_pos)
+    k, j = np.divmod(np.flatnonzero(~ok), n2)
+    t_neg, t_pos = guess, guess.copy()
+    for t, strict in ((t_neg, False), (t_pos, True)):
+        lo = np.zeros(len(k), dtype=np.intp)
+        hi = np.full(len(k), n1, dtype=np.intp)
+        while True:
+            active = np.flatnonzero(lo < hi)
+            if not active.size:
+                break
+            mid = (lo[active] + hi[active]) // 2
+            hm = h(mid, k[active], j[active])
+            hit = hm > 0.0 if strict else hm >= 0.0
+            hi[active] = np.where(hit, mid, hi[active])
+            lo[active] = np.where(hit, lo[active], mid + 1)
+        t[k, j] = lo
+
+    # g < 0 on [neg_lo, neg_hi) and g > 0 on [pos_lo, pos_hi)
+    neg_lo = np.where(flip, t_pos, 0)
+    neg_hi = np.where(flip, n1, t_neg)
+    pos_lo = np.where(flip, 0, t_pos)
+    pos_hi = np.where(flip, t_neg, n1)
+    # neighbouring samples change sign on at most two intervals of nu1
+    # indices, below then above zero and above then below; count the
+    # nonempty ones in a difference array per nu2
+    start = np.concatenate((np.maximum(neg_lo[:-1], pos_lo[1:]),
+                            np.maximum(pos_lo[:-1], neg_lo[1:])))
+    end = np.concatenate((np.minimum(neg_hi[:-1], pos_hi[1:]),
+                          np.minimum(pos_hi[:-1], neg_hi[1:])))
+    nonempty = np.flatnonzero(start < end)
+    offset = (n1 + 1) * (nonempty % n2)
+    size = (n1 + 1) * n2
+    diff = np.bincount(start.ravel()[nonempty] + offset, minlength=size)
+    diff -= np.bincount(end.ravel()[nonempty] + offset, minlength=size)
+    counts = diff.reshape(n2, n1 + 1)
+    return np.cumsum(counts, axis=1, out=counts)[:, :n1]
 
 
 def equilateral_rotator(

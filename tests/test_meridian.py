@@ -402,6 +402,111 @@ class TestGridCounter:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_nu1_order_is_the_callers(self):
+        # unsorted, reversed and repeated nu1 values, each against the
+        # transcription
+        rng = np.random.default_rng(7)
+        nu = rng.uniform(0.1, 10.0, 30)
+        for nu1 in (nu, np.sort(nu)[::-1], np.repeat(nu[:6], 4),
+                    rng.choice(np.round(nu, 0), 25)):
+            for a in (0.4, math.pi / 2, 2.8):
+                got = mer.count_rotators_grid_regions(a, nu1, nu[:17], 50)
+                want = broadcast_grid_regions(a, nu1, nu[:17], 50)
+                for region in mer.REGIONS:
+                    assert np.array_equal(got[region], want[region])
+
+    # regions I and III (II and IV near pi) no wider than 2 * BOUNDARY_TOL
+    # have no room for samples, and the scan finds no roots in them
+    @pytest.mark.parametrize("a", [1e-9, 1.5e-8, math.pi - 1e-9])
+    def test_narrow_regions_match_scan(self, a):
+        nus = [0.5, 1.0, 3.0]
+        grid = mer.count_rotators_grid_regions(a, nus, nus)
+        for i, nu1 in enumerate(nus):
+            for j, nu2 in enumerate(nus):
+                scan = mer.count_rotators_scan(a, nu1, nu2)
+                assert tuple(int(grid[r][i, j]) for r in mer.REGIONS) == \
+                    scan.as_tuple()
+
+
+def sign_changes(P, Q, S, nu1, nu2):
+    """Neighbouring samples of (nu1 * P + nu2 * Q) + S strictly below and
+    above zero, counted over the whole (nu1, nu2, samples) grid."""
+    g = (np.asarray(nu1)[:, None, None] * P
+         + np.asarray(nu2)[None, :, None] * Q) + S
+    neg, pos = g < 0.0, g > 0.0
+    return np.count_nonzero(neg[..., :-1] & pos[..., 1:]
+                            | pos[..., :-1] & neg[..., 1:], axis=2)
+
+
+def guess_misses(P, Q, S, nu1, nu2):
+    """How many (nu2, sample) thresholds the root guess
+    searchsorted(nu1, -(nu2 * Q + S) / P) misses, by a full count of the
+    samples of g below zero and at most zero."""
+    g = (np.asarray(nu1)[:, None, None] * P
+         + np.asarray(nu2)[None, :, None] * Q) + S
+    h = np.where(P < 0.0, -g, g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        guess = np.searchsorted(nu1, -(np.multiply.outer(nu2, Q) + S) / P)
+    return int(np.count_nonzero(guess != np.count_nonzero(h < 0.0, axis=0))
+               + np.count_nonzero(guess != np.count_nonzero(h <= 0.0, axis=0)))
+
+
+class TestGridThresholds:
+    """The counter's slow path: root guesses that the check at the guess
+    rejects, settled by bisection, on hand-built g terms."""
+
+    @staticmethod
+    def check(P, Q, S, nu1, nu2):
+        P, Q, S = (np.asarray(v, dtype=float) for v in (P, Q, S))
+        nu1, nu2 = np.asarray(nu1, dtype=float), np.asarray(nu2, dtype=float)
+        got = mer._count_block(nu1, nu2, P, Q, S)
+        assert got.shape == (len(nu2), len(nu1))
+        assert np.array_equal(got.T, sign_changes(P, Q, S, nu1, nu2))
+        return guess_misses(P, Q, S, nu1, nu2)
+
+    def test_p_zero(self):
+        # g constant in nu1 at the middle samples, below, at and above
+        # zero: the guess is +-inf or NaN there
+        P = [1.0, 0.0, 0.0, -0.0, 0.0, -2.0, 0.0, 1.0]
+        Q = [0.0, 1.0, 1.0, 1.0, -1.0, 0.5, -1.0, 0.0]
+        S = [-3.0, -2.0, 1.0, -1.0, 2.0, 1.0, 1.5, -1.0]
+        nu1 = [0.5, 1.0, 2.0, 3.0, 3.0, 4.0]
+        assert self.check(P, Q, S, nu1, [1.0, 2.0, 3.0]) > 0
+
+    def test_exact_zeros_on_the_grid(self):
+        # g vanishes exactly at grid values, some of them repeated (nu1 = 2
+        # at the first sample), so its zero run spans several indices
+        P = [1.0, -1.0, 2.0, -0.5, 1.0]
+        Q = [0.0, 1.0, -1.0, 0.0, 0.0]
+        S = [-2.0, 1.0, -2.0, 1.0, -1.0]
+        nu1 = [0.5, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 4.0]
+        assert self.check(P, Q, S, nu1, [1.0, 2.0]) > 0
+
+    def test_guesses_off_by_rounding(self):
+        # nu1 a few ulps either side of the real root of g at each sample:
+        # the guess and the rounded g disagree on some of them
+        rng = np.random.default_rng(11)
+        misses = 0
+        for _ in range(20):
+            P, Q, S = rng.uniform(-2.0, 2.0, (3, 12))
+            nu2 = rng.uniform(0.1, 10.0, 3)
+            root = -(nu2[0] * Q[4] + S[4]) / P[4]
+            nu1 = np.sort(root + np.arange(-8, 9) * np.spacing(root))
+            misses += self.check(P, Q, S, nu1, nu2)
+        assert misses > 0
+
+    def test_underflowing_products_count(self):
+        # the neighbour product of g = -1e-200 and 1e-200 underflows to
+        # zero: a product rule would miss these sign changes
+        P = np.array([1e-200, -1e-200, 1e-200])
+        Q = np.zeros(3)
+        S = np.array([-2e-200, 1e-200, -3e-200])
+        nu1, nu2 = np.array([1.0, 2.5, 4.0]), np.array([1.0])
+        self.check(P, Q, S, nu1, nu2)
+        g = (nu1[:, None] * P + nu2[0] * Q) + S
+        assert np.all(g[:, :-1] * g[:, 1:] == 0.0)
+        assert mer._count_block(nu1, nu2, P, Q, S).tolist() == [[0, 1, 2]]
+
 
 class TestSpecialFamilies:
     def test_equilateral_unequal_masses(self):
