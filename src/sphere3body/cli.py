@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -57,7 +58,10 @@ def _parse_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"grid needs n >= 1 points, got {n}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise argparse.ArgumentTypeError(f"grid bounds must be finite, got {text}")
-    return np.linspace(lo, hi, n)
+    grid = np.linspace(lo, hi, n)
+    # the parser is built once, so a default grid is shared by every call
+    grid.flags.writeable = False
+    return grid
 
 
 # argparse types; a text float() rejects is reported by argparse as an
@@ -149,21 +153,14 @@ def cmd_equator(args) -> int:
 
 
 def _solution_record(sol: mer.MeridianSolution) -> dict:
-    if sol.translation is not None:
-        theta = list(sol.translation.thetas)
-        theta_alt = list(sol.translation.thetas_alt)
-    else:
-        theta, _, _ = sol.residual_inputs()
-        theta = list(theta)
-        theta_alt = [t + math.pi for t in theta]
     return {
         "region": sol.region,
         "x": sol.x,
         "x_over_pi": sol.x / math.pi,
-        "theta": theta,
-        "theta_over_pi": [t / math.pi for t in theta],
-        "theta_alt": theta_alt,
-        "theta_alt_over_pi": [t / math.pi for t in theta_alt],
+        "theta": list(sol.thetas),
+        "theta_over_pi": [t / math.pi for t in sol.thetas],
+        "theta_alt": list(sol.thetas_alt),
+        "theta_alt_over_pi": [t / math.pi for t in sol.thetas_alt],
         "s": sol.s,
         "omega_squared": sol.omega_squared,
         "case": sol.case_tag,
@@ -187,14 +184,11 @@ def cmd_meridian(args) -> int:
         writer = csv.writer(buf)
         writer.writerow(CSV_HEADER)
         for sol in solutions:
-            rec = _solution_record(sol)
             writer.writerow([
                 _fmt(args.a), _fmt(args.masses.nu1), _fmt(args.masses.nu2),
-                rec["region"], _fmt(rec["x"]),
-                _fmt(rec["theta"][0]), _fmt(rec["theta"][1]), _fmt(rec["theta"][2]),
-                rec["s"],
-                "" if rec["omega_squared"] is None else _fmt(rec["omega_squared"]),
-                _fmt(rec["residual"]),
+                sol.region, _fmt(sol.x), *(_fmt(t) for t in sol.thetas), sol.s,
+                "" if sol.omega_squared is None else _fmt(sol.omega_squared),
+                _fmt(sol.residual_max),
             ])
         _emit(buf.getvalue(), args.out)
     else:
@@ -412,6 +406,7 @@ def cmd_euler_limit(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+@functools.cache  # one parser per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sphere3body",

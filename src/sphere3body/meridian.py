@@ -7,12 +7,19 @@ limit.
 Shape angles: a = theta2 - theta1 in (0, pi) is fixed; the unknown is
 x = theta3 - theta1 in (0, 2*pi). The potential is singular at
 x in {0, a, pi, a + pi}, which bound the four regular regions I-IV.
+
+Every MeridianSolution carries its configuration thetas, the colatitudes
+on the meridian phi = 0 (thetas_alt = thetas + pi is the antipodal one).
+A rotator's thetas lift its shape on branch s so that
+W = sum_k m_k e^(2i theta_k) = s * A: the planar angular momentum Im W
+vanishes. The lift promises no more; find_meridian_rotators gates on
+residual_max, the raw-equation residual at thetas, for everything else.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,13 +35,10 @@ EPS = float(np.finfo(float).eps)
 REGIONS = ("I", "II", "III", "IV")
 
 # relative tolerances of the lift and the case classification
-# the lift's consistency check allows TRANSLATION_TOL * (m1 + m2 + m3) / A
-TRANSLATION_TOL = 1e-10
-# amplitude A under which a shape is a fixed point. A is the root of A^2,
-# a sum of terms of size (m1 + m2 + m3)^2 that cancel, so its relative
-# error is about eps * ((m1 + m2 + m3) / A)^2 / 2; that meets the lift
-# check's allowance at A = eps / (2 * TRANSLATION_TOL) * (m1 + m2 + m3),
-# about 1e-6 * (m1 + m2 + m3). Below it the lift runs on rounding noise.
+# amplitude A at or under which a shape is a fixed point: A^2 sums terms of
+# size (m1 + m2 + m3)^2 that cancel, so A's relative error is about
+# eps * ((m1 + m2 + m3) / A)^2 / 2, 1e-4 at A = 1e-6 * (m1 + m2 + m3).
+# Below that, omega^2 = 2 * A * |ratio| keeps fewer than four digits.
 A_TOL = 1e-6
 CASE_TOL = 1e-12  # two G values (or masses) closer than this are equal
 RATIO_TOL = 1e-6  # branch equations closer than this agree
@@ -107,24 +111,15 @@ def amplitude_A(masses: MassTriple, shape: Shape) -> float:
     return math.sqrt(max(a2, 0.0))
 
 
-@dataclass(frozen=True)
-class MeridianTranslation:
-    """Configuration lift of a shape, with its antipodal partner."""
-
-    A: float
-    s: int
-    thetas: tuple[float, float, float]
-    thetas_alt: tuple[float, float, float]
-
-
 def shape_to_configurations(
     masses: MassTriple,
     shape: Shape,
     s: int,
-) -> MeridianTranslation:
-    """Lift a shape to absolute colatitudes on the branch s = +/-1.
+) -> tuple[float, float, float]:
+    """Lift a shape to absolute colatitudes on the branch s = +/-1, where
+    W = s * A (module docstring).
 
-    Raises AZeroFixedPoint when the amplitude vanishes (the lift is
+    Raises AZeroFixedPoint when A <= A_TOL * (m1 + m2 + m3) (the lift is
     indefinite; the shape is a fixed point).
     """
     m1, m2, m3 = masses.as_tuple()
@@ -138,41 +133,7 @@ def shape_to_configurations(
     sin2t1 = s * (-sin_part) / A
     cos2t1 = s * cos_part / A
     t1 = 0.5 * math.atan2(sin2t1, cos2t1)
-    thetas = (t1, t1 + t21, t1 + t31)
-    thetas_alt = tuple(t + math.pi for t in thetas)
-
-    _check_translation(masses, s, A, thetas)
-    return MeridianTranslation(A, s, thetas, thetas_alt)
-
-
-def _check_translation(masses, s, A, thetas):
-    # the lifted angles must reproduce the translated (sin, cos) of
-    # 2*theta_k for the remaining bodies. Both sides carry the rounding
-    # of sin_part/A and cos_part/A, which grows like (m1+m2+m3)/A, so the
-    # tolerance grows with it; the residual gate judges the lifted
-    # configuration itself.
-    m = masses.as_tuple()
-    tol = TRANSLATION_TOL * (m[0] + m[1] + m[2]) / A
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        sin_pred = (
-            s / A * (
-                m[i] * math.sin(2.0 * (thetas[k] - thetas[i]))
-                + m[j] * math.sin(2.0 * (thetas[k] - thetas[j]))
-            )
-        )
-        cos_pred = (
-            s / A * (
-                m[k]
-                + m[i] * math.cos(2.0 * (thetas[k] - thetas[i]))
-                + m[j] * math.cos(2.0 * (thetas[k] - thetas[j]))
-            )
-        )
-        if (
-            abs(sin_pred - math.sin(2.0 * thetas[k])) > tol
-            or abs(cos_pred - math.cos(2.0 * thetas[k])) > tol
-        ):
-            raise RuntimeError("translation lift failed the consistency check")
+    return (t1, t1 + t21, t1 + t31)
 
 
 @dataclass(frozen=True)
@@ -268,29 +229,49 @@ def solve_omega_and_branch(
 
 @dataclass(frozen=True)
 class MeridianSolution:
-    """A rigid rotator on a rotating meridian plus its configuration lift."""
+    """A rigid rotator on a rotating meridian, or a fixed point (s = 0,
+    omega_squared None, thetas (0, theta21, theta31): no axis is
+    preferred), with its configuration and residual (module docstring)."""
 
     x: float
     shape: Shape
-    translation: MeridianTranslation | None
+    thetas: tuple[float, float, float]
     s: int
     omega_squared: float | None
     case_tag: str
-    region: str
-    residual_max: float = math.nan
+    residual_max: float
+
+    @property
+    def thetas_alt(self) -> tuple[float, float, float]:
+        return tuple(t + math.pi for t in self.thetas)
+
+    @property
+    def region(self) -> str:
+        return region_of(self.x, self.shape.theta21)
 
     @property
     def is_fixed_point(self) -> bool:
         return self.omega_squared is None
 
     def residual_inputs(self):
-        if self.translation is not None:
-            thetas = self.translation.thetas
-        else:
-            # fixed point: the axis is arbitrary, pick theta1 = 0
-            thetas = (0.0, self.shape.theta21, self.shape.theta31)
         omega = 0.0 if self.omega_squared is None else math.sqrt(self.omega_squared)
-        return thetas, (0.0, 0.0, 0.0), omega
+        return self.thetas, (0.0, 0.0, 0.0), omega
+
+
+def _solution(shape, masses, s, omega_squared, case_tag, pot, R) -> MeridianSolution:
+    """The solution at shape, with its residual: lifted on branch s when
+    omega_squared is given and A > A_TOL * (m1 + m2 + m3), else a fixed
+    point (the A-zero one when omega_squared was given)."""
+    thetas, omega = (0.0, shape.theta21, shape.theta31), 0.0
+    if omega_squared is not None:
+        try:
+            thetas = shape_to_configurations(masses, shape, s)
+            omega = math.sqrt(omega_squared)
+        except AZeroFixedPoint:
+            s, omega_squared, case_tag = 0, None, A_ZERO_FIXED_POINT
+    res = configuration_residuals(thetas, (0.0, 0.0, 0.0), omega, masses, pot, R)
+    return MeridianSolution(shape.theta31, shape, thetas, s, omega_squared,
+                            case_tag, float(np.max(np.abs(res))))
 
 
 # a knot where |g| <= TANGENT_ULPS * eps * (nu1*Ps + nu2*Qs + Ss)
@@ -301,6 +282,9 @@ TANGENT_ULPS = 64.0
 # Chebyshev polynomials at them: chebinterpolate's, for degree 12
 _CHEB_NODES = cheb.chebpts1(13)
 _CHEB_VANDER_T = cheb.chebvander(_CHEB_NODES, 12).T
+# the fit sums 13 samples of up to 64 |g|. Past this bound on |g| they
+# are scaled by an exact power of two, which leaves every root as it was
+FIT_SCALE_BOUND = 2.0 ** 1000
 # samples per region of the scan for a custom potential, whose ratio
 # equation has no polynomial form
 GENERIC_SCAN_SAMPLES = 2000
@@ -354,10 +338,16 @@ def _scan_region_roots(a: float, nu1: float, nu2: float, region: str) -> list[fl
     def x_of(u):
         return mid + 2.0 * np.arctan(u * chart)
 
-    # chebinterpolate(poly, 12), with its nodes and matrix built once
+    # chebinterpolate(poly, 12), with its nodes and matrix built once.
+    # |g| <= g_bound, as |P|, |Q|, |S| <= 2 (kernels.g_terms)
+    g_bound = 2.0 * (abs(nu1) + abs(nu2)) + 2.0
+    if not g_bound < math.inf:
+        raise ValueError(f"nu1 = {nu1} and nu2 = {nu2} are too large: g overflows")
     t = _CHEB_NODES * chart
-    coef = np.dot(_CHEB_VANDER_T, kernels.g_array(x_of(_CHEB_NODES), a, nu1, nu2)
-                  * (1.0 + t * t) ** 6)
+    g = kernels.g_array(x_of(_CHEB_NODES), a, nu1, nu2)
+    if g_bound > FIT_SCALE_BOUND:
+        g *= 2.0 ** -64
+    coef = np.dot(_CHEB_VANDER_T, g * (1.0 + t * t) ** 6)
     coef[0] /= 13
     coef[1:] /= 6.5
     inside = [k for k in x_of(cheb.chebroots(cheb.chebder(coef)).real).tolist()
@@ -402,22 +392,7 @@ def solution_from_shape(
     pq = pair_quantities(masses, shape, pot, R)
     A = amplitude_A(masses, shape)
     s, omega_squared, tag = solve_omega_and_branch(pq, masses, A)
-    # a fixed point has no lift, no branch and no rotation rate
-    translation = None
-    if omega_squared is not None:
-        try:
-            translation = shape_to_configurations(masses, shape, s)
-        except AZeroFixedPoint:
-            s, omega_squared, tag = 0, None, A_ZERO_FIXED_POINT
-    sol = MeridianSolution(shape.theta31, shape, translation, s, omega_squared,
-                           tag, region_of(shape.theta31, shape.theta21))
-    return _with_residual(sol, masses, pot, R)
-
-
-def _with_residual(sol: MeridianSolution, masses, pot, R) -> MeridianSolution:
-    thetas, phis, omega = sol.residual_inputs()
-    res = configuration_residuals(thetas, phis, omega, masses, pot, R)
-    return replace(sol, residual_max=float(np.max(np.abs(res))))
+    return _solution(shape, masses, s, omega_squared, tag, pot, R)
 
 
 def find_meridian_rotators(
@@ -673,17 +648,9 @@ def equilateral_rotator(
     if pot is None:
         pot = cotangent_potential(R)
     shape = Shape(2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
-    region = region_of(shape.theta31, shape.theta21)
-    A = amplitude_A(masses, shape)
-    uprime = pot.u_prime(3.0 * R.R * R.R)
-    try:
-        translation = shape_to_configurations(masses, shape, -1 if pot.attractive else 1)
-        sol = MeridianSolution(shape.theta31, shape, translation, translation.s,
-                               4.0 * A * abs(uprime), CASE1, region)
-    except AZeroFixedPoint:
-        sol = MeridianSolution(
-            shape.theta31, shape, None, 0, None, A_ZERO_FIXED_POINT, region)
-    return _with_residual(sol, masses, pot, R)
+    omega_squared = 4.0 * amplitude_A(masses, shape) * abs(pot.u_prime(3.0 * R.R * R.R))
+    return _solution(shape, masses, -1 if pot.attractive else 1, omega_squared,
+                     CASE1, pot, R)
 
 
 SPECIAL_ISOSCELES_COS_A = (math.sqrt(2.0) - 1.0) / 2.0
@@ -772,11 +739,9 @@ def case4_fixed_point(masses: MassTriple) -> MeridianSolution | None:
     if abs(m1 - m2) > tol or abs(m2 - m3) > tol:
         return None
     shape = Shape(2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
-    sol = MeridianSolution(
-        shape.theta31, shape, None, 0, None, CASE4_FIXED_POINT,
-        region_of(shape.theta31, shape.theta21),
-    )
-    return _with_residual(sol, masses, cotangent_potential(SphereRadius()), SphereRadius())
+    R = SphereRadius()
+    return _solution(shape, masses, 0, None, CASE4_FIXED_POINT,
+                     cotangent_potential(R), R)
 
 
 def euler_quintic_coefficients(masses: MassTriple) -> list[float]:

@@ -107,7 +107,7 @@ def test_criterion_05_equilateral_family():
         ok &= abs(sol.omega_squared - (-4.0 * A * uprime)) < 1e-10 * abs(
             4.0 * A * uprime)
         res = configuration_residuals(
-            sol.translation.thetas, (0.0, 0.0, 0.0),
+            sol.thetas, (0.0, 0.0, 0.0),
             math.sqrt(sol.omega_squared), m, POT, R1)
         ok &= float(np.max(np.abs(res))) < 1e-10
     equal = mer.equilateral_rotator(MassTriple(1.0, 1.0, 1.0))
@@ -197,7 +197,7 @@ def test_criterion_10_property_suite():
     # branch symmetry: s flip = odd quarter-turn of the lift
     for sol in sols:
         flipped = mer.shape_to_configurations(M321, sol.shape, -sol.s)
-        d = (flipped.thetas[0] - sol.translation.thetas[0]) / (math.pi / 2.0)
+        d = (flipped[0] - sol.thetas[0]) / (math.pi / 2.0)
         ok &= abs(d - round(d)) < 1e-10 and round(d) % 2 == 1
 
     # attractive/repulsive duality: same roots and rates, flipped branch
@@ -210,20 +210,20 @@ def test_criterion_10_property_suite():
         omega = math.sqrt(sol.omega_squared)
         # antipodal-map invariance
         anti = configuration_residuals(
-            sol.translation.thetas_alt, (0.0, 0.0, 0.0), omega, M321, POT, R1)
+            sol.thetas_alt, (0.0, 0.0, 0.0), omega, M321, POT, R1)
         ok &= float(np.max(np.abs(anti))) < 1e-10
         # coordinate-rotation invariance
         base = float(np.max(np.abs(configuration_residuals(
-            sol.translation.thetas, (0.0, 0.0, 0.0), omega, M321, POT, R1))))
+            sol.thetas, (0.0, 0.0, 0.0), omega, M321, POT, R1))))
         rot = float(np.max(np.abs(configuration_residuals(
-            sol.translation.thetas, (1.1, 1.1, 1.1), omega, M321, POT, R1))))
+            sol.thetas, (1.1, 1.1, 1.1), omega, M321, POT, R1))))
         ok &= abs(base - rot) < 1e-12
 
         # conservation over one integrated period
         period = 2.0 * math.pi / omega
         state = SphericalState(
             tuple(SpherePoint(t % (2 * math.pi), 0.0)
-                  for t in sol.translation.thetas),
+                  for t in sol.thetas),
             (0.0, 0.0, 0.0), (omega, omega, omega), R1,
         )
         traj = integrate(state, M321, POT, period, period / 4000,

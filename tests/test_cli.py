@@ -497,8 +497,8 @@ def test_out_of_range_input_is_usage_error(argv, capsys):
 @pytest.mark.parametrize("masses", ["1,1,1", "4,4,4"])
 def test_equal_masses_at_two_thirds_pi_end_cleanly(masses, capsys):
     # the equilateral root of g is of higher order here, and bisection
-    # stops where the amplitude A is rounding noise: a fixed point, which
-    # has no lift to check
+    # stops where the amplitude A is rounding noise: a fixed point, judged
+    # at omega = 0
     code = main(["meridian", "--masses", masses, "--a", "2.0943951023931953"])
     captured = capsys.readouterr()
     assert code in (0, 2)
@@ -519,3 +519,23 @@ def test_verify_tiny_radius_is_usage_error(tmp_path, capsys):
 def test_usage_error_returns_one():
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
+
+
+def test_usage_error_leaves_the_parser_whole(capsys):
+    # the parser is built once per process and serves every call
+    assert main(["meridian", "--masses", "3,2,1", "--a", "x"]) == 1
+    code, out = run(capsys, ["meridian", "--masses", "3,2,1",
+                             "--a", repr(math.pi / 6)])
+    assert code == 0
+    assert len(json.loads(out)["solutions"]) == 6
+
+
+def test_default_grids_survive_a_sweep(tmp_path):
+    # the default grids are shared by every call of main, so no command
+    # may change them: two default sweeps write the same bytes
+    texts = []
+    for k in range(2):
+        path = tmp_path / f"sweep{k}.csv"
+        assert main(["sweep", "--out", str(path)]) == 0
+        texts.append(path.read_bytes())
+    assert texts[0] == texts[1]

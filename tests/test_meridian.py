@@ -20,6 +20,13 @@ from test_region_roots import NAMED
 R1 = SphereRadius(1.0)
 POT = cotangent_potential(R1)
 M321 = MassTriple(3.0, 2.0, 1.0)
+# (a, masses, solution count) with a solution of amplitude A ~ 2e-4
+SMALL_AMPLITUDE = [
+    (1.2302, (0.3183, 0.2462, 0.2003), 6),
+    # solve-pool entry 856 of the benchmark
+    (1.8202418324125238,
+     (0.5889264248276225, 0.5475259581794261, 0.2835682163913604), 4),
+]
 
 
 class TestRegions:
@@ -99,16 +106,26 @@ class TestGFunction:
 class TestTranslation:
     def test_lift_reproduces_shape(self):
         shape = mer.Shape(0.6, 2.2)
-        tr = mer.shape_to_configurations(M321, shape, 1)
-        t1, t2, t3 = tr.thetas
+        t1, t2, t3 = mer.shape_to_configurations(M321, shape, 1)
         assert t2 - t1 == pytest.approx(shape.theta21)
         assert t3 - t1 == pytest.approx(shape.theta31)
+
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_lift_makes_w_equal_s_times_a(self, s):
+        # W = sum m_k e^(2i theta_k) = s * A: Im W, the planar angular
+        # momentum, vanishes
+        shape = mer.Shape(0.6, 2.2)
+        thetas = mer.shape_to_configurations(M321, shape, s)
+        W = sum(m * complex(math.cos(2.0 * t), math.sin(2.0 * t))
+                for m, t in zip(M321.as_tuple(), thetas))
+        A = mer.amplitude_A(M321, shape)
+        assert abs(W - s * A) < 1e-14 * sum(M321.as_tuple())
 
     def test_branch_flip_is_quarter_turn(self):
         shape = mer.Shape(0.6, 2.2)
         plus = mer.shape_to_configurations(M321, shape, 1)
         minus = mer.shape_to_configurations(M321, shape, -1)
-        d = (minus.thetas[0] - plus.thetas[0]) / (math.pi / 2.0)
+        d = (minus[0] - plus[0]) / (math.pi / 2.0)
         assert abs(d - round(d)) < 1e-10
         assert round(d) % 2 == 1  # odd multiple of pi/2
 
@@ -120,10 +137,11 @@ class TestTranslation:
             mer.shape_to_configurations(m, shape, 1)
 
     def test_antipodal_lift(self):
-        shape = mer.Shape(0.6, 2.2)
-        tr = mer.shape_to_configurations(M321, shape, 1)
-        for t, ta in zip(tr.thetas, tr.thetas_alt):
-            assert ta - t == pytest.approx(math.pi)
+        fixed = mer.case4_fixed_point(MassTriple(1.0, 1.0, 1.0))
+        assert fixed.thetas == (0.0, fixed.shape.theta21, fixed.shape.theta31)
+        for sol in mer.find_meridian_rotators(math.pi / 4, M321) + [fixed]:
+            for t, ta in zip(sol.thetas, sol.thetas_alt):
+                assert ta - t == pytest.approx(math.pi)
 
 
 class TestCases:
@@ -171,7 +189,7 @@ class TestSolver:
         for s in mer.find_meridian_rotators(math.pi / 4, M321):
             omega = math.sqrt(s.omega_squared)
             res = configuration_residuals(
-                s.translation.thetas_alt, (0.0, 0.0, 0.0), omega, M321, POT, R1
+                s.thetas_alt, (0.0, 0.0, 0.0), omega, M321, POT, R1
             )
             assert np.max(np.abs(res)) < 1e-9
 
@@ -198,35 +216,48 @@ class TestSolver:
             assert sa.omega_squared == pytest.approx(sr.omega_squared, rel=1e-9)
             assert sr.s == -sa.s
 
-    @pytest.mark.parametrize("a, m, count", [
-        (1.2302, (0.3183, 0.2462, 0.2003), 6),
-        # solve-pool entry 856 of the benchmark
-        (1.8202418324125238,
-         (0.5889264248276225, 0.5475259581794261, 0.2835682163913604), 4),
-    ])
+    @pytest.mark.parametrize("a, m, count", SMALL_AMPLITUDE)
     def test_small_amplitude_lift(self, a, m, count):
-        # a solution with A ~ 2e-4: the rounding of sin_part/A and
-        # cos_part/A grows like (m1+m2+m3)/A, past a fixed 1e-10
-        # consistency tolerance
+        # a solution with A ~ 2e-4, where the rounding of the lift grows
+        # like (m1+m2+m3)/A: the residual gate alone judges it
         masses = MassTriple(*m)
         mirror = MassTriple(m[1], m[0], m[2])
         sols = mer.find_meridian_rotators(a, masses)
         mirror_sols = mer.find_meridian_rotators(a, mirror)
         assert len(sols) == len(mirror_sols) == count
-        assert min(s.translation.A for s in sols) < 3e-4
+        assert min(mer.amplitude_A(masses, s.shape) for s in sols) < 3e-4
         # swapping m1 and m2 maps x to a - x (mod 2 pi)
         mapped = sorted((a - s.x) % (2.0 * math.pi) for s in sols)
         assert mapped == pytest.approx(sorted(s.x for s in mirror_sols), abs=1e-7)
         for ms, found in ((masses, sols), (mirror, mirror_sols)):
             for s in found:
-                t1, t2, t3 = s.translation.thetas
+                t1, t2, t3 = s.thetas
                 assert t2 - t1 == pytest.approx(a, abs=1e-12)
                 assert t3 - t1 == pytest.approx(s.x, abs=1e-12)
                 gate = 1e-9 * max(1.0, s.omega_squared) * sum(m)
                 res = configuration_residuals(
-                    s.translation.thetas_alt, (0.0, 0.0, 0.0),
+                    s.thetas_alt, (0.0, 0.0, 0.0),
                     math.sqrt(s.omega_squared), ms, POT, R1)
                 assert np.max(np.abs(res)) < gate
+
+    @pytest.mark.parametrize(
+        "a, m", [(a, (nu1, nu2, 1.0)) for a, nu1, nu2 in NAMED]
+        + [(a, m) for a, m, _ in SMALL_AMPLITUDE])
+    def test_gate_rejects_rotated_lifts(self, a, m):
+        # turning every theta by delta keeps the shape and turns
+        # W = sum m_k e^(2i theta_k) = s * A by 2 * delta: pi/2 gives the
+        # wrong branch -s, and other deltas a nonzero Im W, the planar
+        # angular momentum. The residual gate must reject each, so it
+        # alone checks what the lift promises.
+        for ms in (MassTriple(*m), MassTriple(m[1], m[0], m[2])):
+            for s in mer.find_meridian_rotators(a, ms):
+                omega = math.sqrt(s.omega_squared)
+                gate = 1e-9 * max(1.0, s.omega_squared) * sum(m)
+                for delta in (math.pi / 2, 0.1, 1e-6):
+                    turned = tuple(t + delta for t in s.thetas)
+                    res = configuration_residuals(turned, (0.0, 0.0, 0.0), omega,
+                                                  ms, POT, R1)
+                    assert np.max(np.abs(res)) >= gate, (s.x, delta)
 
     def test_potential_name_selects_nothing(self):
         # a Newton-like potential is solved through its ratio equation

@@ -69,9 +69,9 @@ def test_translation_lift_round_trip(m, a):
     if mer.amplitude_A(m, shape) < 1e-3 * sum(m.as_tuple()):
         return  # near the indefinite fixed-point locus
     for s in (1, -1):
-        tr = mer.shape_to_configurations(m, shape, s)
-        assert tr.thetas[1] - tr.thetas[0] == pytest.approx(a, abs=1e-12)
-        assert tr.thetas[2] - tr.thetas[0] == pytest.approx(x, abs=1e-12)
+        t1, t2, t3 = mer.shape_to_configurations(m, shape, s)
+        assert t2 - t1 == pytest.approx(a, abs=1e-12)
+        assert t3 - t1 == pytest.approx(x, abs=1e-12)
 
 
 def _meridian_solutions():
@@ -82,7 +82,7 @@ def test_branch_symmetry_s_flip_is_quarter_turn():
     # flipping s rotates the lift by an odd multiple of pi/2
     for sol in _meridian_solutions():
         flipped = mer.shape_to_configurations(M321, sol.shape, -sol.s)
-        d = (flipped.thetas[0] - sol.translation.thetas[0]) / (math.pi / 2.0)
+        d = (flipped[0] - sol.thetas[0]) / (math.pi / 2.0)
         assert abs(d - round(d)) < 1e-10
         assert round(d) % 2 == 1
 
@@ -91,9 +91,9 @@ def test_antipodal_map_invariance():
     for sol in _meridian_solutions():
         omega = math.sqrt(sol.omega_squared)
         base = configuration_residuals(
-            sol.translation.thetas, (0.0, 0.0, 0.0), omega, M321, POT, R1)
+            sol.thetas, (0.0, 0.0, 0.0), omega, M321, POT, R1)
         anti = configuration_residuals(
-            sol.translation.thetas_alt, (0.0, 0.0, 0.0), omega, M321, POT, R1)
+            sol.thetas_alt, (0.0, 0.0, 0.0), omega, M321, POT, R1)
         assert np.max(np.abs(base)) < 1e-10
         assert np.max(np.abs(anti)) < 1e-10
 
@@ -104,10 +104,10 @@ def test_rotation_invariance_of_residual_norm():
     for sol in _meridian_solutions():
         omega = math.sqrt(sol.omega_squared)
         base = configuration_residuals(
-            sol.translation.thetas, (0.0, 0.0, 0.0), omega, M321, POT, R1)
+            sol.thetas, (0.0, 0.0, 0.0), omega, M321, POT, R1)
         for shift in (0.7, 2.0, -1.3):
             rot = configuration_residuals(
-                sol.translation.thetas, (shift, shift, shift), omega,
+                sol.thetas, (shift, shift, shift), omega,
                 M321, POT, R1)
             assert np.max(np.abs(rot)) == pytest.approx(
                 np.max(np.abs(base)), abs=1e-12)
@@ -119,7 +119,7 @@ def test_accepted_re_conserves_over_one_period(sol):
     omega = math.sqrt(sol.omega_squared)
     period = 2.0 * math.pi / omega
     state = SphericalState(
-        tuple(SpherePoint(t % (2 * math.pi), 0.0) for t in sol.translation.thetas),
+        tuple(SpherePoint(t % (2 * math.pi), 0.0) for t in sol.thetas),
         (0.0, 0.0, 0.0), (omega, omega, omega), R1,
     )
     traj = integrate(state, M321, POT, period, period / 4000, store_every=100)
@@ -161,7 +161,7 @@ def test_angular_momentum_axis_selection():
     for sol in _meridian_solutions():
         omega = math.sqrt(sol.omega_squared)
         state = SphericalState(
-            tuple(SpherePoint(t, 0.0) for t in sol.translation.thetas),
+            tuple(SpherePoint(t, 0.0) for t in sol.thetas),
             (0.0, 0.0, 0.0), (omega, omega, omega), R1,
         )
         c = angular_momentum(state, M321)

@@ -332,3 +332,23 @@ def test_scalar_scan_matches_numpy_scan_bitwise():
             assert [x.hex() for x in new] == [x.hex() for x in old], (a, nu1, nu2)
             roots += len(new)
     assert roots > 1000
+
+
+def test_huge_nu_fit_is_scaled_exactly(monkeypatch):
+    """Past FIT_SCALE_BOUND the fit's samples are scaled by a power of
+    two, which leaves the roots of the unscaled fit bit for bit; g near
+    1e308 then fits with no overflow warning (any warning fails the
+    suite), and past that the scan names the nu that overflow g."""
+    cases = [(a, nu1, nu2, region) for a in (0.4, 1.0, 2.5)
+             for nu1, nu2 in ((1e303, 1.0), (1.0, 1e303), (3e302, 5e302))
+             for region in mer.REGIONS]
+    scaled = [mer._scan_region_roots(*c) for c in cases]
+    monkeypatch.setattr(mer, "FIT_SCALE_BOUND", math.inf)
+    unscaled = [mer._scan_region_roots(*c) for c in cases]
+    monkeypatch.undo()
+    assert [[x.hex() for x in r] for r in scaled] == \
+        [[x.hex() for x in r] for r in unscaled]
+    assert sum(map(len, scaled)) >= len(cases) // 2
+    assert mer.count_rotators_scan(1.0, 8e307, 1.0).total > 0
+    with pytest.raises(ValueError, match="too large: g overflows"):
+        mer.count_rotators_scan(1.0, 1.7e308, 1.0)
