@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import equator as eq
+from . import kernels
 from . import meridian as mer
 from .dynamics import (
     MassTriple,
@@ -218,12 +219,11 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--a-grid values must lie in (0, pi), got {bad_a[0]}")
     if min(nu1_grid.min(), nu2_grid.min()) <= 0.0:
         raise ValueError("--nu1-grid and --nu2-grid values must be positive")
-    # g = nu1 * P + nu2 * Q + S with |P|, |Q|, |S| <= 2 (kernels.g_terms):
-    # every sum the counter forms stays below this bound
-    g_bound = 2.0 * (float(nu1_grid.max()) + float(nu2_grid.max())) + 2.0
-    if not math.isfinite(g_bound):
+    try:
+        kernels.g_bound(float(nu1_grid.max()), float(nu2_grid.max()))
+    except ValueError:
         raise ValueError("--nu1-grid and --nu2-grid values are too large: "
-                         "g overflows")
+                         "g overflows") from None
     if args.samples < 2:
         raise ValueError(f"--samples must be at least 2, got {args.samples}")
     # the rows csv.writer would write: no field needs quoting, CRLF ends

@@ -35,9 +35,9 @@ class MassTriple:
         # written so that nan fails too; min() would let it through
         if not all(0.0 < v < math.inf for v in m):
             raise ValueError(f"masses must be positive and finite: {m}")
-        # the lift and the residuals multiply masses pairwise, and the
-        # exceptional-angle test takes nu^3: none of these may overflow or
-        # vanish
+        # the lift and the residuals multiply masses pairwise, and
+        # meridian.exceptional_case_angles takes nu^3: none of these may
+        # overflow or vanish
         total = m[0] + m[1] + m[2]
         if not (total * total < math.inf
                 and all(0.0 < nu * nu * nu < math.inf for nu in (self.nu1, self.nu2))):
@@ -413,21 +413,3 @@ def configuration_residuals(
         + 2.0 * m3 * m2 * u23 * (s3 * c2 - c3 * s2 * cos23)))
     return np.array(res)
 
-
-def re_residuals(
-    candidate,
-    masses: MassTriple,
-    pot: PairPotential,
-    R: SphereRadius = SphereRadius(),
-    omega: float | None = None,
-) -> np.ndarray:
-    """Residual vector for a solver-emitted candidate.
-
-    Accepts anything exposing residual_inputs() -> (thetas, phis, omega);
-    both the equator and the meridian solution types do. An explicit
-    omega overrides the candidate's own (the equator solutions hold for
-    every omega).
-    """
-    thetas, phis, cand_omega = candidate.residual_inputs()
-    w = cand_omega if omega is None else omega
-    return configuration_residuals(thetas, phis, w, masses, pot, R)

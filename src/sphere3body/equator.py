@@ -41,10 +41,6 @@ class EquatorSolution:
         """A concrete longitude assignment with phi_1 = 0."""
         return (0.0, -self.dphi_12, -self.dphi_12 - self.dphi_23)
 
-    def residual_inputs(self, omega: float = 1.0):
-        half_pi = math.pi / 2.0
-        return (half_pi, half_pi, half_pi), self.phis(), omega
-
 
 class NoEquatorSolution(ValueError):
     def __init__(self, result: ExistenceResult):

@@ -61,6 +61,16 @@ def g_terms_scale(x: float, a: float) -> tuple[float, float, float]:
             sa2 * (A * sin2x + B * sin2xa))
 
 
+def g_bound(nu1: float, nu2: float) -> float:
+    """2*(|nu1| + |nu2|) + 2, which bounds |g| and every partial sum of
+    nu1*P + nu2*Q + S, as |P|, |Q|, |S| <= 2. Raises ValueError where it
+    is not finite: g may overflow there."""
+    bound = 2.0 * (abs(nu1) + abs(nu2)) + 2.0
+    if not bound < math.inf:
+        raise ValueError(f"nu1 = {nu1} and nu2 = {nu2} are too large: g overflows")
+    return bound
+
+
 def g_array(x, a: float, nu1: float, nu2: float) -> np.ndarray:
     P, Q, S = g_terms(np.asarray(x, dtype=float), a)
     return nu1 * P + nu2 * Q + S

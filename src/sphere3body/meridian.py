@@ -253,10 +253,6 @@ class MeridianSolution:
     def is_fixed_point(self) -> bool:
         return self.omega_squared is None
 
-    def residual_inputs(self):
-        omega = 0.0 if self.omega_squared is None else math.sqrt(self.omega_squared)
-        return self.thetas, (0.0, 0.0, 0.0), omega
-
 
 def _solution(shape, masses, s, omega_squared, case_tag, pot, R) -> MeridianSolution:
     """The solution at shape, with its residual: lifted on branch s when
@@ -338,11 +334,8 @@ def _scan_region_roots(a: float, nu1: float, nu2: float, region: str) -> list[fl
     def x_of(u):
         return mid + 2.0 * np.arctan(u * chart)
 
-    # chebinterpolate(poly, 12), with its nodes and matrix built once.
-    # |g| <= g_bound, as |P|, |Q|, |S| <= 2 (kernels.g_terms)
-    g_bound = 2.0 * (abs(nu1) + abs(nu2)) + 2.0
-    if not g_bound < math.inf:
-        raise ValueError(f"nu1 = {nu1} and nu2 = {nu2} are too large: g overflows")
+    # chebinterpolate(poly, 12), with its nodes and matrix built once
+    g_bound = kernels.g_bound(nu1, nu2)
     t = _CHEB_NODES * chart
     g = kernels.g_array(x_of(_CHEB_NODES), a, nu1, nu2)
     if g_bound > FIT_SCALE_BOUND:
@@ -409,10 +402,10 @@ def find_meridian_rotators(
     (_scan_region_roots), to floating-point resolution; the exceptional
     Case 2/3 shapes are roots of g too. Any other potential samples the
     generic ratio equation at GENERIC_SCAN_SAMPLES points per region
-    instead, whatever its name, from GENERIC_BOUNDARY_GAP off each
-    singular point: it misses tangent roots, close pairs and roots nearer
-    a singular point. Every survivor must pass the raw-equation residuals
-    to within residual_tol of the equation scale.
+    instead, from GENERIC_BOUNDARY_GAP off each singular point: it
+    misses tangent roots, close pairs and roots nearer a singular point.
+    Every survivor must pass the raw-equation residuals to within
+    residual_tol of the equation scale.
     """
     if not 0.0 < a < math.pi:
         raise ValueError(f"a must lie in (0, pi), got {a}")
@@ -524,7 +517,9 @@ def count_rotators_grid_regions(
     samples, evenly spaced from BOUNDARY_TOL inside each singular point
     (a region no wider than 2 * BOUNDARY_TOL has none and counts 0, as
     in _scan_region_roots). Tangent roots are not detected here; this is
-    the sweep's coarse counter.
+    the sweep's coarse counter. Raises ValueError, before anything is
+    evaluated, where the largest |nu1| and |nu2| overflow g
+    (kernels.g_bound).
 
     Each g value is (nu1 * P + nu2 * Q) + S in floating point, and a sign
     change is one sample below zero with its neighbour above zero (a zero
@@ -551,6 +546,8 @@ def count_rotators_grid_regions(
     """
     nu1v = np.asarray(nu1_values, dtype=float)
     nu2v = np.asarray(nu2_values, dtype=float)
+    kernels.g_bound(float(np.abs(nu1v).max(initial=0.0)),
+                    float(np.abs(nu2v).max(initial=0.0)))
     n1, n2 = len(nu1v), len(nu2v)
     order = np.argsort(nu1v, kind="stable")
     nu1s = nu1v[order]
@@ -642,14 +639,16 @@ def equilateral_rotator(
 ) -> MeridianSolution:
     """The equilateral rotator (all mutual arcs 2*pi/3).
 
-    Potential-generic: s = -1 and omega^2 = -4 A U'(3 R^2) for unequal
-    masses; equal masses give the amplitude-zero fixed point.
+    Potential-generic: omega^2 = 4 A |U'(3 R^2)|, on the branch s = -1
+    where U'(3 R^2) < 0 (the potential attracts there) and s = +1
+    otherwise; equal masses give the amplitude-zero fixed point.
     """
     if pot is None:
         pot = cotangent_potential(R)
     shape = Shape(2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
-    omega_squared = 4.0 * amplitude_A(masses, shape) * abs(pot.u_prime(3.0 * R.R * R.R))
-    return _solution(shape, masses, -1 if pot.attractive else 1, omega_squared,
+    u_prime = pot.u_prime(3.0 * R.R * R.R)
+    omega_squared = 4.0 * amplitude_A(masses, shape) * abs(u_prime)
+    return _solution(shape, masses, -1 if u_prime < 0.0 else 1, omega_squared,
                      CASE1, pot, R)
 
 

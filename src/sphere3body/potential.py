@@ -1,10 +1,12 @@
 """Pair potentials expressed in squared chord distance.
 
 A pair potential is a pair of callables (u, u_prime) in the squared chord
-length D^2. Attractive potentials have u_prime(D^2) < 0 on the regular
-domain 0 < D^2 < 4 R^2. The cotangent potential is the concrete instance
-used throughout; any contract satisfying the same conventions can drive
-the generic meridian solver.
+length D^2: u is the force function, so total_potential is
+V = sum m_i m_j u and the energy is K - V. A potential attracts where
+u_prime(D^2) < 0 on the regular domain 0 < D^2 < 4 R^2; nothing else
+records its sign, and repulsive() negates both callables. The cotangent
+potential is the concrete instance used throughout; any contract
+satisfying the same conventions can drive the generic meridian solver.
 """
 
 from __future__ import annotations
@@ -36,25 +38,23 @@ class SingularityError(ValueError):
 
 @dataclass(frozen=True)
 class PairPotential:
-    """Potential contract: u(D^2) and its derivative with respect to D^2.
+    """Potential contract: u(D^2) and its derivative with respect to D^2
+    (module docstring); the sign of u_prime says whether it attracts.
 
     reduced_g marks a potential whose rotating-meridian RE are the roots
     of the reduced equation g (kernels); only cotangent_potential sets
-    it, and repulsive() keeps it. The name is a label and selects
-    nothing.
+    it, and repulsive() keeps it.
     """
 
     u: Callable[[float], float]
     u_prime: Callable[[float], float]
-    name: str = "custom"
-    attractive: bool = True
     reduced_g: bool = False
 
 
-def _check_domain(d2: float, R: SphereRadius, tol: float = 0.0):
-    if d2 <= tol:
+def _check_domain(d2: float, R: SphereRadius):
+    if d2 <= 0.0:
         raise SingularityError(COLLISION, d2)
-    if d2 >= 4.0 * R.R * R.R - tol:
+    if d2 >= 4.0 * R.R * R.R:
         raise SingularityError(ANTIPODAL, d2)
 
 
@@ -98,19 +98,16 @@ def cotangent_potential(R: SphereRadius) -> PairPotential:
     return PairPotential(
         u=lambda d2: cotangent_u(d2, R),
         u_prime=u_prime,
-        name="cotangent",
-        attractive=True,
         reduced_g=True,
     )
 
 
 def repulsive(pot: PairPotential) -> PairPotential:
-    """Sign-flipped copy of a potential (attractive <-> repulsive)."""
+    """Sign-flipped copy of a potential (attractive <-> repulsive): u and
+    u_prime negated, reduced_g kept."""
     return PairPotential(
         u=lambda d2: -pot.u(d2),
         u_prime=lambda d2: -pot.u_prime(d2),
-        name=f"repulsive-{pot.name}" if pot.attractive else pot.name,
-        attractive=not pot.attractive,
         reduced_g=pot.reduced_g,
     )
 

@@ -17,7 +17,6 @@ from sphere3body.dynamics import (
     SphericalState,
     configuration_residuals,
     integrate,
-    re_residuals,
 )
 from sphere3body.equator import antipodal_limit_scan, solve_equator
 from sphere3body.geometry import SpherePoint, SphereRadius, arc_angle
@@ -130,7 +129,8 @@ def test_criterion_06_equator_closed_form():
 
     for s, m in ((sol, MassTriple(1, 1, 1)), (sol2, MassTriple(1, 1, 4))):
         for omega in (0.0, 1.0, 2.0):
-            res = re_residuals(s, m, POT, R1, omega=omega)
+            res = configuration_residuals((math.pi / 2,) * 3, s.phis(), omega,
+                                          m, POT, R1)
             ok &= float(np.max(np.abs(res))) < 1e-12
     report(6, "equator-closed-form", ok)
 

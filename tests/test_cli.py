@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import math
+import shlex
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ import pytest
 from sphere3body import meridian as mer
 from sphere3body.cli import _parse_grid as _grid, main
 from sphere3body.meridian import count_rotators_scan
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, argv):
@@ -539,3 +544,28 @@ def test_default_grids_survive_a_sweep(tmp_path):
         assert main(["sweep", "--out", str(path)]) == 0
         texts.append(path.read_bytes())
     assert texts[0] == texts[1]
+
+
+def _readme_block(fence: str, after: str) -> str:
+    """The first fenced block of README.md opened by fence after the
+    heading after."""
+    text = README.read_text().split(after, 1)[1]
+    return text.split(f"```{fence}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # every command of README's CLI block, in order, from one directory:
+    # the verify line reads the file the meridian line before it wrote
+    monkeypatch.chdir(tmp_path)
+    lines = [line.split("#", 1)[0].strip()
+             for line in _readme_block("sh", "## CLI").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines
+                if line.startswith("sphere3body ")]
+    assert len(commands) == 8
+    for argv in commands:
+        exit_2 = argv == ["equator", "--masses", "25,25,1"]
+        assert main(argv) == (2 if exit_2 else 0), argv
+        capsys.readouterr()
+    namespace = {}
+    exec(_readme_block("python", "## Library"), namespace)
+    assert len(namespace["sols"]) == 6

@@ -13,7 +13,6 @@ from sphere3body.dynamics import (
     eom_rhs,
     integrate,
     kinetic_energy,
-    re_residuals,
 )
 from sphere3body.equator import solve_equator
 from sphere3body.geometry import SpherePoint, SphereRadius
@@ -27,13 +26,13 @@ from test_potential import cotangent_u_prime_reference
 
 R1 = SphereRadius(1.0)
 POT = cotangent_potential(R1)
+EQUATOR_THETAS = (math.pi / 2,) * 3
 
 
 def equator_state(masses, omega, R=R1):
     sol = solve_equator(masses)
-    thetas, phis, _ = sol.residual_inputs()
     return SphericalState(
-        points=tuple(SpherePoint(t, p) for t, p in zip(thetas, phis)),
+        points=tuple(SpherePoint(t, p) for t, p in zip(EQUATOR_THETAS, sol.phis())),
         theta_dot=(0.0, 0.0, 0.0),
         phi_dot=(omega, omega, omega),
         R=R,
@@ -102,13 +101,14 @@ class TestResiduals:
         m = MassTriple(1.0, 2.0, 1.5)
         sol = solve_equator(m)
         for omega in (0.0, 1.0, 2.0):
-            res = re_residuals(sol, m, POT, R1, omega=omega)
+            res = configuration_residuals(EQUATOR_THETAS, sol.phis(), omega,
+                                          m, POT, R1)
             assert np.max(np.abs(res)) < 1e-12
 
     def test_perturbation_sensitivity(self):
         m = MassTriple(1.0, 2.0, 1.5)
         sol = solve_equator(m)
-        thetas, phis, omega = sol.residual_inputs()
+        thetas, phis, omega = EQUATOR_THETAS, sol.phis(), 1.0
         phis = (phis[0], phis[1], phis[2] + 1e-3)
         res = configuration_residuals(thetas, phis, omega, m, POT, R1)
         assert np.max(np.abs(res)) >= 1e-4
@@ -116,7 +116,7 @@ class TestResiduals:
     def test_omega_zero_drops_momentum_rows(self):
         m = MassTriple(1.0, 1.0, 1.0)
         sol = solve_equator(m)
-        thetas, phis, _ = sol.residual_inputs()
+        thetas, phis = EQUATOR_THETAS, sol.phis()
         assert configuration_residuals(thetas, phis, 0.0, m, POT, R1).shape == (5,)
         assert configuration_residuals(thetas, phis, 1.0, m, POT, R1).shape == (7,)
 
@@ -127,10 +127,9 @@ class TestEomRhs:
         sol = solve_equator(m)
         # on the equator the theta equation reads 0 = omega^2*0 + forces,
         # so a rotating frame RE means theta_ddot = 0 and phi_ddot = 0
-        thetas, phis, _ = sol.residual_inputs()
         omega = 1.3
         st = SphericalState(
-            tuple(SpherePoint(t, p) for t, p in zip(thetas, phis)),
+            tuple(SpherePoint(t, p) for t, p in zip(EQUATOR_THETAS, sol.phis())),
             (0.0, 0.0, 0.0), (omega, omega, omega), R1,
         )
         tdd, pdd = eom_rhs(st, m, POT)
@@ -363,9 +362,9 @@ def _solution_state(a, masses, pick):
     verify --integrate does; returns (state, period)."""
     sols = mer.find_meridian_rotators(a, masses)
     sol = pick(sols)
-    thetas, _, omega = sol.residual_inputs()
+    omega = math.sqrt(sol.omega_squared)
     state = SphericalState(
-        tuple(SpherePoint(t % (2.0 * math.pi), 0.0) for t in thetas),
+        tuple(SpherePoint(t % (2.0 * math.pi), 0.0) for t in sol.thetas),
         (0.0, 0.0, 0.0), (omega, omega, omega), R1,
     )
     return state, 2.0 * math.pi / omega

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sphere3body.dynamics import MassTriple, re_residuals
+from sphere3body.dynamics import MassTriple, configuration_residuals
 from sphere3body.equator import (
     BOUNDARY,
     EXTERIOR,
@@ -19,6 +19,7 @@ from sphere3body.potential import cotangent_potential
 
 R1 = SphereRadius(1.0)
 POT = cotangent_potential(R1)
+EQUATOR_THETAS = (math.pi / 2,) * 3
 
 
 class TestExistence:
@@ -76,7 +77,7 @@ class TestClosedForm:
     def test_solution_is_omega_independent_equilibrium(self, omega):
         m = MassTriple(1.3, 0.9, 2.1)
         sol = solve_equator(m)
-        res = re_residuals(sol, m, POT, R1, omega=omega)
+        res = configuration_residuals(EQUATOR_THETAS, sol.phis(), omega, m, POT, R1)
         assert np.max(np.abs(res)) < 1e-12
 
 

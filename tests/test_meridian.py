@@ -259,26 +259,26 @@ class TestSolver:
                                                   ms, POT, R1)
                     assert np.max(np.abs(res)) >= gate, (s.x, delta)
 
-    def test_potential_name_selects_nothing(self):
-        # a Newton-like potential is solved through its ratio equation
-        # whatever its name
-        def newton(name):
-            return PairPotential(u=lambda d2: -d2 ** -0.5,
-                                 u_prime=lambda d2: 0.5 * d2 ** -1.5, name=name)
+    def test_custom_potential_is_solved_through_its_ratio_equation(self, monkeypatch):
+        # a Newton-like potential is solved through its ratio equation,
+        # never through g
+        newton = PairPotential(u=lambda d2: -d2 ** -0.5,
+                               u_prime=lambda d2: 0.5 * d2 ** -1.5)
 
         def solve(pot):
             return [(s.x, s.region, s.omega_squared, s.residual_max)
                     for s in mer.find_meridian_rotators(math.pi / 6, M321, pot)]
 
-        custom = solve(newton("custom"))
-        assert custom and solve(newton("cotangent")) == custom
-        assert solve(POT) != custom
+        cotangent = solve(POT)
+        monkeypatch.setattr(mer, "_scan_region_roots", None)
+        custom = solve(newton)
+        assert custom and custom != cotangent
 
     def test_generic_path_matches_reduced_path(self):
         # a cotangent clone without reduced_g is solved by sampling its
         # ratio equation; it finds every root of g but the tangent roots
         # of Table 2 at |nu1 - nu2| = 4, where no sample sees a sign change
-        clone = dataclasses.replace(POT, reduced_g=False, name="clone")
+        clone = dataclasses.replace(POT, reduced_g=False)
         missing = []
         for a, nu1, nu2 in NAMED[:10]:  # the paper's named inputs
             m = MassTriple(nu1, nu2, 1.0)
@@ -297,7 +297,7 @@ class TestSolver:
 
     def test_reduced_g_is_the_cotangent_family(self):
         assert POT.reduced_g and repulsive(POT).reduced_g
-        assert not PairPotential(u=abs, u_prime=abs, name="cotangent").reduced_g
+        assert not PairPotential(u=abs, u_prime=abs).reduced_g
 
     def test_larger_radius_scales_omega(self):
         # omega^2 ~ 1/R^3 at fixed shape angles
@@ -446,6 +446,13 @@ class TestGridCounter:
                 for region in mer.REGIONS:
                     assert np.array_equal(got[region], want[region])
 
+    def test_nu_that_overflow_g_are_rejected(self):
+        # as count_rotators_scan does, before any sample of g is taken
+        for nu1, nu2 in ((1.7e308, 1.7e308), (1.0, -1.7e308), (math.inf, 1.0)):
+            with pytest.raises(ValueError, match="too large: g overflows"):
+                mer.count_rotators_grid_regions(1.0, [1.0, nu1], [nu2], 400)
+        assert mer.count_rotators_grid_regions(1.0, [], [], 400)["I"].shape == (0, 0)
+
     # regions I and III (II and IV near pi) no wider than 2 * BOUNDARY_TOL
     # have no room for samples, and the scan finds no roots in them
     @pytest.mark.parametrize("a", [1e-9, 1.5e-8, math.pi - 1e-9])
@@ -547,6 +554,26 @@ class TestSpecialFamilies:
         uprime = POT.u_prime(3.0)
         assert sol.omega_squared == pytest.approx(-4.0 * A * uprime, rel=1e-13)
         assert sol.residual_max < 1e-10
+
+    def test_equilateral_branch_is_the_sign_of_u_prime(self):
+        # u = -1/D has U' > 0 with no repulsive() wrapper: the branch
+        # follows U'(3 R^2), and the rotator is the repulsive copy's of
+        # u = 1/D bit for bit (negating U' is exact)
+        inverse = PairPotential(u=lambda d2: d2 ** -0.5,
+                                u_prime=lambda d2: -0.5 * d2 ** -1.5)
+        pushing = PairPotential(u=lambda d2: -d2 ** -0.5,
+                                u_prime=lambda d2: 0.5 * d2 ** -1.5)
+        for m in (M321, MassTriple(1.0, 2.0, 3.0), MassTriple(0.3, 5.0, 1.7)):
+            pulled = mer.equilateral_rotator(m, inverse)
+            pushed = mer.equilateral_rotator(m, pushing)
+            assert pulled.s == -1 and pushed.s == 1
+            assert pushed == mer.equilateral_rotator(m, repulsive(inverse))
+            assert pushed.omega_squared == pulled.omega_squared
+            assert max(pulled.residual_max, pushed.residual_max) <= 1e-12
+            for pot in (POT, repulsive(POT)):
+                sol = mer.equilateral_rotator(m, pot)
+                assert sol.s == (-1 if pot.u_prime(3.0) < 0.0 else 1)
+                assert sol.residual_max < 1e-10
 
     def test_equilateral_equal_masses_fixed_point(self):
         sol = mer.equilateral_rotator(MassTriple(1.0, 1.0, 1.0))

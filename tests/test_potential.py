@@ -79,9 +79,11 @@ def test_repulsive_flips_sign():
     d = chord_from_arc(1.0, SphereRadius(1.0))
     assert rep.u(d * d) == -pot.u(d * d)
     assert rep.u_prime(d * d) == -pot.u_prime(d * d)
-    assert rep.attractive is False
-    assert rep.name == "repulsive-cotangent"
-    assert repulsive(rep).attractive is True
+    assert rep.u_prime(d * d) > 0.0 > pot.u_prime(d * d)
+    assert rep.reduced_g and repulsive(rep).reduced_g
+    twice = repulsive(rep)
+    assert twice.u(d * d) == pot.u(d * d)
+    assert twice.u_prime(d * d) == pot.u_prime(d * d)
 
 
 def test_total_potential_equilateral_equal_masses():

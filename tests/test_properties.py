@@ -139,9 +139,8 @@ def test_accepted_re_conserves_over_one_period(sol):
 def test_equator_fixed_point_sigma_drift():
     m = MassTriple(1.0, 2.0, 1.5)
     sol = solve_equator(m)
-    thetas, phis, _ = sol.residual_inputs()
     state = SphericalState(
-        tuple(SpherePoint(t, p) for t, p in zip(thetas, phis)),
+        tuple(SpherePoint(math.pi / 2, p) for p in sol.phis()),
         (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), R1,
     )
     traj = integrate(state, m, POT, 10.0, 10.0 / 8000, store_every=200)
