@@ -59,7 +59,11 @@ def _parse_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"grid needs n >= 1 points, got {n}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise argparse.ArgumentTypeError(f"grid bounds must be finite, got {text}")
-    grid = np.linspace(lo, hi, n)
+    try:
+        grid = np.linspace(lo, hi, n)
+    except MemoryError:
+        raise argparse.ArgumentTypeError(
+            f"grid of {n} points cannot be allocated") from None
     # the parser is built once, so a default grid is shared by every call
     grid.flags.writeable = False
     return grid
@@ -328,11 +332,15 @@ def cmd_verify(args) -> int:
         meta = data["metadata"]
         masses = MassTriple(*meta["masses"])
         R = SphereRadius(meta["radius"])
+        # files written before the key existed hold the cotangent potential
+        potential = meta.get("potential", "cotangent")
+        if potential not in ("cotangent", "repulsive"):
+            raise ValueError(f"unknown potential {potential!r}")
         records = [_verify_record(rec) for rec in data["solutions"]]
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: cannot parse {args.solutions}: {exc}", file=sys.stderr)
         return 1
-    pot = _potential(meta.get("potential"), R)
+    pot = _potential(potential, R)
 
     reports = []
     all_pass = True

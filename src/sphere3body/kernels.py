@@ -12,12 +12,13 @@ depend on x and a only (``g_terms``). alpha*sin^2(x) is written as
 sin(x)*|sin(x)|, so no region table is needed.
 
 A float x (numpy's float64 is one) takes its sines from ``math``, an
-array from numpy: the root finder bisects on scalar g, where a numpy
-scalar costs more than the arithmetic. Both paths give the same bits
-only while numpy's float64 sin agrees with the C library's; numpy 2.4.6
-on an AVX512_SPR host (its highest dispatch target) disagreed at none of
-8 million points, and the exact g_scalar == g_array test in
-tests/test_kernels.py checks it on every host.
+array from numpy: the root finder bisects on scalar g (``g_of_x``),
+where a numpy scalar costs more than the arithmetic. Both paths give
+the same bits only while numpy's float64 sin agrees with the C
+library's; numpy 2.4.6 on an AVX512_SPR host (its highest dispatch
+target) disagreed at none of 8 million points, and the exact
+g_scalar == g_array test in tests/test_kernels.py checks it on every
+host.
 """
 
 from __future__ import annotations
@@ -29,22 +30,26 @@ import numpy as np
 BACKEND = "python"
 
 
-def g_terms(x, a: float):
-    """(P, Q, S) with g = nu1*P + nu2*Q + S, for a float or an array x."""
-    sin = math.sin if isinstance(x, float) else np.sin
+def _terms(x, a, sin, sa2, sa2s2a):
+    """(P, Q, S) at x, with sa2 = sin^2(a) and sa2s2a = sin^2(a)*sin(2a)."""
     sx = sin(x)
     sxa = sin(x - a)
     A = sx * abs(sx)  # alpha * sin^2(x)
     B = sxa * abs(sxa)  # beta * sin^2(x - a)
     sin2x = sin(2.0 * x)
     sin2xa = sin(2.0 * (x - a))
-    sa2 = math.sin(a) ** 2
-    sa2s2a = sa2 * math.sin(2.0 * a)
     AB = A * B
     P = AB * sin2x - sa2s2a * B
     Q = AB * sin2xa - sa2s2a * A
     S = -sa2 * (A * sin2x - B * sin2xa)
     return P, Q, S
+
+
+def g_terms(x, a: float):
+    """(P, Q, S) with g = nu1*P + nu2*Q + S, for a float or an array x."""
+    sin = math.sin if isinstance(x, float) else np.sin
+    sa2 = math.sin(a) ** 2
+    return _terms(x, a, sin, sa2, sa2 * math.sin(2.0 * a))
 
 
 def g_terms_scale(x: float, a: float) -> tuple[float, float, float]:
@@ -79,3 +84,19 @@ def g_array(x, a: float, nu1: float, nu2: float) -> np.ndarray:
 def g_scalar(x: float, a: float, nu1: float, nu2: float) -> float:
     P, Q, S = g_terms(x, a)
     return float(nu1 * P + nu2 * Q + S)
+
+
+def g_of_x(a: float, nu1: float, nu2: float):
+    """g as a function of a float x alone, for fixed (a, nu1, nu2): bit
+    for bit g_scalar, with sin^2(a) and sin(2a) taken once (the root
+    finder's bisection calls it a few hundred times per solve)."""
+    nu1, nu2 = float(nu1), float(nu2)
+    sa2 = math.sin(a) ** 2
+    sa2s2a = sa2 * math.sin(2.0 * a)
+    sin = math.sin
+
+    def g(x: float) -> float:
+        P, Q, S = _terms(x, a, sin, sa2, sa2s2a)
+        return nu1 * P + nu2 * Q + S
+
+    return g

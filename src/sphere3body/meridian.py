@@ -308,8 +308,20 @@ def _bisect(f, lo, hi, flo, fhi):
     return lo if abs(flo) <= abs(fhi) else hi
 
 
-def _scan_region_roots(a: float, nu1: float, nu2: float, region: str) -> list[float]:
-    """Roots of g strictly inside one region, each found once.
+def _chebroots_rows(c: np.ndarray):
+    """cheb.chebroots of each row of c, bit for bit: the sorted
+    eigenvalues of each row's companion matrix, all from one eigvals
+    call. Where a row's last coefficient is 0, which chebroots trims
+    first, every row goes through chebroots."""
+    if not c[:, -1].all():
+        return [cheb.chebroots(row) for row in c]
+    return np.sort(np.linalg.eigvals(np.stack(
+        [cheb.chebcompanion(row)[::-1, ::-1] for row in c])), axis=1)
+
+
+def _scan_roots(a: float, nu1: float, nu2: float) -> list[list[float]]:
+    """Roots of g strictly inside each region, each found once: one list
+    per region, in REGIONS order.
 
     Inside a region g is a trigonometric polynomial of degree 6 in x
     (kernels). With c the region's midpoint, L its length and
@@ -321,54 +333,61 @@ def _scan_region_roots(a: float, nu1: float, nu2: float, region: str) -> list[fl
     polynomial is monotone, so it and g, which has its sign, have at
     most one root there. A sign change of g between knots is bisected to
     neighbouring floats. A knot where g vanishes to within the rounding
-    of its evaluation is one tangent (even-order) root.
+    of its evaluation is one tangent (even-order) root. A region no
+    wider than 2 * BOUNDARY_TOL has none.
+
+    The regions are fitted together: g is evaluated once at all their
+    samples, and the derivatives' companion matrices (chebroots') go to
+    one eigenvalue call.
     """
-    lo, hi = region_bounds(region, a)
-    mid = 0.5 * (lo + hi)
-    chart = math.tan(0.25 * (hi - lo))
-    lo += BOUNDARY_TOL
-    hi -= BOUNDARY_TOL
-    if hi <= lo:
-        return []
+    ends = [region_bounds(region, a) for region in REGIONS]
+    live = [k for k, (lo, hi) in enumerate(ends)
+            if lo + BOUNDARY_TOL < hi - BOUNDARY_TOL]
+    roots: list[list[float]] = [[] for _ in REGIONS]
+    if not live:
+        return roots
+    bound = kernels.g_bound(nu1, nu2)
+    mids = np.array([0.5 * (ends[k][0] + ends[k][1]) for k in live])
+    charts = np.array([math.tan(0.25 * (ends[k][1] - ends[k][0])) for k in live])
 
-    def x_of(u):
-        return mid + 2.0 * np.arctan(u * chart)
+    # chebinterpolate(poly, 12) for every region, with its nodes and
+    # matrix built once; x = c + 2 * arctan(u * tan(L/4))
+    t = _CHEB_NODES * charts[:, None]
+    xs = mids[:, None] + 2.0 * np.arctan(t)
+    gs = kernels.g_array(xs.ravel(), a, nu1, nu2).reshape(xs.shape)
+    if bound > FIT_SCALE_BOUND:
+        gs *= 2.0 ** -64
+    coef = np.array([np.dot(_CHEB_VANDER_T, row) for row in gs * (1.0 + t * t) ** 6])
+    coef[:, 0] /= 13
+    coef[:, 1:] /= 6.5
+    crit = _chebroots_rows(cheb.chebder(coef, axis=1))
 
-    # chebinterpolate(poly, 12), with its nodes and matrix built once
-    g_bound = kernels.g_bound(nu1, nu2)
-    t = _CHEB_NODES * chart
-    g = kernels.g_array(x_of(_CHEB_NODES), a, nu1, nu2)
-    if g_bound > FIT_SCALE_BOUND:
-        g *= 2.0 ** -64
-    coef = np.dot(_CHEB_VANDER_T, g * (1.0 + t * t) ** 6)
-    coef[0] /= 13
-    coef[1:] /= 6.5
-    inside = [k for k in x_of(cheb.chebroots(cheb.chebder(coef)).real).tolist()
-              if lo < k < hi]
-    knots = sorted({lo, hi, *inside})
-    # g at each knot, and whether it vanishes there to within the
-    # rounding of its evaluation (never at the region's ends)
-    gk = []
-    zero = []
-    for x in knots:
-        P, Q, S = kernels.g_terms(x, a)
-        Ps, Qs, Ss = kernels.g_terms_scale(x, a)
-        g = nu1 * P + nu2 * Q + S
-        gk.append(g)
-        zero.append(abs(g) <= TANGENT_ULPS * EPS * (nu1 * Ps + nu2 * Qs + Ss))
-    zero[0] = zero[-1] = False
+    g = kernels.g_of_x(a, nu1, nu2)
+    for k, mid, chart, u in zip(live, mids, charts, crit):
+        lo, hi = ends[k]
+        lo += BOUNDARY_TOL
+        hi -= BOUNDARY_TOL
+        inside = [x for x in (mid + 2.0 * np.arctan(u.real * chart)).tolist()
+                  if lo < x < hi]
+        knots = sorted({lo, hi, *inside})
+        # g at each knot, and whether it vanishes there to within the
+        # rounding of its evaluation (never at the region's ends)
+        gk = []
+        zero = []
+        for x in knots:
+            gx = g(x)
+            Ps, Qs, Ss = kernels.g_terms_scale(x, a)
+            gk.append(gx)
+            zero.append(abs(gx) <= TANGENT_ULPS * EPS * (nu1 * Ps + nu2 * Qs + Ss))
+        zero[0] = zero[-1] = False
 
-    def f(x):
-        return kernels.g_scalar(x, a, nu1, nu2)
-
-    roots = []
-    for k in range(len(knots) - 1):
-        if zero[k + 1]:
-            # neighbouring zero knots are one root
-            if not zero[k]:
-                roots.append(knots[k + 1])
-        elif not zero[k] and gk[k] * gk[k + 1] < 0.0:
-            roots.append(_bisect(f, knots[k], knots[k + 1], gk[k], gk[k + 1]))
+        for j in range(len(knots) - 1):
+            if zero[j + 1]:
+                # neighbouring zero knots are one root
+                if not zero[j]:
+                    roots[k].append(knots[j + 1])
+            elif not zero[j] and gk[j] * gk[j + 1] < 0.0:
+                roots[k].append(_bisect(g, knots[j], knots[j + 1], gk[j], gk[j + 1]))
     return roots
 
 
@@ -399,7 +418,7 @@ def find_meridian_rotators(
 
     A potential with pot.reduced_g (the cotangent potential and its sign
     flip): every root of the reduced equation g in each region
-    (_scan_region_roots), to floating-point resolution; the exceptional
+    (_scan_roots), to floating-point resolution; the exceptional
     Case 2/3 shapes are roots of g too. Any other potential samples the
     generic ratio equation at GENERIC_SCAN_SAMPLES points per region
     instead, from GENERIC_BOUNDARY_GAP off each singular point: it
@@ -411,9 +430,8 @@ def find_meridian_rotators(
         raise ValueError(f"a must lie in (0, pi), got {a}")
 
     if pot is None or pot.reduced_g:
-        roots = []
-        for region in REGIONS:
-            roots.extend(_scan_region_roots(a, masses.nu1, masses.nu2, region))
+        roots = [x for region in _scan_roots(a, masses.nu1, masses.nu2)
+                 for x in region]
     else:
         roots = _generic_scan_roots(a, masses, pot, R)
 
@@ -493,8 +511,7 @@ def count_rotators_scan(
     """Root counts of the reduced equation per region, with no
     configuration lift. Every root counts once: a simple root, a tangent
     (even-order) root and each root of a close pair alike."""
-    counts = [len(_scan_region_roots(a, nu1, nu2, r)) for r in REGIONS]
-    return RegionCounts(*counts)
+    return RegionCounts(*map(len, _scan_roots(a, nu1, nu2)))
 
 
 # count_rotators_grid_regions counts blocks of nu2 rows: a block's
@@ -516,7 +533,7 @@ def count_rotators_grid_regions(
     + S(x) (kernels.g_terms), so the whole grid shares one set of x
     samples, evenly spaced from BOUNDARY_TOL inside each singular point
     (a region no wider than 2 * BOUNDARY_TOL has none and counts 0, as
-    in _scan_region_roots). Tangent roots are not detected here; this is
+    in _scan_roots). Tangent roots are not detected here; this is
     the sweep's coarse counter. Raises ValueError, before anything is
     evaluated, where the largest |nu1| and |nu2| overflow g
     (kernels.g_bound).
@@ -813,7 +830,7 @@ def euler_limit_check(
         dev = float(np.max(np.abs(fitted - np.array(coeffs))))
 
         # the region-II root of g nearest the flat-space root
-        roots = _scan_region_roots(a, nu1, nu2, "II")
+        roots = _scan_roots(a, nu1, nu2)[1]
         root_dev = min((abs(x / a - 1.0 - lam_root) for x in roots),
                        default=math.nan)
         rows.append(EulerLimitRow(R, dev, root_dev))

@@ -202,6 +202,14 @@ class TestSweep:
         assert main(["sweep", "--a-grid", "0.15:1.55:0"]) == 1
         assert "n >= 1" in capsys.readouterr().err
 
+    def test_unallocatable_grid_is_usage_error(self, capsys):
+        # 1e15 points (8 PB) fail to allocate at once; a grid that could
+        # be allocated is never tried here
+        assert main(["sweep", "--nu1-grid", "0.1:10:1000000000000000"]) == 1
+        captured = capsys.readouterr()
+        assert "cannot be allocated" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("argv,message", [
         (["--a-grid", "4:4:1"], "(0, pi)"),
         (["--a-grid", "1:1:1", "--nu1-grid=-1:-1:1"], "must be positive"),
@@ -509,6 +517,29 @@ def test_equal_masses_at_two_thirds_pi_end_cleanly(masses, capsys):
     assert code in (0, 2)
     assert "Traceback" not in captured.err
     json.loads(captured.out)
+
+
+def test_verify_rejects_an_unknown_potential(tmp_path, capsys):
+    # a misspelt potential is not read as the cotangent one; a missing
+    # key is
+    sol_file = tmp_path / "repulsive.json"
+    assert main(["meridian", "--masses", "3,2,1", "--a", repr(math.pi / 6),
+                 "--potential", "repulsive", "--out", str(sol_file)]) == 0
+    data = json.loads(sol_file.read_text())
+    assert main(["verify", str(sol_file)]) == 0
+    data["metadata"]["potential"] = "repulsve"
+    sol_file.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(sol_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot parse {sol_file}")
+    assert "'repulsve'" in captured.err and captured.out == ""
+    assert main(["meridian", "--masses", "3,2,1", "--a", repr(math.pi / 6),
+                 "--out", str(sol_file)]) == 0
+    data = json.loads(sol_file.read_text())
+    del data["metadata"]["potential"]
+    sol_file.write_text(json.dumps(data))
+    assert main(["verify", str(sol_file)]) == 0
 
 
 def test_verify_tiny_radius_is_usage_error(tmp_path, capsys):

@@ -58,6 +58,14 @@ def test_scalar_matches_array():
         assert kernels.g_scalar(x, a, nu1, nu2) == kernels.g_array([x], a, nu1, nu2)[0]
 
 
+def test_bound_g_matches_g_scalar_bitwise():
+    for a, nu1, nu2, _region, x in random_cases(17, 400):
+        g = kernels.g_of_x(a, nu1, nu2)
+        for y in (x, np.float64(x)):
+            assert type(g(y)) is float
+            assert g(y).hex() == kernels.g_scalar(y, a, nu1, nu2).hex()
+
+
 def test_array_handles_noncontiguous_input():
     a = 0.5
     xs = np.linspace(0.01, 6.0, 200)[::2]

@@ -270,7 +270,7 @@ class TestSolver:
                     for s in mer.find_meridian_rotators(math.pi / 6, M321, pot)]
 
         cotangent = solve(POT)
-        monkeypatch.setattr(mer, "_scan_region_roots", None)
+        monkeypatch.setattr(mer, "_scan_roots", None)
         custom = solve(newton)
         assert custom and custom != cotangent
 

@@ -11,6 +11,7 @@ import random
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as cheb
 
 from sphere3body import kernels
 from sphere3body import meridian as mer
@@ -155,9 +156,8 @@ def test_differential_against_sampled_scan():
     new root the scan lacked sits on a sign change of g."""
     kinds = {"matched": 0, "tangent moved": 0, "false": 0, "new": 0}
     for a, nu1, nu2 in NAMED + _seeded():
-        for region in mer.REGIONS:
+        for region, new in zip(mer.REGIONS, mer._scan_roots(a, nu1, nu2)):
             old = old_scan_region_roots(a, nu1, nu2, region)
-            new = mer._scan_region_roots(a, nu1, nu2, region)
             for x in old:
                 if any(abs(x - y) <= 1e-12 for y in new):
                     kinds["matched"] += 1
@@ -207,7 +207,7 @@ def test_close_pair_beside_a_fold():
     # just before, they are 2e-6 apart (the scan took them for one tangent
     # root)
     a, nu1, nu2 = 1.0, 1.16979889864, 0.2
-    roots = mer._scan_region_roots(a, nu1, nu2, "II")
+    roots = mer._scan_roots(a, nu1, nu2)[1]  # region II
     assert len(roots) == 2 and roots[1] - roots[0] < 1e-5
     h = (roots[1] - roots[0]) / 4.0
     assert all(_changes_sign(x, h, a, nu1, nu2) for x in roots)
@@ -225,7 +225,7 @@ def test_pitchfork_of_isosceles_root(d, count):
     # near the triple root several knots lie within rounding of zero;
     # they are one root
     a, nu = 2.0, PITCHFORK_NU + d
-    roots = mer._scan_region_roots(a, nu, nu, "I")
+    roots = mer._scan_roots(a, nu, nu)[0]  # region I
     assert len(roots) == count
     assert roots[count // 2] == pytest.approx(1.0, abs=1e-6)
     if count == 3:
@@ -326,12 +326,47 @@ def test_scalar_scan_matches_numpy_scan_bitwise():
         *[(2.0, PITCHFORK_NU + d, PITCHFORK_NU + d) for d in (1e-6, 0.0, -1e-6)]]
     roots = 0
     for a, nu1, nu2 in cases:
-        for region in mer.REGIONS:
-            new = mer._scan_region_roots(a, nu1, nu2, region)
+        for region, new in zip(mer.REGIONS, mer._scan_roots(a, nu1, nu2)):
             old = numpy_scan_region_roots(a, nu1, nu2, region)
             assert [x.hex() for x in new] == [x.hex() for x in old], (a, nu1, nu2)
             roots += len(new)
     assert roots > 1000
+
+
+def test_stacked_chebroots_match_chebroots_bitwise():
+    """The scan sends every region's companion matrix to one eigenvalue
+    call: each row's roots are chebroots', bit for bit, also where a
+    row's last coefficient is 0, which chebroots trims first."""
+    rng = np.random.default_rng(2022)
+
+    def hexes(roots):
+        return [(float(z.real).hex(), float(z.imag).hex()) for z in roots]
+
+    for trimmed in (False, True):
+        for _ in range(200):
+            c = rng.standard_normal((4, 12)) * 10.0 ** rng.uniform(-3.0, 3.0, (4, 1))
+            if trimmed:
+                c[rng.integers(4), -1] = 0.0
+            got = mer._chebroots_rows(c)
+            assert [hexes(r) for r in got] == [hexes(cheb.chebroots(row)) for row in c]
+
+
+def test_region_counts_have_the_parity_of_the_end_values():
+    # with s = sin^4(a) sin(2a), g tends to s (nu1 + 1) at x = 0 and 2 pi,
+    # -s (nu2 + 1) at a, -s (nu1 + 1) at pi and s (nu2 + 1) at pi + a: for
+    # a != pi/2 and nu > 0, g changes sign across regions I and III and
+    # not across II and IV, so their counts are odd and even (a tangent
+    # root, which breaks this, is not met)
+    rng = random.Random(4000)
+    cells = 0
+    while cells < 500:
+        a = rng.uniform(0.01, math.pi - 0.01)
+        if abs(a - math.pi / 2) < 1e-3:
+            continue
+        nu1, nu2 = 10.0 ** rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-2.0, 2.0)
+        counts = mer.count_rotators_scan(a, nu1, nu2).as_tuple()
+        assert [n % 2 for n in counts] == [1, 0, 1, 0], (a, nu1, nu2, counts)
+        cells += 1
 
 
 def test_huge_nu_fit_is_scaled_exactly(monkeypatch):
@@ -339,16 +374,16 @@ def test_huge_nu_fit_is_scaled_exactly(monkeypatch):
     two, which leaves the roots of the unscaled fit bit for bit; g near
     1e308 then fits with no overflow warning (any warning fails the
     suite), and past that the scan names the nu that overflow g."""
-    cases = [(a, nu1, nu2, region) for a in (0.4, 1.0, 2.5)
-             for nu1, nu2 in ((1e303, 1.0), (1.0, 1e303), (3e302, 5e302))
-             for region in mer.REGIONS]
-    scaled = [mer._scan_region_roots(*c) for c in cases]
+    cases = [(a, nu1, nu2) for a in (0.4, 1.0, 2.5)
+             for nu1, nu2 in ((1e303, 1.0), (1.0, 1e303), (3e302, 5e302))]
+    # one root list per case and region
+    scaled = [r for c in cases for r in mer._scan_roots(*c)]
     monkeypatch.setattr(mer, "FIT_SCALE_BOUND", math.inf)
-    unscaled = [mer._scan_region_roots(*c) for c in cases]
+    unscaled = [r for c in cases for r in mer._scan_roots(*c)]
     monkeypatch.undo()
     assert [[x.hex() for x in r] for r in scaled] == \
         [[x.hex() for x in r] for r in unscaled]
-    assert sum(map(len, scaled)) >= len(cases) // 2
+    assert sum(map(len, scaled)) >= len(scaled) // 2
     assert mer.count_rotators_scan(1.0, 8e307, 1.0).total > 0
     with pytest.raises(ValueError, match="too large: g overflows"):
         mer.count_rotators_scan(1.0, 1.7e308, 1.0)
