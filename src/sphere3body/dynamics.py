@@ -1,12 +1,13 @@
 """Ground-truth layer: raw equations of motion, angular momentum,
-residuals of the rotating-equilibrium conditions, and a fixed-step RK4
-integrator used only for independent verification.
+residuals of the rotating-equilibrium conditions, the backward error
+that the meridian solver and the verifier both gate on, and a
+fixed-step RK4 integrator used only for independent verification.
 
-The residuals are evaluated on the untranslated equations, so the
-solvers and this verifier share no algebra. The equations of motion
-have one definition, the scalar kernel _accelerations: integrate calls
-it four times per RK4 step on twelve local floats, and eom_rhs calls it
-once.
+The residuals and the backward error are evaluated on the untranslated
+equations, so the solvers and this verifier share no algebra. The
+equations of motion have one definition, the scalar kernel
+_accelerations: integrate calls it four times per RK4 step on twelve
+local floats, and eom_rhs calls it once.
 """
 
 from __future__ import annotations
@@ -413,3 +414,71 @@ def configuration_residuals(
         + 2.0 * m3 * m2 * u23 * (s3 * c2 - c3 * s2 * cos23)))
     return np.array(res)
 
+
+# step of x = theta3 - theta1 that calibrates backward_error
+X_STEP = 1e-6
+
+
+def _meridian_defect(thetas, omega_squared, masses, pot, R) -> float:
+    """Largest relative defect of the rigid-rotation balance of three
+    bodies on the meridian phi = 0 (nan if any defect is nan).
+
+    Per body k, the theta row -w^2 m_k sin t_k cos t_k
+    - sum_i 2 m_k m_i U'(D_ki^2) sin(t_k - t_i) against the sum of the
+    magnitudes of its terms; when w^2 > 0, also the planar angular
+    momentum |sum m_k sin t_k cos t_k| against m1 + m2 + m3. The chord
+    D_ki^2 = 4 R^2 sin^2((t_k - t_i)/2) keeps its digits near a collision.
+    """
+    m = masses.as_tuple()
+    four_r2 = 4.0 * R.R * R.R
+    # pulls[k]: the terms 2 m_k m_i U'_ki sin(t_k - t_i), i != k
+    pulls = ([], [], [])
+    for k, i in ((0, 1), (1, 2), (2, 0)):
+        d = thetas[k] - thetas[i]
+        h = sin(0.5 * d)
+        try:
+            u = pot.u_prime(four_r2 * h * h)
+        except SingularityError as err:
+            raise SingularityError(err.kind, err.d2, (k + 1, i + 1)) from None
+        pull = 2.0 * m[k] * m[i] * u * sin(d)
+        pulls[k].append(pull)
+        pulls[i].append(-pull)
+    spins = [mk * sin(t) * cos(t) for mk, t in zip(m, thetas)]
+    defects = []
+    for spin, (p, q) in zip(spins, pulls):
+        spin *= -omega_squared
+        scale = abs(spin) + abs(p) + abs(q)
+        if scale != 0.0:
+            defects.append(abs(spin - p - q) / scale)
+    if omega_squared > 0.0:
+        defects.append(abs(sum(spins)) / (m[0] + m[1] + m[2]))
+    # a nan (an overflowed term) counts as the largest
+    return max(defects, key=lambda v: (v != v, v), default=0.0)
+
+
+def backward_error(
+    thetas: Sequence[float],
+    omega_squared: float,
+    masses: MassTriple,
+    pot: PairPotential,
+    R: SphereRadius = SphereRadius(),
+) -> float:
+    """How far a configuration on the meridian phi = 0, turning at
+    omega_squared (0 for a fixed point), is from a relative equilibrium,
+    in radians of x = theta3 - theta1: the largest relative defect of the
+    force balance (_meridian_defect) over its change when theta3 moves by
+    X_STEP, times X_STEP. inf where that change is 0 or nan.
+
+    A relative defect alone cannot tell a wrong solution from a right one
+    near a collision or an antipodal pair, where the terms grow like
+    1/sin^3(sigma) and one ulp of x moves them by 1e-9 of their size;
+    measured in x, both kinds meet the same tolerance. The solver's gate
+    and the verifier both read this measure.
+    """
+    d = _meridian_defect(thetas, omega_squared, masses, pot, R)
+    if d == 0.0:
+        return 0.0
+    t1, t2, t3 = thetas
+    slope = abs(_meridian_defect((t1, t2, t3 + X_STEP), omega_squared,
+                                 masses, pot, R) - d)
+    return X_STEP * d / slope if slope > 0.0 else math.inf

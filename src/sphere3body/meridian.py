@@ -12,8 +12,10 @@ Every MeridianSolution carries its configuration thetas, the colatitudes
 on the meridian phi = 0 (thetas_alt = thetas + pi is the antipodal one).
 A rotator's thetas lift its shape on branch s so that
 W = sum_k m_k e^(2i theta_k) = s * A: the planar angular momentum Im W
-vanishes. The lift promises no more; find_meridian_rotators gates on
-residual_max, the raw-equation residual at thetas, for everything else.
+vanishes. The lift promises no more: residual_max, the backward error of
+thetas in radians of x (dynamics.backward_error), judges everything else,
+and find_meridian_rotators and isosceles_rotators keep a solution only
+where it is at most RESIDUAL_TOL (or the tolerance given).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from . import kernels
-from .dynamics import MassTriple, configuration_residuals
+from .dynamics import MassTriple, backward_error
 from .geometry import SphereRadius
 from .potential import PairPotential, cotangent_potential
 
@@ -41,18 +43,15 @@ REGIONS = ("I", "II", "III", "IV")
 # Below that, omega^2 = 2 * A * |ratio| keeps fewer than four digits.
 A_TOL = 1e-6
 CASE_TOL = 1e-12  # two G values (or masses) closer than this are equal
-RATIO_TOL = 1e-6  # branch equations closer than this agree
 BOUNDARY_TOL = 1e-8  # distance kept from the singular points
+# largest backward error, in radians of x, of a reported solution
+RESIDUAL_TOL = 1e-9
 
 CASE1 = "Case1"
 CASE2 = "Case2"
 CASE3 = "Case3"
 CASE4_FIXED_POINT = "Case4-fixed-point"
 A_ZERO_FIXED_POINT = "A-zero-fixed-point"
-
-
-class NotARotatorError(ValueError):
-    """The two independent branch equations disagree for this shape."""
 
 
 class AZeroFixedPoint(Exception):
@@ -194,34 +193,20 @@ def solve_omega_and_branch(
     A: float,
 ) -> tuple[int, float | None, str]:
     """Branch sign s, rotation rate omega^2 and case tag from the ratio
-    equations.
+    equations: the mean of the ratios that the case defines.
 
     s is chosen so omega^2 = 2*A*s*ratio >= 0. Case 4 (all G equal)
-    leaves both undetermined: a fixed point, (0, None, tag).
+    leaves both undetermined: a fixed point, (0, None, tag). Whether the
+    shape is a rotator at all is the backward error's to judge.
     """
     case = classify_case(pq, masses)
-    ftol = RATIO_TOL * max(abs(pq.F12), abs(pq.F23), abs(pq.F31), 1e-300)
     if case == CASE4_FIXED_POINT:
-        if abs(pq.F12 - pq.F23) > ftol or abs(pq.F31 - pq.F12) > ftol:
-            raise NotARotatorError("all G equal but the F values differ")
         return 0, None, case
     ratios = []
     if case in (CASE1, CASE3):
         ratios.append((pq.F12 - pq.F23) / (pq.G12 - pq.G23))
-    else:
-        if abs(pq.F12 - pq.F23) > ftol:
-            raise NotARotatorError("G12 = G23 but F12 != F23")
     if case in (CASE1, CASE2):
         ratios.append((pq.F31 - pq.F12) / (pq.G31 - pq.G12))
-    else:
-        if abs(pq.F31 - pq.F12) > ftol:
-            raise NotARotatorError("G31 = G12 but F31 != F12")
-    if len(ratios) == 2:
-        rscale = max(abs(ratios[0]), abs(ratios[1]), 1.0)
-        if abs(ratios[0] - ratios[1]) > RATIO_TOL * rscale:
-            raise NotARotatorError(
-                f"branch equations disagree: {ratios[0]} vs {ratios[1]}"
-            )
     ratio = sum(ratios) / len(ratios)
     s = -1 if ratio < 0 else 1
     return s, 2.0 * A * abs(ratio), case
@@ -255,19 +240,18 @@ class MeridianSolution:
 
 
 def _solution(shape, masses, s, omega_squared, case_tag, pot, R) -> MeridianSolution:
-    """The solution at shape, with its residual: lifted on branch s when
-    omega_squared is given and A > A_TOL * (m1 + m2 + m3), else a fixed
-    point (the A-zero one when omega_squared was given)."""
-    thetas, omega = (0.0, shape.theta21, shape.theta31), 0.0
+    """The solution at shape, with its backward error: lifted on branch s
+    when omega_squared is given and A > A_TOL * (m1 + m2 + m3), else a
+    fixed point (the A-zero one when omega_squared was given)."""
+    thetas = (0.0, shape.theta21, shape.theta31)
     if omega_squared is not None:
         try:
             thetas = shape_to_configurations(masses, shape, s)
-            omega = math.sqrt(omega_squared)
         except AZeroFixedPoint:
             s, omega_squared, case_tag = 0, None, A_ZERO_FIXED_POINT
-    res = configuration_residuals(thetas, (0.0, 0.0, 0.0), omega, masses, pot, R)
+    residual = backward_error(thetas, omega_squared or 0.0, masses, pot, R)
     return MeridianSolution(shape.theta31, shape, thetas, s, omega_squared,
-                            case_tag, float(np.max(np.abs(res))))
+                            case_tag, residual)
 
 
 # a knot where |g| <= TANGENT_ULPS * eps * (nu1*Ps + nu2*Qs + Ss)
@@ -397,8 +381,7 @@ def solution_from_shape(
     pot: PairPotential | None = None,
     R: SphereRadius = SphereRadius(),
 ) -> MeridianSolution:
-    """Lift a candidate shape to a verified solution (raises
-    NotARotatorError when the branch equations reject it)."""
+    """Lift a candidate shape to a solution with its backward error."""
     if pot is None:
         pot = cotangent_potential(R)
     pq = pair_quantities(masses, shape, pot, R)
@@ -412,7 +395,7 @@ def find_meridian_rotators(
     masses: MassTriple,
     pot: PairPotential | None = None,
     R: SphereRadius = SphereRadius(),
-    residual_tol: float = 1e-9,
+    residual_tol: float = RESIDUAL_TOL,
 ) -> list[MeridianSolution]:
     """All rigid rotators on the rotating meridian for fixed a.
 
@@ -423,8 +406,8 @@ def find_meridian_rotators(
     generic ratio equation at GENERIC_SCAN_SAMPLES points per region
     instead, from GENERIC_BOUNDARY_GAP off each singular point: it
     misses tangent roots, close pairs and roots nearer a singular point.
-    Every survivor must pass the raw-equation residuals to within
-    residual_tol of the equation scale.
+    A root is reported when its backward error (residual_max) is at most
+    residual_tol radians of x.
     """
     if not 0.0 < a < math.pi:
         raise ValueError(f"a must lie in (0, pi), got {a}")
@@ -441,12 +424,9 @@ def find_meridian_rotators(
         try:
             shape.validate(BOUNDARY_TOL)
             sol = solution_from_shape(shape, masses, pot, R)
-        except ValueError:  # NotARotatorError included
+        except ValueError:
             continue
-        # gate relative to the equation scale: fast rotators near a
-        # boundary have huge omega^2, so their raw residual floor grows
-        scale = max(1.0, abs(sol.omega_squared or 0.0)) * sum(masses.as_tuple())
-        if sol.residual_max < residual_tol * scale:
+        if sol.residual_max <= residual_tol:
             solutions.append(sol)
     return solutions
 
@@ -516,9 +496,13 @@ def count_rotators_scan(
 
 # count_rotators_grid_regions counts blocks of nu2 rows: a block's
 # (sample, nu2) arrays and its (nu1 + 1, nu2) difference array each hold
-# at most this many cells (64 KB in float64) unless one row is larger.
-# At 400 samples, blocks of 12 to 25 rows ran fastest of 6 to 128.
-GRID_BLOCK_CELLS = 8192
+# at most this many cells (48 KB in float64) unless one row is larger.
+# At 400 samples, blocks of 12 to 25 rows ran fastest of 6 to 128. At 20
+# rows (8192 cells) a block's arrays grew the top of the heap by a few
+# hundred KB, which glibc's malloc gave back to the system after each
+# block in some heap layouts: about 700 page faults per 50x50 slice,
+# +20% time. At 15 rows none was seen in any layout tried.
+GRID_BLOCK_CELLS = 6144
 
 
 def count_rotators_grid_regions(
@@ -691,18 +675,13 @@ def isosceles_rotators(
     if not 0.0 < a < math.pi:
         raise ValueError(f"a must lie in (0, pi), got {a}")
     equal_nu = abs(masses.nu1 - masses.nu2) <= 1e-12 * (masses.nu1 + masses.nu2)
-    out = []
     candidates = []
     if equal_nu or abs(math.cos(a) - SPECIAL_ISOSCELES_COS_A) <= 1e-9:
         candidates.append(a / 2.0)
     if equal_nu or abs(a - 2.0 * math.pi / 3.0) <= 1e-9:
         candidates.append(a / 2.0 + math.pi)
-    for x in candidates:
-        try:
-            out.append(solution_from_shape(Shape(a, x), masses, pot, R))
-        except NotARotatorError:
-            continue
-    return out
+    sols = [solution_from_shape(Shape(a, x), masses, pot, R) for x in candidates]
+    return [s for s in sols if s.residual_max <= RESIDUAL_TOL]
 
 
 @dataclass(frozen=True)

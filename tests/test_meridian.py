@@ -10,7 +10,7 @@ import pytest
 
 from sphere3body import kernels
 from sphere3body import meridian as mer
-from sphere3body.dynamics import MassTriple, configuration_residuals
+from sphere3body.dynamics import MassTriple, backward_error, configuration_residuals
 from sphere3body.geometry import SphereRadius
 from sphere3body.potential import PairPotential, cotangent_potential, repulsive
 from test_dynamics import _outcome
@@ -27,6 +27,63 @@ SMALL_AMPLITUDE = [
     (1.8202418324125238,
      (0.5889264248276225, 0.5475259581794261, 0.2835682163913604), 4),
 ]
+
+# (a, masses) near a = pi/2 where the gates that came before this one
+# reported roots 6e-9 to 7e-8 rad from an RE (x ~ 3.14182 at the first
+# input, x ~ 3.14148 and 6.28307 at the third) or dropped roots within
+# 1e-11 rad of one (x ~ 1.5708 and 4.71239 at the second)
+NEAR_PI_OVER_2 = [
+    (1.5710047, (0.5472, 6.2022, 5.3968)),
+    (1.571004144129151,
+     (8.977753128404313, 0.0022578195460126993, 929.3664701741169)),
+    (1.5707648126605667,
+     (4.398655551487779, 6.432469490862524, 1.682413136053711)),
+]
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _tangential(v, n):
+    d = sum(p * q for p, q in zip(v, n))
+    return tuple(p - d * q for p, q in zip(v, n))
+
+
+def cartesian_defect(thetas, omega_squared, masses):
+    """Largest relative defect of the rigid rotation about the z-axis of
+    three bodies on the meridian phi = 0 of the unit sphere, under the
+    cotangent potential, in Cartesian coordinates: per body the
+    tangential gravity plus m w^2 rho against the sum of the magnitudes
+    of its terms, and, for w^2 > 0, the planar angular momentum against
+    sum(m). The force of body i on body k is m_k m_i r_i / sin^3(sigma),
+    with sin(sigma) from a cross product; no algebra is shared with the
+    package."""
+    w2 = omega_squared or 0.0  # None for a fixed point
+    r = [(math.sin(t), 0.0, math.cos(t)) for t in thetas]
+    worst = 0.0
+    for k in range(3):
+        terms = [_tangential((w2 * masses[k] * r[k][0], 0.0, 0.0), r[k])]
+        for i in range(3):
+            if i != k:
+                sin_s = math.hypot(*_cross(r[k], r[i]))
+                c = masses[k] * masses[i] / sin_s ** 3
+                terms.append(_tangential(tuple(c * v for v in r[i]), r[k]))
+        total = [sum(t[j] for t in terms) for j in range(3)]
+        worst = max(worst, math.hypot(*total) / sum(math.hypot(*t) for t in terms))
+    if w2 > 0.0:
+        lx = sum(m * _cross(rk, (-rk[1], rk[0], 0.0))[0] for m, rk in zip(masses, r))
+        worst = max(worst, abs(lx) / sum(masses))
+    return worst
+
+
+def cartesian_defect_in_x(thetas, omega_squared, masses, step=1e-6):
+    """cartesian_defect as a distance in x: its ratio to the defect
+    after moving body 3 by step, times step."""
+    moved = (thetas[0], thetas[1], thetas[2] + step)
+    return step * (cartesian_defect(thetas, omega_squared, masses)
+                   / cartesian_defect(moved, omega_squared, masses))
 
 
 class TestRegions:
@@ -155,11 +212,10 @@ class TestCases:
         assert mer.classify_case(pq, m) == mer.CASE4_FIXED_POINT
 
     def test_inconsistent_shape_rejected(self):
-        # an arbitrary shape does not satisfy both ratio equations
-        pq = mer.pair_quantities(M321, mer.Shape(1.0, 2.0))
-        A = mer.amplitude_A(M321, mer.Shape(1.0, 2.0))
-        with pytest.raises(mer.NotARotatorError):
-            mer.solve_omega_and_branch(pq, M321, A)
+        # an arbitrary shape does not satisfy both ratio equations: the
+        # gate rejects its lift
+        sol = mer.solution_from_shape(mer.Shape(1.0, 2.0), M321)
+        assert sol.residual_max > mer.RESIDUAL_TOL
 
 
 class TestSolver:
@@ -247,17 +303,41 @@ class TestSolver:
         # turning every theta by delta keeps the shape and turns
         # W = sum m_k e^(2i theta_k) = s * A by 2 * delta: pi/2 gives the
         # wrong branch -s, and other deltas a nonzero Im W, the planar
-        # angular momentum. The residual gate must reject each, so it
-        # alone checks what the lift promises.
+        # angular momentum. The gate must reject each, so it alone checks
+        # what the lift promises.
         for ms in (MassTriple(*m), MassTriple(m[1], m[0], m[2])):
             for s in mer.find_meridian_rotators(a, ms):
-                omega = math.sqrt(s.omega_squared)
-                gate = 1e-9 * max(1.0, s.omega_squared) * sum(m)
                 for delta in (math.pi / 2, 0.1, 1e-6):
                     turned = tuple(t + delta for t in s.thetas)
-                    res = configuration_residuals(turned, (0.0, 0.0, 0.0), omega,
-                                                  ms, POT, R1)
-                    assert np.max(np.abs(res)) >= gate, (s.x, delta)
+                    err = backward_error(turned, s.omega_squared, ms, POT, R1)
+                    assert err > mer.RESIDUAL_TOL, (s.x, delta)
+
+    def test_gate_matches_cartesian_check_near_pi_over_2(self):
+        # near a = pi/2 roots sit near collisions and antipodal pairs,
+        # where the raw residual tells right from wrong solutions badly. A
+        # root is reported exactly when its lift is within RESIDUAL_TOL
+        # radians of x of an RE by the Cartesian check
+        rng = random.Random(20221018)
+        inputs = [(math.pi / 2 + rng.uniform(-1e-3, 1e-3),
+                   tuple(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(3)))
+                  for _ in range(150)] + NEAR_PI_OVER_2
+        kept = dropped = 0
+        for a, m in inputs:
+            masses = MassTriple(*m)
+            reported = {s.x for s in mer.find_meridian_rotators(a, masses)}
+            for x in (x for r in mer._scan_roots(a, masses.nu1, masses.nu2) for x in r):
+                shape = mer.Shape(a, x)
+                try:
+                    shape.validate(mer.BOUNDARY_TOL)
+                except ValueError:
+                    assert x not in reported
+                    continue
+                sol = mer.solution_from_shape(shape, masses)
+                good = cartesian_defect_in_x(sol.thetas, sol.omega_squared, m) <= 1e-9
+                assert (x in reported) == good, (a, m, x, sol.residual_max)
+                kept += good
+                dropped += not good
+        assert kept > 800 and dropped > 10
 
     def test_custom_potential_is_solved_through_its_ratio_equation(self, monkeypatch):
         # a Newton-like potential is solved through its ratio equation,
