@@ -233,6 +233,11 @@ def cmd_sweep(args) -> int:
                          "g overflows") from None
     if args.samples < 2:
         raise ValueError(f"--samples must be at least 2, got {args.samples}")
+    a_values = a_grid.tolist()
+    # the first slice is counted before anything is written, so a grid too
+    # large to count (MemoryError, reported by main()) leaves no output
+    per_region = mer.count_rotators_grid_regions(
+        a_values[0], nu1_grid, nu2_grid, args.samples)
     # the rows csv.writer would write: no field needs quoting, CRLF ends
     # each. Each a-slice is written as soon as it is counted.
     nu1_text = [_fmt(v) for v in nu1_grid.tolist()]
@@ -242,33 +247,58 @@ def cmd_sweep(args) -> int:
     with (open(args.out, "w") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write("a,nu1,nu2,count,count_I,count_II,count_III,count_IV\r\n")
-        for a in a_grid.tolist():
-            count, text = _write_sweep_slice(fh, a, args, nu1_text, nu2_text)
+        for a in a_values:
+            if per_region is None:
+                per_region = mer.count_rotators_grid_regions(
+                    a, nu1_grid, nu2_grid, args.samples)
+            count, text = _write_sweep_slice(fh, a, per_region, nu1_text, nu2_text)
+            per_region = None  # freed before the next slice is counted
             if count > max_count:
                 max_count, argmax_text = count, text
         fh.write(f"# max_count,{argmax_text},{max_count},,,,\r\n")
     return 0
 
 
-def _write_sweep_slice(fh, a, args, nu1_text, nu2_text) -> tuple[int, str]:
-    """Count and write the rows of one a-slice. Returns its largest count
-    and the "a,nu1" text of the first cell (in row order) that has it.
-    The slice's arrays are freed on return, before the next is counted."""
-    per_region = mer.count_rotators_grid_regions(
-        a, args.nu1_grid, args.nu2_grid, args.samples)
+class _Tails(dict):
+    """The ",count,count_I,count_II,count_III,count_IV\r\n" text of each
+    code of four region counts in base `base`, made on first use."""
+
+    def __init__(self, base: int):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, code: int) -> str:
+        rest, c4 = divmod(code, self.base)
+        rest, c3 = divmod(rest, self.base)
+        c1, c2 = divmod(rest, self.base)
+        tail = self[code] = f",{c1 + c2 + c3 + c4},{c1},{c2},{c3},{c4}\r\n"
+        return tail
+
+
+def _write_sweep_slice(fh, a, per_region, nu1_text, nu2_text) -> tuple[int, str]:
+    """Write the rows of one a-slice from its per-region counts. Returns
+    its largest count and the "a,nu1" text of the first cell (in row
+    order) that has it."""
     total = per_region["I"].copy()
     for region in mer.REGIONS[1:]:
         total += per_region[region]
-    a_text = _fmt(a)
     k = int(np.argmax(total))  # the first maximum in row order
-    counts = [total] + [per_region[r] for r in mer.REGIONS]
-    for i, nu1 in enumerate(nu1_text):
+    max_count = int(total.flat[k])
+    # each cell's four region counts as one code in base max_count + 1
+    # (no count exceeds the total), in Python ints where int64 would
+    # overflow. A row is "a,nu1," before each cell's nu2 and code's tail.
+    base = max_count + 1
+    code = per_region["I"].astype(np.int64 if base ** 4 <= 2 ** 63 - 1 else object)
+    for region in mer.REGIONS[1:]:
+        code *= base
+        code += per_region[region]
+    tails = _Tails(base)
+    a_text = _fmt(a)
+    for nu1, row in zip(nu1_text, code):
         head = f"{a_text},{nu1},"
-        fh.write("".join([
-            f"{head}{nu2},{c},{c1},{c2},{c3},{c4}\r\n"
-            for nu2, c, c1, c2, c3, c4
-            in zip(nu2_text, *(row[i].tolist() for row in counts))]))
-    return int(total.flat[k]), f"{a_text},{nu1_text[k // len(nu2_text)]}"
+        fh.write(head + head.join(map(str.__add__, nu2_text,
+                                      map(tails.__getitem__, row.tolist()))))
+    return max_count, f"{a_text},{nu1_text[k // len(nu2_text)]}"
 
 
 # ---------------------------------------------------------------- verify
@@ -487,7 +517,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -497,11 +497,14 @@ def count_rotators_scan(
 # count_rotators_grid_regions counts blocks of nu2 rows: a block's
 # (sample, nu2) arrays and its (nu1 + 1, nu2) difference array each hold
 # at most this many cells (48 KB in float64) unless one row is larger.
-# At 400 samples, blocks of 12 to 25 rows ran fastest of 6 to 128. At 20
-# rows (8192 cells) a block's arrays grew the top of the heap by a few
-# hundred KB, which glibc's malloc gave back to the system after each
-# block in some heap layouts: about 700 page faults per 50x50 slice,
-# +20% time. At 15 rows none was seen in any layout tried.
+# At 400 samples, blocks of 12 to 25 rows ran fastest of 6 to 128. Larger
+# blocks grow the top of the heap by a few hundred KB, which glibc's
+# malloc gives back to the system after each block in some heap layouts,
+# so the next block faults it in again (+20% time). Minor page faults per
+# 50x50 slice, over copies with an unused function appended to one module
+# and several PYTHONHASHSEEDs: 0.0-0.1 at 6144, 8192 and 12288 cells (21,
+# 21 and 5 layouts), 372 at 16384 in 2 of 5 layouts. 6144 keeps a margin
+# of 2x below the first size that faulted.
 GRID_BLOCK_CELLS = 6144
 
 
@@ -534,16 +537,19 @@ def count_rotators_grid_regions(
     is monotone in nu1: non-decreasing where P >= 0, non-increasing
     where P < 0. Over the sorted nu1 grid each (nu2, sample) pair is
     therefore below zero, zero and above zero on three runs of indices
-    (the reverse where P < 0), which two thresholds bound. Each
-    threshold is guessed from the real root -(nu2 * Q + S) / P and
-    confirmed by g one index below and at it; a pair that fails the
+    (the reverse where P < 0), which two thresholds bound: t_neg and
+    t_pos, the counts of nu1 where g * sign(P) is below zero and at most
+    zero. Each threshold is guessed from the real root -(nu2 * Q + S) / P
+    and confirmed by g one index below and at it; a pair that fails the
     check (a zero of g near the guess, P = 0, a guess off by rounding)
-    is settled by bisection over the indices. Neighbouring samples then
-    change sign on at most two intervals of nu1 indices, which a
-    difference array over nu1 counts. g is evaluated a few times per
-    (nu2, sample) pair rather than once per nu1 value, and the working
-    memory is one block of nu2 rows (GRID_BLOCK_CELLS) besides the
-    output.
+    is settled by bisection over the indices. Two neighbouring samples
+    then change sign on one interval of nu1 indices: [min t_pos,
+    max t_neg) of the two where P keeps its sign between them (empty
+    where it ends first), and where P turns, every index outside
+    [min t_neg, max t_pos). A difference array over nu1 counts them. g
+    is evaluated a few times per (nu2, sample) pair rather than once per
+    nu1 value, and the working memory is one block of nu2 rows
+    (GRID_BLOCK_CELLS) besides the output.
     """
     nu1v = np.asarray(nu1_values, dtype=float)
     nu2v = np.asarray(nu2_values, dtype=float)
@@ -562,74 +568,86 @@ def count_rotators_grid_regions(
         hi -= BOUNDARY_TOL
         if hi <= lo or n1 == 0 or samples_per_region < 2:
             continue
-        P, Q, S = kernels.g_terms(np.linspace(lo, hi, samples_per_region), a)
+        terms = _normalised_terms(
+            *kernels.g_terms(np.linspace(lo, hi, samples_per_region), a))
         for j in range(0, n2, rows):
             block = slice(j, j + rows)
-            counts[order, block] = _count_block(nu1s, nu2v[block], P, Q, S).T
+            counts[order, block] = _count_block(nu1s, nu2v[block], *terms).T
     return out
 
 
-def _count_block(nu1s, nu2b, P, Q, S) -> np.ndarray:
-    """Sign changes of (nu1 * P + nu2 * Q) + S between neighbouring
-    samples, for sorted nu1s and each nu2 in nu2b: shape (nu2, nu1)."""
-    n1, n2 = len(nu1s), len(nu2b)
-    # h = g where P >= 0 and -g where P < 0, non-decreasing in nu1. The
-    # same sums of the negated terms give -g exactly, as rounding to
-    # nearest is symmetric. Arrays are (sample, nu2).
-    flip = (P < 0.0)[:, None]
-    sign = np.where(flip[:, 0], -1.0, 1.0)
-    P, Q, S = sign * P, sign * Q, sign * S
-    nu2_q = Q[:, None] * nu2b
+def _normalised_terms(P, Q, S):
+    """(P, Q, S) times -1 at the samples where P < 0, so that
+    h = (nu1 * P + nu2 * Q) + S is non-decreasing in nu1 (h = g where
+    P >= 0 and -g where P < 0: the same sums of the negated terms give
+    -g exactly, as rounding to nearest is symmetric), and the indices k
+    of the sample pairs (k, k + 1) between which P changes sign."""
+    flip = P < 0.0
+    sign = np.where(flip, -1.0, 1.0)
+    return sign * P, sign * Q, sign * S, np.flatnonzero(flip[:-1] != flip[1:])
 
-    def h(i, k=None, j=None):
-        """h at nu1s[i], on the whole block or at samples k, nu2 j."""
-        if k is None:
-            return (nu1s[i] * P[:, None] + nu2_q) + S[:, None]
-        return (nu1s[i] * P[k] + nu2_q[k, j]) + S[k]
+
+def _count_block(nu1s, nu2b, P, Q, S, turns) -> np.ndarray:
+    """Sign changes of g between neighbouring samples, for sorted nu1s and
+    each nu2 in nu2b, from the terms and turns of _normalised_terms:
+    shape (nu2, nu1)."""
+    n1, n2 = len(nu1s), len(nu2b)
+    nu2_q = Q[:, None] * nu2b  # arrays are (sample, nu2)
 
     # t_neg = #{h < 0} and t_pos = #{h <= 0} bound h's three runs; both
     # are the guess where h is below zero one index below it and above
-    # zero at it
+    # zero at it, nu1 = -inf below the grid and +inf above it (where
+    # P = 0 that gives NaN, and bisection)
+    nu1p = np.concatenate(([-np.inf], nu1s, [np.inf]))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         guess = np.searchsorted(nu1s, (nu2_q + S[:, None]) * (-1.0 / P)[:, None])
-    ok = ((guess == 0) | (h(np.maximum(guess - 1, 0)) < 0.0)) & (
-        (guess == n1) | (h(np.minimum(guess, n1 - 1)) > 0.0))
-    # the rejected pairs, at sample k and nu2 j: bisect for the first
-    # index where h >= 0 (t_neg), or h > 0 (t_pos)
-    k, j = np.divmod(np.flatnonzero(~ok), n2)
-    t_neg, t_pos = guess, guess.copy()
-    for t, strict in ((t_neg, False), (t_pos, True)):
-        lo = np.zeros(len(k), dtype=np.intp)
-        hi = np.full(len(k), n1, dtype=np.intp)
-        while True:
-            active = np.flatnonzero(lo < hi)
-            if not active.size:
-                break
-            mid = (lo[active] + hi[active]) // 2
-            hm = h(mid, k[active], j[active])
-            hit = hm > 0.0 if strict else hm >= 0.0
-            hi[active] = np.where(hit, mid, hi[active])
-            lo[active] = np.where(hit, lo[active], mid + 1)
-        t[k, j] = lo
+        ok = (((nu1p[guess] * P[:, None] + nu2_q) + S[:, None] < 0.0)
+              & ((nu1p[guess + 1] * P[:, None] + nu2_q) + S[:, None] > 0.0))
+    t_neg = t_pos = guess
+    if not ok.all():
+        # the rejected pairs, at sample k and nu2 j: bisect for the first
+        # index where h >= 0 (t_neg), or h > 0 (t_pos)
+        k, j = np.divmod(np.flatnonzero(~ok), n2)
+        t_pos = guess.copy()
+        for t, strict in ((t_neg, False), (t_pos, True)):
+            lo = np.zeros(len(k), dtype=np.intp)
+            hi = np.full(len(k), n1, dtype=np.intp)
+            while True:
+                active = np.flatnonzero(lo < hi)
+                if not active.size:
+                    break
+                mid = (lo[active] + hi[active]) // 2
+                ka = k[active]
+                hm = (nu1s[mid] * P[ka] + nu2_q[ka, j[active]]) + S[ka]
+                hit = hm > 0.0 if strict else hm >= 0.0
+                hi[active] = np.where(hit, mid, hi[active])
+                lo[active] = np.where(hit, lo[active], mid + 1)
+            t[k, j] = lo
 
-    # g < 0 on [neg_lo, neg_hi) and g > 0 on [pos_lo, pos_hi)
-    neg_lo = np.where(flip, t_pos, 0)
-    neg_hi = np.where(flip, n1, t_neg)
-    pos_lo = np.where(flip, 0, t_pos)
-    pos_hi = np.where(flip, t_neg, n1)
-    # neighbouring samples change sign on at most two intervals of nu1
-    # indices, below then above zero and above then below; count the
-    # nonempty ones in a difference array per nu2
-    start = np.concatenate((np.maximum(neg_lo[:-1], pos_lo[1:]),
-                            np.maximum(pos_lo[:-1], neg_lo[1:])))
-    end = np.concatenate((np.minimum(neg_hi[:-1], pos_hi[1:]),
-                          np.minimum(pos_hi[:-1], neg_hi[1:])))
-    nonempty = np.flatnonzero(start < end)
-    offset = (n1 + 1) * (nonempty % n2)
+    # g < 0 on [0, t_neg) and g > 0 on [t_pos, n1), the reverse where P
+    # was flipped. Where P keeps its sign between samples k and k + 1,
+    # flipped or not, g changes sign on [min t_pos, max t_neg) of the two
+    # samples (empty where that ends before it starts: clamped to an
+    # empty interval, which cancels in the difference array). Where P
+    # turns, g changes sign on [0, min t_neg) and on [max t_pos, n1):
+    # everywhere (the count of turns, added to every cell) less
+    # [min t_neg, max t_pos), counted as start = max t_pos and
+    # end = min t_neg <= start.
+    start = np.minimum(t_pos[:-1], t_pos[1:])
+    end = np.maximum(t_neg[:-1], t_neg[1:])
+    np.maximum(end, start, out=end)
+    if turns.size:
+        start[turns] = np.maximum(t_pos[turns], t_pos[turns + 1])
+        end[turns] = np.minimum(t_neg[turns], t_neg[turns + 1])
+    # one difference array of n1 + 1 entries per nu2
+    offset = (n1 + 1) * np.arange(n2)
+    start += offset
+    end += offset
     size = (n1 + 1) * n2
-    diff = np.bincount(start.ravel()[nonempty] + offset, minlength=size)
-    diff -= np.bincount(end.ravel()[nonempty] + offset, minlength=size)
+    diff = np.bincount(start.ravel(), minlength=size)
+    diff -= np.bincount(end.ravel(), minlength=size)
     counts = diff.reshape(n2, n1 + 1)
+    counts[:, 0] += turns.size
     return np.cumsum(counts, axis=1, out=counts)[:, :n1]
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sphere3body import cli
 from sphere3body import meridian as mer
 from sphere3body.cli import _parse_grid as _grid, main
 from sphere3body.meridian import count_rotators_scan
@@ -224,6 +225,20 @@ class TestSweep:
         assert "cannot be allocated" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
+    def test_uncountable_grid_is_error(self, capsys, tmp_path):
+        # 1e15 samples (8 PB) fail to allocate at once, in the first slice,
+        # which is counted before anything is written; a size that could
+        # be allocated is never tried here
+        argv = ["sweep", "--a-grid", "1:2:2", "--nu1-grid", "1:1:1",
+                "--nu2-grid", "1:1:1", "--samples", "1000000000000000"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+        out_file = tmp_path / "sweep.csv"
+        assert main([*argv, "--out", str(out_file)]) == 1
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("argv,message", [
         (["--a-grid", "4:4:1"], "(0, pi)"),
         (["--a-grid", "1:1:1", "--nu1-grid=-1:-1:1"], "must be positive"),
@@ -343,6 +358,25 @@ class TestSweepBytes:
                      "--nu2-grid", "0.5:8:5", "--out", str(out_file)]) == 0
         assert out_file.read_bytes() == csv_writer_sweep(a_grid, nu, nu).encode()
         assert out_file.read_bytes().endswith(b"# max_count,1.55,0.5,8,,,,\r\n")
+
+    @pytest.mark.parametrize("high", [9, 40000, 10**6])
+    def test_slice_rows_match_cell_formatting(self, high):
+        # region counts up to 40000 and 1e6 make the cell codes overflow
+        # int64 (base ** 4 > 2 ** 63), so they are Python ints there
+        rng = np.random.default_rng(high)
+        per_region = {r: rng.integers(0, high, (4, 3)).astype(np.intp)
+                      for r in mer.REGIONS}
+        per_region["II"][2, 1] = high
+        nu1_text, nu2_text = ["0.5", "1", "2", "7"], ["3", "4.25", "9"]
+        fh = io.StringIO()
+        top = cli._write_sweep_slice(fh, 1.25, per_region, nu1_text, nu2_text)
+        total = sum(per_region.values())
+        i, j = np.unravel_index(np.argmax(total), total.shape)
+        assert top == (total.max(), f"1.25,{nu1_text[i]}")
+        assert fh.getvalue() == "".join(
+            f"1.25,{nu1},{nu2},{total[i, j]},"
+            + ",".join(str(per_region[r][i, j]) for r in mer.REGIONS) + "\r\n"
+            for i, nu1 in enumerate(nu1_text) for j, nu2 in enumerate(nu2_text))
 
     def test_stdout_matches_csv_writer(self, capsys):
         code, out = run(capsys, ["sweep", "--a-grid", "0.5:2.5:2",

@@ -569,6 +569,11 @@ def guess_misses(P, Q, S, nu1, nu2):
                + np.count_nonzero(guess != np.count_nonzero(h <= 0.0, axis=0)))
 
 
+def count_block(nu1, nu2, P, Q, S):
+    """_count_block on raw g terms, sign-normalised as the counter does."""
+    return mer._count_block(nu1, nu2, *mer._normalised_terms(P, Q, S))
+
+
 class TestGridThresholds:
     """The counter's slow path: root guesses that the check at the guess
     rejects, settled by bisection, on hand-built g terms."""
@@ -577,7 +582,7 @@ class TestGridThresholds:
     def check(P, Q, S, nu1, nu2):
         P, Q, S = (np.asarray(v, dtype=float) for v in (P, Q, S))
         nu1, nu2 = np.asarray(nu1, dtype=float), np.asarray(nu2, dtype=float)
-        got = mer._count_block(nu1, nu2, P, Q, S)
+        got = count_block(nu1, nu2, P, Q, S)
         assert got.shape == (len(nu2), len(nu1))
         assert np.array_equal(got.T, sign_changes(P, Q, S, nu1, nu2))
         return guess_misses(P, Q, S, nu1, nu2)
@@ -623,7 +628,33 @@ class TestGridThresholds:
         self.check(P, Q, S, nu1, nu2)
         g = (nu1[:, None] * P + nu2[0] * Q) + S
         assert np.all(g[:, :-1] * g[:, 1:] == 0.0)
-        assert mer._count_block(nu1, nu2, P, Q, S).tolist() == [[0, 1, 2]]
+        assert count_block(nu1, nu2, P, Q, S).tolist() == [[0, 1, 2]]
+
+    def test_random_blocks_match_full_count(self):
+        # hand-built blocks with P turning sign between neighbours, exact
+        # zeros of g on repeated nu1, P = 0.0 and -0.0 at a turn and 1 to
+        # 3 samples: every sign-change interval rule of _count_block, each
+        # against the full count
+        rng = np.random.default_rng(15)
+        turns = 0
+        for trial in range(300):
+            samples = int(rng.integers(1, 4)) if trial % 4 == 0 else \
+                int(rng.integers(4, 13))
+            # small integers make exact zeros of g on the grid common
+            P = rng.integers(-3, 4, samples) * rng.choice([1.0, 0.5])
+            Q = rng.integers(-2, 3, samples).astype(float)
+            S = rng.integers(-6, 7, samples).astype(float)
+            if samples > 2 and trial % 3 == 0:
+                k = int(rng.integers(1, samples - 1))
+                P[k - 1], P[k], P[k + 1] = 1.0, rng.choice([0.0, -0.0]), -1.0
+            nu1 = np.sort(np.repeat(rng.integers(0, 8, 6) * 0.5,
+                                    rng.integers(1, 4, 6)))
+            if trial % 2:
+                nu1 = np.sort(rng.uniform(-4.0, 4.0, int(rng.integers(1, 20))))
+            nu2 = rng.integers(0, 5, int(rng.integers(1, 6))) * 0.5
+            self.check(P, Q, S, nu1, nu2)
+            turns += np.count_nonzero((P[:-1] < 0.0) != (P[1:] < 0.0))
+        assert turns > 100
 
 
 class TestSpecialFamilies:
