@@ -1,13 +1,16 @@
 """Ground-truth layer: raw equations of motion, angular momentum,
-residuals of the rotating-equilibrium conditions, the backward error
-that the meridian solver and the verifier both gate on, and a
-fixed-step RK4 integrator used only for independent verification.
+residuals of the rotating-equilibrium conditions, the pair pulls of
+three bodies on a meridian, the backward error that the meridian solver
+and the verifier both gate on, and a fixed-step RK4 integrator used
+only for independent verification.
 
-The residuals and the backward error are evaluated on the untranslated
-equations, so the solvers and this verifier share no algebra. The
-equations of motion have one definition, the scalar kernel
-_accelerations: integrate calls it four times per RK4 step on twelve
-local floats, and eom_rhs calls it once.
+The meridian force balance has one definition, meridian_pulls: the
+backward error and meridian.pair_quantities both read it, so they share
+its algebra. Independence lives elsewhere: in configuration_residuals,
+the tests' oracle on the untranslated equations, and in the benchmark's
+Cartesian check. The equations of motion have one definition, the
+scalar kernel _accelerations, which integrate calls four times per RK4
+step on twelve local floats.
 """
 
 from __future__ import annotations
@@ -179,18 +182,6 @@ def _accelerations(t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3,
         gp2 / (s2 * s2) - 2.0 * (c2 / s2) * td2 * pd2,
         gp3 / (s3 * s3) - 2.0 * (c3 / s3) * td3 * pd3,
     )
-
-
-def eom_rhs(state: SphericalState, masses: MassTriple, pot: PairPotential):
-    """Second derivatives of (theta_k, phi_k) from the Euler-Lagrange
-    equations. Returns (theta_ddot, phi_ddot) as tuples."""
-    m1, m2, m3 = masses.as_tuple()
-    R = state.R.R
-    d = _accelerations(
-        *state.thetas, *state.phis, *state.theta_dot, *state.phi_dot,
-        2.0 * m1, 2.0 * m2, 2.0 * m3, pot.u_prime, 2.0 * (R * R),
-    )
-    return d[0:3], d[3:6]
 
 
 @dataclass
@@ -419,20 +410,18 @@ def configuration_residuals(
 X_STEP = 1e-6
 
 
-def _meridian_defect(thetas, omega_squared, masses, pot, R) -> float:
-    """Largest relative defect of the rigid-rotation balance of three
-    bodies on the meridian phi = 0 (nan if any defect is nan).
+def meridian_pulls(thetas, masses, pot, R) -> tuple[float, float, float]:
+    """The pulls p_ki = 2 m_k m_i U'(D_ki^2) sin(t_k - t_i) of the pairs
+    (k, i) = (1, 2), (2, 3), (3, 1) of three bodies at colatitudes thetas
+    on one meridian: pair ki's term in body k's theta equation, and
+    -p_ki in body i's. The chord D_ki^2 = 4 R^2 sin^2((t_k - t_i)/2)
+    keeps its digits near a collision.
 
-    Per body k, the theta row -w^2 m_k sin t_k cos t_k
-    - sum_i 2 m_k m_i U'(D_ki^2) sin(t_k - t_i) against the sum of the
-    magnitudes of its terms; when w^2 > 0, also the planar angular
-    momentum |sum m_k sin t_k cos t_k| against m1 + m2 + m3. The chord
-    D_ki^2 = 4 R^2 sin^2((t_k - t_i)/2) keeps its digits near a collision.
+    Raises SingularityError labelled with the pair.
     """
     m = masses.as_tuple()
     four_r2 = 4.0 * R.R * R.R
-    # pulls[k]: the terms 2 m_k m_i U'_ki sin(t_k - t_i), i != k
-    pulls = ([], [], [])
+    pulls = []
     for k, i in ((0, 1), (1, 2), (2, 0)):
         d = thetas[k] - thetas[i]
         h = sin(0.5 * d)
@@ -440,9 +429,22 @@ def _meridian_defect(thetas, omega_squared, masses, pot, R) -> float:
             u = pot.u_prime(four_r2 * h * h)
         except SingularityError as err:
             raise SingularityError(err.kind, err.d2, (k + 1, i + 1)) from None
-        pull = 2.0 * m[k] * m[i] * u * sin(d)
-        pulls[k].append(pull)
-        pulls[i].append(-pull)
+        pulls.append(2.0 * m[k] * m[i] * u * sin(d))
+    return tuple(pulls)
+
+
+def _meridian_defect(thetas, omega_squared, masses, pot, R) -> float:
+    """Largest relative defect of the rigid-rotation balance of three
+    bodies on the meridian phi = 0 (nan if any defect is nan).
+
+    Per body k, the theta row -w^2 m_k sin t_k cos t_k minus its pulls
+    (meridian_pulls) against the sum of the magnitudes of its terms;
+    when w^2 > 0, also the planar angular momentum
+    |sum m_k sin t_k cos t_k| against m1 + m2 + m3.
+    """
+    m = masses.as_tuple()
+    p12, p23, p31 = meridian_pulls(thetas, masses, pot, R)
+    pulls = ((p12, -p31), (-p12, p23), (-p23, p31))
     spins = [mk * sin(t) * cos(t) for mk, t in zip(m, thetas)]
     defects = []
     for spin, (p, q) in zip(spins, pulls):

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
 from . import kernels
-from .dynamics import MassTriple, backward_error
+from .dynamics import MassTriple, backward_error, meridian_pulls
 from .geometry import SphereRadius
 from .potential import PairPotential, cotangent_potential
 
@@ -37,10 +37,11 @@ EPS = float(np.finfo(float).eps)
 REGIONS = ("I", "II", "III", "IV")
 
 # relative tolerances of the lift and the case classification
-# amplitude A at or under which a shape is a fixed point: A^2 sums terms of
-# size (m1 + m2 + m3)^2 that cancel, so A's relative error is about
-# eps * ((m1 + m2 + m3) / A)^2 / 2, 1e-4 at A = 1e-6 * (m1 + m2 + m3).
-# Below that, omega^2 = 2 * A * |ratio| keeps fewer than four digits.
+# amplitude A at or under which a shape is a fixed point: A = |W| is the
+# hypot of W's two sums, whose terms of size up to m1 + m2 + m3 cancel,
+# so A's relative error is about eps * (m1 + m2 + m3) / A, 2e-10 at
+# A = 1e-6 * (m1 + m2 + m3). So A_TOL is no rounding bound: it sets
+# which shapes are A-zero fixed points, and moving it changes that set.
 A_TOL = 1e-6
 CASE_TOL = 1e-12  # two G values (or masses) closer than this are equal
 BOUNDARY_TOL = 1e-8  # distance kept from the singular points
@@ -98,16 +99,19 @@ class Shape:
                 raise ValueError(f"theta31={self.theta31} sits on a singular point")
 
 
-def amplitude_A(masses: MassTriple, shape: Shape) -> float:
-    """Translation amplitude; zero exactly at the fixed-point shapes."""
+def _w_sums(masses: MassTriple, shape: Shape) -> tuple[float, float]:
+    """The real and imaginary parts of W * e^(-2i theta1)
+    = m1 + m2 e^(2i theta21) + m3 e^(2i theta31)."""
     m1, m2, m3 = masses.as_tuple()
-    a2 = (
-        m1 * m1 + m2 * m2 + m3 * m3
-        + 2.0 * m1 * m2 * math.cos(2.0 * shape.theta21)
-        + 2.0 * m1 * m3 * math.cos(2.0 * shape.theta31)
-        + 2.0 * m2 * m3 * math.cos(2.0 * shape.theta32)
-    )
-    return math.sqrt(max(a2, 0.0))
+    t21, t31 = shape.theta21, shape.theta31
+    return (m1 + m2 * math.cos(2.0 * t21) + m3 * math.cos(2.0 * t31),
+            m2 * math.sin(2.0 * t21) + m3 * math.sin(2.0 * t31))
+
+
+def amplitude_A(masses: MassTriple, shape: Shape) -> float:
+    """Translation amplitude A = |W|; zero exactly at the fixed-point
+    shapes."""
+    return math.hypot(*_w_sums(masses, shape))
 
 
 def shape_to_configurations(
@@ -122,22 +126,18 @@ def shape_to_configurations(
     indefinite; the shape is a fixed point).
     """
     m1, m2, m3 = masses.as_tuple()
-    t21, t31 = shape.theta21, shape.theta31
-    A = amplitude_A(masses, shape)
-    if A <= A_TOL * (m1 + m2 + m3):
+    if amplitude_A(masses, shape) <= A_TOL * (m1 + m2 + m3):
         raise AZeroFixedPoint(shape)
-
-    cos_part = m1 + m2 * math.cos(2.0 * t21) + m3 * math.cos(2.0 * t31)
-    sin_part = m2 * math.sin(2.0 * t21) + m3 * math.sin(2.0 * t31)
-    sin2t1 = s * (-sin_part) / A
-    cos2t1 = s * cos_part / A
-    t1 = 0.5 * math.atan2(sin2t1, cos2t1)
-    return (t1, t1 + t21, t1 + t31)
+    # e^(2i theta1) = s * conj(W e^(-2i theta1)) / A, and atan2 needs no A
+    cos_part, sin_part = _w_sums(masses, shape)
+    t1 = 0.5 * math.atan2(s * (-sin_part), s * cos_part)
+    return (t1, t1 + shape.theta21, t1 + shape.theta31)
 
 
 @dataclass(frozen=True)
 class PairQuantities:
-    """Per-pair force-like terms F_ij and geometric terms G_ij."""
+    """Per-pair force-like terms F_ij, the pulls of dynamics.meridian_pulls
+    at thetas (0, theta21, theta31), and geometric terms G_ij."""
 
     F12: float
     F23: float
@@ -158,16 +158,10 @@ def pair_quantities(
         pot = cotangent_potential(R)
     m1, m2, m3 = masses.as_tuple()
     t21, t31 = shape.theta21, shape.theta31
-    u_prime = pot.u_prime
-    two_r2 = 2.0 * R.R * R.R
-    # pairs 12, 23, 31 in turn, with d = theta_j - theta_i and theta_1 = 0
-    d12, d23, d31 = t21 - 0.0, t31 - t21, 0.0 - t31
-    F12 = -2.0 * m1 * m2 * math.sin(d12) * u_prime(two_r2 * (1.0 - math.cos(d12)))
-    G12 = m1 * m2 * math.sin(2.0 * d12)
-    F23 = -2.0 * m2 * m3 * math.sin(d23) * u_prime(two_r2 * (1.0 - math.cos(d23)))
-    G23 = m2 * m3 * math.sin(2.0 * d23)
-    F31 = -2.0 * m3 * m1 * math.sin(d31) * u_prime(two_r2 * (1.0 - math.cos(d31)))
-    G31 = m3 * m1 * math.sin(2.0 * d31)
+    F12, F23, F31 = meridian_pulls((0.0, t21, t31), masses, pot, R)
+    G12 = m1 * m2 * math.sin(2.0 * t21)
+    G23 = m2 * m3 * math.sin(2.0 * (t31 - t21))
+    G31 = m3 * m1 * math.sin(-2.0 * t31)
     return PairQuantities(F12, F23, F31, G12, G23, G31)
 
 
@@ -268,10 +262,10 @@ FIT_SCALE_BOUND = 2.0 ** 1000
 # samples per region of the scan for a custom potential, whose ratio
 # equation has no polynomial form
 GENERIC_SCAN_SAMPLES = 2000
-# distance of that scan's samples from each singular point.
-# pair_quantities computes the chord as 2R^2 (1 - cos d): within about
-# 1e-8 of a singular point it rounds to 0 or to 4R^2 (a singularity),
-# and at 1e-6 it keeps about 4 digits
+# distance of that scan's samples from each singular point. The chord
+# 4R^2 sin^2(d/2) keeps its digits next to a collision, but U' takes
+# D^2, which rounds to 4R^2 (an antipodal singularity) within about 1e-8
+# of an antipodal point and keeps about 4 digits of 4R^2 - D^2 at 1e-6
 GENERIC_BOUNDARY_GAP = 1e-6
 
 

@@ -558,9 +558,10 @@ def test_out_of_range_input_is_usage_error(argv, capsys):
 @pytest.mark.parametrize("masses", ["1,1,1", "4,4,4"])
 def test_equal_masses_at_two_thirds_pi_end_cleanly(masses, capsys):
     # the equilateral root of g is of higher order here, and bisection
-    # stops 3.5e-8 from it, where the amplitude A is rounding noise: a
-    # fixed point, judged at omega = 0, whose backward error 3.7e-8 rad
-    # fails the gate. The Case-4 fixed point is not reported (README)
+    # stops 3.5e-8 from it, where the amplitude A (7.0e-8 at unit masses)
+    # is under the A-zero bound: a fixed point, judged at omega = 0, whose
+    # backward error 3.7e-8 rad fails the gate. The Case-4 fixed point is
+    # not reported (README)
     code = main(["meridian", "--masses", masses, "--a", "2.0943951023931953"])
     captured = capsys.readouterr()
     assert code == 2

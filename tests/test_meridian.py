@@ -12,7 +12,12 @@ from sphere3body import kernels
 from sphere3body import meridian as mer
 from sphere3body.dynamics import MassTriple, backward_error, configuration_residuals
 from sphere3body.geometry import SphereRadius
-from sphere3body.potential import PairPotential, cotangent_potential, repulsive
+from sphere3body.potential import (
+    PairPotential,
+    SingularityError,
+    cotangent_potential,
+    repulsive,
+)
 from test_dynamics import _outcome
 from test_kernels import REGION_SIGNS, g_reference
 from test_region_roots import NAMED
@@ -796,18 +801,23 @@ class TestEulerLimit:
 
 
 def dict_pair_quantities(masses, shape, pot, R):
-    """A literal transcription of the earlier pair_quantities, with F and
-    G kept in dicts."""
+    """A literal transcription of pair_quantities, with F and G kept in
+    dicts: F_ij = 2 m_i m_j U'(4 R^2 sin^2(d/2)) sin(d), d = t_i - t_j,
+    and G_ij = m_i m_j sin(2 (t_j - t_i)), at thetas (0, theta21, theta31)."""
     shape.validate()
     m = masses.as_tuple()
     th = (0.0, shape.theta21, shape.theta31)
     F = {}
     G = {}
     for i, j in ((0, 1), (1, 2), (2, 0)):
-        d = th[j] - th[i]
-        d2 = 2.0 * R.R * R.R * (1.0 - math.cos(d))
-        F[(i, j)] = -2.0 * m[i] * m[j] * math.sin(d) * pot.u_prime(d2)
-        G[(i, j)] = m[i] * m[j] * math.sin(2.0 * d)
+        d = th[i] - th[j]
+        h = math.sin(0.5 * d)
+        try:
+            u = pot.u_prime(4.0 * R.R * R.R * h * h)
+        except SingularityError as err:
+            raise SingularityError(err.kind, err.d2, (i + 1, j + 1)) from None
+        F[(i, j)] = 2.0 * m[i] * m[j] * u * math.sin(d)
+        G[(i, j)] = m[i] * m[j] * math.sin(2.0 * (th[j] - th[i]))
     return (F[(0, 1)], F[(1, 2)], F[(2, 0)], G[(0, 1)], G[(1, 2)], G[(2, 0)])
 
 
@@ -835,4 +845,41 @@ def test_pair_quantities_match_dict_version_bitwise():
             seen.add("nan")
         else:
             seen.add(expect[1] if expect[0] == "SingularityError" else expect[0])
-    assert {"ok", "nan", "collision", "antipodal"} <= seen
+    # the chord keeps its digits next to a collision, so only antipodes
+    # raise (test_pair_forces_near_collision_match_mpmath)
+    assert {"ok", "nan", "antipodal"} <= seen
+
+
+@pytest.mark.parametrize("x", [1e-9, 1.0 - 1e-9, 1.0 + 1e-9, 1e-7])
+def test_pair_forces_near_collision_match_mpmath(x):
+    # F_ij = m_i m_j sin(d) / |sin d|^3, d = t_j - t_i, for the cotangent
+    # potential on the unit sphere, at the floats a and x to 60 digits
+    mpmath = pytest.importorskip("mpmath")
+    a = 1.0
+    pq = mer.pair_quantities(M321, mer.Shape(a, x), POT, R1)
+    m = M321.as_tuple()
+    th = (0.0, a, x)
+    with mpmath.workdps(60):
+        for (i, j), got in zip(((0, 1), (1, 2), (2, 0)), (pq.F12, pq.F23, pq.F31)):
+            d = mpmath.mpf(th[j]) - mpmath.mpf(th[i])
+            ref = m[i] * m[j] * mpmath.sin(d) / abs(mpmath.sin(d)) ** 3
+            assert abs((got - ref) / ref) < 1e-12, (x, (i + 1, j + 1), got)
+
+
+def test_small_amplitude_matches_mpmath():
+    # at the equal-mass equilateral shape W's terms cancel; 1e-6 off it
+    # A ~ 2e-6 still keeps its digits
+    mpmath = pytest.importorskip("mpmath")
+    shape = mer.Shape(2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0 + 1e-6)
+    with mpmath.workdps(60):
+        ref = abs(1 + mpmath.expj(2 * mpmath.mpf(shape.theta21))
+                  + mpmath.expj(2 * mpmath.mpf(shape.theta31)))
+        got = mer.amplitude_A(MassTriple(1.0, 1.0, 1.0), shape)
+        assert abs((got - ref) / ref) < 1e-9
+
+
+def test_antipodal_pair_is_labelled():
+    with pytest.raises(SingularityError) as err:
+        mer.pair_quantities(M321, mer.Shape(1.0, math.pi - 1e-9), POT, R1)
+    assert err.value.kind == "antipodal"
+    assert err.value.pair == (3, 1)
