@@ -183,9 +183,8 @@ CSV_HEADER = ["a", "nu1", "nu2", "region", "x", "theta1", "theta2",
 def cmd_meridian(args) -> int:
     if not 0.0 < args.a < math.pi:
         raise ValueError(f"--a must lie in (0, pi), got {args.a}")
-    R = SphereRadius(args.radius)
-    pot = _potential(args.potential, R)
-    solutions = mer.find_meridian_rotators(args.a, args.masses, pot, R,
+    pot = _potential(args.potential, SphereRadius(args.radius))
+    solutions = mer.find_meridian_rotators(args.a, args.masses, pot,
                                            residual_tol=args.tol_residual)
     if args.format == "csv":
         buf = io.StringIO()
@@ -307,7 +306,7 @@ def _write_sweep_slice(fh, a, per_region, nu1_text, nu2_text) -> tuple[int, str]
 VERIFY_STEPS = 4000  # RK4 steps per period
 
 
-def _sigma_drift(thetas, omega, masses, pot, R):
+def _sigma_drift(thetas, omega, masses, pot):
     """Integrate the configuration over one period and report the max
     drift of the three mutual arc angles, plus the relative drift of |c|."""
     t_end = 2.0 * math.pi / omega if omega > 0 else 10.0
@@ -315,7 +314,6 @@ def _sigma_drift(thetas, omega, masses, pot, R):
         points=tuple(SpherePoint(t % (2 * math.pi), 0.0) for t in thetas),
         theta_dot=(0.0, 0.0, 0.0),
         phi_dot=(omega, omega, omega),
-        R=R,
     )
     traj = integrate(state, masses, pot, t_end, t_end / VERIFY_STEPS, store_every=50)
     if traj.error:
@@ -377,21 +375,21 @@ def cmd_verify(args) -> int:
     pot = _potential(potential, R)
 
     reports = []
-    all_pass = True
+    # a file with no solution verifies none: exit 2, as meridian did
+    all_pass = bool(records)
     for x, thetas, omega_squared in records:
-        residual = backward_error(thetas, omega_squared, masses, pot, R)
+        residual = backward_error(thetas, omega_squared, masses, pot)
         omega = math.sqrt(omega_squared)
         state = SphericalState(
             points=tuple(SpherePoint(t, 0.0) for t in thetas),
             theta_dot=(0.0, 0.0, 0.0),
             phi_dot=(omega, omega, omega),
-            R=R,
         )
-        c = angular_momentum(state, masses)
+        c = angular_momentum(state, masses, R)
         # not integrated, or the integrator failed: no drift (null)
         drift, c_drift, err = (None, None, None)
         if args.integrate:
-            drift, c_drift, err = _sigma_drift(thetas, omega, masses, pot, R)
+            drift, c_drift, err = _sigma_drift(thetas, omega, masses, pot)
         ok = residual <= args.tol_residual and err is None
         if args.integrate:
             ok = ok and drift <= args.tol_sigma

@@ -7,22 +7,27 @@ only for independent verification.
 The meridian force balance has one definition, meridian_pulls: the
 backward error and meridian.pair_quantities both read it, so they share
 its algebra. Independence lives elsewhere: in configuration_residuals,
-the tests' oracle on the untranslated equations, and in the benchmark's
-Cartesian check. The equations of motion have one definition, the
-scalar kernel _accelerations, which integrate calls four times per RK4
-step on twelve local floats.
+the tests' oracle, a per-pair loop on the untranslated equations, and
+in the benchmark's Cartesian check. The equations of motion have one
+definition, the scalar kernel _accelerations, which integrate calls four
+times per RK4 step on twelve local floats.
+
+Every function that takes a potential reads the sphere's radius from it
+(pot.radius). A SphericalState holds angles and rates only, so the
+kinematics that take no potential, kinetic_energy and angular_momentum,
+take the radius as an argument.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import cos, sin
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import SpherePoint, SphereRadius
+from .geometry import SpherePoint, SphereRadius, chord_squared
 from .potential import PairPotential, SingularityError, total_potential
 
 
@@ -70,12 +75,12 @@ class MassTriple:
 
 @dataclass(frozen=True)
 class SphericalState:
-    """Positions and angular velocities of the three bodies."""
+    """Positions and angular velocities of the three bodies, in angles:
+    the same state on a sphere of any radius."""
 
     points: tuple[SpherePoint, SpherePoint, SpherePoint]
     theta_dot: tuple[float, float, float]
     phi_dot: tuple[float, float, float]
-    R: SphereRadius = field(default_factory=SphereRadius)
 
     @property
     def thetas(self) -> tuple[float, float, float]:
@@ -96,9 +101,11 @@ class AngularMomentum:
         return np.array([self.cx, self.cy, self.cz])
 
 
-def angular_momentum(state: SphericalState, masses: MassTriple) -> AngularMomentum:
-    """Angular momentum components in spherical coordinates."""
-    R2 = state.R.R ** 2
+def angular_momentum(state: SphericalState, masses: MassTriple,
+                     R: SphereRadius) -> AngularMomentum:
+    """Angular momentum components in spherical coordinates, on the
+    sphere of radius R."""
+    R2 = R.R ** 2
     cx = cy = cz = 0.0
     for m, p, td, pd in zip(
         masses.as_tuple(), state.points, state.theta_dot, state.phi_dot
@@ -111,8 +118,10 @@ def angular_momentum(state: SphericalState, masses: MassTriple) -> AngularMoment
     return AngularMomentum(R2 * cx, R2 * cy, R2 * cz)
 
 
-def kinetic_energy(state: SphericalState, masses: MassTriple) -> float:
-    R2 = state.R.R ** 2
+def kinetic_energy(state: SphericalState, masses: MassTriple,
+                   R: SphereRadius) -> float:
+    """Kinetic energy on the sphere of radius R."""
+    R2 = R.R ** 2
     k = 0.0
     for m, p, td, pd in zip(
         masses.as_tuple(), state.points, state.theta_dot, state.phi_dot
@@ -195,7 +204,7 @@ class Trajectory:
     c_drift: float
     error: str | None = None
 
-    def state_at(self, idx: int, R: SphereRadius) -> SphericalState:
+    def state_at(self, idx: int) -> SphericalState:
         # plain floats: a blown-up state overflows to inf without a
         # numpy RuntimeWarning
         pts = tuple(
@@ -204,7 +213,7 @@ class Trajectory:
         )
         return SphericalState(
             pts, tuple(self.theta_dots[idx].tolist()),
-            tuple(self.phi_dots[idx].tolist()), R
+            tuple(self.phi_dots[idx].tolist())
         )
 
 
@@ -222,7 +231,8 @@ def integrate(
     per stage. Every (store_every)-th state and the last one are kept.
     Reports the relative drift of the energy K - V and of the angular
     momentum vector over the run. On a singularity the partial
-    trajectory is returned with the error recorded.
+    trajectory is returned with the error recorded. The sphere's radius
+    is pot.radius.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -231,8 +241,8 @@ def integrate(
     m1, m2, m3 = masses.as_tuple()
     w1, w2, w3 = 2.0 * m1, 2.0 * m2, 2.0 * m3
     up = pot.u_prime
-    R = state.R
-    two_r2 = 2.0 * (R.R * R.R)
+    R = pot.radius.R
+    two_r2 = 2.0 * (R * R)
     t1, t2, t3 = state.thetas
     p1, p2, p3 = state.phis
     td1, td2, td3 = state.theta_dot
@@ -310,8 +320,8 @@ def integrate(
         error=error,
     )
     try:
-        e0, c0 = _invariants(traj, 0, masses, pot, R)
-        e1, c1 = _invariants(traj, len(times) - 1, masses, pot, R)
+        e0, c0 = _invariants(traj, 0, masses, pot)
+        e1, c1 = _invariants(traj, len(times) - 1, masses, pot)
         escale = max(abs(e0), 1.0)
         traj.energy_drift = abs(e1 - e0) / escale
         # the norm of a blown-up state may overflow to inf, as it should
@@ -325,10 +335,11 @@ def integrate(
     return traj
 
 
-def _invariants(traj: Trajectory, idx: int, masses, pot, R):
-    st = traj.state_at(idx, R)
-    e = kinetic_energy(st, masses) - total_potential(st.points, masses.as_tuple(), pot, R)
-    c = angular_momentum(st, masses).as_array()
+def _invariants(traj: Trajectory, idx: int, masses, pot):
+    st = traj.state_at(idx)
+    e = kinetic_energy(st, masses, pot.radius) - total_potential(
+        st.points, masses.as_tuple(), pot)
+    c = angular_momentum(st, masses, pot.radius).as_array()
     return e, c
 
 
@@ -338,71 +349,48 @@ def configuration_residuals(
     omega: float,
     masses: MassTriple,
     pot: PairPotential,
-    R: SphereRadius = SphereRadius(),
 ) -> np.ndarray:
     """Left-minus-right values of the raw rotating-equilibrium conditions.
 
     Components: the two planar angular-momentum sums (only when
     omega != 0), the two independent differences of the phi equations,
-    and the three theta equations.
-
-    Written on plain floats, with the floating-point operations of the
-    per-pair loop that tests/test_dynamics.py keeps as the reference, in
-    the same order, so results agree with it bit for bit.
+    and the three theta equations. A per-pair loop over U' at each
+    pair's chord (geometry.chord_squared), apart from the integrator's
+    kernel and the meridian force balance, so the tests can hold both
+    against it.
     """
-    m1, m2, m3 = masses.as_tuple()
-    t1, t2, t3 = thetas
-    p1, p2, p3 = phis
-    s1, s2, s3 = sin(t1), sin(t2), sin(t3)
-    c1, c2, c3 = cos(t1), cos(t2), cos(t3)
-    two_r2 = 2.0 * R.R * R.R
-    # U' of each pair at its squared chord 2 R^2 (1 - cos sigma), with
-    # cos sigma clamped to [-1, 1] as max(-1, min(1, .)) does
-    pair = (1, 2)
-    try:
-        cos12 = cos(p1 - p2)
-        cs = c1 * c2 + s1 * s2 * cos12
-        cs = cs if cs < 1.0 else 1.0
-        u12 = pot.u_prime(two_r2 * (1.0 - (cs if cs > -1.0 else -1.0)))
-        pair = (2, 3)
-        cos23 = cos(p2 - p3)
-        cs = c2 * c3 + s2 * s3 * cos23
-        cs = cs if cs < 1.0 else 1.0
-        u23 = pot.u_prime(two_r2 * (1.0 - (cs if cs > -1.0 else -1.0)))
-        pair = (3, 1)
-        cos31 = cos(p3 - p1)
-        cs = c3 * c1 + s3 * s1 * cos31
-        cs = cs if cs < 1.0 else 1.0
-        u31 = pot.u_prime(two_r2 * (1.0 - (cs if cs > -1.0 else -1.0)))
-    except SingularityError as err:
-        raise SingularityError(err.kind, err.d2, pair) from None
+    m = masses.as_tuple()
+    st = [sin(t) for t in thetas]
+    ct = [cos(t) for t in thetas]
+    points = [SpherePoint(t, p) for t, p in zip(thetas, phis)]
+    pairs = ((0, 1), (1, 2), (2, 0))
+    up = {}
+    for i, j in pairs:
+        try:
+            up[i, j] = up[j, i] = pot.u_prime(
+                chord_squared(points[i], points[j], pot.radius))
+        except SingularityError as err:
+            raise SingularityError(err.kind, err.d2, (i + 1, j + 1)) from None
 
     res = []
     if omega != 0.0:
-        res.append(sum((m1 * s1 * c1 * cos(p1), m2 * s2 * c2 * cos(p2),
-                        m3 * s3 * c3 * cos(p3))))
-        res.append(sum((m1 * s1 * c1 * sin(p1), m2 * s2 * c2 * sin(p2),
-                        m3 * s3 * c3 * sin(p3))))
+        res.append(sum(m[k] * st[k] * ct[k] * cos(phis[k]) for k in range(3)))
+        res.append(sum(m[k] * st[k] * ct[k] * sin(phis[k]) for k in range(3)))
 
-    r12 = m1 * m2 * u12 * s1 * s2 * sin(p1 - p2)
-    r23 = m2 * m3 * u23 * s2 * s3 * sin(p2 - p3)
-    r31 = m3 * m1 * u31 * s3 * s1 * sin(p3 - p1)
-    res.append(r12 - r23)
-    res.append(r23 - r31)
+    r = [m[i] * m[j] * up[i, j] * st[i] * st[j] * sin(phis[i] - phis[j])
+         for i, j in pairs]
+    res.append(r[0] - r[1])
+    res.append(r[1] - r[2])
 
     # theta_k: -omega^2 m_k sin cos = sum over i != k of
-    # 2 m_k m_i U'_ki (sin t_k cos t_i - cos t_k sin t_i cos(phi_k - phi_i)),
-    # each sum started from 0.0; cos is even, so cos12 serves phi_2 - phi_1
-    nw2 = -(omega ** 2)
-    res.append(nw2 * m1 * s1 * c1 - (
-        0.0 + 2.0 * m1 * m2 * u12 * (s1 * c2 - c1 * s2 * cos12)
-        + 2.0 * m1 * m3 * u31 * (s1 * c3 - c1 * s3 * cos31)))
-    res.append(nw2 * m2 * s2 * c2 - (
-        0.0 + 2.0 * m2 * m1 * u12 * (s2 * c1 - c2 * s1 * cos12)
-        + 2.0 * m2 * m3 * u23 * (s2 * c3 - c2 * s3 * cos23)))
-    res.append(nw2 * m3 * s3 * c3 - (
-        0.0 + 2.0 * m3 * m1 * u31 * (s3 * c1 - c3 * s1 * cos31)
-        + 2.0 * m3 * m2 * u23 * (s3 * c2 - c3 * s2 * cos23)))
+    # 2 m_k m_i U'_ki (sin t_k cos t_i - cos t_k sin t_i cos(phi_k - phi_i))
+    for k in range(3):
+        rhs = 0.0
+        for i in range(3):
+            if i != k:
+                rhs += 2.0 * m[k] * m[i] * up[k, i] * (
+                    st[k] * ct[i] - ct[k] * st[i] * cos(phis[k] - phis[i]))
+        res.append(-(omega ** 2) * m[k] * st[k] * ct[k] - rhs)
     return np.array(res)
 
 
@@ -410,7 +398,7 @@ def configuration_residuals(
 X_STEP = 1e-6
 
 
-def meridian_pulls(thetas, masses, pot, R) -> tuple[float, float, float]:
+def meridian_pulls(thetas, masses, pot) -> tuple[float, float, float]:
     """The pulls p_ki = 2 m_k m_i U'(D_ki^2) sin(t_k - t_i) of the pairs
     (k, i) = (1, 2), (2, 3), (3, 1) of three bodies at colatitudes thetas
     on one meridian: pair ki's term in body k's theta equation, and
@@ -420,7 +408,8 @@ def meridian_pulls(thetas, masses, pot, R) -> tuple[float, float, float]:
     Raises SingularityError labelled with the pair.
     """
     m = masses.as_tuple()
-    four_r2 = 4.0 * R.R * R.R
+    R = pot.radius.R
+    four_r2 = 4.0 * R * R
     pulls = []
     for k, i in ((0, 1), (1, 2), (2, 0)):
         d = thetas[k] - thetas[i]
@@ -433,7 +422,7 @@ def meridian_pulls(thetas, masses, pot, R) -> tuple[float, float, float]:
     return tuple(pulls)
 
 
-def _meridian_defect(thetas, omega_squared, masses, pot, R) -> float:
+def _meridian_defect(thetas, omega_squared, masses, pot) -> float:
     """Largest relative defect of the rigid-rotation balance of three
     bodies on the meridian phi = 0 (nan if any defect is nan).
 
@@ -443,7 +432,7 @@ def _meridian_defect(thetas, omega_squared, masses, pot, R) -> float:
     |sum m_k sin t_k cos t_k| against m1 + m2 + m3.
     """
     m = masses.as_tuple()
-    p12, p23, p31 = meridian_pulls(thetas, masses, pot, R)
+    p12, p23, p31 = meridian_pulls(thetas, masses, pot)
     pulls = ((p12, -p31), (-p12, p23), (-p23, p31))
     spins = [mk * sin(t) * cos(t) for mk, t in zip(m, thetas)]
     defects = []
@@ -463,7 +452,6 @@ def backward_error(
     omega_squared: float,
     masses: MassTriple,
     pot: PairPotential,
-    R: SphereRadius = SphereRadius(),
 ) -> float:
     """How far a configuration on the meridian phi = 0, turning at
     omega_squared (0 for a fixed point), is from a relative equilibrium,
@@ -477,10 +465,10 @@ def backward_error(
     measured in x, both kinds meet the same tolerance. The solver's gate
     and the verifier both read this measure.
     """
-    d = _meridian_defect(thetas, omega_squared, masses, pot, R)
+    d = _meridian_defect(thetas, omega_squared, masses, pot)
     if d == 0.0:
         return 0.0
     t1, t2, t3 = thetas
     slope = abs(_meridian_defect((t1, t2, t3 + X_STEP), omega_squared,
-                                 masses, pot, R) - d)
+                                 masses, pot) - d)
     return X_STEP * d / slope if slope > 0.0 else math.inf

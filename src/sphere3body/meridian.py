@@ -16,6 +16,10 @@ vanishes. The lift promises no more: residual_max, the backward error of
 thetas in radians of x (dynamics.backward_error), judges everything else,
 and find_meridian_rotators and isosceles_rotators keep a solution only
 where it is at most RESIDUAL_TOL (or the tolerance given).
+
+The sphere's radius comes from the potential alone (pot.radius); a
+function given no potential solves on the unit sphere under the
+cotangent potential.
 """
 
 from __future__ import annotations
@@ -53,6 +57,9 @@ CASE2 = "Case2"
 CASE3 = "Case3"
 CASE4_FIXED_POINT = "Case4-fixed-point"
 A_ZERO_FIXED_POINT = "A-zero-fixed-point"
+
+# the potential of a call that names none
+_UNIT_COTANGENT = cotangent_potential(SphereRadius())
 
 
 class AZeroFixedPoint(Exception):
@@ -151,14 +158,11 @@ def pair_quantities(
     masses: MassTriple,
     shape: Shape,
     pot: PairPotential | None = None,
-    R: SphereRadius = SphereRadius(),
 ) -> PairQuantities:
     shape.validate()
-    if pot is None:
-        pot = cotangent_potential(R)
     m1, m2, m3 = masses.as_tuple()
     t21, t31 = shape.theta21, shape.theta31
-    F12, F23, F31 = meridian_pulls((0.0, t21, t31), masses, pot, R)
+    F12, F23, F31 = meridian_pulls((0.0, t21, t31), masses, pot or _UNIT_COTANGENT)
     G12 = m1 * m2 * math.sin(2.0 * t21)
     G23 = m2 * m3 * math.sin(2.0 * (t31 - t21))
     G31 = m3 * m1 * math.sin(-2.0 * t31)
@@ -233,7 +237,7 @@ class MeridianSolution:
         return self.omega_squared is None
 
 
-def _solution(shape, masses, s, omega_squared, case_tag, pot, R) -> MeridianSolution:
+def _solution(shape, masses, s, omega_squared, case_tag, pot) -> MeridianSolution:
     """The solution at shape, with its backward error: lifted on branch s
     when omega_squared is given and A > A_TOL * (m1 + m2 + m3), else a
     fixed point (the A-zero one when omega_squared was given)."""
@@ -243,7 +247,7 @@ def _solution(shape, masses, s, omega_squared, case_tag, pot, R) -> MeridianSolu
             thetas = shape_to_configurations(masses, shape, s)
         except AZeroFixedPoint:
             s, omega_squared, case_tag = 0, None, A_ZERO_FIXED_POINT
-    residual = backward_error(thetas, omega_squared or 0.0, masses, pot, R)
+    residual = backward_error(thetas, omega_squared or 0.0, masses, pot)
     return MeridianSolution(shape.theta31, shape, thetas, s, omega_squared,
                             case_tag, residual)
 
@@ -373,22 +377,19 @@ def solution_from_shape(
     shape: Shape,
     masses: MassTriple,
     pot: PairPotential | None = None,
-    R: SphereRadius = SphereRadius(),
 ) -> MeridianSolution:
     """Lift a candidate shape to a solution with its backward error."""
-    if pot is None:
-        pot = cotangent_potential(R)
-    pq = pair_quantities(masses, shape, pot, R)
+    pot = pot or _UNIT_COTANGENT
+    pq = pair_quantities(masses, shape, pot)
     A = amplitude_A(masses, shape)
     s, omega_squared, tag = solve_omega_and_branch(pq, masses, A)
-    return _solution(shape, masses, s, omega_squared, tag, pot, R)
+    return _solution(shape, masses, s, omega_squared, tag, pot)
 
 
 def find_meridian_rotators(
     a: float,
     masses: MassTriple,
     pot: PairPotential | None = None,
-    R: SphereRadius = SphereRadius(),
     residual_tol: float = RESIDUAL_TOL,
 ) -> list[MeridianSolution]:
     """All rigid rotators on the rotating meridian for fixed a.
@@ -401,23 +402,25 @@ def find_meridian_rotators(
     instead, from GENERIC_BOUNDARY_GAP off each singular point: it
     misses tangent roots, close pairs and roots nearer a singular point.
     A root is reported when its backward error (residual_max) is at most
-    residual_tol radians of x.
+    residual_tol radians of x. No potential means the unit-sphere
+    cotangent one.
     """
     if not 0.0 < a < math.pi:
         raise ValueError(f"a must lie in (0, pi), got {a}")
 
-    if pot is None or pot.reduced_g:
+    pot = pot or _UNIT_COTANGENT
+    if pot.reduced_g:
         roots = [x for region in _scan_roots(a, masses.nu1, masses.nu2)
                  for x in region]
     else:
-        roots = _generic_scan_roots(a, masses, pot, R)
+        roots = _generic_scan_roots(a, masses, pot)
 
     solutions = []
     for x in roots:
         shape = Shape(a, x)
         try:
             shape.validate(BOUNDARY_TOL)
-            sol = solution_from_shape(shape, masses, pot, R)
+            sol = solution_from_shape(shape, masses, pot)
         except ValueError:
             continue
         if sol.residual_max <= residual_tol:
@@ -425,10 +428,10 @@ def find_meridian_rotators(
     return solutions
 
 
-def _generic_scan_roots(a, masses, pot, R) -> list[float]:
+def _generic_scan_roots(a, masses, pot) -> list[float]:
     # scan the cross-multiplied ratio equation for a generic potential
     def h(x):
-        pq = pair_quantities(masses, Shape(a, x), pot, R)
+        pq = pair_quantities(masses, Shape(a, x), pot)
         return (pq.F12 - pq.F23) * (pq.G31 - pq.G12) - (pq.F31 - pq.F12) * (
             pq.G12 - pq.G23
         )
@@ -648,7 +651,6 @@ def _count_block(nu1s, nu2b, P, Q, S, turns) -> np.ndarray:
 def equilateral_rotator(
     masses: MassTriple,
     pot: PairPotential | None = None,
-    R: SphereRadius = SphereRadius(),
 ) -> MeridianSolution:
     """The equilateral rotator (all mutual arcs 2*pi/3).
 
@@ -656,13 +658,12 @@ def equilateral_rotator(
     where U'(3 R^2) < 0 (the potential attracts there) and s = +1
     otherwise; equal masses give the amplitude-zero fixed point.
     """
-    if pot is None:
-        pot = cotangent_potential(R)
+    pot = pot or _UNIT_COTANGENT
     shape = Shape(2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
-    u_prime = pot.u_prime(3.0 * R.R * R.R)
+    u_prime = pot.u_prime(3.0 * pot.radius.R * pot.radius.R)
     omega_squared = 4.0 * amplitude_A(masses, shape) * abs(u_prime)
     return _solution(shape, masses, -1 if u_prime < 0.0 else 1, omega_squared,
-                     CASE1, pot, R)
+                     CASE1, pot)
 
 
 SPECIAL_ISOSCELES_COS_A = (math.sqrt(2.0) - 1.0) / 2.0
@@ -672,7 +673,6 @@ def isosceles_rotators(
     masses: MassTriple,
     a: float | None = None,
     pot: PairPotential | None = None,
-    R: SphereRadius = SphereRadius(),
 ) -> list[MeridianSolution]:
     """Isosceles rotators (body 3 at the midpoint of the minor or major
     arc joining bodies 1 and 2).
@@ -692,7 +692,7 @@ def isosceles_rotators(
         candidates.append(a / 2.0)
     if equal_nu or abs(a - 2.0 * math.pi / 3.0) <= 1e-9:
         candidates.append(a / 2.0 + math.pi)
-    sols = [solution_from_shape(Shape(a, x), masses, pot, R) for x in candidates]
+    sols = [solution_from_shape(Shape(a, x), masses, pot) for x in candidates]
     return [s for s in sols if s.residual_max <= RESIDUAL_TOL]
 
 
@@ -746,9 +746,7 @@ def case4_fixed_point(masses: MassTriple) -> MeridianSolution | None:
     if abs(m1 - m2) > tol or abs(m2 - m3) > tol:
         return None
     shape = Shape(2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
-    R = SphereRadius()
-    return _solution(shape, masses, 0, None, CASE4_FIXED_POINT,
-                     cotangent_potential(R), R)
+    return _solution(shape, masses, 0, None, CASE4_FIXED_POINT, _UNIT_COTANGENT)
 
 
 def euler_quintic_coefficients(masses: MassTriple) -> list[float]:

@@ -7,6 +7,10 @@ u_prime(D^2) < 0 on the regular domain 0 < D^2 < 4 R^2; nothing else
 records its sign, and repulsive() negates both callables. The cotangent
 potential is the concrete instance used throughout; any contract
 satisfying the same conventions can drive the generic meridian solver.
+
+A potential is the one holder of the sphere's radius: u and u_prime are
+functions of D^2 on that sphere, and every solver, gate and integrator
+that takes a potential reads the radius from its radius field.
 """
 
 from __future__ import annotations
@@ -42,13 +46,16 @@ class PairPotential:
     (module docstring); the sign of u_prime says whether it attracts.
 
     reduced_g marks a potential whose rotating-meridian RE are the roots
-    of the reduced equation g (kernels); only cotangent_potential sets
-    it, and repulsive() keeps it.
+    of the reduced equation g (kernels), and radius is the sphere that
+    D^2 is measured on (the unit sphere unless given). Only
+    cotangent_potential sets reduced_g; it sets the radius it was given,
+    and repulsive() keeps both.
     """
 
     u: Callable[[float], float]
     u_prime: Callable[[float], float]
     reduced_g: bool = False
+    radius: SphereRadius = SphereRadius()
 
 
 def _check_domain(d2: float, R: SphereRadius):
@@ -99,16 +106,18 @@ def cotangent_potential(R: SphereRadius) -> PairPotential:
         u=lambda d2: cotangent_u(d2, R),
         u_prime=u_prime,
         reduced_g=True,
+        radius=R,
     )
 
 
 def repulsive(pot: PairPotential) -> PairPotential:
     """Sign-flipped copy of a potential (attractive <-> repulsive): u and
-    u_prime negated, reduced_g kept."""
+    u_prime negated, reduced_g and radius kept."""
     return PairPotential(
         u=lambda d2: -pot.u(d2),
         u_prime=lambda d2: -pot.u_prime(d2),
         reduced_g=pot.reduced_g,
+        radius=pot.radius,
     )
 
 
@@ -119,12 +128,12 @@ def total_potential(
     points: Sequence[SpherePoint],
     masses: Sequence[float],
     pot: PairPotential,
-    R: SphereRadius,
 ) -> float:
-    """V = sum over unordered pairs of m_i m_j u(D_ij^2)."""
+    """V = sum over unordered pairs of m_i m_j u(D_ij^2), on the sphere
+    of pot.radius."""
     v = 0.0
     for i, j in _PAIRS:
-        d2 = chord_squared(points[i], points[j], R)
+        d2 = chord_squared(points[i], points[j], pot.radius)
         try:
             v += masses[i] * masses[j] * pot.u(d2)
         except SingularityError as err:

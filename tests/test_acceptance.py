@@ -107,7 +107,7 @@ def test_criterion_05_equilateral_family():
             4.0 * A * uprime)
         res = configuration_residuals(
             sol.thetas, (0.0, 0.0, 0.0),
-            math.sqrt(sol.omega_squared), m, POT, R1)
+            math.sqrt(sol.omega_squared), m, POT)
         ok &= float(np.max(np.abs(res))) < 1e-10
     equal = mer.equilateral_rotator(MassTriple(1.0, 1.0, 1.0))
     ok &= equal.is_fixed_point
@@ -130,7 +130,7 @@ def test_criterion_06_equator_closed_form():
     for s, m in ((sol, MassTriple(1, 1, 1)), (sol2, MassTriple(1, 1, 4))):
         for omega in (0.0, 1.0, 2.0):
             res = configuration_residuals((math.pi / 2,) * 3, s.phis(), omega,
-                                          m, POT, R1)
+                                          m, POT)
             ok &= float(np.max(np.abs(res))) < 1e-12
     report(6, "equator-closed-form", ok)
 
@@ -210,13 +210,13 @@ def test_criterion_10_property_suite():
         omega = math.sqrt(sol.omega_squared)
         # antipodal-map invariance
         anti = configuration_residuals(
-            sol.thetas_alt, (0.0, 0.0, 0.0), omega, M321, POT, R1)
+            sol.thetas_alt, (0.0, 0.0, 0.0), omega, M321, POT)
         ok &= float(np.max(np.abs(anti))) < 1e-10
         # coordinate-rotation invariance
         base = float(np.max(np.abs(configuration_residuals(
-            sol.thetas, (0.0, 0.0, 0.0), omega, M321, POT, R1))))
+            sol.thetas, (0.0, 0.0, 0.0), omega, M321, POT))))
         rot = float(np.max(np.abs(configuration_residuals(
-            sol.thetas, (1.1, 1.1, 1.1), omega, M321, POT, R1))))
+            sol.thetas, (1.1, 1.1, 1.1), omega, M321, POT))))
         ok &= abs(base - rot) < 1e-12
 
         # conservation over one integrated period
@@ -224,7 +224,7 @@ def test_criterion_10_property_suite():
         state = SphericalState(
             tuple(SpherePoint(t % (2 * math.pi), 0.0)
                   for t in sol.thetas),
-            (0.0, 0.0, 0.0), (omega, omega, omega), R1,
+            (0.0, 0.0, 0.0), (omega, omega, omega),
         )
         traj = integrate(state, M321, POT, period, period / 4000,
                          store_every=100)

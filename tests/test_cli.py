@@ -167,6 +167,26 @@ class TestVerifyRoundTrip:
             assert sol["sigma_drift"] < 1e-6
             assert sol["c_drift"] < 1e-8
 
+    def test_radius_reaches_verify(self, tmp_path, capsys):
+        sol_file = tmp_path / "six.json"
+        assert main(["meridian", "--masses", "3,2,1", "--a", repr(math.pi / 6),
+                     "--radius", "2", "--out", str(sol_file)]) == 0
+        code, out = run(capsys, ["verify", str(sol_file), "--integrate"])
+        report = json.loads(out)
+        assert code == 0 and report["all_pass"] is True
+        assert report["count"] == 6
+        assert all(s["pass"] for s in report["solutions"])
+
+    @pytest.mark.parametrize("integrate", [[], ["--integrate"]])
+    def test_file_with_no_solution_fails(self, tmp_path, capsys, integrate):
+        # meridian exits 2 on this input (README), and verify agrees
+        sol_file = tmp_path / "none.json"
+        assert main(["meridian", "--masses", "1,1,1", "--a", "2.0943951023931953",
+                     "--out", str(sol_file)]) == 2
+        code, out = run(capsys, ["verify", str(sol_file), *integrate])
+        assert code == 2
+        assert json.loads(out) == {"count": 0, "all_pass": False, "solutions": []}
+
     def test_unparseable_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

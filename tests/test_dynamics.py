@@ -29,13 +29,12 @@ POT = cotangent_potential(R1)
 EQUATOR_THETAS = (math.pi / 2,) * 3
 
 
-def equator_state(masses, omega, R=R1):
+def equator_state(masses, omega):
     sol = solve_equator(masses)
     return SphericalState(
         points=tuple(SpherePoint(t, p) for t, p in zip(EQUATOR_THETAS, sol.phis())),
         theta_dot=(0.0, 0.0, 0.0),
         phi_dot=(omega, omega, omega),
-        R=R,
     )
 
 
@@ -71,7 +70,7 @@ class TestAngularMomentum:
     def test_equator_equal_masses(self):
         m = MassTriple(1.0, 1.0, 1.0)
         st = equator_state(m, 2.0)
-        c = angular_momentum(st, m)
+        c = angular_momentum(st, m, R1)
         assert c.cx == pytest.approx(0.0, abs=1e-14)
         assert c.cy == pytest.approx(0.0, abs=1e-14)
         # c_z = sum m_k R^2 sin^2(theta_k) * omega = 3 * 2
@@ -79,21 +78,20 @@ class TestAngularMomentum:
 
     def test_scales_with_radius_squared(self):
         m = MassTriple(1.0, 2.0, 3.0)
-        st1 = equator_state(m, 1.0)
-        st2 = equator_state(m, 1.0, SphereRadius(2.0))
-        c1 = angular_momentum(st1, m)
-        c2 = angular_momentum(st2, m)
+        st = equator_state(m, 1.0)
+        c1 = angular_momentum(st, m, R1)
+        c2 = angular_momentum(st, m, SphereRadius(2.0))
         assert c2.cz == pytest.approx(4.0 * c1.cz, rel=1e-13)
 
 
 def test_kinetic_energy_manual():
     m = MassTriple(2.0, 1.0, 1.0)
     pts = (SpherePoint(0.5, 0.1), SpherePoint(1.0, 2.0), SpherePoint(2.0, -1.0))
-    st = SphericalState(pts, (0.3, -0.2, 0.1), (1.0, 0.5, -0.4), SphereRadius(2.0))
+    st = SphericalState(pts, (0.3, -0.2, 0.1), (1.0, 0.5, -0.4))
     expect = 0.0
     for mk, p, td, pd in zip(m.as_tuple(), pts, st.theta_dot, st.phi_dot):
         expect += 0.5 * mk * 4.0 * (td * td + math.sin(p.theta) ** 2 * pd * pd)
-    assert kinetic_energy(st, m) == pytest.approx(expect, rel=1e-14)
+    assert kinetic_energy(st, m, SphereRadius(2.0)) == pytest.approx(expect, rel=1e-14)
 
 
 class TestResiduals:
@@ -102,7 +100,7 @@ class TestResiduals:
         sol = solve_equator(m)
         for omega in (0.0, 1.0, 2.0):
             res = configuration_residuals(EQUATOR_THETAS, sol.phis(), omega,
-                                          m, POT, R1)
+                                          m, POT)
             assert np.max(np.abs(res)) < 1e-12
 
     def test_perturbation_sensitivity(self):
@@ -110,22 +108,22 @@ class TestResiduals:
         sol = solve_equator(m)
         thetas, phis, omega = EQUATOR_THETAS, sol.phis(), 1.0
         phis = (phis[0], phis[1], phis[2] + 1e-3)
-        res = configuration_residuals(thetas, phis, omega, m, POT, R1)
+        res = configuration_residuals(thetas, phis, omega, m, POT)
         assert np.max(np.abs(res)) >= 1e-4
 
     def test_omega_zero_drops_momentum_rows(self):
         m = MassTriple(1.0, 1.0, 1.0)
         sol = solve_equator(m)
         thetas, phis = EQUATOR_THETAS, sol.phis()
-        assert configuration_residuals(thetas, phis, 0.0, m, POT, R1).shape == (5,)
-        assert configuration_residuals(thetas, phis, 1.0, m, POT, R1).shape == (7,)
+        assert configuration_residuals(thetas, phis, 0.0, m, POT).shape == (5,)
+        assert configuration_residuals(thetas, phis, 1.0, m, POT).shape == (7,)
 
 
 def _state_accelerations(st, masses, pot):
     """_accelerations of a SphericalState: (theta_ddot, phi_ddot) of
     bodies 1 to 3, as integrate calls it."""
     m1, m2, m3 = masses.as_tuple()
-    R = st.R.R
+    R = pot.radius.R
     return _accelerations(
         *st.thetas, *st.phis, *st.theta_dot, *st.phi_dot,
         2.0 * m1, 2.0 * m2, 2.0 * m3, pot.u_prime, 2.0 * (R * R))
@@ -140,7 +138,7 @@ class TestEomRhs:
         omega = 1.3
         st = SphericalState(
             tuple(SpherePoint(t, p) for t, p in zip(EQUATOR_THETAS, sol.phis())),
-            (0.0, 0.0, 0.0), (omega, omega, omega), R1,
+            (0.0, 0.0, 0.0), (omega, omega, omega),
         )
         acc = _state_accelerations(st, m, POT)
         assert max(abs(v) for v in acc) < 1e-12
@@ -155,11 +153,25 @@ class TestIntegrate:
         assert traj.energy_drift < 1e-10
         assert traj.c_drift < 1e-10
 
+    @pytest.mark.parametrize("R", [2.0, 4.0])
+    def test_conserves_energy_off_the_unit_sphere(self, R):
+        # no RE, so K and V trade: K - V holds only where both are taken
+        # on the potential's sphere
+        m = MassTriple(1.0, 2.0, 1.5)
+        st = SphericalState(
+            (SpherePoint(0.9, 0.0), SpherePoint(1.8, 2.0), SpherePoint(1.2, 4.0)),
+            (0.05, -0.02, 0.0), (0.3, 0.3, 0.3),
+        )
+        traj = integrate(st, m, cotangent_potential(SphereRadius(R)), 1.0, 1.0 / 2000)
+        assert traj.error is None
+        assert traj.energy_drift < 1e-12
+        assert traj.c_drift < 1e-12
+
     def test_rk4_convergence_order(self):
         m = MassTriple(1.0, 2.0, 1.5)
         st = SphericalState(
             (SpherePoint(0.9, 0.0), SpherePoint(1.8, 2.0), SpherePoint(1.2, 4.0)),
-            (0.05, -0.02, 0.0), (0.3, 0.3, 0.3), R1,
+            (0.05, -0.02, 0.0), (0.3, 0.3, 0.3),
         )
         end = []
         for n in (400, 800):
@@ -176,7 +188,7 @@ class TestIntegrate:
         m = MassTriple(1.0, 1.0, 1.0)
         st = SphericalState(
             (SpherePoint(1.0, 0.0), SpherePoint(1.0, 0.05), SpherePoint(2.5, 3.0)),
-            (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), R1,
+            (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
         )
         traj = integrate(st, m, POT, 50.0, 0.01)
         assert traj.error is not None
@@ -187,7 +199,7 @@ class TestIntegrate:
         st = SphericalState(
             (SpherePoint(-math.pi / 4, 0.0), SpherePoint(math.pi / 4, 0.0),
              SpherePoint(0.0, 0.0)),
-            (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), R1,
+            (0.0, 0.0, 0.0), (1.0, 1.0, 1.0),
         )
         traj = integrate(st, m, POT, 1.0, 0.01)
         assert "pole" in traj.error
@@ -266,10 +278,10 @@ def rhs_reference(y, m, u_prime, R):
     )
 
 
-def rk4_reference(state, masses, u_prime, t_end, dt, store_every):
-    """(times, rows, error) of the tuple RK4 loop."""
+def rk4_reference(state, masses, u_prime, R, t_end, dt, store_every):
+    """(times, rows, error) of the tuple RK4 loop on the sphere of radius
+    R."""
     m = masses.as_tuple()
-    R = state.R
     y = state.thetas + state.phis + state.theta_dot + state.phi_dot
     n_steps = max(1, int(round(t_end / dt)))
     h = t_end / n_steps
@@ -316,6 +328,7 @@ def _outcome(fn):
 
 
 def _random_state(rng):
+    """A random state and sphere radius, (state, R)."""
     R = SphereRadius(rng.choice([0.5, 1.0, 3.0]))
     th = [rng.uniform(-math.pi, math.pi) for _ in range(3)]
     ph = [rng.uniform(-7.0, 7.0) for _ in range(3)]
@@ -339,24 +352,23 @@ def _random_state(rng):
         tuple(SpherePoint(t, p) for t, p in zip(th, ph)),
         tuple(rng.uniform(-2.0, 2.0) for _ in range(3)),
         tuple(rng.uniform(-2.0, 2.0) for _ in range(3)),
-        R,
-    )
+    ), R
 
 
 def test_eom_rhs_matches_reference_bitwise():
     rng = random.Random(2022)
     seen = set()
     for n in range(1500):
-        st = _random_state(rng)
+        st, R = _random_state(rng)
         m = MassTriple(*(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(3)))
-        pot = cotangent_potential(st.R)
+        pot = cotangent_potential(R)
         if n % 2:
             pot = repulsive(pot)
         y = st.thetas + st.phis + st.theta_dot + st.phi_dot
-        ref_u_prime = lambda d2, R=st.R: cotangent_u_prime_reference(d2, R)
+        ref_u_prime = lambda d2, R=R: cotangent_u_prime_reference(d2, R)
         if n % 2:
             ref_u_prime = lambda d2, up=ref_u_prime: -up(d2)
-        expect = _outcome(lambda: rhs_reference(y, m.as_tuple(), ref_u_prime, st.R)[6:])
+        expect = _outcome(lambda: rhs_reference(y, m.as_tuple(), ref_u_prime, R)[6:])
         got = _outcome(lambda: _state_accelerations(st, m, pot))
         assert got == expect, (n, st)
         seen.add(expect[0] if expect[0] != "SingularityError" else expect[1:4:2])
@@ -375,7 +387,7 @@ def _solution_state(a, masses, pick):
     omega = math.sqrt(sol.omega_squared)
     state = SphericalState(
         tuple(SpherePoint(t % (2.0 * math.pi), 0.0) for t in sol.thetas),
-        (0.0, 0.0, 0.0), (omega, omega, omega), R1,
+        (0.0, 0.0, 0.0), (omega, omega, omega),
     )
     return state, 2.0 * math.pi / omega
 
@@ -397,7 +409,7 @@ def _integrate_both(state, masses, t_end, dt, store_every):
     (trajectory, reference error)."""
     traj = integrate(state, masses, POT, t_end, dt, store_every)
     times, rows, error = rk4_reference(
-        state, masses, lambda d2: cotangent_u_prime_reference(d2, R1),
+        state, masses, lambda d2: cotangent_u_prime_reference(d2, R1), R1,
         t_end, dt, store_every)
     got = np.hstack([traj.thetas, traj.phis, traj.theta_dots, traj.phi_dots])
     assert np.array_equal(got.view(np.int64), np.array(rows).view(np.int64))
@@ -420,84 +432,42 @@ def test_integrate_error_and_storing_match_reference():
     m = MassTriple(1.0, 1.0, 1.0)
     st = SphericalState(
         (SpherePoint(1.0, 0.0), SpherePoint(1.0, 0.05), SpherePoint(2.5, 3.0)),
-        (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), R1,
+        (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
     )
     traj, error = _integrate_both(st, m, 50.0, 0.01, 7)
     assert error is not None and traj.error == error
 
 
-def dict_configuration_residuals(thetas, phis, omega, masses, pot, R):
-    """A literal transcription of the earlier configuration_residuals:
-    a SpherePoint pair and a clamped chord per pair, U' in a dict, the
-    residuals in lists."""
-    m = masses.as_tuple()
-    st = [math.sin(t) for t in thetas]
-    ct = [math.cos(t) for t in thetas]
-    up = {}
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        pi = SpherePoint(thetas[i], phis[i])
-        pj = SpherePoint(thetas[j], phis[j])
-        c = (
-            math.cos(pi.theta) * math.cos(pj.theta)
-            + math.sin(pi.theta) * math.sin(pj.theta) * math.cos(pi.phi - pj.phi)
-        )
-        d2 = 2.0 * R.R * R.R * (1.0 - max(-1.0, min(1.0, c)))
-        try:
-            val = pot.u_prime(d2)
-        except SingularityError as err:
-            raise SingularityError(err.kind, err.d2, (i + 1, j + 1)) from None
-        up[(i, j)] = up[(j, i)] = val
-
-    res = []
-    if omega != 0.0:
-        res.append(sum(m[k] * st[k] * ct[k] * math.cos(phis[k]) for k in range(3)))
-        res.append(sum(m[k] * st[k] * ct[k] * math.sin(phis[k]) for k in range(3)))
-
-    r = [
-        m[i] * m[j] * up[(i, j)] * st[i] * st[j] * math.sin(phis[i] - phis[j])
-        for i, j in ((0, 1), (1, 2), (2, 0))
-    ]
-    res.append(r[0] - r[1])
-    res.append(r[1] - r[2])
-
-    for k in range(3):
-        lhs = -(omega ** 2) * m[k] * st[k] * ct[k]
-        rhs = 0.0
-        for i in range(3):
-            if i == k:
-                continue
-            rhs += (
-                2.0
-                * m[k]
-                * m[i]
-                * up[(k, i)]
-                * (st[k] * ct[i] - ct[k] * st[i] * math.cos(phis[k] - phis[i]))
-            )
-        res.append(lhs - rhs)
-    return np.array(res)
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 2), (2, 0)])
+@pytest.mark.parametrize("kind", ["collision", "antipodal"])
+def test_configuration_residuals_label_singular_pair(i, j, kind):
+    # bodies i and j on the equator at one point or at antipodes, the
+    # third off it. The antipodal chord is 4 R^2 of the potential's
+    # radius: a unit sphere's chord would pass for regular at R = 3
+    th, ph = [1.0] * 3, [2.0] * 3
+    th[i] = th[j] = math.pi / 2
+    ph[i], ph[j] = 0.0, (0.0 if kind == "collision" else math.pi)
+    m = MassTriple(1.0, 2.0, 1.5)
+    for R in (SphereRadius(0.5), SphereRadius(3.0)):
+        for pot in (cotangent_potential(R), repulsive(cotangent_potential(R))):
+            with pytest.raises(SingularityError) as err:
+                configuration_residuals(th, ph, 1.0, m, pot)
+            assert (err.value.kind, err.value.pair) == (kind, (i + 1, j + 1))
 
 
-def test_configuration_residuals_match_dict_version_bitwise():
-    rng = random.Random(1931)
+def test_configuration_residuals_non_finite_outcomes():
+    m = MassTriple(1.0, 2.0, 1.5)
+    th, ph = (0.4, 1.3, 2.2), (0.1, 1.7, -2.0)
+    # a NaN omega fails only the theta rows, a NaN U' every row it enters
+    res = configuration_residuals(th, ph, math.nan, m, POT)
+    assert np.isfinite(res[:4]).all() and np.isnan(res[4:]).all()
     nan_pot = PairPotential(u=lambda d2: math.nan, u_prime=lambda d2: math.nan)
-    seen = set()
-    for n in range(1500):
-        st = _random_state(rng)
-        m = MassTriple(*(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(3)))
-        pot = [cotangent_potential(st.R), repulsive(cotangent_potential(st.R)),
-               nan_pot][n % 3]
-        omega = rng.choice([0.0, rng.uniform(0.1, 30.0), math.nan, 1e200])
-        args = (st.thetas, st.phis, omega, m, pot, st.R)
-        expect = _outcome(lambda: dict_configuration_residuals(*args))
-        got = _outcome(lambda: configuration_residuals(*args))
-        assert got == expect, (n, args)
-        if expect[0] == "ok":
-            seen.add("nan" if "nan" in expect else f"ok, {len(expect) - 1} rows")
-        else:
-            seen.add(expect[0] if expect[0] != "SingularityError" else expect[1:4:2])
-    # nonzero longitudes throughout; NaN residuals from omega or U', an
-    # overflowing omega^2, an infinite angle, and a collision and an
-    # antipode of every pair, each labelled with its pair
-    pairs = [(1, 2), (2, 3), (3, 1)]
-    assert {"ok, 5 rows", "ok, 7 rows", "nan", "OverflowError", "ValueError"} <= seen
-    assert {(k, p) for k in ("collision", "antipodal") for p in pairs} <= seen
+    res = configuration_residuals(th, ph, 1.0, m, nan_pot)
+    assert np.isfinite(res[:2]).all() and np.isnan(res[2:]).all()
+    with pytest.raises(OverflowError):
+        configuration_residuals(th, ph, 1e200, m, POT)
+    for bad in ((math.inf, 1.3, 2.2), (0.4, 1.3, -math.inf)):
+        with pytest.raises(ValueError):
+            configuration_residuals(bad, ph, 1.0, m, POT)
+        with pytest.raises(ValueError):
+            configuration_residuals(th, bad, 1.0, m, POT)

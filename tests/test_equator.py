@@ -77,7 +77,7 @@ class TestClosedForm:
     def test_solution_is_omega_independent_equilibrium(self, omega):
         m = MassTriple(1.3, 0.9, 2.1)
         sol = solve_equator(m)
-        res = configuration_residuals(EQUATOR_THETAS, sol.phis(), omega, m, POT, R1)
+        res = configuration_residuals(EQUATOR_THETAS, sol.phis(), omega, m, POT)
         assert np.max(np.abs(res)) < 1e-12
 
 

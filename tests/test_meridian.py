@@ -250,7 +250,7 @@ class TestSolver:
         for s in mer.find_meridian_rotators(math.pi / 4, M321):
             omega = math.sqrt(s.omega_squared)
             res = configuration_residuals(
-                s.thetas_alt, (0.0, 0.0, 0.0), omega, M321, POT, R1
+                s.thetas_alt, (0.0, 0.0, 0.0), omega, M321, POT
             )
             assert np.max(np.abs(res)) < 1e-9
 
@@ -298,7 +298,7 @@ class TestSolver:
                 gate = 1e-9 * max(1.0, s.omega_squared) * sum(m)
                 res = configuration_residuals(
                     s.thetas_alt, (0.0, 0.0, 0.0),
-                    math.sqrt(s.omega_squared), ms, POT, R1)
+                    math.sqrt(s.omega_squared), ms, POT)
                 assert np.max(np.abs(res)) < gate
 
     @pytest.mark.parametrize(
@@ -314,7 +314,7 @@ class TestSolver:
             for s in mer.find_meridian_rotators(a, ms):
                 for delta in (math.pi / 2, 0.1, 1e-6):
                     turned = tuple(t + delta for t in s.thetas)
-                    err = backward_error(turned, s.omega_squared, ms, POT, R1)
+                    err = backward_error(turned, s.omega_squared, ms, POT)
                     assert err > mer.RESIDUAL_TOL, (s.x, delta)
 
     def test_gate_matches_cartesian_check_near_pi_over_2(self):
@@ -385,13 +385,25 @@ class TestSolver:
         assert not PairPotential(u=abs, u_prime=abs).reduced_g
 
     def test_larger_radius_scales_omega(self):
-        # omega^2 ~ 1/R^3 at fixed shape angles
-        R2 = SphereRadius(2.0)
-        pot2 = cotangent_potential(R2)
-        s1 = mer.find_meridian_rotators(math.pi / 4, M321)
-        s2 = mer.find_meridian_rotators(math.pi / 4, M321, pot=pot2, R=R2)
-        for a_, b_ in zip(s1, s2):
-            assert b_.omega_squared == pytest.approx(a_.omega_squared / 8.0, rel=1e-9)
+        # the radius reaches the solver through the potential alone: the
+        # same shapes and lifts, and omega^2 ~ 1/R^3
+        for flip in (lambda p: p, repulsive):
+            unit_pot = flip(cotangent_potential(R1))
+            unit = mer.find_meridian_rotators(math.pi / 6, M321, unit_pot)
+            unit_eq = mer.equilateral_rotator(M321, unit_pot)
+            for R in (0.5, 2.0, 1000.0):
+                pot = flip(cotangent_potential(SphereRadius(R)))
+                scaled = mer.find_meridian_rotators(math.pi / 6, M321, pot)
+                assert len(scaled) == len(unit) == 6
+                for u, s in zip(unit, scaled):
+                    assert s.x.hex() == u.x.hex()
+                    assert [t.hex() for t in s.thetas] == [t.hex() for t in u.thetas]
+                    assert s.omega_squared * R ** 3 == pytest.approx(
+                        u.omega_squared, rel=1e-12)
+                eq = mer.equilateral_rotator(M321, pot)
+                assert eq.residual_max <= mer.RESIDUAL_TOL
+                assert eq.omega_squared * R ** 3 == pytest.approx(
+                    unit_eq.omega_squared, rel=1e-12)
 
 
 class TestCounting:
@@ -823,10 +835,11 @@ def dict_pair_quantities(masses, shape, pot, R):
 
 def test_pair_quantities_match_dict_version_bitwise():
     rng = random.Random(77)
-    nan_pot = PairPotential(u=lambda d2: math.nan, u_prime=lambda d2: math.nan)
     seen = set()
     for n in range(1500):
         R = SphereRadius(rng.choice([0.5, 1.0, 3.0]))
+        nan_pot = PairPotential(u=lambda d2: math.nan, u_prime=lambda d2: math.nan,
+                                radius=R)
         pot = [cotangent_potential(R), repulsive(cotangent_potential(R)),
                nan_pot][n % 3]
         masses = MassTriple(*(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(3)))
@@ -839,7 +852,7 @@ def test_pair_quantities_match_dict_version_bitwise():
         shape = mer.Shape(a, x)
         expect = _outcome(lambda: dict_pair_quantities(masses, shape, pot, R))
         got = _outcome(lambda: dataclasses.astuple(
-            mer.pair_quantities(masses, shape, pot, R)))
+            mer.pair_quantities(masses, shape, pot)))
         assert got == expect, (n, a, x)
         if "nan" in expect:
             seen.add("nan")
@@ -856,7 +869,7 @@ def test_pair_forces_near_collision_match_mpmath(x):
     # potential on the unit sphere, at the floats a and x to 60 digits
     mpmath = pytest.importorskip("mpmath")
     a = 1.0
-    pq = mer.pair_quantities(M321, mer.Shape(a, x), POT, R1)
+    pq = mer.pair_quantities(M321, mer.Shape(a, x), POT)
     m = M321.as_tuple()
     th = (0.0, a, x)
     with mpmath.workdps(60):
@@ -880,6 +893,6 @@ def test_small_amplitude_matches_mpmath():
 
 def test_antipodal_pair_is_labelled():
     with pytest.raises(SingularityError) as err:
-        mer.pair_quantities(M321, mer.Shape(1.0, math.pi - 1e-9), POT, R1)
+        mer.pair_quantities(M321, mer.Shape(1.0, math.pi - 1e-9), POT)
     assert err.value.kind == "antipodal"
     assert err.value.pair == (3, 1)

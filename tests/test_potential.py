@@ -91,7 +91,7 @@ def test_total_potential_equilateral_equal_masses():
     R = SphereRadius(1.0)
     pot = cotangent_potential(R)
     pts = [SpherePoint(math.pi / 2, 2.0 * math.pi * k / 3.0) for k in range(3)]
-    v = total_potential(pts, (1.0, 1.0, 1.0), pot, R)
+    v = total_potential(pts, (1.0, 1.0, 1.0), pot)
     assert v == pytest.approx(-math.sqrt(3.0), rel=1e-14)
 
 
@@ -100,7 +100,7 @@ def test_total_potential_reports_pair():
     pot = cotangent_potential(R)
     pts = [SpherePoint(0.5, 0.0), SpherePoint(0.5, 0.0), SpherePoint(2.0, 1.0)]
     with pytest.raises(SingularityError) as exc:
-        total_potential(pts, (1.0, 1.0, 1.0), pot, R)
+        total_potential(pts, (1.0, 1.0, 1.0), pot)
     assert exc.value.pair == (1, 2)
 
 
