@@ -2,7 +2,8 @@
 machine-readable results.
 
 Exit codes: 0 = success with solutions, 2 = success but empty/no
-solution (or a verification failure), 1 = usage or domain error.
+solution (or a verification failure), 1 = usage or domain error, or a
+stdout whose reader has gone (nothing is printed then).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -514,7 +516,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout shows here
+        return status
+    except BrokenPipeError:
+        # stdout's reader has gone (`... | head`): point stdout at the null
+        # device, so that the flush at exit writes nothing, and fail quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,13 +12,14 @@ depend on x and a only (``g_terms``). alpha*sin^2(x) is written as
 sin(x)*|sin(x)|, so no region table is needed.
 
 A float x (numpy's float64 is one) takes its sines from ``math``, an
-array from numpy: the root finder bisects on scalar g (``g_of_x``),
-where a numpy scalar costs more than the arithmetic. ``g_scalar`` is
-``g_of_x`` at one x. Both paths give the same bits only while numpy's
-float64 sin agrees with the C library's; numpy 2.4.6 on an AVX512_SPR
-host (its highest dispatch target) disagreed at none of 8 million
-points, and the exact g_scalar == g_array test in tests/test_kernels.py
-checks it, and so the bisection's g, on every host.
+array from numpy: the root finder refines each root on scalar g
+(``g_of_x``), where a numpy scalar costs more than the arithmetic.
+``g_scalar`` is ``g_of_x`` at one x. Both paths give the same bits only
+while numpy's float64 sin agrees with the C library's; numpy 2.4.6 on an
+AVX512_SPR host (its highest dispatch target) disagreed at none of 8
+million points, and the exact g_scalar == g_array test in
+tests/test_kernels.py checks it, and so the root refinement's g, on every
+host.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def g_scalar(x: float, a: float, nu1: float, nu2: float) -> float:
 def g_of_x(a: float, nu1: float, nu2: float):
     """g as a function of a float x alone, for fixed (a, nu1, nu2), on
     plain floats, with sin^2(a) and sin(2a) taken once (the root
-    finder's bisection calls it a few hundred times per solve)."""
+    finder's refinement calls it about 11 times per root)."""
     nu1, nu2 = float(nu1), float(nu2)
     sa2 = math.sin(a) ** 2
     sa2s2a = sa2 * math.sin(2.0 * a)

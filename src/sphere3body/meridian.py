@@ -271,34 +271,95 @@ GENERIC_SCAN_SAMPLES = 2000
 # D^2, which rounds to 4R^2 (an antipodal singularity) within about 1e-8
 # of an antipodal point and keeps about 4 digits of 4R^2 - D^2 at 1e-6
 GENERIC_BOUNDARY_GAP = 1e-6
+# halvings by which _bisect's bracket may lag bisection's before it takes
+# a midpoint step: a root costs at most about this many more f calls than
+# bisection would
+SECANT_SLACK = 20
+# chebcompanion's matrix for a series of 12 coefficients before the
+# coefficients enter its last column, rotated as chebroots rotates it, and
+# the scale (scl / scl[-1] there) of that column's update
+_COMPANION = cheb.chebcompanion(np.eye(12)[-1])[::-1, ::-1].copy()
+_COMPANION_SCALE = np.array([1.0 / np.sqrt(0.5)] + [1.0] * 10)
 
 
 def _bisect(f, lo, hi, flo, fhi):
     """Narrow a sign change of f on [lo, hi] to neighbouring floats;
-    returns the end where |f| is smaller."""
+    returns the end where |f| is smaller.
+
+    Regula falsi in the Illinois form (Dowell & Jarratt 1971), which keeps
+    the sign change bracketed at every step: each step takes the secant
+    through the ends weighted by f's values there, save that the k-th step
+    in a row that keeps an end halves that end's weight k - 1 times
+    (Illinois halves it once from the second on), so that a run of steps
+    beside a steep end is short. A step lands at least one ulp inside the
+    bracket: once the secant is at floating-point resolution, the next
+    step brackets the root within that ulp. A bracket two ulps wide, or
+    more than SECANT_SLACK halvings wider than bisection's after as many
+    steps, takes a midpoint step.
+    """
+    wlo, whi = flo, fhi
+    # whether the last step moved lo, and how many steps before it moved
+    # the same end
+    moved_lo, run = None, 0
+    bound = (hi - lo) * 2.0 ** SECANT_SLACK
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # at floating-point resolution
             break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
+        bound *= 0.5
+        ulp = math.ulp(max(abs(lo), abs(hi)))
+        if hi - lo <= 2.0 * ulp or hi - lo > bound:
+            x = mid
         else:
-            hi, fhi = mid, fm
+            x = hi - whi * (hi - lo) / (whi - wlo)
+            if not x >= lo + ulp:  # also where x is nan
+                x = lo + ulp
+            elif x > hi - ulp:
+                x = hi - ulp
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        lo_side = (flo < 0) == (fx < 0)
+        run = run + 1 if lo_side == moved_lo else 0
+        moved_lo = lo_side
+        if lo_side:
+            lo, flo, wlo = x, fx, fx
+            whi *= 0.5 ** run
+        else:
+            hi, fhi, whi = x, fx, fx
+            wlo *= 0.5 ** run
     return lo if abs(flo) <= abs(fhi) else hi
 
 
+def _chebder_rows(c: np.ndarray) -> np.ndarray:
+    """cheb.chebder(c, axis=1), bit for bit: chebder's recurrence on
+    plain floats, which on a few short rows costs less than its numpy
+    calls."""
+    der = []
+    for row in c.tolist():
+        n = len(row) - 1
+        d = [0.0] * n
+        for j in range(n, 2, -1):
+            d[j - 1] = (2 * j) * row[j]
+            row[j - 2] += (j * row[j]) / (j - 2)
+        d[1] = 4 * row[2]
+        d[0] = row[1]
+        der.append(d)
+    return np.array(der)
+
+
 def _chebroots_rows(c: np.ndarray):
-    """cheb.chebroots of each row of c, bit for bit: the sorted
-    eigenvalues of each row's companion matrix, all from one eigvals
-    call. Where a row's last coefficient is 0, which chebroots trims
-    first, every row goes through chebroots."""
+    """cheb.chebroots of each row of c (12 coefficients), bit for bit:
+    the sorted eigenvalues of each row's companion matrix, all from one
+    eigvals call. The matrices are _COMPANION with chebcompanion's update
+    of its last column (the first, rotated as chebroots rotates it).
+    Where a row's last coefficient is 0, which chebroots trims first,
+    every row goes through chebroots."""
     if not c[:, -1].all():
         return [cheb.chebroots(row) for row in c]
-    return np.sort(np.linalg.eigvals(np.stack(
-        [cheb.chebcompanion(row)[::-1, ::-1] for row in c])), axis=1)
+    mats = np.repeat(_COMPANION[None], len(c), axis=0)
+    mats[:, :, 0] -= ((c[:, :-1] / c[:, -1:]) * _COMPANION_SCALE * 0.5)[:, ::-1]
+    return np.sort(np.linalg.eigvals(mats), axis=1)
 
 
 def _scan_roots(a: float, nu1: float, nu2: float) -> list[list[float]]:
@@ -313,14 +374,14 @@ def _scan_roots(a: float, nu1: float, nu2: float) -> list[list[float]]:
     derivative's roots (real parts; a spare knot does no harm) and the
     region's ends are the knots: between neighbouring knots the
     polynomial is monotone, so it and g, which has its sign, have at
-    most one root there. A sign change of g between knots is bisected to
-    neighbouring floats. A knot where g vanishes to within the rounding
-    of its evaluation is one tangent (even-order) root. A region no
-    wider than 2 * BOUNDARY_TOL has none.
+    most one root there. A sign change of g between knots is narrowed to
+    neighbouring floats by _bisect's bracketing secant. A knot where g
+    vanishes to within the rounding of its evaluation is one tangent
+    (even-order) root. A region no wider than 2 * BOUNDARY_TOL has none.
 
     The regions are fitted together: g is evaluated once at all their
-    samples, and the derivatives' companion matrices (chebroots') go to
-    one eigenvalue call.
+    samples, the derivatives are taken on plain floats (_chebder_rows),
+    and their companion matrices (chebroots') go to one eigenvalue call.
     """
     ends = [region_bounds(region, a) for region in REGIONS]
     live = [k for k, (lo, hi) in enumerate(ends)
@@ -342,7 +403,7 @@ def _scan_roots(a: float, nu1: float, nu2: float) -> list[list[float]]:
     coef = np.array([np.dot(_CHEB_VANDER_T, row) for row in gs * (1.0 + t * t) ** 6])
     coef[:, 0] /= 13
     coef[:, 1:] /= 6.5
-    crit = _chebroots_rows(cheb.chebder(coef, axis=1))
+    crit = _chebroots_rows(_chebder_rows(coef))
 
     g = kernels.g_of_x(a, nu1, nu2)
     for k, mid, chart, u in zip(live, mids, charts, crit):

@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -166,6 +169,28 @@ class TestVerifyRoundTrip:
         for sol in report["solutions"]:
             assert sol["sigma_drift"] < 1e-6
             assert sol["c_drift"] < 1e-8
+
+    def test_closed_stdout_exits_1_quietly(self, tmp_path):
+        # `verify six.json --integrate | head -c 5`, with the reader gone
+        # before the first write: exit 1, and nothing on stderr
+        sol_file = tmp_path / "six.json"
+        assert main(["meridian", "--masses", "3,2,1", "--a", repr(math.pi / 6),
+                     "--out", str(sol_file)]) == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        # a buffered stdout, as in a shell, holds output until the flush
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sphere3body.cli", "verify", str(sol_file),
+                 "--integrate"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
 
     def test_radius_reaches_verify(self, tmp_path, capsys):
         sol_file = tmp_path / "six.json"

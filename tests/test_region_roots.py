@@ -1,9 +1,11 @@
-"""The per-region root finder for g, against the sampled scan it replaced.
+"""The per-region root finder for g, against the solvers it replaced.
 
 ``old_scan_region_roots`` is a literal transcription of the earlier
 ``meridian._scan_region_roots``: 2000 samples per region, bisection and
 finite-difference Newton on each sign change, golden-section refinement of
-extrema for tangent roots, and a merge step.
+extrema for tangent roots, and a merge step. ``plain_bisect`` is the
+bisection that refined each sign change of the exact scan before the
+bracketing secant of ``meridian._bisect``.
 """
 
 import math
@@ -277,7 +279,8 @@ def numpy_g_scalar(x, a, nu1, nu2):
 def numpy_scan_region_roots(a, nu1, nu2, region):
     """A literal transcription of the earlier ``_scan_region_roots``:
     chebinterpolate on every call, knots through np.unique, g and the
-    tangent test at the knots on arrays, bisection on numpy scalars."""
+    tangent test at the knots on arrays, and root refinement (today's
+    ``mer._bisect``) on numpy scalars."""
     lo, hi = mer.region_bounds(region, a)
     mid = 0.5 * (lo + hi)
     chart = math.tan(0.25 * (hi - lo))
@@ -349,6 +352,119 @@ def test_stacked_chebroots_match_chebroots_bitwise():
                 c[rng.integers(4), -1] = 0.0
             got = mer._chebroots_rows(c)
             assert [hexes(r) for r in got] == [hexes(cheb.chebroots(row)) for row in c]
+
+
+def test_plain_float_chebder_matches_chebder_bitwise():
+    """The scan's derivative coefficients are numpy's, bit for bit, over
+    rows whose sizes span ten decades."""
+    rng = np.random.default_rng(18)
+    for _ in range(500):
+        c = rng.standard_normal((4, 13)) * 10.0 ** rng.uniform(-5.0, 5.0, (4, 1))
+        got = mer._chebder_rows(c)
+        want = cheb.chebder(c, axis=1)
+        assert got.shape == want.shape
+        assert [x.hex() for x in got.ravel().tolist()] == \
+            [x.hex() for x in want.ravel().tolist()]
+
+
+def plain_bisect(f, lo, hi, flo, fhi):
+    """The earlier ``meridian._bisect``: halve a sign change of f on
+    [lo, hi] down to neighbouring floats; returns the end where |f| is
+    smaller."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (flo < 0) == (fm < 0):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+    return lo if abs(flo) <= abs(fhi) else hi
+
+
+def _scan_with(monkeypatch, refine, a, masses):
+    """_scan_roots with each sign change refined by refine, and the f
+    calls each root cost."""
+    calls = []
+
+    def counted(f, lo, hi, flo, fhi):
+        n = [0]
+
+        def g(x):
+            n[0] += 1
+            return f(x)
+
+        x = refine(g, lo, hi, flo, fhi)
+        calls.append(n[0])
+        return x
+
+    monkeypatch.setattr(mer, "_bisect", counted)
+    try:
+        return mer._scan_roots(a, masses.nu1, masses.nu2), calls
+    finally:
+        monkeypatch.undo()
+
+
+def _is_float_sign_change(x, a, nu1, nu2):
+    g = kernels.g_of_x(a, nu1, nu2)
+    gx = g(x)
+    return gx == 0.0 or any(gx * g(math.nextafter(x, d)) < 0.0
+                            for d in (-math.inf, math.inf))
+
+
+def _reported(x, a, masses):
+    """Whether find_meridian_rotators reports the root x: its shape is
+    valid and its backward error at most RESIDUAL_TOL."""
+    shape = mer.Shape(a, x)
+    try:
+        shape.validate(mer.BOUNDARY_TOL)
+        sol = mer.solution_from_shape(shape, masses)
+    except ValueError:
+        return False
+    return sol.residual_max <= mer.RESIDUAL_TOL
+
+
+def _refinement_cells(n=2000, seed=20221018):
+    cells = [(a, MassTriple(nu1, nu2, 1.0)) for a, nu1, nu2 in NAMED]
+    cells += [(2.0, MassTriple(PITCHFORK_NU + d, PITCHFORK_NU + d, 1.0))
+              for d in (1e-6, 0.0, -1e-6)]
+    cells.append((2.0 * math.pi / 3.0, MassTriple(1.0, 1.0, 1.0)))
+    rng = random.Random(seed)
+    cells += [(rng.uniform(0.0, math.pi),
+               MassTriple(*(10.0 ** rng.uniform(-8.0, 8.0) for _ in range(3))))
+              for _ in range(n)]
+    # each with its 1<->2 mirror
+    return [(a, m) for a, masses in cells
+            for m in (masses, MassTriple(masses.m2, masses.m1, masses.m3))]
+
+
+def test_secant_refinement_against_plain_bisection(monkeypatch):
+    """The bracketing secant finds as many roots in each region as the
+    bisection it replaced, each the same float or another float sign
+    change of g that the backward error judges alike, in far fewer g
+    calls."""
+    new_calls, old_calls = [], []
+    moved = 0
+    for a, masses in _refinement_cells():
+        new, n_new = _scan_with(monkeypatch, mer._bisect, a, masses)
+        old, n_old = _scan_with(monkeypatch, plain_bisect, a, masses)
+        new_calls += n_new
+        old_calls += n_old
+        assert [len(r) for r in new] == [len(r) for r in old], (a, masses)
+        for x, y in zip((x for r in new for x in r), (y for r in old for y in r)):
+            if x.hex() == y.hex():
+                continue
+            moved += 1
+            assert _is_float_sign_change(x, a, masses.nu1, masses.nu2), (a, masses, x, y)
+            assert _is_float_sign_change(y, a, masses.nu1, masses.nu2), (a, masses, x, y)
+            assert _reported(x, a, masses) == _reported(y, a, masses), (a, masses, x, y)
+    assert len(new_calls) > 15000
+    assert 0 < moved < 0.05 * len(new_calls)
+    assert sum(new_calls) / len(new_calls) <= 25.0
+    assert max(new_calls) <= max(old_calls) + 8
 
 
 def test_region_counts_have_the_parity_of_the_end_values():
