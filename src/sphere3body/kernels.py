@@ -9,7 +9,9 @@ region of x,
 
 g is linear in (nu1, nu2): g = nu1*P + nu2*Q + S, where P, Q and S
 depend on x and a only (``g_terms``). alpha*sin^2(x) is written as
-sin(x)*|sin(x)|, so no region table is needed.
+sin(x)*|sin(x)|, so no region table is needed. The six products that P,
+Q and S add up are written once (``_products``): g_terms, g_of_x's g
+and g_terms_scale, which bounds g's rounding, all take them from there.
 
 A float x (numpy's float64 is one) takes its sines from ``math``, an
 array from numpy: the root finder refines each root on scalar g
@@ -31,26 +33,27 @@ import numpy as np
 BACKEND = "python"
 
 
-def _terms(x, a, sin, sa2, sa2s2a):
-    """(P, Q, S) at x, with sa2 = sin^2(a) and sa2s2a = sin^2(a)*sin(2a)."""
+def _products(x, a, sin, sa2s2a):
+    """The six products that P, Q and S add up, at x: with
+    A = alpha*sin^2(x), B = beta*sin^2(x - a) and sa2s2a = sin^2(a)*sin(2a),
+    (A*B*sin 2x, sa2s2a*B, A*B*sin 2(x - a), sa2s2a*A, A*sin 2x,
+    B*sin 2(x - a))."""
     sx = sin(x)
     sxa = sin(x - a)
-    A = sx * abs(sx)  # alpha * sin^2(x)
-    B = sxa * abs(sxa)  # beta * sin^2(x - a)
+    A = sx * abs(sx)
+    B = sxa * abs(sxa)
     sin2x = sin(2.0 * x)
     sin2xa = sin(2.0 * (x - a))
     AB = A * B
-    P = AB * sin2x - sa2s2a * B
-    Q = AB * sin2xa - sa2s2a * A
-    S = -sa2 * (A * sin2x - B * sin2xa)
-    return P, Q, S
+    return AB * sin2x, sa2s2a * B, AB * sin2xa, sa2s2a * A, A * sin2x, B * sin2xa
 
 
 def g_terms(x, a: float):
     """(P, Q, S) with g = nu1*P + nu2*Q + S, for a float or an array x."""
     sin = math.sin if isinstance(x, float) else np.sin
     sa2 = math.sin(a) ** 2
-    return _terms(x, a, sin, sa2, sa2 * math.sin(2.0 * a))
+    p1, p2, p3, p4, p5, p6 = _products(x, a, sin, sa2 * math.sin(2.0 * a))
+    return p1 - p2, p3 - p4, -sa2 * (p5 - p6)
 
 
 def g_terms_scale(x: float, a: float) -> tuple[float, float, float]:
@@ -58,13 +61,9 @@ def g_terms_scale(x: float, a: float) -> tuple[float, float, float]:
     products that P, Q and S add up. g's rounding error is a few ulps of
     nu1*Ps + nu2*Qs + Ss, also where P, Q and S each cancel (all three
     vanish at a = 2*pi/3, x = 4*pi/3)."""
-    sx, sxa = math.sin(x), math.sin(x - a)
-    A, B = sx * sx, sxa * sxa
-    sin2x, sin2xa = abs(math.sin(2.0 * x)), abs(math.sin(2.0 * (x - a)))
     sa2 = math.sin(a) ** 2
-    sa2s2a = sa2 * abs(math.sin(2.0 * a))
-    return (A * B * sin2x + sa2s2a * B, A * B * sin2xa + sa2s2a * A,
-            sa2 * (A * sin2x + B * sin2xa))
+    p1, p2, p3, p4, p5, p6 = _products(x, a, math.sin, sa2 * math.sin(2.0 * a))
+    return abs(p1) + abs(p2), abs(p3) + abs(p4), sa2 * (abs(p5) + abs(p6))
 
 
 def g_bound(nu1: float, nu2: float) -> float:
@@ -96,7 +95,7 @@ def g_of_x(a: float, nu1: float, nu2: float):
     sin = math.sin
 
     def g(x: float) -> float:
-        P, Q, S = _terms(x, a, sin, sa2, sa2s2a)
-        return nu1 * P + nu2 * Q + S
+        p1, p2, p3, p4, p5, p6 = _products(x, a, sin, sa2s2a)
+        return nu1 * (p1 - p2) + nu2 * (p3 - p4) - sa2 * (p5 - p6)
 
     return g

@@ -17,6 +17,11 @@ thetas in radians of x (dynamics.backward_error), judges everything else,
 and find_meridian_rotators and isosceles_rotators keep a solution only
 where it is at most RESIDUAL_TOL (or the tolerance given).
 
+A shape becomes a solution in one pass, solution_from_shape then
+_solution: the ratio equations (_ratio_terms, also the case's and the
+generic scan's) give the case and a rate, and one evaluation of W's sums
+gives A, the A-zero decision and the lift's angle; omega^2 = rate * A.
+
 The sphere's radius comes from the potential alone (pot.radius); a
 function given no potential solves on the unit sphere under the
 cotangent potential.
@@ -60,11 +65,6 @@ A_ZERO_FIXED_POINT = "A-zero-fixed-point"
 
 # the potential of a call that names none
 _UNIT_COTANGENT = cotangent_potential(SphereRadius())
-
-
-class AZeroFixedPoint(Exception):
-    """Amplitude A = 0: the shape-to-configuration map is indefinite and
-    the shape is a fixed point."""
 
 
 def region_bounds(region: str, a: float) -> tuple[float, float]:
@@ -121,24 +121,29 @@ def amplitude_A(masses: MassTriple, shape: Shape) -> float:
     return math.hypot(*_w_sums(masses, shape))
 
 
+def _lift(masses: MassTriple, shape: Shape, s: int):
+    """(A, thetas) from one evaluation of W's sums: the amplitude and the
+    colatitudes that lift shape on branch s, or None for thetas where
+    A <= A_TOL * (m1 + m2 + m3) (the lift is indefinite; the shape is a
+    fixed point)."""
+    m1, m2, m3 = masses.as_tuple()
+    cos_part, sin_part = _w_sums(masses, shape)
+    A = math.hypot(cos_part, sin_part)
+    if A <= A_TOL * (m1 + m2 + m3):
+        return A, None
+    # e^(2i theta1) = s * conj(W e^(-2i theta1)) / A, and atan2 needs no A
+    t1 = 0.5 * math.atan2(s * (-sin_part), s * cos_part)
+    return A, (t1, t1 + shape.theta21, t1 + shape.theta31)
+
+
 def shape_to_configurations(
     masses: MassTriple,
     shape: Shape,
     s: int,
-) -> tuple[float, float, float]:
+) -> tuple[float, float, float] | None:
     """Lift a shape to absolute colatitudes on the branch s = +/-1, where
-    W = s * A (module docstring).
-
-    Raises AZeroFixedPoint when A <= A_TOL * (m1 + m2 + m3) (the lift is
-    indefinite; the shape is a fixed point).
-    """
-    m1, m2, m3 = masses.as_tuple()
-    if amplitude_A(masses, shape) <= A_TOL * (m1 + m2 + m3):
-        raise AZeroFixedPoint(shape)
-    # e^(2i theta1) = s * conj(W e^(-2i theta1)) / A, and atan2 needs no A
-    cos_part, sin_part = _w_sums(masses, shape)
-    t1 = 0.5 * math.atan2(s * (-sin_part), s * cos_part)
-    return (t1, t1 + shape.theta21, t1 + shape.theta31)
+    W = s * A (module docstring); None for an A-zero shape (_lift)."""
+    return _lift(masses, shape, s)[1]
 
 
 @dataclass(frozen=True)
@@ -169,12 +174,20 @@ def pair_quantities(
     return PairQuantities(F12, F23, F31, G12, G23, G31)
 
 
+def _ratio_terms(pq: PairQuantities) -> tuple[float, float, float, float]:
+    """The numerators and denominators (n12, d12, n31, d31) of the ratio
+    equations n12 / d12 = n31 / d31, that is
+    (F12 - F23) / (G12 - G23) = (F31 - F12) / (G31 - G12)."""
+    return pq.F12 - pq.F23, pq.G12 - pq.G23, pq.F31 - pq.F12, pq.G31 - pq.G12
+
+
 def classify_case(pq: PairQuantities, masses: MassTriple) -> str:
     """Which pair of rigid-rotator equations applies for this shape."""
     m1, m2, m3 = masses.as_tuple()
     tol = CASE_TOL * (m1 * m2 + m2 * m3 + m3 * m1)
-    d1 = abs(pq.G12 - pq.G23) <= tol
-    d2 = abs(pq.G31 - pq.G12) <= tol
+    _, d12, _, d31 = _ratio_terms(pq)
+    d1 = abs(d12) <= tol
+    d2 = abs(d31) <= tol
     d3 = abs(pq.G23 - pq.G31) <= tol
     if d1 and d2 and d3:
         return CASE4_FIXED_POINT
@@ -183,31 +196,6 @@ def classify_case(pq: PairQuantities, masses: MassTriple) -> str:
     if d2:
         return CASE3
     return CASE1
-
-
-def solve_omega_and_branch(
-    pq: PairQuantities,
-    masses: MassTriple,
-    A: float,
-) -> tuple[int, float | None, str]:
-    """Branch sign s, rotation rate omega^2 and case tag from the ratio
-    equations: the mean of the ratios that the case defines.
-
-    s is chosen so omega^2 = 2*A*s*ratio >= 0. Case 4 (all G equal)
-    leaves both undetermined: a fixed point, (0, None, tag). Whether the
-    shape is a rotator at all is the backward error's to judge.
-    """
-    case = classify_case(pq, masses)
-    if case == CASE4_FIXED_POINT:
-        return 0, None, case
-    ratios = []
-    if case in (CASE1, CASE3):
-        ratios.append((pq.F12 - pq.F23) / (pq.G12 - pq.G23))
-    if case in (CASE1, CASE2):
-        ratios.append((pq.F31 - pq.F12) / (pq.G31 - pq.G12))
-    ratio = sum(ratios) / len(ratios)
-    s = -1 if ratio < 0 else 1
-    return s, 2.0 * A * abs(ratio), case
 
 
 @dataclass(frozen=True)
@@ -237,16 +225,19 @@ class MeridianSolution:
         return self.omega_squared is None
 
 
-def _solution(shape, masses, s, omega_squared, case_tag, pot) -> MeridianSolution:
-    """The solution at shape, with its backward error: lifted on branch s
-    when omega_squared is given and A > A_TOL * (m1 + m2 + m3), else a
-    fixed point (the A-zero one when omega_squared was given)."""
+def _solution(shape, masses, s, rate, case_tag, pot) -> MeridianSolution:
+    """The solution at shape, with its backward error: lifted on branch s,
+    turning at omega^2 = rate * A, when a rate is given and
+    A > A_TOL * (m1 + m2 + m3), else a fixed point (the A-zero one when a
+    rate was given)."""
     thetas = (0.0, shape.theta21, shape.theta31)
-    if omega_squared is not None:
-        try:
-            thetas = shape_to_configurations(masses, shape, s)
-        except AZeroFixedPoint:
-            s, omega_squared, case_tag = 0, None, A_ZERO_FIXED_POINT
+    omega_squared = None
+    if rate is not None:
+        A, lifted = _lift(masses, shape, s)
+        if lifted is None:
+            s, case_tag = 0, A_ZERO_FIXED_POINT
+        else:
+            thetas, omega_squared = lifted, rate * A
     residual = backward_error(thetas, omega_squared or 0.0, masses, pot)
     return MeridianSolution(shape.theta31, shape, thetas, s, omega_squared,
                             case_tag, residual)
@@ -439,12 +430,24 @@ def solution_from_shape(
     masses: MassTriple,
     pot: PairPotential | None = None,
 ) -> MeridianSolution:
-    """Lift a candidate shape to a solution with its backward error."""
+    """Lift a candidate shape to a solution with its backward error:
+    omega^2 = 2 * A * |ratio| on the branch s = sign(ratio), with ratio
+    the mean of the ratios that the case defines, or a fixed point in
+    Case 4 (all G equal). The backward error judges the rest."""
     pot = pot or _UNIT_COTANGENT
     pq = pair_quantities(masses, shape, pot)
-    A = amplitude_A(masses, shape)
-    s, omega_squared, tag = solve_omega_and_branch(pq, masses, A)
-    return _solution(shape, masses, s, omega_squared, tag, pot)
+    case = classify_case(pq, masses)
+    if case == CASE4_FIXED_POINT:
+        return _solution(shape, masses, 0, None, case, pot)
+    n12, d12, n31, d31 = _ratio_terms(pq)
+    ratios = []
+    if case in (CASE1, CASE3):
+        ratios.append(n12 / d12)
+    if case in (CASE1, CASE2):
+        ratios.append(n31 / d31)
+    ratio = sum(ratios) / len(ratios)
+    return _solution(shape, masses, -1 if ratio < 0 else 1, 2.0 * abs(ratio),
+                     case, pot)
 
 
 def find_meridian_rotators(
@@ -492,10 +495,8 @@ def find_meridian_rotators(
 def _generic_scan_roots(a, masses, pot) -> list[float]:
     # scan the cross-multiplied ratio equation for a generic potential
     def h(x):
-        pq = pair_quantities(masses, Shape(a, x), pot)
-        return (pq.F12 - pq.F23) * (pq.G31 - pq.G12) - (pq.F31 - pq.F12) * (
-            pq.G12 - pq.G23
-        )
+        n12, d12, n31, d31 = _ratio_terms(pair_quantities(masses, Shape(a, x), pot))
+        return n12 * d31 - n31 * d12
 
     roots = []
     for region in REGIONS:
@@ -600,13 +601,14 @@ def count_rotators_grid_regions(
     zero. Each threshold is guessed from the real root -(nu2 * Q + S) / P
     and confirmed by g one index below and at it; a pair that fails the
     check (a zero of g near the guess, P = 0, a guess off by rounding)
-    is settled by bisection over the indices. Two neighbouring samples
-    then change sign on one interval of nu1 indices: [min t_pos,
-    max t_neg) of the two where P keeps its sign between them (empty
-    where it ends first), and where P turns, every index outside
-    [min t_neg, max t_pos). A difference array over nu1 counts them. g
-    is evaluated a few times per (nu2, sample) pair rather than once per
-    nu1 value, and the working memory is one block of nu2 rows
+    takes both from a binary search of its row of g * sign(P) over nu1.
+    Two neighbouring samples then change sign on one interval of nu1
+    indices: [min t_pos, max t_neg) of the two where P keeps its sign
+    between them (empty where it ends first), and where P turns, every
+    index outside [min t_neg, max t_pos). A difference array over nu1
+    counts them. g is evaluated a few times per (nu2, sample) pair
+    rather than once per nu1 value (once per nu1 value at a pair that
+    fails the check), and the working memory is one block of nu2 rows
     (GRID_BLOCK_CELLS) besides the output.
     """
     nu1v = np.asarray(nu1_values, dtype=float)
@@ -655,7 +657,7 @@ def _count_block(nu1s, nu2b, P, Q, S, turns) -> np.ndarray:
     # t_neg = #{h < 0} and t_pos = #{h <= 0} bound h's three runs; both
     # are the guess where h is below zero one index below it and above
     # zero at it, nu1 = -inf below the grid and +inf above it (where
-    # P = 0 that gives NaN, and bisection)
+    # P = 0 that gives NaN, and the search of the pair's row)
     nu1p = np.concatenate(([-np.inf], nu1s, [np.inf]))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         guess = np.searchsorted(nu1s, (nu2_q + S[:, None]) * (-1.0 / P)[:, None])
@@ -663,24 +665,13 @@ def _count_block(nu1s, nu2b, P, Q, S, turns) -> np.ndarray:
               & ((nu1p[guess + 1] * P[:, None] + nu2_q) + S[:, None] > 0.0))
     t_neg = t_pos = guess
     if not ok.all():
-        # the rejected pairs, at sample k and nu2 j: bisect for the first
-        # index where h >= 0 (t_neg), or h > 0 (t_pos)
-        k, j = np.divmod(np.flatnonzero(~ok), n2)
+        # at each rejected pair (sample k, nu2 j), where 0 sorts into h's
+        # non-decreasing row over nu1: first (t_neg) and last (t_pos)
         t_pos = guess.copy()
-        for t, strict in ((t_neg, False), (t_pos, True)):
-            lo = np.zeros(len(k), dtype=np.intp)
-            hi = np.full(len(k), n1, dtype=np.intp)
-            while True:
-                active = np.flatnonzero(lo < hi)
-                if not active.size:
-                    break
-                mid = (lo[active] + hi[active]) // 2
-                ka = k[active]
-                hm = (nu1s[mid] * P[ka] + nu2_q[ka, j[active]]) + S[ka]
-                hit = hm > 0.0 if strict else hm >= 0.0
-                hi[active] = np.where(hit, mid, hi[active])
-                lo[active] = np.where(hit, lo[active], mid + 1)
-            t[k, j] = lo
+        for k, j in zip(*np.nonzero(~ok)):
+            row = (nu1s * P[k] + nu2_q[k, j]) + S[k]
+            t_neg[k, j] = np.searchsorted(row, 0.0, side="left")
+            t_pos[k, j] = np.searchsorted(row, 0.0, side="right")
 
     # g < 0 on [0, t_neg) and g > 0 on [t_pos, n1), the reverse where P
     # was flipped. Where P keeps its sign between samples k and k + 1,
@@ -722,9 +713,8 @@ def equilateral_rotator(
     pot = pot or _UNIT_COTANGENT
     shape = Shape(2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
     u_prime = pot.u_prime(3.0 * pot.radius.R * pot.radius.R)
-    omega_squared = 4.0 * amplitude_A(masses, shape) * abs(u_prime)
-    return _solution(shape, masses, -1 if u_prime < 0.0 else 1, omega_squared,
-                     CASE1, pot)
+    return _solution(shape, masses, -1 if u_prime < 0.0 else 1,
+                     4.0 * abs(u_prime), CASE1, pot)
 
 
 SPECIAL_ISOSCELES_COS_A = (math.sqrt(2.0) - 1.0) / 2.0

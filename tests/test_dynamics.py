@@ -167,6 +167,25 @@ class TestIntegrate:
         assert traj.energy_drift < 1e-12
         assert traj.c_drift < 1e-12
 
+    def test_angular_momentum_drift_is_taken_on_the_potentials_sphere(self):
+        # at R = 0.5 with |c0| < 1 the drift's scale max(|c0|, 1) is 1, so
+        # the factor R^2 of c does not cancel: c taken on any other sphere
+        # changes c_drift
+        R = SphereRadius(0.5)
+        m = MassTriple(1.0, 2.0, 1.5)
+        st = SphericalState(
+            (SpherePoint(0.9, 0.0), SpherePoint(1.8, 2.0), SpherePoint(1.2, 4.0)),
+            (0.05, -0.02, 0.0), (0.3, 0.3, 0.3),
+        )
+        traj = integrate(st, m, cotangent_potential(R), 0.3, 0.3 / 50)
+        assert traj.error is None
+        c0, c1 = (angular_momentum(traj.state_at(i), m, R).as_array()
+                  for i in (0, -1))
+        assert np.linalg.norm(c0) < 1.0
+        assert traj.c_drift > 1e-8
+        assert traj.c_drift == pytest.approx(float(np.linalg.norm(c1 - c0)),
+                                             rel=1e-12, abs=0.0)
+
     def test_rk4_convergence_order(self):
         m = MassTriple(1.0, 2.0, 1.5)
         st = SphericalState(

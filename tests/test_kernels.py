@@ -95,3 +95,55 @@ def test_terms_scale_bounds_the_terms():
     scale = kernels.g_terms_scale(4.0 * math.pi / 3.0, 2.0 * math.pi / 3.0)
     assert max(abs(P), abs(Q), abs(S)) < 1e-15
     assert min(scale) > 0.1
+
+
+def terms_transcription(x, a, sin):
+    """(P, Q, S) as g's terms were written before their products were
+    shared: _terms with sin^2(a) and sin^2(a)*sin(2a) taken from a."""
+    sa2 = math.sin(a) ** 2
+    sa2s2a = sa2 * math.sin(2.0 * a)
+    sx = sin(x)
+    sxa = sin(x - a)
+    A = sx * abs(sx)
+    B = sxa * abs(sxa)
+    sin2x = sin(2.0 * x)
+    sin2xa = sin(2.0 * (x - a))
+    AB = A * B
+    P = AB * sin2x - sa2s2a * B
+    Q = AB * sin2xa - sa2s2a * A
+    S = -sa2 * (A * sin2x - B * sin2xa)
+    return P, Q, S
+
+
+def terms_scale_transcription(x, a):
+    sx, sxa = math.sin(x), math.sin(x - a)
+    A, B = sx * sx, sxa * sxa
+    sin2x, sin2xa = abs(math.sin(2.0 * x)), abs(math.sin(2.0 * (x - a)))
+    sa2 = math.sin(a) ** 2
+    sa2s2a = sa2 * abs(math.sin(2.0 * a))
+    return (A * B * sin2x + sa2s2a * B, A * B * sin2xa + sa2s2a * A,
+            sa2 * (A * sin2x + B * sin2xa))
+
+
+def test_shared_products_match_transcription_bitwise():
+    # g on floats (g_of_x, g_scalar) and arrays (g_array), and the scale
+    # of g's rounding, all from kernels._products, against the terms as
+    # they were written out: random (a, x) in all four regions, with
+    # nu1 and nu2 of either sign, and the point where P, Q and S cancel
+    cases = [(a, nu1, -nu2 if k % 3 else nu2, x)
+             for k, (a, nu1, nu2, _region, x) in enumerate(random_cases(23, 800))]
+    cases.append((2.0 * math.pi / 3.0, 3.0, 2.0, 4.0 * math.pi / 3.0))
+    for a, nu1, nu2, x in cases:
+        P, Q, S = terms_transcription(x, a, math.sin)
+        g = nu1 * P + nu2 * Q + S
+        assert kernels.g_of_x(a, nu1, nu2)(x).hex() == g.hex()
+        assert kernels.g_scalar(x, a, nu1, nu2).hex() == g.hex()
+        assert [t.hex() for t in kernels.g_terms(x, a)] == [
+            t.hex() for t in (P, Q, S)]
+        assert [t.hex() for t in kernels.g_terms_scale(x, a)] == [
+            t.hex() for t in terms_scale_transcription(x, a)]
+    xs = np.array([x for _a, _nu1, _nu2, x in cases])
+    for a, nu1, nu2, _x in cases[::40] + cases[-1:]:
+        P, Q, S = terms_transcription(xs, a, np.sin)
+        assert (kernels.g_array(xs, a, nu1, nu2).tobytes()
+                == (nu1 * P + nu2 * Q + S).tobytes())

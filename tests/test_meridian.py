@@ -191,12 +191,20 @@ class TestTranslation:
         assert abs(d - round(d)) < 1e-10
         assert round(d) % 2 == 1  # odd multiple of pi/2
 
-    def test_amplitude_zero_raises(self):
+    def test_amplitude_zero_has_no_lift(self):
         m = MassTriple(1.0, 1.0, 1.0)
         shape = mer.Shape(2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
         assert mer.amplitude_A(m, shape) < 1e-12
-        with pytest.raises(mer.AZeroFixedPoint):
-            mer.shape_to_configurations(m, shape, 1)
+        assert mer.shape_to_configurations(m, shape, 1) is None
+        assert mer.shape_to_configurations(m, shape, -1) is None
+        # 3.5e-8 off the equilateral shape the G values differ (Case 1),
+        # but A ~ 7e-8 is under the A-zero bound: an A-zero fixed point
+        near = mer.Shape(shape.theta21, shape.theta31 + 3.5e-8)
+        assert mer.shape_to_configurations(m, near, 1) is None
+        sol = mer.solution_from_shape(near, m)
+        assert sol.case_tag == mer.A_ZERO_FIXED_POINT
+        assert sol.s == 0 and sol.omega_squared is None and sol.is_fixed_point
+        assert sol.thetas == (0.0, near.theta21, near.theta31)
 
     def test_antipodal_lift(self):
         fixed = mer.case4_fixed_point(MassTriple(1.0, 1.0, 1.0))
@@ -896,3 +904,217 @@ def test_antipodal_pair_is_labelled():
         mer.pair_quantities(M321, mer.Shape(1.0, math.pi - 1e-9), POT)
     assert err.value.kind == "antipodal"
     assert err.value.pair == (3, 1)
+
+
+# ------------------------------------------------------------------
+# Differential test of the candidate chain: solution_from_shape and the
+# special families against a literal transcription of the chain they
+# replaced, pair_quantities -> amplitude_A -> the ratio equations
+# (solve_omega_and_branch) -> the lift, which raised on an A-zero shape
+# -> backward_error. omega^2 was 2*A*|ratio| (4*A*|U'| for the
+# equilateral rotator); it is now (2*|ratio|)*A, the same float, as
+# scaling by 2 or 4 is exact.
+
+
+class _AZero(Exception):
+    pass
+
+
+def chain_classify_case(pq, masses):
+    m1, m2, m3 = masses.as_tuple()
+    tol = mer.CASE_TOL * (m1 * m2 + m2 * m3 + m3 * m1)
+    d1 = abs(pq.G12 - pq.G23) <= tol
+    d2 = abs(pq.G31 - pq.G12) <= tol
+    d3 = abs(pq.G23 - pq.G31) <= tol
+    if d1 and d2 and d3:
+        return mer.CASE4_FIXED_POINT
+    if d1:
+        return mer.CASE2
+    if d2:
+        return mer.CASE3
+    return mer.CASE1
+
+
+def chain_omega_and_branch(pq, masses, A):
+    case = chain_classify_case(pq, masses)
+    if case == mer.CASE4_FIXED_POINT:
+        return 0, None, case
+    ratios = []
+    if case in (mer.CASE1, mer.CASE3):
+        ratios.append((pq.F12 - pq.F23) / (pq.G12 - pq.G23))
+    if case in (mer.CASE1, mer.CASE2):
+        ratios.append((pq.F31 - pq.F12) / (pq.G31 - pq.G12))
+    ratio = sum(ratios) / len(ratios)
+    s = -1 if ratio < 0 else 1
+    return s, 2.0 * A * abs(ratio), case
+
+
+def chain_lift(masses, shape, s):
+    m1, m2, m3 = masses.as_tuple()
+    if mer.amplitude_A(masses, shape) <= mer.A_TOL * (m1 + m2 + m3):
+        raise _AZero(shape)
+    t21, t31 = shape.theta21, shape.theta31
+    cos_part = m1 + m2 * math.cos(2.0 * t21) + m3 * math.cos(2.0 * t31)
+    sin_part = m2 * math.sin(2.0 * t21) + m3 * math.sin(2.0 * t31)
+    t1 = 0.5 * math.atan2(s * (-sin_part), s * cos_part)
+    return (t1, t1 + t21, t1 + t31)
+
+
+def chain_solution(shape, masses, s, omega_squared, case_tag, pot):
+    thetas = (0.0, shape.theta21, shape.theta31)
+    if omega_squared is not None:
+        try:
+            thetas = chain_lift(masses, shape, s)
+        except _AZero:
+            s, omega_squared, case_tag = 0, None, mer.A_ZERO_FIXED_POINT
+    residual = backward_error(thetas, omega_squared or 0.0, masses, pot)
+    return (shape.theta31, thetas, s, omega_squared, case_tag, residual)
+
+
+def chain_from_shape(shape, masses, pot):
+    pq = mer.pair_quantities(masses, shape, pot)
+    A = mer.amplitude_A(masses, shape)
+    s, omega_squared, tag = chain_omega_and_branch(pq, masses, A)
+    return chain_solution(shape, masses, s, omega_squared, tag, pot)
+
+
+def chain_equilateral(masses, pot):
+    shape = mer.Shape(2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
+    u_prime = pot.u_prime(3.0 * pot.radius.R * pot.radius.R)
+    omega_squared = 4.0 * mer.amplitude_A(masses, shape) * abs(u_prime)
+    return chain_solution(shape, masses, -1 if u_prime < 0.0 else 1,
+                          omega_squared, mer.CASE1, pot)
+
+
+def chain_generic_roots(a, masses, pot):
+    def h(x):
+        pq = mer.pair_quantities(masses, mer.Shape(a, x), pot)
+        return (pq.F12 - pq.F23) * (pq.G31 - pq.G12) - (pq.F31 - pq.F12) * (
+            pq.G12 - pq.G23)
+
+    roots = []
+    for region in mer.REGIONS:
+        lo, hi = mer.region_bounds(region, a)
+        lo += mer.GENERIC_BOUNDARY_GAP
+        hi -= mer.GENERIC_BOUNDARY_GAP
+        xs = np.linspace(lo, hi, mer.GENERIC_SCAN_SAMPLES).tolist()
+        hs = [h(x) for x in xs]
+        for i in range(mer.GENERIC_SCAN_SAMPLES - 1):
+            if hs[i] * hs[i + 1] < 0.0:
+                roots.append(mer._bisect(h, xs[i], xs[i + 1], hs[i], hs[i + 1]))
+    return roots
+
+
+def _hex_fields(fields):
+    x, thetas, s, omega_squared, case_tag, residual = fields
+    return (x.hex(), tuple(t.hex() for t in thetas), s,
+            None if omega_squared is None else omega_squared.hex(),
+            case_tag, residual.hex())
+
+
+def _solution_fields(sol):
+    return _hex_fields((sol.x, sol.thetas, sol.s, sol.omega_squared,
+                        sol.case_tag, sol.residual_max))
+
+
+def _candidate_outcome(fn):
+    try:
+        return fn()
+    except ValueError as err:  # SingularityError too
+        return (type(err).__name__, str(err))
+
+
+def benchmark_pool():
+    """The benchmark's solve pool (perfbench/workloads.py, random_pool):
+    a uniform in (0, pi), masses log-uniform over [0.1, 10]."""
+    rng = random.Random(20220221)
+    pool = []
+    for _ in range(1024):
+        a = rng.uniform(0.0, math.pi)
+        pool.append((a, tuple(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(3))))
+    return pool
+
+
+def _check_candidates(a, masses, pot, roots):
+    """Every candidate root through both chains, hex-identical; returns
+    the case tags met."""
+    tags = set()
+    for x in roots:
+        shape = mer.Shape(a, x)
+        got = _candidate_outcome(
+            lambda: _solution_fields(mer.solution_from_shape(shape, masses, pot)))
+        expect = _candidate_outcome(
+            lambda: _hex_fields(chain_from_shape(shape, masses, pot)))
+        assert got == expect, (a, masses, x)
+        tags.add(expect[4] if len(expect) == 6 else expect[0])
+    return tags
+
+
+def test_candidate_chain_matches_transcription_bitwise():
+    cases = [(a, (nu1, nu2, 1.0)) for a, nu1, nu2 in NAMED] + benchmark_pool()
+    cases.append((2.0 * math.pi / 3.0, (1.0, 1.0, 1.0)))  # an A-zero root
+    pots = (POT, repulsive(cotangent_potential(SphereRadius(2.5))))
+    tags = set()
+    for a, m in cases:
+        for mm in (m, (m[1], m[0], m[2])):
+            masses = MassTriple(*mm)
+            roots = [x for region in mer._scan_roots(a, masses.nu1, masses.nu2)
+                     for x in region]
+            for pot in pots:
+                tags |= _check_candidates(a, masses, pot, roots)
+    assert {mer.CASE1, mer.CASE2, mer.CASE3, mer.CASE4_FIXED_POINT,
+            mer.A_ZERO_FIXED_POINT} <= tags
+
+
+def test_special_families_match_transcription_bitwise():
+    rng = random.Random(19)
+    masses_list = [MassTriple(1.0, 1.0, 1.0), M321, MassTriple(2.0, 2.0, 1.0),
+                   MassTriple(1.3, 2.2, 0.7)] + [
+        MassTriple(*(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(3)))
+        for _ in range(12)]
+    pushing = PairPotential(u=lambda d2: -d2 ** -0.5,
+                            u_prime=lambda d2: 0.5 * d2 ** -1.5,
+                            radius=SphereRadius(1.7))
+    pots = (POT, repulsive(cotangent_potential(SphereRadius(2.5))), pushing)
+    tags = set()
+    for masses in masses_list:
+        for pot in pots:
+            got = _solution_fields(mer.equilateral_rotator(masses, pot))
+            assert got == _hex_fields(chain_equilateral(masses, pot))
+            tags.add(got[4])
+            for a in (None, 0.7, 2.0 * math.pi / 3.0):
+                angle = math.acos(mer.SPECIAL_ISOSCELES_COS_A) if a is None else a
+                equal_nu = abs(masses.nu1 - masses.nu2) <= 1e-12 * (
+                    masses.nu1 + masses.nu2)
+                xs = []
+                if equal_nu or abs(math.cos(angle) - mer.SPECIAL_ISOSCELES_COS_A) <= 1e-9:
+                    xs.append(angle / 2.0)
+                if equal_nu or abs(angle - 2.0 * math.pi / 3.0) <= 1e-9:
+                    xs.append(angle / 2.0 + math.pi)
+                expect = [chain_from_shape(mer.Shape(angle, x), masses, pot)
+                          for x in xs]
+                assert [_solution_fields(s) for s in
+                        mer.isosceles_rotators(masses, a, pot)] == [
+                    _hex_fields(f) for f in expect if f[5] <= mer.RESIDUAL_TOL]
+                tags.update(f[4] for f in expect)
+        fixed = mer.case4_fixed_point(masses)
+        if fixed is not None:
+            shape = mer.Shape(2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
+            assert _solution_fields(fixed) == _hex_fields(chain_solution(
+                shape, masses, 0, None, mer.CASE4_FIXED_POINT, POT))
+    assert {mer.CASE1, mer.A_ZERO_FIXED_POINT} <= tags
+
+
+def test_generic_chain_matches_transcription_bitwise():
+    # a potential without reduced_g: the scan of the cross-multiplied
+    # ratio equation and each of its roots through both chains
+    base = cotangent_potential(SphereRadius(1.3))
+    custom = PairPotential(u=base.u, u_prime=lambda d2: 1.1 * base.u_prime(d2) - 0.05,
+                           radius=SphereRadius(1.3))
+    for a, nu1, nu2 in NAMED[:3]:
+        masses = MassTriple(nu1, nu2, 1.0)
+        roots = chain_generic_roots(a, masses, custom)
+        assert [x.hex() for x in mer._generic_scan_roots(a, masses, custom)] == [
+            x.hex() for x in roots]
+        assert roots
+        _check_candidates(a, masses, custom, roots)
