@@ -35,7 +35,7 @@ from .dynamics import (
     integrate,
 )
 from .geometry import SpherePoint, SphereRadius, arc_angle
-from .potential import cotangent_potential, repulsive
+from .potential import PAIRS, cotangent_potential, repulsive
 
 
 def _fmt(v: float) -> str:
@@ -323,7 +323,7 @@ def _sigma_drift(thetas, omega, masses, pot):
 
     def sigmas(th, ph):
         pts = [SpherePoint(th[k], ph[k]) for k in range(3)]
-        return [arc_angle(pts[i], pts[j]) for i, j in ((0, 1), (1, 2), (2, 0))]
+        return [arc_angle(pts[i], pts[j]) for i, j in PAIRS]
 
     ref = sigmas(traj.thetas[0], traj.phis[0])
     drift = 0.0

@@ -7,7 +7,8 @@ only for independent verification.
 The meridian force balance has one definition, meridian_pulls: the
 backward error and meridian.pair_quantities both read it, so they share
 its algebra. Independence lives elsewhere: in configuration_residuals,
-the tests' oracle, a per-pair loop on the untranslated equations, and
+the tests' oracle, a per-pair loop on the untranslated equations that
+shares only the pair order and label (potential.PAIRS, pair_value), and
 in the benchmark's Cartesian check. The equations of motion have one
 definition, the scalar kernel _accelerations, which integrate calls four
 times per RK4 step on twelve local floats.
@@ -28,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import SpherePoint, SphereRadius, chord_squared
-from .potential import PairPotential, SingularityError, total_potential
+from .potential import PAIRS, PairPotential, SingularityError, pair_value, total_potential
 
 
 @dataclass(frozen=True)
@@ -363,14 +364,10 @@ def configuration_residuals(
     st = [sin(t) for t in thetas]
     ct = [cos(t) for t in thetas]
     points = [SpherePoint(t, p) for t, p in zip(thetas, phis)]
-    pairs = ((0, 1), (1, 2), (2, 0))
     up = {}
-    for i, j in pairs:
-        try:
-            up[i, j] = up[j, i] = pot.u_prime(
-                chord_squared(points[i], points[j], pot.radius))
-        except SingularityError as err:
-            raise SingularityError(err.kind, err.d2, (i + 1, j + 1)) from None
+    for i, j in PAIRS:
+        up[i, j] = up[j, i] = pair_value(
+            pot.u_prime, chord_squared(points[i], points[j], pot.radius), i, j)
 
     res = []
     if omega != 0.0:
@@ -378,7 +375,7 @@ def configuration_residuals(
         res.append(sum(m[k] * st[k] * ct[k] * sin(phis[k]) for k in range(3)))
 
     r = [m[i] * m[j] * up[i, j] * st[i] * st[j] * sin(phis[i] - phis[j])
-         for i, j in pairs]
+         for i, j in PAIRS]
     res.append(r[0] - r[1])
     res.append(r[1] - r[2])
 
@@ -411,13 +408,10 @@ def meridian_pulls(thetas, masses, pot) -> tuple[float, float, float]:
     R = pot.radius.R
     four_r2 = 4.0 * R * R
     pulls = []
-    for k, i in ((0, 1), (1, 2), (2, 0)):
+    for k, i in PAIRS:
         d = thetas[k] - thetas[i]
         h = sin(0.5 * d)
-        try:
-            u = pot.u_prime(four_r2 * h * h)
-        except SingularityError as err:
-            raise SingularityError(err.kind, err.d2, (k + 1, i + 1)) from None
+        u = pair_value(pot.u_prime, four_r2 * h * h, k, i)
         pulls.append(2.0 * m[k] * m[i] * u * sin(d))
     return tuple(pulls)
 

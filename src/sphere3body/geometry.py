@@ -2,7 +2,8 @@
 
 Colatitude theta is allowed in [-pi, pi] so that configurations on a
 rotating meridian can be parameterized continuously through the poles.
-Longitude phi is reduced mod 2*pi.
+Longitude phi is reduced mod 2*pi. The cosine of the arc between two
+points is written once (_cos_arc); chord_squared and arc_angle read it.
 """
 
 from __future__ import annotations
@@ -45,26 +46,23 @@ def _clamp(v: float) -> float:
     return max(-1.0, min(1.0, v))
 
 
-def chord_squared(p_i: SpherePoint, p_j: SpherePoint, R: SphereRadius) -> float:
-    """Squared chord (embedding) distance between two sphere points.
-
-    2 R^2 (1 - cos(t_i) cos(t_j) - sin(t_i) sin(t_j) cos(p_i - p_j)),
-    always in [0, 4 R^2].
-    """
-    c = (
+def _cos_arc(p_i: SpherePoint, p_j: SpherePoint) -> float:
+    """The cosine of the arc between two points, clamped to [-1, 1]."""
+    return _clamp(
         math.cos(p_i.theta) * math.cos(p_j.theta)
         + math.sin(p_i.theta) * math.sin(p_j.theta) * math.cos(p_i.phi - p_j.phi)
     )
-    return 2.0 * R.R * R.R * (1.0 - _clamp(c))
+
+
+def chord_squared(p_i: SpherePoint, p_j: SpherePoint, R: SphereRadius) -> float:
+    """Squared chord (embedding) distance 2 R^2 (1 - cos sigma) between
+    two sphere points, always in [0, 4 R^2]."""
+    return 2.0 * R.R * R.R * (1.0 - _cos_arc(p_i, p_j))
 
 
 def arc_angle(p_i: SpherePoint, p_j: SpherePoint) -> float:
     """Arc angle in [0, pi] between two points as seen from the center."""
-    c = (
-        math.cos(p_i.theta) * math.cos(p_j.theta)
-        + math.sin(p_i.theta) * math.sin(p_j.theta) * math.cos(p_i.phi - p_j.phi)
-    )
-    return math.acos(_clamp(c))
+    return math.acos(_cos_arc(p_i, p_j))
 
 
 def chord_from_arc(sigma: float, R: SphereRadius) -> float:

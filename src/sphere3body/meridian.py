@@ -6,7 +6,8 @@ limit.
 
 Shape angles: a = theta2 - theta1 in (0, pi) is fixed; the unknown is
 x = theta3 - theta1 in (0, 2*pi). The potential is singular at
-x in {0, a, pi, a + pi}, which bound the four regular regions I-IV.
+x in {0, a, pi, a + pi}, which bound the four regular regions I-IV:
+_region_ends holds them and _interiors gives each region less a gap.
 
 Every MeridianSolution carries its configuration thetas, the colatitudes
 on the meridian phi = 0 (thetas_alt = thetas + pi is the antipodal one).
@@ -67,19 +68,24 @@ A_ZERO_FIXED_POINT = "A-zero-fixed-point"
 _UNIT_COTANGENT = cotangent_potential(SphereRadius())
 
 
+def _region_ends(a: float) -> tuple[tuple[float, float], ...]:
+    """The ends of each region, in REGIONS order: the singular points."""
+    return ((0.0, a), (a, math.pi), (math.pi, math.pi + a), (math.pi + a, TWO_PI))
+
+
+def _interiors(a: float, gap: float) -> list[tuple[float, float] | None]:
+    """Each region less gap at both ends; None where it is no wider than 2 * gap."""
+    return [(lo + gap, hi - gap) if lo + gap < hi - gap else None
+            for lo, hi in _region_ends(a)]
+
+
 def region_bounds(region: str, a: float) -> tuple[float, float]:
-    return {
-        "I": (0.0, a),
-        "II": (a, math.pi),
-        "III": (math.pi, math.pi + a),
-        "IV": (math.pi + a, TWO_PI),
-    }[region]
+    return _region_ends(a)[REGIONS.index(region)]
 
 
 def region_of(x: float, a: float) -> str:
     x = x % TWO_PI
-    for region in REGIONS:
-        lo, hi = region_bounds(region, a)
+    for region, (lo, hi) in zip(REGIONS, _region_ends(a)):
         if lo <= x <= hi:
             return region
     raise ValueError(f"x={x} outside (0, 2*pi)")
@@ -101,7 +107,7 @@ class Shape:
             raise ValueError(f"theta21 must lie in (0, pi), got {self.theta21}")
         if not 0.0 < self.theta31 < TWO_PI:
             raise ValueError(f"theta31 must lie in (0, 2*pi), got {self.theta31}")
-        for bad in (0.0, self.theta21, math.pi, self.theta21 + math.pi):
+        for bad, _ in _region_ends(self.theta21):
             if abs(self.theta31 - bad) <= tol:
                 raise ValueError(f"theta31={self.theta31} sits on a singular point")
 
@@ -374,15 +380,12 @@ def _scan_roots(a: float, nu1: float, nu2: float) -> list[list[float]]:
     samples, the derivatives are taken on plain floats (_chebder_rows),
     and their companion matrices (chebroots') go to one eigenvalue call.
     """
-    ends = [region_bounds(region, a) for region in REGIONS]
-    live = [k for k, (lo, hi) in enumerate(ends)
-            if lo + BOUNDARY_TOL < hi - BOUNDARY_TOL]
+    ends = _region_ends(a)
+    live = [(k, span) for k, span in enumerate(_interiors(a, BOUNDARY_TOL)) if span]
     roots: list[list[float]] = [[] for _ in REGIONS]
-    if not live:
-        return roots
     bound = kernels.g_bound(nu1, nu2)
-    mids = np.array([0.5 * (ends[k][0] + ends[k][1]) for k in live])
-    charts = np.array([math.tan(0.25 * (ends[k][1] - ends[k][0])) for k in live])
+    mids = np.array([0.5 * (ends[k][0] + ends[k][1]) for k, _ in live])
+    charts = np.array([math.tan(0.25 * (ends[k][1] - ends[k][0])) for k, _ in live])
 
     # chebinterpolate(poly, 12) for every region, with its nodes and
     # matrix built once; x = c + 2 * arctan(u * tan(L/4))
@@ -397,23 +400,21 @@ def _scan_roots(a: float, nu1: float, nu2: float) -> list[list[float]]:
     crit = _chebroots_rows(_chebder_rows(coef))
 
     g = kernels.g_of_x(a, nu1, nu2)
-    for k, mid, chart, u in zip(live, mids, charts, crit):
-        lo, hi = ends[k]
-        lo += BOUNDARY_TOL
-        hi -= BOUNDARY_TOL
+    # nu1*Ps + nu2*Qs + Ss <= bound, as Ps, Qs, Ss <= 2 and rounding is
+    # monotone: a knot where |g| passes this is no zero
+    near_zero = TANGENT_ULPS * EPS * bound
+    for (k, (lo, hi)), mid, chart, u in zip(live, mids, charts, crit):
         inside = [x for x in (mid + 2.0 * np.arctan(u.real * chart)).tolist()
                   if lo < x < hi]
         knots = sorted({lo, hi, *inside})
         # g at each knot, and whether it vanishes there to within the
         # rounding of its evaluation (never at the region's ends)
-        gk = []
-        zero = []
-        for x in knots:
-            gx = g(x)
-            Ps, Qs, Ss = kernels.g_terms_scale(x, a)
-            gk.append(gx)
-            zero.append(abs(gx) <= TANGENT_ULPS * EPS * (nu1 * Ps + nu2 * Qs + Ss))
-        zero[0] = zero[-1] = False
+        gk = [g(x) for x in knots]
+        zero = [False] * len(knots)
+        for j in range(1, len(knots) - 1):
+            if abs(gk[j]) <= near_zero:
+                Ps, Qs, Ss = kernels.g_terms_scale(knots[j], a)
+                zero[j] = abs(gk[j]) <= TANGENT_ULPS * EPS * (nu1 * Ps + nu2 * Qs + Ss)
 
         for j in range(len(knots) - 1):
             if zero[j + 1]:
@@ -499,13 +500,10 @@ def _generic_scan_roots(a, masses, pot) -> list[float]:
         return n12 * d31 - n31 * d12
 
     roots = []
-    for region in REGIONS:
-        lo, hi = region_bounds(region, a)
-        lo += GENERIC_BOUNDARY_GAP
-        hi -= GENERIC_BOUNDARY_GAP
-        if hi <= lo:
+    for inner in _interiors(a, GENERIC_BOUNDARY_GAP):
+        if inner is None:
             continue
-        xs = np.linspace(lo, hi, GENERIC_SCAN_SAMPLES).tolist()
+        xs = np.linspace(*inner, GENERIC_SCAN_SAMPLES).tolist()
         hs = [h(x) for x in xs]
         for i in range(GENERIC_SCAN_SAMPLES - 1):
             if hs[i] * hs[i + 1] < 0.0:
@@ -575,12 +573,12 @@ def count_rotators_grid_regions(
 ) -> dict[str, np.ndarray]:
     """Per-region sign-change counts over a (nu1, nu2) grid for one a.
 
-    Uses the linearity of g in (nu1, nu2): g = nu1 * P(x) + nu2 * Q(x)
-    + S(x) (kernels.g_terms), so the whole grid shares one set of x
-    samples, evenly spaced from BOUNDARY_TOL inside each singular point
-    (a region no wider than 2 * BOUNDARY_TOL has none and counts 0, as
-    in _scan_roots). Tangent roots are not detected here; this is
-    the sweep's coarse counter. Raises ValueError, before anything is
+    Uses the linearity of g in (nu1, nu2): g = nu1 * P(x) + nu2 * Q(x) +
+    S(x) (kernels.g_terms), so the whole grid shares one set of x
+    samples, evenly spaced over each region less BOUNDARY_TOL at both
+    ends (_interiors; a region with no room counts 0, as in
+    _scan_roots). Tangent roots are not detected here; this is the
+    sweep's coarse counter. Raises ValueError, before anything is
     evaluated, where the largest |nu1| and |nu2| overflow g
     (kernels.g_bound).
 
@@ -620,16 +618,13 @@ def count_rotators_grid_regions(
     nu1s = nu1v[order]
     rows = max(1, GRID_BLOCK_CELLS // max(samples_per_region, n1 + 1))
     out: dict[str, np.ndarray] = {}
-    for region in REGIONS:
+    for region, inner in zip(REGIONS, _interiors(a, BOUNDARY_TOL)):
         counts = np.zeros((n1, n2), dtype=np.intp)
         out[region] = counts
-        lo, hi = region_bounds(region, a)
-        lo += BOUNDARY_TOL
-        hi -= BOUNDARY_TOL
-        if hi <= lo or n1 == 0 or samples_per_region < 2:
+        if inner is None or n1 == 0 or samples_per_region < 2:
             continue
         terms = _normalised_terms(
-            *kernels.g_terms(np.linspace(lo, hi, samples_per_region), a))
+            *kernels.g_terms(np.linspace(*inner, samples_per_region), a))
         for j in range(0, n2, rows):
             block = slice(j, j + rows)
             counts[order, block] = _count_block(nu1s, nu2v[block], *terms).T

@@ -11,6 +11,9 @@ satisfying the same conventions can drive the generic meridian solver.
 A potential is the one holder of the sphere's radius: u and u_prime are
 functions of D^2 on that sphere, and every solver, gate and integrator
 that takes a potential reads the radius from its radius field.
+
+PAIRS orders the three body pairs and pair_value labels a
+SingularityError with its pair, for every pair loop but the integrator's.
 """
 
 from __future__ import annotations
@@ -58,26 +61,12 @@ class PairPotential:
     radius: SphereRadius = SphereRadius()
 
 
-def _check_domain(d2: float, R: SphereRadius):
-    if d2 <= 0.0:
-        raise SingularityError(COLLISION, d2)
-    if d2 >= 4.0 * R.R * R.R:
-        raise SingularityError(ANTIPODAL, d2)
-
-
-def cotangent_u(d2: float, R: SphereRadius) -> float:
-    """Cotangent potential (1/R) cot(sigma) as a function of D^2."""
-    _check_domain(d2, R)
-    e2 = R.epsilon * R.epsilon
-    return (1.0 - 2.0 * e2 * d2) / math.sqrt(d2 * (1.0 - e2 * d2))
-
-
 def cotangent_potential(R: SphereRadius) -> PairPotential:
-    """The cotangent pair potential bound to a sphere radius.
+    """The cotangent pair potential (1/R) cot(sigma) bound to a radius.
 
     u_prime is the integrator's innermost call (three per right-hand
-    side), so R's constants and the domain check of _check_domain are
-    bound into it here, once per radius.
+    side), so R's constants and the domain check are bound into u and
+    u_prime here, once per radius.
     """
     r2 = R.R * R.R
     d2_antipodal = 4.0 * R.R * R.R
@@ -88,6 +77,14 @@ def cotangent_potential(R: SphereRadius) -> PairPotential:
         scale = math.inf
     if not 0.0 < scale < math.inf:
         raise ValueError(f"sphere radius {R.R} is out of range: 2 R^3 = {scale}")
+
+    def u(d2: float) -> float:
+        """(1 - 2 eps^2 D^2) / sqrt(D^2 (1 - eps^2 D^2)) = (1/R) cot(sigma)."""
+        if d2 <= 0.0:
+            raise SingularityError(COLLISION, d2)
+        if d2 >= d2_antipodal:
+            raise SingularityError(ANTIPODAL, d2)
+        return (1.0 - 2.0 * e2 * d2) / math.sqrt(d2 * (1.0 - e2 * d2))
 
     def u_prime(d2: float) -> float:
         """-1 / (2 R^3 sin^3 sigma), with sin^2(sigma) = (D^2/R^2)(1 - eps^2 D^2)."""
@@ -102,12 +99,7 @@ def cotangent_potential(R: SphereRadius) -> PairPotential:
             kind = COLLISION if d2 < 0.5 * d2_antipodal else ANTIPODAL
             raise SingularityError(kind, d2) from None
 
-    return PairPotential(
-        u=lambda d2: cotangent_u(d2, R),
-        u_prime=u_prime,
-        reduced_g=True,
-        radius=R,
-    )
+    return PairPotential(u=u, u_prime=u_prime, reduced_g=True, radius=R)
 
 
 def repulsive(pot: PairPotential) -> PairPotential:
@@ -121,7 +113,16 @@ def repulsive(pot: PairPotential) -> PairPotential:
     )
 
 
-_PAIRS = ((0, 1), (1, 2), (2, 0))
+# the body pairs (i, j), from 0, in the order of every pair loop
+PAIRS = ((0, 1), (1, 2), (2, 0))
+
+
+def pair_value(f: Callable[[float], float], d2: float, i: int, j: int) -> float:
+    """f(d2) for bodies i and j, a SingularityError labelled (i + 1, j + 1)."""
+    try:
+        return f(d2)
+    except SingularityError as err:
+        raise SingularityError(err.kind, err.d2, (i + 1, j + 1)) from None
 
 
 def total_potential(
@@ -132,10 +133,7 @@ def total_potential(
     """V = sum over unordered pairs of m_i m_j u(D_ij^2), on the sphere
     of pot.radius."""
     v = 0.0
-    for i, j in _PAIRS:
+    for i, j in PAIRS:
         d2 = chord_squared(points[i], points[j], pot.radius)
-        try:
-            v += masses[i] * masses[j] * pot.u(d2)
-        except SingularityError as err:
-            raise SingularityError(err.kind, err.d2, (i + 1, j + 1)) from None
+        v += masses[i] * masses[j] * pair_value(pot.u, d2, i, j)
     return v

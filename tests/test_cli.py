@@ -116,6 +116,35 @@ def test_invalid_tolerance(argv, option, capsys):
     assert f"argument {option}: must be finite and >= 0" in capsys.readouterr().err
 
 
+def test_valid_tol_residual_is_the_gate(capsys):
+    # the six pi/6 solutions have backward errors from 2.3e-17 to 3.1e-16
+    argv = ["meridian", "--masses", "3,2,1", "--a", "0.5235987755982988"]
+    code, out = run(capsys, argv + ["--tol-residual", "5e-17"])
+    assert code == 0
+    residuals = [s["residual"] for s in json.loads(out)["solutions"]]
+    assert len(residuals) == 2 and max(residuals) <= 5e-17
+    code, out = run(capsys, argv)
+    assert code == 0 and len(json.loads(out)["solutions"]) == 6
+
+
+def test_valid_tol_sigma_is_the_gate(tmp_path, capsys):
+    # the unstable RE's sigma drift reaches 2.42 within one period: the
+    # default gate rejects it, and --tol-sigma 10 passes it
+    sol_file = tmp_path / "unstable.json"
+    assert main(["meridian", "--masses", "5.328,4.586,1.370", "--a", "0.8863",
+                 "--out", str(sol_file)]) == 0
+    data = json.loads(sol_file.read_text())
+    data["solutions"] = [s for s in data["solutions"] if s["region"] == "III"]
+    assert len(data["solutions"]) == 1
+    sol_file.write_text(json.dumps(data))
+    code, out = run(capsys, ["verify", str(sol_file), "--integrate"])
+    assert code == 2
+    assert 1.0 < json.loads(out)["solutions"][0]["sigma_drift"] < 10.0
+    code, out = run(capsys, ["verify", str(sol_file), "--integrate",
+                             "--tol-sigma", "10"])
+    assert code == 0 and json.loads(out)["all_pass"] is True
+
+
 class TestVerifyRoundTrip:
     def test_residuals_reproduced(self, tmp_path, capsys):
         sol_file = tmp_path / "six.json"
@@ -472,6 +501,7 @@ class TestVerifyReport:
         ("omega_squared", math.nan),
         ("theta", [0.1, math.nan, 0.3]),
         ("theta", [0.1, math.inf, 0.3]),
+        ("theta", [0.1, 0.3]),
     ])
     def test_bad_field_is_named(self, tmp_path, capsys, field, value):
         sol_file = tmp_path / "two.json"

@@ -224,6 +224,19 @@ class TestIntegrate:
         assert "pole" in traj.error
         assert len(traj.times) == 1
 
+    def test_collision_at_the_start_names_the_pair(self):
+        # bodies 1 and 2 on the equator at one longitude: cos(sigma) = 1
+        # exactly, so D^2 = 0 before the first step
+        m = MassTriple(1.0, 2.0, 1.5)
+        st = SphericalState(
+            (SpherePoint(math.pi / 2, 0.4), SpherePoint(math.pi / 2, 0.4),
+             SpherePoint(1.0, 2.0)),
+            (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+        )
+        traj = integrate(st, m, POT, 1.0, 0.01)
+        assert traj.error == "collision singularity at D^2=0.0 for pair (1, 2)"
+        assert len(traj.times) == 1
+
     def test_rejects_bad_dt(self):
         m = MassTriple(1.0, 1.0, 1.0)
         st = equator_state(m, 1.0)

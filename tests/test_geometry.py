@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -86,3 +87,54 @@ def test_arc_angle_fundamental_relation():
         + math.sin(1.2) * math.sin(0.8) * math.cos(0.4 - 2.9)
     )
     assert arc_angle(p, q) == pytest.approx(expected, rel=1e-14)
+
+
+# Literal transcriptions of chord_squared and arc_angle as each wrote the
+# arc's cosine out in full, kept as the reference for the shared one.
+def chord_squared_reference(p_i, p_j, R):
+    c = (
+        math.cos(p_i.theta) * math.cos(p_j.theta)
+        + math.sin(p_i.theta) * math.sin(p_j.theta) * math.cos(p_i.phi - p_j.phi)
+    )
+    return 2.0 * R.R * R.R * (1.0 - max(-1.0, min(1.0, c)))
+
+
+def arc_angle_reference(p_i, p_j):
+    c = (
+        math.cos(p_i.theta) * math.cos(p_j.theta)
+        + math.sin(p_i.theta) * math.sin(p_j.theta) * math.cos(p_i.phi - p_j.phi)
+    )
+    return math.acos(max(-1.0, min(1.0, c)))
+
+
+def _geometry_outcome(fn, *args):
+    try:
+        return ("ok", fn(*args).hex())
+    except ValueError as err:
+        return (type(err).__name__, str(err))
+
+
+def test_chord_and_arc_match_transcription_bitwise():
+    # random pairs, and pairs at one point, at antipodes, on a pole and
+    # with a non-finite angle
+    rng = random.Random(20)
+    pairs = []
+    for _ in range(2000):
+        t, p = rng.uniform(-math.pi, math.pi), rng.uniform(-7.0, 7.0)
+        pairs.append(((t, p), (rng.uniform(-math.pi, math.pi), rng.uniform(-7.0, 7.0))))
+        pairs.append(((t, p), (t, p)))
+        pairs.append(((t, p), (math.pi - t, p + math.pi)))
+        pairs.append(((rng.choice([0.0, math.pi, -math.pi]), p), (t, p + 1.0)))
+        pairs.append(((t + rng.choice([1e-9, 1e-15]), p), (t, p)))
+    pairs += [((math.nan, 0.3), (1.0, 0.2)), ((1.0, math.inf), (1.0, 0.2)),
+              ((math.inf, 0.3), (1.0, 0.2))]
+    clamped = 0
+    for R in (SphereRadius(0.5), SphereRadius(1.0), SphereRadius(3.0)):
+        for (ti, pi_), (tj, pj) in pairs:
+            p, q = SpherePoint(ti, pi_), SpherePoint(tj, pj)
+            got = _geometry_outcome(chord_squared, p, q, R)
+            assert got == _geometry_outcome(chord_squared_reference, p, q, R), (p, q, R)
+            clamped += got[1] in ((0.0).hex(), (4.0 * R.R * R.R).hex())
+            assert _geometry_outcome(arc_angle, p, q) == _geometry_outcome(
+                arc_angle_reference, p, q), (p, q)
+    assert clamped > 1000  # D^2 = 0 and D^2 = 4 R^2 both occur

@@ -108,6 +108,10 @@ class TestRegions:
             assert al == (1 if math.sin(x) >= 0 else -1)
             assert be == (1 if math.sin(x - a) >= 0 else -1)
 
+    def test_region_of_nan_is_in_no_region(self):
+        with pytest.raises(ValueError, match="outside"):
+            mer.region_of(math.nan, 0.5)
+
 
 class TestShape:
     def test_validate_rejects_singular(self):
@@ -117,6 +121,11 @@ class TestShape:
             mer.Shape(0.5, math.pi).validate()
         with pytest.raises(ValueError):
             mer.Shape(-0.1, 1.0).validate()
+
+    @pytest.mark.parametrize("theta31", [0.0, -0.5, 2.0 * math.pi, 7.0, math.nan])
+    def test_validate_rejects_theta31_outside_the_circle(self, theta31):
+        with pytest.raises(ValueError, match="theta31 must lie in"):
+            mer.Shape(0.5, theta31).validate()
 
     def test_theta32(self):
         s = mer.Shape(0.5, 2.0)
@@ -784,6 +793,18 @@ class TestSpecialFamilies:
             assert any(s.case_tag == mer.CASE3 and abs(s.x - x) <= 1e-12
                        for s in sols), (a, x, [(s.x, s.case_tag) for s in sols])
 
+    @pytest.mark.parametrize("a", [0.0, -0.3, math.pi, 4.0, math.nan])
+    def test_isosceles_rejects_a_outside_range(self, a):
+        with pytest.raises(ValueError, match="a must lie in"):
+            mer.isosceles_rotators(M321, a)
+
+    def test_exceptional_angles_reject_bad_input(self):
+        with pytest.raises(ValueError, match="which must be"):
+            mer.exceptional_case_angles(mer.CASE1, 2.0)
+        for nu in (0.0, -1.0):
+            with pytest.raises(ValueError, match="mass ratio must be positive"):
+                mer.exceptional_case_angles(mer.CASE2, nu)
+
     def test_case4_only_for_equal_masses(self):
         assert mer.case4_fixed_point(M321) is None
         sol = mer.case4_fixed_point(MassTriple(2.0, 2.0, 2.0))
@@ -801,6 +822,11 @@ class TestEulerLimit:
         assert mer._quintic_positive_root(mer.euler_quintic_coefficients(m)) == (
             pytest.approx(1.0, abs=1e-12)
         )
+
+    def test_quintic_without_positive_root_is_an_error(self):
+        # roots -1 and -2 +- i
+        with pytest.raises(ValueError, match="no positive real root"):
+            mer._quintic_positive_root([1.0, 5.0, 9.0, 5.0])
 
     def test_convergence_order_two(self):
         report = mer.euler_limit_check(M321, 1.0, [100.0, 1000.0, 10000.0])
@@ -1118,3 +1144,80 @@ def test_generic_chain_matches_transcription_bitwise():
             x.hex() for x in roots]
         assert roots
         _check_candidates(a, masses, custom, roots)
+
+
+def test_generic_scan_skips_regions_narrower_than_its_gap():
+    # at a = 1e-7, regions I and III are narrower than
+    # 2 * GENERIC_BOUNDARY_GAP: only II and IV are sampled
+    base = cotangent_potential(SphereRadius(1.0))
+    custom = PairPotential(u=base.u, u_prime=base.u_prime)
+    a = 1e-7
+    roots = mer._generic_scan_roots(a, M321, custom)
+    assert roots and {mer.region_of(x, a) for x in roots} == {"II", "IV"}
+
+
+# Literal transcriptions of region_bounds, region_of and Shape.validate
+# as each wrote the singular points out, kept as the reference for the
+# shared table of region ends.
+def region_bounds_reference(region, a):
+    return {
+        "I": (0.0, a),
+        "II": (a, math.pi),
+        "III": (math.pi, math.pi + a),
+        "IV": (math.pi + a, 2.0 * math.pi),
+    }[region]
+
+
+def region_of_reference(x, a):
+    x = x % (2.0 * math.pi)
+    for region in ("I", "II", "III", "IV"):
+        lo, hi = region_bounds_reference(region, a)
+        if lo <= x <= hi:
+            return region
+    raise ValueError(f"x={x} outside (0, 2*pi)")
+
+
+def validate_reference(theta21, theta31, tol=1e-12):
+    if not 0.0 < theta21 < math.pi:
+        raise ValueError(f"theta21 must lie in (0, pi), got {theta21}")
+    if not 0.0 < theta31 < 2.0 * math.pi:
+        raise ValueError(f"theta31 must lie in (0, 2*pi), got {theta31}")
+    for bad in (0.0, theta21, math.pi, theta21 + math.pi):
+        if abs(theta31 - bad) <= tol:
+            raise ValueError(f"theta31={theta31} sits on a singular point")
+
+
+def _region_outcome(fn):
+    try:
+        value = fn()
+    except (ValueError, KeyError) as err:
+        return (type(err).__name__, str(err))
+    if isinstance(value, tuple):
+        return ("ok",) + tuple(v.hex() for v in value)
+    return ("ok", value)
+
+
+def test_regions_match_transcription_bitwise():
+    # random (a, x), x on and next to each singular point, and nan
+    rng = random.Random(22)
+    angles = [rng.uniform(0.0, math.pi) for _ in range(300)]
+    angles += [1e-9, 1e-7, math.pi / 2, 2.0 * math.pi / 3.0, math.pi - 1e-9, math.nan]
+    raised = 0
+    for a in angles:
+        points = [0.0, a, math.pi, math.pi + a, 2.0 * math.pi]
+        xs = [rng.uniform(-1.0, 7.5) for _ in range(10)]
+        for p in points:
+            xs += [p, p - 1e-13, p + 1e-13, p - 1e-9, p + 1e-9, p - 1e-7, p + 1e-7]
+        xs += [math.nan, math.inf, -0.0]
+        for region in mer.REGIONS:
+            assert _region_outcome(lambda: mer.region_bounds(region, a)) == (
+                _region_outcome(lambda: region_bounds_reference(region, a)))
+        for x in xs:
+            assert _region_outcome(lambda: mer.region_of(x, a)) == _region_outcome(
+                lambda: region_of_reference(x, a)), (a, x)
+            for tol in (1e-12, 1e-8, 0.0):
+                got = _region_outcome(lambda: mer.Shape(a, x).validate(tol))
+                assert got == _region_outcome(
+                    lambda: validate_reference(a, x, tol)), (a, x, tol)
+                raised += got[0] != "ok"
+    assert raised > 10000

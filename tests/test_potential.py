@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from sphere3body.geometry import SpherePoint, SphereRadius, chord_from_arc
+from sphere3body.geometry import (
+    SpherePoint,
+    SphereRadius,
+    chord_from_arc,
+    chord_squared,
+)
 from sphere3body.potential import (
     ANTIPODAL,
     COLLISION,
@@ -70,6 +75,9 @@ def test_antipodal_singularity_in_derivative_only():
     # cot(pi) blows up in u as well for the cotangent form
     with pytest.raises(SingularityError) as exc:
         pot.u_prime(d2)
+    assert exc.value.kind == "antipodal"
+    with pytest.raises(SingularityError) as exc:
+        pot.u(d2)
     assert exc.value.kind == "antipodal"
 
 
@@ -138,3 +146,90 @@ def test_underflowing_u_prime_is_a_singularity():
     with pytest.raises(SingularityError) as exc:
         cotangent_potential(R).u_prime(1e-300)
     assert exc.value.kind == "collision"
+
+
+# Literal transcriptions of the cotangent u, with its own domain check,
+# and of total_potential's labelled pair loop, kept as the reference for
+# the shared ones.
+def cotangent_u_reference(d2, R):
+    if d2 <= 0.0:
+        raise SingularityError(COLLISION, d2)
+    if d2 >= 4.0 * R.R * R.R:
+        raise SingularityError(ANTIPODAL, d2)
+    e2 = R.epsilon * R.epsilon
+    return (1.0 - 2.0 * e2 * d2) / math.sqrt(d2 * (1.0 - e2 * d2))
+
+
+def total_potential_reference(points, masses, pot):
+    v = 0.0
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        d2 = chord_squared(points[i], points[j], pot.radius)
+        try:
+            v += masses[i] * masses[j] * pot.u(d2)
+        except SingularityError as err:
+            raise SingularityError(err.kind, err.d2, (i + 1, j + 1)) from None
+    return v
+
+
+def _value_outcome(fn):
+    """("ok", fn()'s bits), or the error fn raised, with its kind, D^2
+    and pair where it is a SingularityError."""
+    try:
+        return ("ok", fn().hex())
+    except SingularityError as err:
+        return ("SingularityError", err.kind, err.d2.hex(), err.pair, str(err))
+    except ValueError as err:
+        return (type(err).__name__, str(err))
+
+
+@pytest.mark.parametrize("R_val", [0.5, 1.0, 1.3, 4.0])
+def test_u_equals_transcription_bitwise(R_val):
+    R = SphereRadius(R_val)
+    u = cotangent_potential(R).u
+    top = 4.0 * R_val * R_val
+    rng = random.Random(12)
+    values = [rng.uniform(0.0, top) for _ in range(500)]
+    values += [top * 10.0 ** -rng.uniform(1, 17) for _ in range(100)]
+    values += [top * (1.0 - 10.0 ** -rng.uniform(1, 16)) for _ in range(100)]
+    values += [0.0, -0.0, -1.0, top, top * 2.0, math.nan, math.inf]
+    for d2 in values:
+        assert _value_outcome(lambda: u(d2)) == _value_outcome(
+            lambda: cotangent_u_reference(d2, R)), d2
+
+
+def _random_points(rng):
+    """Three sphere points, with a random pair at one point, at antipodes
+    or next to either, a body on a pole, or a non-finite angle."""
+    th = [rng.uniform(-math.pi, math.pi) for _ in range(3)]
+    ph = [rng.uniform(-7.0, 7.0) for _ in range(3)]
+    kind = rng.randrange(6)
+    j = rng.randrange(3)
+    i = (j + 1) % 3
+    if kind == 0:
+        th[i], ph[i] = th[j] + rng.choice([0.0, 1e-9]), ph[j]
+    elif kind == 1:
+        th[i], ph[i] = math.pi - th[j], ph[j] + math.pi + rng.choice([0.0, 1e-9])
+    elif kind == 2:
+        th[j] = rng.choice([0.0, math.pi])
+    elif kind == 3:
+        th[j] = rng.choice([math.nan, math.inf])
+    return [SpherePoint(t, p) for t, p in zip(th, ph)]
+
+
+def test_total_potential_matches_transcription_bitwise():
+    rng = random.Random(21)
+    seen = set()
+    for n in range(3000):
+        R = SphereRadius(rng.choice([0.5, 1.0, 3.0]))
+        pot = cotangent_potential(R)
+        if n % 2:
+            pot = repulsive(pot)
+        points = _random_points(rng)
+        masses = tuple(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(3))
+        expect = _value_outcome(lambda: total_potential_reference(points, masses, pot))
+        assert _value_outcome(lambda: total_potential(points, masses, pot)) == expect, (
+            n, points)
+        seen.add(expect[0] if expect[0] != "SingularityError" else expect[1:4:2])
+    pairs = [(1, 2), (2, 3), (3, 1)]
+    assert {"ok", "ValueError"} <= seen
+    assert {(k, p) for k in (COLLISION, ANTIPODAL) for p in pairs} <= seen
