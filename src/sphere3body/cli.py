@@ -19,8 +19,6 @@ import os
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from . import equator as eq
 from . import kernels
 from . import meridian as mer
@@ -53,8 +51,12 @@ def _parse_masses(text: str) -> MassTriple:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    # lo:hi:n inclusive grid
+def _parse_grid(text: str):
+    """The inclusive grid lo:hi:n as a numpy array. Only sweep takes a
+    grid, and its defaults are text that argparse passes here when sweep
+    is parsed, so no other command imports numpy."""
+    import numpy as np
+
     try:
         lo, hi, n = text.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
@@ -65,13 +67,10 @@ def _parse_grid(text: str) -> np.ndarray:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise argparse.ArgumentTypeError(f"grid bounds must be finite, got {text}")
     try:
-        grid = np.linspace(lo, hi, n)
+        return np.linspace(lo, hi, n)
     except MemoryError:
         raise argparse.ArgumentTypeError(
             f"grid of {n} points cannot be allocated") from None
-    # the parser is built once, so a default grid is shared by every call
-    grid.flags.writeable = False
-    return grid
 
 
 # argparse types; a text float() rejects is reported by argparse as an
@@ -280,6 +279,8 @@ def _write_sweep_slice(fh, a, per_region, nu1_text, nu2_text) -> tuple[int, str]
     """Write the rows of one a-slice from its per-region counts. Returns
     its largest count and the "a,nu1" text of the first cell (in row
     order) that has it."""
+    import numpy as np
+
     total = per_region["I"].copy()
     for region in mer.REGIONS[1:]:
         total += per_region[region]
@@ -477,9 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_meridian)
 
     p = sub.add_parser("sweep", help="solution counts over a parameter grid")
-    p.add_argument("--a-grid", type=_parse_grid, default=_parse_grid("0.15:3.0:20"))
-    p.add_argument("--nu1-grid", type=_parse_grid, default=_parse_grid("0.1:10:50"))
-    p.add_argument("--nu2-grid", type=_parse_grid, default=_parse_grid("0.1:10:50"))
+    p.add_argument("--a-grid", type=_parse_grid, default="0.15:3.0:20")
+    p.add_argument("--nu1-grid", type=_parse_grid, default="0.1:10:50")
+    p.add_argument("--nu2-grid", type=_parse_grid, default="0.1:10:50")
     p.add_argument("--samples", type=int, default=400,
                    help="x samples per region for the coarse counter")
     _add_out(p)

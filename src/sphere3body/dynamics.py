@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from math import cos, sin
 from typing import Sequence
 
-import numpy as np
-
 from .geometry import SpherePoint, SphereRadius, chord_squared
 from .potential import PAIRS, PairPotential, SingularityError, pair_value, total_potential
 
@@ -98,8 +96,8 @@ class AngularMomentum:
     cy: float
     cz: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.cx, self.cy, self.cz])
+    def as_tuple(self) -> tuple[float, float, float]:
+        return (self.cx, self.cy, self.cz)
 
 
 def angular_momentum(state: SphericalState, masses: MassTriple,
@@ -194,28 +192,26 @@ def _accelerations(t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3,
     )
 
 
+Triple = tuple[float, float, float]
+
+
 @dataclass
 class Trajectory:
-    times: np.ndarray
-    thetas: np.ndarray  # (n, 3)
-    phis: np.ndarray
-    theta_dots: np.ndarray
-    phi_dots: np.ndarray
+    """The stored states of a run: one time and one triple of each
+    quantity per stored step."""
+
+    times: tuple[float, ...]
+    thetas: tuple[Triple, ...]
+    phis: tuple[Triple, ...]
+    theta_dots: tuple[Triple, ...]
+    phi_dots: tuple[Triple, ...]
     energy_drift: float
     c_drift: float
     error: str | None = None
 
     def state_at(self, idx: int) -> SphericalState:
-        # plain floats: a blown-up state overflows to inf without a
-        # numpy RuntimeWarning
-        pts = tuple(
-            SpherePoint(t, p)
-            for t, p in zip(self.thetas[idx].tolist(), self.phis[idx].tolist())
-        )
-        return SphericalState(
-            pts, tuple(self.theta_dots[idx].tolist()),
-            tuple(self.phi_dots[idx].tolist())
-        )
+        pts = tuple(SpherePoint(t, p) for t, p in zip(self.thetas[idx], self.phis[idx]))
+        return SphericalState(pts, self.theta_dots[idx], self.phi_dots[idx])
 
 
 def integrate(
@@ -309,13 +305,12 @@ def integrate(
             times.append((step + 1) * h)
             rows.append((t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3))
 
-    arr = np.array(rows)
     traj = Trajectory(
-        times=np.array(times),
-        thetas=arr[:, 0:3],
-        phis=arr[:, 3:6],
-        theta_dots=arr[:, 6:9],
-        phi_dots=arr[:, 9:12],
+        times=tuple(times),
+        thetas=tuple(r[0:3] for r in rows),
+        phis=tuple(r[3:6] for r in rows),
+        theta_dots=tuple(r[6:9] for r in rows),
+        phi_dots=tuple(r[9:12] for r in rows),
         energy_drift=0.0,
         c_drift=0.0,
         error=error,
@@ -326,9 +321,8 @@ def integrate(
         escale = max(abs(e0), 1.0)
         traj.energy_drift = abs(e1 - e0) / escale
         # the norm of a blown-up state may overflow to inf, as it should
-        with np.errstate(over="ignore"):
-            cscale = max(float(np.linalg.norm(c0)), 1.0)
-            traj.c_drift = float(np.linalg.norm(c1 - c0)) / cscale
+        cscale = max(_norm(c0), 1.0)
+        traj.c_drift = _norm([v1 - v0 for v1, v0 in zip(c1, c0)]) / cscale
     except (SingularityError, ValueError, OverflowError):
         # terminal state unusable (blow-up); drift is undefined
         traj.energy_drift = math.inf
@@ -340,8 +334,32 @@ def _invariants(traj: Trajectory, idx: int, masses, pot):
     st = traj.state_at(idx)
     e = kinetic_energy(st, masses, pot.radius) - total_potential(
         st.points, masses.as_tuple(), pot)
-    c = angular_momentum(st, masses, pot.radius).as_array()
+    c = angular_momentum(st, masses, pot.radius).as_tuple()
     return e, c
+
+
+def _fma(x: float, y: float, z: float) -> float:
+    """x * y + z rounded once (math.fma from Python 3.13 on), for finite
+    x, y and z: exact in integers, then int division, which rounds
+    correctly. Raises OverflowError where the result is not finite."""
+    (a, b), (c, d), (e, f) = (x.as_integer_ratio(), y.as_integer_ratio(),
+                              z.as_integer_ratio())
+    return (a * c * f + e * b * d) / (b * d * f)
+
+
+def _norm(v: Sequence[float]) -> float:
+    """The length of a 3-vector, summed as numpy.linalg.norm sums it
+    where its dot product fuses each multiply-add (OpenBLAS on FMA
+    hardware), so that c_drift keeps the digits it had when the
+    trajectory was an array: sqrt(fma(z, z, fma(y, y, x * x))). inf or
+    nan where a component or the sum is not finite, as there."""
+    x, y, z = v
+    sq = x * x
+    try:
+        sq = _fma(z, z, _fma(y, y, sq))
+    except (OverflowError, ValueError):  # an inf or nan, or an overflow
+        sq = sq + y * y + z * z
+    return math.sqrt(sq)
 
 
 def configuration_residuals(
@@ -350,7 +368,7 @@ def configuration_residuals(
     omega: float,
     masses: MassTriple,
     pot: PairPotential,
-) -> np.ndarray:
+) -> tuple[float, ...]:
     """Left-minus-right values of the raw rotating-equilibrium conditions.
 
     Components: the two planar angular-momentum sums (only when
@@ -388,7 +406,7 @@ def configuration_residuals(
                 rhs += 2.0 * m[k] * m[i] * up[k, i] * (
                     st[k] * ct[i] - ct[k] * st[i] * cos(phis[k] - phis[i]))
         res.append(-(omega ** 2) * m[k] * st[k] * ct[k] - rhs)
-    return np.array(res)
+    return tuple(res)
 
 
 # step of x = theta3 - theta1 that calibrates backward_error

@@ -14,21 +14,19 @@ Q and S add up are written once (``_products``): g_terms, g_of_x's g
 and g_terms_scale, which bounds g's rounding, all take them from there.
 
 A float x (numpy's float64 is one) takes its sines from ``math``, an
-array from numpy: the root finder refines each root on scalar g
-(``g_of_x``), where a numpy scalar costs more than the arithmetic.
-``g_scalar`` is ``g_of_x`` at one x. Both paths give the same bits only
-while numpy's float64 sin agrees with the C library's; numpy 2.4.6 on an
-AVX512_SPR host (its highest dispatch target) disagreed at none of 8
-million points, and the exact g_scalar == g_array test in
-tests/test_kernels.py checks it, and so the root refinement's g, on every
-host.
+array from numpy, which only the array path imports: the root finder
+samples and refines g on plain floats (``g_of_x``), so a process that
+solves and never makes an array never imports numpy. ``g_scalar`` is
+``g_of_x`` at one x. Both paths give the same bits only while numpy's
+float64 sin agrees with the C library's; numpy 2.4.6 on an AVX512_SPR
+host (its highest dispatch target) disagreed at none of 8 million
+points, and the exact g_scalar == g_array test in tests/test_kernels.py
+checks it on every host.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 BACKEND = "python"
 
@@ -50,7 +48,12 @@ def _products(x, a, sin, sa2s2a):
 
 def g_terms(x, a: float):
     """(P, Q, S) with g = nu1*P + nu2*Q + S, for a float or an array x."""
-    sin = math.sin if isinstance(x, float) else np.sin
+    if isinstance(x, float):
+        sin = math.sin
+    else:
+        import numpy as np
+
+        sin = np.sin
     sa2 = math.sin(a) ** 2
     p1, p2, p3, p4, p5, p6 = _products(x, a, sin, sa2 * math.sin(2.0 * a))
     return p1 - p2, p3 - p4, -sa2 * (p5 - p6)
@@ -76,7 +79,10 @@ def g_bound(nu1: float, nu2: float) -> float:
     return bound
 
 
-def g_array(x, a: float, nu1: float, nu2: float) -> np.ndarray:
+def g_array(x, a: float, nu1: float, nu2: float):
+    """g at each x of an array, as a numpy array."""
+    import numpy as np
+
     P, Q, S = g_terms(np.asarray(x, dtype=float), a)
     return nu1 * P + nu2 * Q + S
 
@@ -87,8 +93,9 @@ def g_scalar(x: float, a: float, nu1: float, nu2: float) -> float:
 
 def g_of_x(a: float, nu1: float, nu2: float):
     """g as a function of a float x alone, for fixed (a, nu1, nu2), on
-    plain floats, with sin^2(a) and sin(2a) taken once (the root
-    finder's refinement calls it about 11 times per root)."""
+    plain floats, with sin^2(a) and sin(2a) taken once (the root finder
+    calls it at 13 samples per region, at each knot and about 11 times
+    per root it refines)."""
     nu1, nu2 = float(nu1), float(nu2)
     sa2 = math.sin(a) ** 2
     sa2s2a = sa2 * math.sin(2.0 * a)

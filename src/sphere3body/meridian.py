@@ -26,24 +26,31 @@ gives A, the A-zero decision and the lift's angle; omega^2 = rate * A.
 The sphere's radius comes from the potential alone (pot.radius); a
 function given no potential solves on the unit sphere under the
 cotangent potential.
+
+The solver runs on plain floats. Only the sweep's grid counter and the
+flat-space limit make arrays, and they import numpy where they run, so a
+process that only solves never imports it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
-from numpy.polynomial import chebyshev as cheb
+from math import comb
+from operator import mul, ne
+from typing import TYPE_CHECKING, Sequence
 
 from . import kernels
 from .dynamics import MassTriple, backward_error, meridian_pulls
 from .geometry import SphereRadius
 from .potential import PairPotential, cotangent_potential
 
+if TYPE_CHECKING:
+    import numpy as np
+
 TWO_PI = 2.0 * math.pi
-EPS = float(np.finfo(float).eps)
+EPS = sys.float_info.epsilon
 REGIONS = ("I", "II", "III", "IV")
 
 # relative tolerances of the lift and the case classification
@@ -79,6 +86,12 @@ def _interiors(a: float, gap: float) -> list[tuple[float, float] | None]:
             for lo, hi in _region_ends(a)]
 
 
+def _check_a(a: float):
+    """Raises ValueError unless 0 < a < pi (so also for nan)."""
+    if not 0.0 < a < math.pi:
+        raise ValueError(f"a must lie in (0, pi), got {a}")
+
+
 def region_bounds(region: str, a: float) -> tuple[float, float]:
     return _region_ends(a)[REGIONS.index(region)]
 
@@ -107,8 +120,8 @@ class Shape:
             raise ValueError(f"theta21 must lie in (0, pi), got {self.theta21}")
         if not 0.0 < self.theta31 < TWO_PI:
             raise ValueError(f"theta31 must lie in (0, 2*pi), got {self.theta31}")
-        for bad, _ in _region_ends(self.theta21):
-            if abs(self.theta31 - bad) <= tol:
+        for end in (end for span in _region_ends(self.theta21) for end in span):
+            if abs(self.theta31 - end) <= tol:
                 raise ValueError(f"theta31={self.theta31} sits on a singular point")
 
 
@@ -253,12 +266,55 @@ def _solution(shape, masses, s, rate, case_tag, pot) -> MeridianSolution:
 # (kernels.g_terms_scale), that is, within the rounding error of
 # evaluating g there, is a tangent root
 TANGENT_ULPS = 64.0
-# the 13 Chebyshev points of the first kind and the transposed matrix of
-# Chebyshev polynomials at them: chebinterpolate's, for degree 12
-_CHEB_NODES = cheb.chebpts1(13)
-_CHEB_VANDER_T = cheb.chebvander(_CHEB_NODES, 12).T
-# the fit sums 13 samples of up to 64 |g|. Past this bound on |g| they
-# are scaled by an exact power of two, which leaves every root as it was
+# the 13 Chebyshev points of the first kind, ascending: chebinterpolate's
+# nodes for degree 12. Node j is cos(theta_j), theta_j = pi (25 - 2j) / 26
+_FIT_NODES = tuple(math.sin(math.pi * (2 * j - 12) / 26) for j in range(13))
+
+
+def _fit_derivative_matrix() -> tuple[tuple[float, ...], ...]:
+    """The 12 x 13 matrix that takes the values y_j of a polynomial p of
+    degree <= 12 at _FIT_NODES to the Bernstein coefficients of p' on
+    [-1, 1], times a power of two that brings each row's sum of
+    magnitudes to at most 1.
+
+    It is the product of the Chebyshev fit, a_k = w_k sum_j y_j T_k(u_j)
+    with w_0 = 1/13 and w_k = 2/13 (chebinterpolate's), T_k's Bernstein
+    coefficients in degree 12, C(12, i) b_ik = sum_l (-1)^(k - l)
+    C(2k, 2l) C(12 - k, i - l) (Rababah 2003), and the derivative's,
+    6 (b_(i+1) - b_i), whose rational parts are exact; each entry is one
+    rounded sum of 13 rounded products."""
+    num = [[sum((-1) ** (k - l) * comb(2 * k, 2 * l) * comb(12 - k, i - l)
+                for l in range(max(0, i + k - 12), min(i, k) + 1))
+            for k in range(13)] for i in range(13)]
+    cheb_values = [[math.cos(k * math.pi * (25 - 2 * j) / 26) for k in range(13)]
+                   for j in range(13)]
+    rows = []
+    for i in range(12):
+        lo, hi = comb(12, i), comb(12, i + 1)
+        diff = [(12 if k else 6) * (num[i + 1][k] * lo - num[i][k] * hi) / (13 * lo * hi)
+                for k in range(13)]
+        rows.append([math.fsum(map(mul, diff, col)) for col in cheb_values])
+    scale = 2.0 ** -math.frexp(max(sum(map(abs, row)) for row in rows))[1]
+    return tuple(tuple(scale * v for v in row) for row in rows)
+
+
+_FIT_DERIVATIVE = _fit_derivative_matrix()
+# C(11, i) / 2^11: the weights of a Bernstein polynomial of degree 11, so
+# that its value is a weighted mean of its coefficients
+_BERNSTEIN_WEIGHTS = tuple(comb(11, i) / 2.0 ** 11 for i in range(12))
+# halvings of [-1, 1] after which an interval whose coefficients still
+# change sign more than once (roots of p', or complex pairs, within
+# about 1e-12 of each other and of the axis) gives its midpoint as a knot
+ISOLATION_DEPTH = 40
+# the bracket, in u, within which _bernstein_root places a knot: the
+# resolution of u next to +-1. Where u is near 0, a narrower one would
+# place x = c + 2 * arctan(u * tan(L/4)) far inside one ulp of c
+KNOT_WIDTH = 2.0 ** -52
+# the Bernstein coefficients are sums of 13 samples of up to 64 |g| with
+# weights whose magnitudes sum to at most 1, and _bernstein_root's values
+# and slopes are at most 22 times the largest of them. Past this bound
+# on |g| the samples are scaled by an exact power of two, which leaves
+# every root as it was
 FIT_SCALE_BOUND = 2.0 ** 1000
 # samples per region of the scan for a custom potential, whose ratio
 # equation has no polynomial form
@@ -272,11 +328,6 @@ GENERIC_BOUNDARY_GAP = 1e-6
 # a midpoint step: a root costs at most about this many more f calls than
 # bisection would
 SECANT_SLACK = 20
-# chebcompanion's matrix for a series of 12 coefficients before the
-# coefficients enter its last column, rotated as chebroots rotates it, and
-# the scale (scl / scl[-1] there) of that column's update
-_COMPANION = cheb.chebcompanion(np.eye(12)[-1])[::-1, ::-1].copy()
-_COMPANION_SCALE = np.array([1.0 / np.sqrt(0.5)] + [1.0] * 10)
 
 
 def _bisect(f, lo, hi, flo, fhi):
@@ -328,35 +379,103 @@ def _bisect(f, lo, hi, flo, fhi):
     return lo if abs(flo) <= abs(fhi) else hi
 
 
-def _chebder_rows(c: np.ndarray) -> np.ndarray:
-    """cheb.chebder(c, axis=1), bit for bit: chebder's recurrence on
-    plain floats, which on a few short rows costs less than its numpy
-    calls."""
-    der = []
-    for row in c.tolist():
-        n = len(row) - 1
-        d = [0.0] * n
-        for j in range(n, 2, -1):
-            d[j - 1] = (2 * j) * row[j]
-            row[j - 2] += (j * row[j]) / (j - 2)
-        d[1] = 4 * row[2]
-        d[0] = row[1]
-        der.append(d)
-    return np.array(der)
+def _halves(c: list[float]) -> tuple[list[float], list[float]]:
+    """de Casteljau's subdivision at the midpoint: the Bernstein
+    coefficients of the same polynomial on each half of its interval."""
+    left, right = [c[0]], [c[-1]]
+    for _ in range(len(c) - 1):
+        c = [0.5 * (p + q) for p, q in zip(c, c[1:])]
+        left.append(c[0])
+        right.append(c[-1])
+    right.reverse()
+    return left, right
 
 
-def _chebroots_rows(c: np.ndarray):
-    """cheb.chebroots of each row of c (12 coefficients), bit for bit:
-    the sorted eigenvalues of each row's companion matrix, all from one
-    eigvals call. The matrices are _COMPANION with chebcompanion's update
-    of its last column (the first, rotated as chebroots rotates it).
-    Where a row's last coefficient is 0, which chebroots trims first,
-    every row goes through chebroots."""
-    if not c[:, -1].all():
-        return [cheb.chebroots(row) for row in c]
-    mats = np.repeat(_COMPANION[None], len(c), axis=0)
-    mats[:, :, 0] -= ((c[:, :-1] / c[:, -1:]) * _COMPANION_SCALE * 0.5)[:, ::-1]
-    return np.sort(np.linalg.eigvals(mats), axis=1)
+def _bernstein_root(c: list[float], lo: float, hi: float) -> float:
+    """The root in (lo, hi) of the polynomial with the 12 Bernstein
+    coefficients c on [lo, hi], where it has one root and c[0] and c[-1]
+    have opposite signs, to within KNOT_WIDTH.
+
+    Newton's method in s = (u - lo) / (hi - lo), safeguarded by the
+    bracket as in rtsafe (Press et al., Numerical Recipes): a step that
+    would leave the bracket, or that is not half as long as the one
+    before, is replaced by bisection. The value and slope come from one
+    Horner pass in s / (1 - s) or (1 - s) / s, whichever is at most 1,
+    each short of the same positive factor (1 - s)^10 or s^10, which
+    leaves the signs and the step as they are."""
+    w = list(map(mul, _BERNSTEIN_WEIGHTS, c))
+    w_rev = w[::-1]
+    # ends of the bracket where the polynomial is below and above zero
+    s_neg, s_pos = (0.0, 1.0) if c[0] < 0.0 else (1.0, 0.0)
+    s = c[0] / (c[0] - c[-1])  # the chord's root
+    step = old_step = 1.0
+    tol = KNOT_WIDTH / (hi - lo)
+    while True:
+        t = 1.0 - s
+        acc = slope = 0.0
+        if s <= 0.5:
+            r = s / t
+            for x in w_rev:
+                slope = slope * r + acc
+                acc = acc * r + x
+            v, dv = t * t * acc, slope - 11.0 * t * acc
+        else:
+            r = t / s
+            for x in w:
+                slope = slope * r + acc
+                acc = acc * r + x
+            v, dv = s * s * acc, 11.0 * s * acc - slope
+        if v == 0.0:
+            break
+        if v < 0.0:
+            s_neg = s
+        else:
+            s_pos = s
+        if (((s - s_pos) * dv - v) * ((s - s_neg) * dv - v) > 0.0
+                or abs(2.0 * v) > abs(old_step * dv)):
+            old_step, step = step, 0.5 * (s_pos - s_neg)
+            s = s_neg + step
+        else:
+            old_step, step = step, v / dv
+            s -= step
+        if abs(step) <= tol:
+            break
+    return lo + s * (hi - lo)
+
+
+def _knots(coef: list[float]) -> list[float]:
+    """The real roots in (-1, 1), ascending, of the polynomial whose
+    Bernstein coefficients on [-1, 1] are coef.
+
+    Descartes' rule: the coefficients on an interval change sign at least
+    as often as the polynomial has roots inside it, and as often where
+    they change sign at most once (Lane & Riesenfeld 1981). An interval
+    whose coefficients change sign more than once is halved by de
+    Casteljau's subdivision (_halves); one whose coefficients change sign
+    once, with neither end coefficient 0, holds one root, which
+    _bernstein_root places. A midpoint where the polynomial is 0 is a
+    root, and an interval ISOLATION_DEPTH halvings deep that still needs
+    halving gives its midpoint."""
+    knots = []
+    todo = [(-1.0, 1.0, coef)]
+    while todo:
+        lo, hi, c = todo.pop()
+        signs = [v > 0.0 for v in c if v]
+        changes = sum(map(ne, signs, signs[1:]))
+        if changes == 0:
+            continue
+        if changes == 1 and c[0] and c[-1]:
+            knots.append(_bernstein_root(c, lo, hi))
+            continue
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 2.0 ** (1 - ISOLATION_DEPTH):
+            knots.append(mid)
+            continue
+        left, right = _halves(c)
+        if right[0] == 0.0:
+            knots.append(mid)
+        todo += ((mid, hi, right), (lo, mid, left))
+    return sorted(knots)
 
 
 def _scan_roots(a: float, nu1: float, nu2: float) -> list[list[float]]:
@@ -365,46 +484,39 @@ def _scan_roots(a: float, nu1: float, nu2: float) -> list[list[float]]:
 
     Inside a region g is a trigonometric polynomial of degree 6 in x
     (kernels). With c the region's midpoint, L its length and
-    t = tan((x - c)/2), the product g * (1 + t^2)^6 is therefore a
+    t = tan((x - c)/2), the product p = g * (1 + t^2)^6 is therefore a
     polynomial of degree <= 12 in u = t / tan(L/4), which runs over
-    [-1, 1] on the region; 13 Chebyshev samples of g determine it. Its
-    derivative's roots (real parts; a spare knot does no harm) and the
-    region's ends are the knots: between neighbouring knots the
-    polynomial is monotone, so it and g, which has its sign, have at
-    most one root there. A sign change of g between knots is narrowed to
-    neighbouring floats by _bisect's bracketing secant. A knot where g
-    vanishes to within the rounding of its evaluation is one tangent
-    (even-order) root. A region no wider than 2 * BOUNDARY_TOL has none.
-
-    The regions are fitted together: g is evaluated once at all their
-    samples, the derivatives are taken on plain floats (_chebder_rows),
-    and their companion matrices (chebroots') go to one eigenvalue call.
+    [-1, 1] on the region; its values at the 13 _FIT_NODES determine it,
+    and _FIT_DERIVATIVE takes them to the Bernstein coefficients of p'.
+    The real roots of p' in (-1, 1) (_knots) and the region's ends are
+    the knots: between neighbouring knots p is monotone, so it and g,
+    which has its sign, have at most one root there. A sign change
+    of g between knots is narrowed to neighbouring floats by _bisect's
+    bracketing secant. A knot where g vanishes to within the rounding of
+    its evaluation is one tangent (even-order) root. A region no wider
+    than 2 * BOUNDARY_TOL has none. All of it runs on plain floats.
     """
     ends = _region_ends(a)
-    live = [(k, span) for k, span in enumerate(_interiors(a, BOUNDARY_TOL)) if span]
     roots: list[list[float]] = [[] for _ in REGIONS]
-    bound = kernels.g_bound(nu1, nu2)
-    mids = np.array([0.5 * (ends[k][0] + ends[k][1]) for k, _ in live])
-    charts = np.array([math.tan(0.25 * (ends[k][1] - ends[k][0])) for k, _ in live])
-
-    # chebinterpolate(poly, 12) for every region, with its nodes and
-    # matrix built once; x = c + 2 * arctan(u * tan(L/4))
-    t = _CHEB_NODES * charts[:, None]
-    xs = mids[:, None] + 2.0 * np.arctan(t)
-    gs = kernels.g_array(xs.ravel(), a, nu1, nu2).reshape(xs.shape)
-    if bound > FIT_SCALE_BOUND:
-        gs *= 2.0 ** -64
-    coef = np.array([np.dot(_CHEB_VANDER_T, row) for row in gs * (1.0 + t * t) ** 6])
-    coef[:, 0] /= 13
-    coef[:, 1:] /= 6.5
-    crit = _chebroots_rows(_chebder_rows(coef))
-
     g = kernels.g_of_x(a, nu1, nu2)
+    bound = kernels.g_bound(nu1, nu2)
+    scale = 2.0 ** -64 if bound > FIT_SCALE_BOUND else 1.0
     # nu1*Ps + nu2*Qs + Ss <= bound, as Ps, Qs, Ss <= 2 and rounding is
     # monotone: a knot where |g| passes this is no zero
     near_zero = TANGENT_ULPS * EPS * bound
-    for (k, (lo, hi)), mid, chart, u in zip(live, mids, charts, crit):
-        inside = [x for x in (mid + 2.0 * np.arctan(u.real * chart)).tolist()
+    for k, inner in enumerate(_interiors(a, BOUNDARY_TOL)):
+        if inner is None:
+            continue
+        lo, hi = inner
+        mid = 0.5 * (ends[k][0] + ends[k][1])
+        chart = math.tan(0.25 * (ends[k][1] - ends[k][0]))
+        # x = c + 2 * arctan(u * tan(L/4))
+        ps = []
+        for u in _FIT_NODES:
+            t = u * chart
+            ps.append(g(mid + 2.0 * math.atan(t)) * scale * (1.0 + t * t) ** 6)
+        coef = [sum(map(mul, row, ps)) for row in _FIT_DERIVATIVE]
+        inside = [x for x in (mid + 2.0 * math.atan(u * chart) for u in _knots(coef))
                   if lo < x < hi]
         knots = sorted({lo, hi, *inside})
         # g at each knot, and whether it vanishes there to within the
@@ -470,9 +582,7 @@ def find_meridian_rotators(
     residual_tol radians of x. No potential means the unit-sphere
     cotangent one.
     """
-    if not 0.0 < a < math.pi:
-        raise ValueError(f"a must lie in (0, pi), got {a}")
-
+    _check_a(a)
     pot = pot or _UNIT_COTANGENT
     if pot.reduced_g:
         roots = [x for region in _scan_roots(a, masses.nu1, masses.nu2)
@@ -503,7 +613,10 @@ def _generic_scan_roots(a, masses, pot) -> list[float]:
     for inner in _interiors(a, GENERIC_BOUNDARY_GAP):
         if inner is None:
             continue
-        xs = np.linspace(*inner, GENERIC_SCAN_SAMPLES).tolist()
+        lo, hi = inner
+        # numpy.linspace's samples, bit for bit
+        step = (hi - lo) / (GENERIC_SCAN_SAMPLES - 1)
+        xs = [k * step + lo for k in range(GENERIC_SCAN_SAMPLES - 1)] + [hi]
         hs = [h(x) for x in xs]
         for i in range(GENERIC_SCAN_SAMPLES - 1):
             if hs[i] * hs[i + 1] < 0.0:
@@ -547,7 +660,9 @@ def count_rotators_scan(
 ) -> RegionCounts:
     """Root counts of the reduced equation per region, with no
     configuration lift. Every root counts once: a simple root, a tangent
-    (even-order) root and each root of a close pair alike."""
+    (even-order) root and each root of a close pair alike. Raises
+    ValueError unless 0 < a < pi, as find_meridian_rotators does."""
+    _check_a(a)
     return RegionCounts(*map(len, _scan_roots(a, nu1, nu2)))
 
 
@@ -609,6 +724,8 @@ def count_rotators_grid_regions(
     fails the check), and the working memory is one block of nu2 rows
     (GRID_BLOCK_CELLS) besides the output.
     """
+    import numpy as np
+
     nu1v = np.asarray(nu1_values, dtype=float)
     nu2v = np.asarray(nu2_values, dtype=float)
     kernels.g_bound(float(np.abs(nu1v).max(initial=0.0)),
@@ -637,6 +754,8 @@ def _normalised_terms(P, Q, S):
     P >= 0 and -g where P < 0: the same sums of the negated terms give
     -g exactly, as rounding to nearest is symmetric), and the indices k
     of the sample pairs (k, k + 1) between which P changes sign."""
+    import numpy as np
+
     flip = P < 0.0
     sign = np.where(flip, -1.0, 1.0)
     return sign * P, sign * Q, sign * S, np.flatnonzero(flip[:-1] != flip[1:])
@@ -646,6 +765,8 @@ def _count_block(nu1s, nu2b, P, Q, S, turns) -> np.ndarray:
     """Sign changes of g between neighbouring samples, for sorted nu1s and
     each nu2 in nu2b, from the terms and turns of _normalised_terms:
     shape (nu2, nu1)."""
+    import numpy as np
+
     n1, n2 = len(nu1s), len(nu2b)
     nu2_q = Q[:, None] * nu2b  # arrays are (sample, nu2)
 
@@ -730,8 +851,7 @@ def isosceles_rotators(
     """
     if a is None:
         a = math.acos(SPECIAL_ISOSCELES_COS_A)
-    if not 0.0 < a < math.pi:
-        raise ValueError(f"a must lie in (0, pi), got {a}")
+    _check_a(a)
     equal_nu = abs(masses.nu1 - masses.nu2) <= 1e-12 * (masses.nu1 + masses.nu2)
     candidates = []
     if equal_nu or abs(math.cos(a) - SPECIAL_ISOSCELES_COS_A) <= 1e-9:
@@ -825,6 +945,8 @@ class EulerLimitReport:
 
 
 def _quintic_positive_root(coeffs: Sequence[float]) -> float:
+    import numpy as np
+
     roots = np.roots(coeffs)
     real = [r.real for r in roots if abs(r.imag) < 1e-9 and r.real > 0]
     if not real:
@@ -845,6 +967,8 @@ def euler_limit_check(
     r21/R. reports per-R coefficient deviation and the deviation of the
     meridian root from the quintic's positive root.
     """
+    import numpy as np
+
     coeffs = euler_quintic_coefficients(masses)
     lam_root = _quintic_positive_root(coeffs)
     nu1, nu2 = masses.nu1, masses.nu2

@@ -632,11 +632,12 @@ def test_out_of_range_input_is_usage_error(argv, capsys):
 
 @pytest.mark.parametrize("masses", ["1,1,1", "4,4,4"])
 def test_equal_masses_at_two_thirds_pi_end_cleanly(masses, capsys):
-    # the equilateral root of g is of higher order here, and bisection
-    # stops 3.5e-8 from it, where the amplitude A (7.0e-8 at unit masses)
-    # is under the A-zero bound: a fixed point, judged at omega = 0, whose
-    # backward error 3.7e-8 rad fails the gate. The Case-4 fixed point is
-    # not reported (README)
+    # the equilateral root of g is of higher order here, and the scan
+    # takes it at a knot 1.6e-7 from it where g is within rounding of 0,
+    # and where the amplitude A (3.2e-7 at unit masses) is under the
+    # A-zero bound: a fixed point, judged at omega = 0, whose backward
+    # error 2.4e-7 rad fails the gate. The Case-4 fixed point is not
+    # reported (README)
     code = main(["meridian", "--masses", masses, "--a", "2.0943951023931953"])
     captured = capsys.readouterr()
     assert code == 2
@@ -692,8 +693,8 @@ def test_usage_error_leaves_the_parser_whole(capsys):
 
 
 def test_default_grids_survive_a_sweep(tmp_path):
-    # the default grids are shared by every call of main, so no command
-    # may change them: two default sweeps write the same bytes
+    # the default grids are text that each parse of sweep turns into a
+    # fresh grid: two default sweeps write the same bytes
     texts = []
     for k in range(2):
         path = tmp_path / f"sweep{k}.csv"
@@ -725,3 +726,35 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
     namespace = {}
     exec(_readme_block("python", "## Library"), namespace)
     assert len(namespace["sols"]) == 6
+
+
+# run in a fresh interpreter: cli.main on every command but sweep and
+# euler-limit, then whether numpy was ever imported
+NO_NUMPY_SCRIPT = """
+import contextlib, io, os, sys
+from sphere3body import cli
+out = os.path.join(sys.argv[1], "six.json")
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        cli.main(["meridian", "--masses", "3,2,1", "--a", "0.5235987755982988",
+                  "--out", out]),
+        cli.main(["meridian", "--masses", "3,2,1", "--a", "0.7853981633974483",
+                  "--format", "csv"]),
+        cli.main(["verify", out, "--integrate"]),
+        cli.main(["equator", "--masses", "1,2,3"]),
+        cli.main(["--help"]),
+    ]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "numpy")[:3])
+"""
+
+
+def test_solving_commands_never_import_numpy(tmp_path):
+    # meridian's scan, verify and equator run on plain floats; only the
+    # sweep grid counter and writer, euler-limit and kernels.g_array make
+    # arrays, and they import numpy where they do
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "[]"]

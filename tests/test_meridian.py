@@ -127,6 +127,17 @@ class TestShape:
         with pytest.raises(ValueError, match="theta31 must lie in"):
             mer.Shape(0.5, theta31).validate()
 
+    @pytest.mark.parametrize("theta31", [2.0 * math.pi - 1e-13, 2.0 * math.pi - 5e-13])
+    def test_validate_rejects_theta31_just_below_two_pi(self, theta31):
+        # 2 pi is region IV's singular end, as 0 is region I's: there g's
+        # ratio equations divide by zero (omega^2 came out 3.1e26 with
+        # residual inf before validate rejected it)
+        with pytest.raises(ValueError, match="sits on a singular point"):
+            mer.Shape(0.5, theta31).validate()
+        with pytest.raises(ValueError, match="sits on a singular point"):
+            mer.solution_from_shape(mer.Shape(0.5, theta31), M321)
+        mer.Shape(0.5, 2.0 * math.pi - 1e-11).validate()
+
     def test_theta32(self):
         s = mer.Shape(0.5, 2.0)
         assert s.theta32 == pytest.approx(1.5)
@@ -424,6 +435,16 @@ class TestSolver:
 
 
 class TestCounting:
+    def test_scan_count_rejects_a_above_pi(self):
+        # it counted (1, 0, 1, 0) roots on regions that run backwards past pi
+        with pytest.raises(ValueError, match="a must lie in"):
+            mer.count_rotators_scan(4.0, 2.0, 1.0)
+
+    def test_scan_count_rejects_nan_a(self):
+        # it raised IndexError
+        with pytest.raises(ValueError, match="a must lie in"):
+            mer.count_rotators_scan(math.nan, 2.0, 1.0)
+
     @pytest.mark.parametrize(
         "diff,expected",
         [(-5.0, (1, 0, 1, 2)), (-4.0, (1, 0, 1, 1)), (0.0, (1, 0, 1, 0)),
@@ -1217,7 +1238,11 @@ def test_regions_match_transcription_bitwise():
                 lambda: region_of_reference(x, a)), (a, x)
             for tol in (1e-12, 1e-8, 0.0):
                 got = _region_outcome(lambda: mer.Shape(a, x).validate(tol))
-                assert got == _region_outcome(
-                    lambda: validate_reference(a, x, tol)), (a, x, tol)
+                want = _region_outcome(lambda: validate_reference(a, x, tol))
+                if want == ("ok", None) and abs(x - 2.0 * math.pi) <= tol:
+                    # the transcription let theta31 within tol below 2 pi
+                    # through: 2 pi, the end of region IV, is singular too
+                    want = ("ValueError", f"theta31={x} sits on a singular point")
+                assert got == want, (a, x, tol)
                 raised += got[0] != "ok"
     assert raised > 10000

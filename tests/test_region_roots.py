@@ -9,6 +9,7 @@ bracketing secant of ``meridian._bisect``.
 """
 
 import math
+import operator
 import random
 
 import numpy as np
@@ -321,50 +322,101 @@ def numpy_scan_region_roots(a, nu1, nu2, region):
     return roots
 
 
-def test_scalar_scan_matches_numpy_scan_bitwise():
-    """The plain-float scan finds the same roots, bit for bit, as the
-    numpy-scalar scan it replaced, tangent and close-pair roots included."""
+def test_scan_matches_numpy_scan():
+    """The plain-float scan, whose knots come from Bernstein sign counts,
+    finds as many roots in each region as the numpy scan whose knots were
+    companion-matrix eigenvalues, tangent and close-pair roots included:
+    each the same float, another float sign change of g that the backward
+    error judges alike, or, for a tangent root, another knot within
+    rounding of zero and 1e-9 of it (beside a triple root, g is within
+    rounding of zero on an interval wider than the knots' error)."""
     cases = NAMED + _seeded(300, seed=7) + [
         (1.0, 1.16979889864, 0.2),
         *[(2.0, PITCHFORK_NU + d, PITCHFORK_NU + d) for d in (1e-6, 0.0, -1e-6)]]
-    roots = 0
+    roots = moved = 0
     for a, nu1, nu2 in cases:
+        masses = MassTriple(nu1, nu2, 1.0)
         for region, new in zip(mer.REGIONS, mer._scan_roots(a, nu1, nu2)):
             old = numpy_scan_region_roots(a, nu1, nu2, region)
-            assert [x.hex() for x in new] == [x.hex() for x in old], (a, nu1, nu2)
+            assert len(new) == len(old), (a, nu1, nu2, region)
             roots += len(new)
+            for x, y in zip(new, old):
+                if x.hex() == y.hex():
+                    continue
+                moved += 1
+                if _is_float_sign_change(y, a, nu1, nu2):
+                    assert _is_float_sign_change(x, a, nu1, nu2), (a, nu1, nu2, x, y)
+                    assert _reported(x, a, masses) == _reported(y, a, masses), (a, nu1, nu2, x, y)
+                else:  # a tangent root
+                    assert abs(_g(x, a, nu1, nu2)) <= _rounding_bound(x, a, nu1, nu2)
+                    assert abs(x - y) <= 1e-9, (a, nu1, nu2, x, y)
     assert roots > 1000
+    assert moved < 0.02 * roots
 
 
-def test_stacked_chebroots_match_chebroots_bitwise():
-    """The scan sends every region's companion matrix to one eigenvalue
-    call: each row's roots are chebroots', bit for bit, also where a
-    row's last coefficient is 0, which chebroots trims first."""
-    rng = np.random.default_rng(2022)
-
-    def hexes(roots):
-        return [(float(z.real).hex(), float(z.imag).hex()) for z in roots]
-
-    for trimmed in (False, True):
-        for _ in range(200):
-            c = rng.standard_normal((4, 12)) * 10.0 ** rng.uniform(-3.0, 3.0, (4, 1))
-            if trimmed:
-                c[rng.integers(4), -1] = 0.0
-            got = mer._chebroots_rows(c)
-            assert [hexes(r) for r in got] == [hexes(cheb.chebroots(row)) for row in c]
+def _fit_samples(a, nu1, nu2):
+    """Per live region, the scan's 13 samples of p = g * (1 + t^2)^6."""
+    ends = mer._region_ends(a)
+    g = kernels.g_of_x(a, nu1, nu2)
+    for (lo, hi), inner in zip(ends, mer._interiors(a, mer.BOUNDARY_TOL)):
+        if inner is not None:
+            chart = math.tan(0.25 * (hi - lo))
+            ts = [u * chart for u in mer._FIT_NODES]
+            yield [g(0.5 * (lo + hi) + 2.0 * math.atan(t)) * (1.0 + t * t) ** 6 for t in ts]
 
 
-def test_plain_float_chebder_matches_chebder_bitwise():
-    """The scan's derivative coefficients are numpy's, bit for bit, over
-    rows whose sizes span ten decades."""
+def _fit_derivative(ps):
+    return [sum(map(operator.mul, row, ps)) for row in mer._FIT_DERIVATIVE]
+
+
+def test_knots_match_chebroots_real_roots():
+    """The knots are the real roots in (-1, 1) of the fit's derivative
+    that numpy's chebroots finds, on the scan's own fits with no
+    eigenvalue off the real axis within 1e-6 of [-1, 1]: as many, each
+    as near numpy's as a change of p' by 4e-12 of the largest sample
+    moves it (the distance times |p''| at numpy's root)."""
+    vander = cheb.chebvander(np.array(mer._FIT_NODES), 12)
+    fits = compared = 0
+    for a, nu1, nu2 in NAMED + _seeded(300, seed=11):
+        for ps in _fit_samples(a, nu1, nu2):
+            der = cheb.chebder(np.linalg.solve(vander, ps))
+            eig = cheb.chebroots(der)
+            if any(0.0 < abs(z.imag) <= 1e-6 and abs(z.real) < 1.0 + 1e-6 for z in eig):
+                continue
+            # a root within 1e-12 of an end may fall either side of it
+            want = [z.real for z in eig if z.imag == 0.0 and abs(z.real) < 1.0 - 1e-12]
+            got = [u for u in mer._knots(_fit_derivative(ps)) if abs(u) < 1.0 - 1e-12]
+            assert len(got) == len(want), (a, nu1, nu2, got, want)
+            fits += 1
+            scale = max(map(abs, ps))
+            want.sort()
+            curvature = np.abs(cheb.chebval(np.array(want), cheb.chebder(der)))
+            for u, v, c in zip(got, want, curvature.tolist()):
+                assert abs(u - v) * c <= 4e-12 * scale, (a, nu1, nu2, u, v)
+                compared += 1
+    assert fits > 1000 and compared > 1000
+
+
+def test_fit_derivative_matches_chebder():
+    """_FIT_DERIVATIVE takes a polynomial's values at the 13 nodes to the
+    Bernstein coefficients of a positive multiple of its derivative, the
+    same for every polynomial: against numpy's fit and chebder, at points
+    across [-1, 1], over polynomials whose sizes span ten decades."""
     rng = np.random.default_rng(18)
+    vander = cheb.chebvander(np.array(mer._FIT_NODES), 12)
+    # p(u) = u: p' = 1, and each coefficient is the multiple
+    ones = _fit_derivative(mer._FIT_NODES)
+    factor = ones[0]
+    assert factor > 0.0 and ones == pytest.approx([factor] * 12, rel=1e-12)
+    s = np.linspace(0.0, 1.0, 41)
+    basis = np.array([[math.comb(11, i) * t ** i * (1.0 - t) ** (11 - i)
+                       for i in range(12)] for t in s])
     for _ in range(500):
-        c = rng.standard_normal((4, 13)) * 10.0 ** rng.uniform(-5.0, 5.0, (4, 1))
-        got = mer._chebder_rows(c)
-        want = cheb.chebder(c, axis=1)
-        assert got.shape == want.shape
-        assert [x.hex() for x in got.ravel().tolist()] == \
-            [x.hex() for x in want.ravel().tolist()]
+        ps = rng.standard_normal(13) * 10.0 ** rng.uniform(-5.0, 5.0)
+        got = basis @ np.array(_fit_derivative(ps.tolist()))
+        want = factor * cheb.chebval(2.0 * s - 1.0,
+                                     cheb.chebder(np.linalg.solve(vander, ps)))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(ps))
 
 
 def plain_bisect(f, lo, hi, flo, fhi):
@@ -503,3 +555,30 @@ def test_huge_nu_fit_is_scaled_exactly(monkeypatch):
     assert mer.count_rotators_scan(1.0, 8e307, 1.0).total > 0
     with pytest.raises(ValueError, match="too large: g overflows"):
         mer.count_rotators_scan(1.0, 1.7e308, 1.0)
+
+
+def _bernstein_coefficients(roots):
+    """The 12 Bernstein coefficients on [-1, 1] of the monic polynomial
+    with the 11 given roots."""
+    s = np.linspace(0.0, 1.0, 12)
+    basis = np.array([[math.comb(11, i) * t ** i * (1.0 - t) ** (11 - i)
+                       for i in range(12)] for t in s])
+    return np.linalg.solve(basis, np.poly1d(roots, r=True)(2.0 * s - 1.0)).tolist()
+
+
+def test_knots_of_a_root_on_a_split_point_and_of_a_root_pair(monkeypatch):
+    # an odd polynomial, its coefficients made exactly antisymmetric:
+    # the midpoint of [-1, 1], where the first halving splits, is an
+    # exact root, found there
+    half = _bernstein_coefficients([-0.5, 0.0, 0.5] + [-3.0, 3.0] * 4)[:6]
+    coef = half + [-c for c in reversed(half)]
+    knots = mer._knots(coef)
+    assert knots[1] == 0.0 and knots == pytest.approx([-0.5, 0.0, 0.5], abs=1e-12)
+    # roots 1e-6 apart (each as exact as 1e-6 apart allows): separate
+    # knots, and one knot, the midpoint of the interval around them,
+    # where ISOLATION_DEPTH halvings (here 4, an interval 1/8 wide)
+    # cannot separate them
+    coef = _bernstein_coefficients([-0.7, 0.3, 0.3 + 1e-6] + [3.0] * 8)
+    assert mer._knots(coef) == pytest.approx([-0.7, 0.3, 0.3 + 1e-6], abs=1e-9)
+    monkeypatch.setattr(mer, "ISOLATION_DEPTH", 4)
+    assert mer._knots(coef) == pytest.approx([-0.7, 0.3125], abs=1e-12)
