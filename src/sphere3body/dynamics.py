@@ -22,23 +22,26 @@ take the radius as an argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import cos, sin
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .geometry import SpherePoint, SphereRadius, chord_squared
 from .potential import PAIRS, PairPotential, SingularityError, pair_value, total_potential
 
 
-@dataclass(frozen=True)
-class MassTriple:
-    """Three positive masses with the derived ratios nu1, nu2 and mu_k."""
-
+class _MassFields(NamedTuple):
     m1: float
     m2: float
     m3: float
 
-    def __post_init__(self):
+
+class MassTriple(_MassFields):
+    """Three positive masses with the derived ratios nu1, nu2 and mu_k."""
+
+    __slots__ = ()
+
+    def __new__(cls, m1: float, m2: float, m3: float):
+        self = super().__new__(cls, m1, m2, m3)
         m = self.as_tuple()
         # written so that nan fails too; min() would let it through
         if not all(0.0 < v < math.inf for v in m):
@@ -50,6 +53,11 @@ class MassTriple:
         if not (total * total < math.inf
                 and all(0.0 < nu * nu * nu < math.inf for nu in (self.nu1, self.nu2))):
             raise ValueError(f"masses or their ratios are too extreme: {m}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.m1, self.m2, self.m3)
@@ -72,8 +80,7 @@ class MassTriple:
         )
 
 
-@dataclass(frozen=True)
-class SphericalState:
+class SphericalState(NamedTuple):
     """Positions and angular velocities of the three bodies, in angles:
     the same state on a sphere of any radius."""
 
@@ -90,8 +97,7 @@ class SphericalState:
         return tuple(p.phi for p in self.points)
 
 
-@dataclass(frozen=True)
-class AngularMomentum:
+class AngularMomentum(NamedTuple):
     cx: float
     cy: float
     cz: float
@@ -195,8 +201,7 @@ def _accelerations(t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3,
 Triple = tuple[float, float, float]
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """The stored states of a run: one time and one triple of each
     quantity per stored step."""
 
@@ -311,23 +316,22 @@ def integrate(
         phis=tuple(r[3:6] for r in rows),
         theta_dots=tuple(r[6:9] for r in rows),
         phi_dots=tuple(r[9:12] for r in rows),
-        energy_drift=0.0,
-        c_drift=0.0,
+        # the drifts where the terminal state is unusable (blow-up)
+        energy_drift=math.inf,
+        c_drift=math.inf,
         error=error,
     )
     try:
         e0, c0 = _invariants(traj, 0, masses, pot)
         e1, c1 = _invariants(traj, len(times) - 1, masses, pot)
         escale = max(abs(e0), 1.0)
-        traj.energy_drift = abs(e1 - e0) / escale
+        energy_drift = abs(e1 - e0) / escale
         # the norm of a blown-up state may overflow to inf, as it should
         cscale = max(_norm(c0), 1.0)
-        traj.c_drift = _norm([v1 - v0 for v1, v0 in zip(c1, c0)]) / cscale
+        c_drift = _norm([v1 - v0 for v1, v0 in zip(c1, c0)]) / cscale
     except (SingularityError, ValueError, OverflowError):
-        # terminal state unusable (blow-up); drift is undefined
-        traj.energy_drift = math.inf
-        traj.c_drift = math.inf
-    return traj
+        return traj  # the drifts are undefined
+    return traj._replace(energy_drift=energy_drift, c_drift=c_drift)
 
 
 def _invariants(traj: Trajectory, idx: int, masses, pot):

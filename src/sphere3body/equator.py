@@ -6,8 +6,7 @@ ratio, potential energy, and the antipodal-limit scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .dynamics import MassTriple
 
@@ -16,14 +15,12 @@ BOUNDARY = "boundary"
 EXTERIOR = "exterior"
 
 
-@dataclass(frozen=True)
-class ExistenceResult:
+class ExistenceResult(NamedTuple):
     region: str
     violated: str | None = None
 
 
-@dataclass(frozen=True)
-class EquatorSolution:
+class EquatorSolution(NamedTuple):
     """Longitude differences of the unique equatorial rotator.
 
     The differences each lie in (0, pi) and sum to 2*pi. rho is the
@@ -126,8 +123,7 @@ def default_antipodal_path() -> Callable[[float], MassTriple]:
     return path
 
 
-@dataclass(frozen=True)
-class AntipodalScanRow:
+class AntipodalScanRow(NamedTuple):
     t: float
     masses: MassTriple
     neg_potential_energy: float

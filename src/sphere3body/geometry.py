@@ -9,11 +9,10 @@ points is written once (_cos_arc); chord_squared and arc_angle read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SpherePoint:
+class SpherePoint(NamedTuple):
     """A point on the sphere, (theta, phi) in radians."""
 
     theta: float
@@ -29,17 +28,27 @@ class SpherePoint:
         )
 
 
-@dataclass(frozen=True)
-class SphereRadius:
+class _SphereRadiusFields(NamedTuple):
+    R: float = 1.0
+
+
+class SphereRadius(_SphereRadiusFields):
     """Sphere radius R > 0 and the derived scale epsilon = 1/(2R)."""
 
-    R: float = 1.0
-    epsilon: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.R < math.inf:
-            raise ValueError(f"sphere radius must be positive and finite, got {self.R}")
-        object.__setattr__(self, "epsilon", 1.0 / (2.0 * self.R))
+    def __new__(cls, R: float = 1.0):
+        if not 0.0 < R < math.inf:
+            raise ValueError(f"sphere radius must be positive and finite, got {R}")
+        return super().__new__(cls, R)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
+
+    @property
+    def epsilon(self) -> float:
+        return 1.0 / (2.0 * self.R)
 
 
 def _clamp(v: float) -> float:

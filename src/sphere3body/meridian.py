@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from math import comb
 from operator import mul, ne
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import kernels
 from .dynamics import MassTriple, backward_error, meridian_pulls
@@ -104,8 +103,7 @@ def region_of(x: float, a: float) -> str:
     raise ValueError(f"x={x} outside (0, 2*pi)")
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(NamedTuple):
     """Rotation-invariant collinear shape: angle differences from body 1."""
 
     theta21: float
@@ -165,8 +163,7 @@ def shape_to_configurations(
     return _lift(masses, shape, s)[1]
 
 
-@dataclass(frozen=True)
-class PairQuantities:
+class PairQuantities(NamedTuple):
     """Per-pair force-like terms F_ij, the pulls of dynamics.meridian_pulls
     at thetas (0, theta21, theta31), and geometric terms G_ij."""
 
@@ -217,8 +214,7 @@ def classify_case(pq: PairQuantities, masses: MassTriple) -> str:
     return CASE1
 
 
-@dataclass(frozen=True)
-class MeridianSolution:
+class MeridianSolution(NamedTuple):
     """A rigid rotator on a rotating meridian, or a fixed point (s = 0,
     omega_squared None, thetas (0, theta21, theta31): no axis is
     preferred), with its configuration and residual (module docstring)."""
@@ -624,8 +620,7 @@ def _generic_scan_roots(a, masses, pot) -> list[float]:
     return roots
 
 
-@dataclass(frozen=True)
-class RegionCounts:
+class RegionCounts(NamedTuple):
     I: int
     II: int
     III: int
@@ -862,8 +857,7 @@ def isosceles_rotators(
     return [s for s in sols if s.residual_max <= RESIDUAL_TOL]
 
 
-@dataclass(frozen=True)
-class ExceptionalAngles:
+class ExceptionalAngles(NamedTuple):
     """Closed-form Case 2 / Case 3 shape angles for a given mass ratio.
 
     theta_pair is theta1 - theta2; theta_other is theta2 - theta3
@@ -929,15 +923,13 @@ def euler_quintic_coefficients(masses: MassTriple) -> list[float]:
     ]
 
 
-@dataclass(frozen=True)
-class EulerLimitRow:
+class EulerLimitRow(NamedTuple):
     R: float
     max_coeff_deviation: float
     root_deviation: float
 
 
-@dataclass(frozen=True)
-class EulerLimitReport:
+class EulerLimitReport(NamedTuple):
     rows: list[EulerLimitRow]
     order_estimate: float
     quintic_coefficients: list[float]

@@ -19,8 +19,7 @@ SingularityError with its pair, for every pair loop but the integrator's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .geometry import SpherePoint, SphereRadius, chord_squared
 
@@ -43,8 +42,7 @@ class SingularityError(ValueError):
         super().__init__(f"{kind} singularity at D^2={d2}{where}")
 
 
-@dataclass(frozen=True)
-class PairPotential:
+class PairPotential(NamedTuple):
     """Potential contract: u(D^2) and its derivative with respect to D^2
     (module docstring); the sign of u_prime says whether it attracts.
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -391,7 +390,7 @@ class TestSolver:
         # a cotangent clone without reduced_g is solved by sampling its
         # ratio equation; it finds every root of g but the tangent roots
         # of Table 2 at |nu1 - nu2| = 4, where no sample sees a sign change
-        clone = dataclasses.replace(POT, reduced_g=False)
+        clone = POT._replace(reduced_g=False)
         missing = []
         for a, nu1, nu2 in NAMED[:10]:  # the paper's named inputs
             m = MassTriple(nu1, nu2, 1.0)
@@ -906,7 +905,7 @@ def test_pair_quantities_match_dict_version_bitwise():
                                                       else rng.choice([1.0, -1.0]))
         shape = mer.Shape(a, x)
         expect = _outcome(lambda: dict_pair_quantities(masses, shape, pot, R))
-        got = _outcome(lambda: dataclasses.astuple(
+        got = _outcome(lambda: tuple(
             mer.pair_quantities(masses, shape, pot)))
         assert got == expect, (n, a, x)
         if "nan" in expect:
