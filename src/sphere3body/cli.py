@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import equator as eq
@@ -161,20 +162,81 @@ def cmd_equator(args) -> int:
 # ---------------------------------------------------------------- meridian
 
 
-def _solution_record(sol: mer.MeridianSolution) -> dict:
-    return {
-        "region": sol.region,
-        "x": sol.x,
-        "x_over_pi": sol.x / math.pi,
-        "theta": list(sol.thetas),
-        "theta_over_pi": [t / math.pi for t in sol.thetas],
-        "theta_alt": list(sol.thetas_alt),
-        "theta_alt_over_pi": [t / math.pi for t in sol.thetas_alt],
-        "s": sol.s,
-        "omega_squared": sol.omega_squared,
-        "case": sol.case_tag,
-        "residual": sol.residual_max,
-    }
+# A solution file as json.dumps(payload, indent=2) writes it, byte for
+# byte: each key once, each float through float.__repr__ (json's own
+# call, with its names for the floats that are not finite), each string
+# through json's C string encoder. The solutions list is "[]" or the
+# solutions' records joined by ",\n".
+_MERIDIAN_JSON = """\
+{
+  "metadata": {
+    "masses": [
+      %s,
+      %s,
+      %s
+    ],
+    "a": %s,
+    "radius": %s,
+    "potential": %s
+  },
+  "solutions": %s
+}"""
+_SOLUTION_JSON = """\
+    {
+      "region": %s,
+      "x": %s,
+      "x_over_pi": %s,
+      "theta": [
+        %s,
+        %s,
+        %s
+      ],
+      "theta_over_pi": [
+        %s,
+        %s,
+        %s
+      ],
+      "theta_alt": [
+        %s,
+        %s,
+        %s
+      ],
+      "theta_alt_over_pi": [
+        %s,
+        %s,
+        %s
+      ],
+      "s": %s,
+      "omega_squared": %s,
+      "case": %s,
+      "residual": %s
+    }"""
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(values) -> list[str]:
+    """The floats as json.dumps writes them: float.__repr__, but NaN,
+    Infinity and -Infinity where they are not finite. Their sum checks
+    them all at once; where a finite sum overflows, the renaming passes
+    every text through unchanged."""
+    texts = list(map(float.__repr__, values))
+    if not math.isfinite(sum(values)):
+        texts = [_JSON_NONFINITE.get(t, t) for t in texts]
+    return texts
+
+
+def _solution_json(sol: mer.MeridianSolution) -> str:
+    thetas, alts = sol.thetas, sol.thetas_alt
+    omega2 = sol.omega_squared
+    texts = _json_floats((
+        sol.x, sol.x / math.pi,
+        *thetas, *[t / math.pi for t in thetas],
+        *alts, *[t / math.pi for t in alts],
+        0.0 if omega2 is None else omega2, sol.residual_max))
+    return _SOLUTION_JSON % (
+        encode_basestring_ascii(sol.region), *texts[:14], int.__repr__(sol.s),
+        "null" if omega2 is None else texts[14],
+        encode_basestring_ascii(sol.case_tag), texts[15])
 
 
 CSV_HEADER = ["a", "nu1", "nu2", "region", "x", "theta1", "theta2",
@@ -200,16 +262,11 @@ def cmd_meridian(args) -> int:
             ])
         _emit(buf.getvalue(), args.out)
     else:
-        payload = {
-            "metadata": {
-                "masses": list(args.masses.as_tuple()),
-                "a": args.a,
-                "radius": args.radius,
-                "potential": args.potential,
-            },
-            "solutions": [_solution_record(s) for s in solutions],
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
+        records = ",\n".join(map(_solution_json, solutions))
+        _emit(_MERIDIAN_JSON % (
+            *_json_floats((*args.masses.as_tuple(), args.a, args.radius)),
+            encode_basestring_ascii(args.potential),
+            f"[\n{records}\n  ]" if solutions else "[]"), args.out)
     return 0 if solutions else 2
 
 
@@ -334,18 +391,35 @@ def _sigma_drift(thetas, omega, masses, pot):
     return drift, traj.c_drift, None
 
 
+def _json_number(value, field: str) -> float:
+    """A number read from a solution file, as a float. Raises ValueError,
+    naming the field, for anything else: true and false too (json reads
+    them as bools, which are ints), and an int too large for a float."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{field}: {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{field}: an int too large for a float") from None
+
+
+def _json_triple(values, field: str) -> tuple[float, float, float]:
+    if not isinstance(values, list) or len(values) != 3:
+        raise ValueError(f"{field} needs 3 numbers, got {values!r}")
+    return tuple(_json_number(v, field) for v in values)
+
+
 def _verify_record(rec: dict) -> tuple:
     """(x, thetas, omega_squared) of one solution record, omega_squared 0
     for a fixed point; raises KeyError, TypeError or ValueError when the
     record is malformed."""
-    thetas = tuple(float(t) for t in rec["theta"])
-    if len(thetas) != 3:
-        raise ValueError(f"theta needs 3 values, got {len(thetas)}")
+    thetas = _json_triple(rec["theta"], "theta")
     if not all(math.isfinite(t) for t in thetas):
         raise ValueError(f"theta must be finite, got {list(thetas)}")
     omega2 = rec["omega_squared"]
     if omega2 is None:
         return rec.get("x"), thetas, 0.0
+    omega2 = _json_number(omega2, "omega_squared")
     if not (math.isfinite(omega2) and omega2 >= 0.0):
         raise ValueError(
             f"omega_squared must be finite and non-negative, got {omega2}")
@@ -365,8 +439,8 @@ def cmd_verify(args) -> int:
         with open(args.solutions) as fh:
             data = json.load(fh)
         meta = data["metadata"]
-        masses = MassTriple(*meta["masses"])
-        R = SphereRadius(meta["radius"])
+        masses = MassTriple(*_json_triple(meta["masses"], "masses"))
+        R = SphereRadius(_json_number(meta["radius"], "radius"))
         # files written before the key existed hold the cotangent potential
         potential = meta.get("potential", "cotangent")
         if potential not in ("cotangent", "repulsive"):

@@ -502,6 +502,13 @@ class TestVerifyReport:
         ("theta", [0.1, math.nan, 0.3]),
         ("theta", [0.1, math.inf, 0.3]),
         ("theta", [0.1, 0.3]),
+        # a string is no list of numbers, and true no number (not 1.0)
+        ("theta", "123"),
+        ("theta", [0.1, True, 0.3]),
+        ("omega_squared", True),
+        # an int that no float holds
+        pytest.param("theta", [0.1, 10 ** 400, 0.3], id="theta-huge_int"),
+        pytest.param("omega_squared", 10 ** 400, id="omega_squared-huge_int"),
     ])
     def test_bad_field_is_named(self, tmp_path, capsys, field, value):
         sol_file = tmp_path / "two.json"
@@ -514,6 +521,24 @@ class TestVerifyReport:
         captured = capsys.readouterr()
         assert "cannot parse" in captured.err and field in captured.err
         assert "dt" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("field,value", [
+        ("masses", [3, 2, True]),
+        ("masses", "321"),
+        ("radius", True),
+        pytest.param("radius", 10 ** 400, id="radius-huge_int"),
+    ])
+    def test_bad_metadata_field_is_named(self, tmp_path, capsys, field, value):
+        sol_file = tmp_path / "two.json"
+        main(["meridian", "--masses", "3,2,1", "--a", str(math.pi / 4),
+              "--out", str(sol_file)])
+        data = json.loads(sol_file.read_text())
+        data["metadata"][field] = value
+        sol_file.write_text(json.dumps(data))
+        assert main(["verify", str(sol_file)]) == 1
+        captured = capsys.readouterr()
+        assert "cannot parse" in captured.err and field in captured.err
         assert captured.out == ""
 
 
