@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import io
 import json
@@ -20,7 +19,6 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
-from . import equator as eq
 from . import kernels
 from . import meridian as mer
 from .dynamics import (
@@ -128,6 +126,8 @@ def _potential(name, R: SphereRadius):
 
 
 def cmd_equator(args) -> int:
+    from . import equator as eq
+
     R = SphereRadius(args.radius)
     try:
         result = eq.solve_equator(args.masses)
@@ -250,6 +250,8 @@ def cmd_meridian(args) -> int:
     solutions = mer.find_meridian_rotators(args.a, args.masses, pot,
                                            residual_tol=args.tol_residual)
     if args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(CSV_HEADER)
@@ -364,6 +366,8 @@ def _write_sweep_slice(fh, a, per_region, nu1_text, nu2_text) -> tuple[int, str]
 
 
 VERIFY_STEPS = 4000  # RK4 steps per period
+# largest distance, in radians mod 2*pi, of a record's x from theta3 - theta1
+X_TOL = 1e-9
 
 
 def _sigma_drift(thetas, omega, masses, pot):
@@ -410,20 +414,27 @@ def _json_triple(values, field: str) -> tuple[float, float, float]:
 
 
 def _verify_record(rec: dict) -> tuple:
-    """(x, thetas, omega_squared) of one solution record, omega_squared 0
-    for a fixed point; raises KeyError, TypeError or ValueError when the
-    record is malformed."""
+    """(x, thetas, omega_squared) of one solution record, x None where the
+    record has none and omega_squared 0 for a fixed point; raises
+    KeyError, TypeError or ValueError when the record is malformed, also
+    where x is not theta3 - theta1 (mod 2*pi) to within X_TOL."""
     thetas = _json_triple(rec["theta"], "theta")
     if not all(math.isfinite(t) for t in thetas):
         raise ValueError(f"theta must be finite, got {list(thetas)}")
+    x = None
+    if "x" in rec:
+        x = _json_number(rec["x"], "x")
+        gap = (thetas[2] - thetas[0] - x) % mer.TWO_PI
+        if not min(gap, mer.TWO_PI - gap) <= X_TOL:  # also where x is nan or inf
+            raise ValueError(f"x: {x!r} is not theta3 - theta1 (mod 2*pi)")
     omega2 = rec["omega_squared"]
     if omega2 is None:
-        return rec.get("x"), thetas, 0.0
+        return x, thetas, 0.0
     omega2 = _json_number(omega2, "omega_squared")
     if not (math.isfinite(omega2) and omega2 >= 0.0):
         raise ValueError(
             f"omega_squared must be finite and non-negative, got {omega2}")
-    return rec.get("x"), thetas, omega2
+    return x, thetas, omega2
 
 
 def _json_value(v):
@@ -494,8 +505,12 @@ def cmd_euler_limit(args) -> int:
         if not 0.0 < args.r21 / R < math.pi:
             raise ValueError(f"--r21 / R must lie in (0, pi) for every R in "
                              f"--R-list, got --r21 {args.r21} and R {R}")
-    report = mer.euler_limit_check(args.masses, args.r21, args.R_list)
+    from .euler_limit import euler_limit_check
+
+    report = euler_limit_check(args.masses, args.r21, args.R_list)
     if args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["R", "max_coeff_deviation", "root_deviation"])

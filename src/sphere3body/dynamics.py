@@ -46,9 +46,9 @@ class MassTriple(_MassFields):
         # written so that nan fails too; min() would let it through
         if not all(0.0 < v < math.inf for v in m):
             raise ValueError(f"masses must be positive and finite: {m}")
-        # the lift and the residuals multiply masses pairwise, and
-        # meridian.exceptional_case_angles takes nu^3: none of these may
-        # overflow or vanish
+        # the lift and the residuals multiply masses pairwise, and the
+        # closed forms of the exceptional Case 2/3 shapes take nu^3: none
+        # of these may overflow or vanish
         total = m[0] + m[1] + m[2]
         if not (total * total < math.inf
                 and all(0.0 < nu * nu * nu < math.inf for nu in (self.nu1, self.nu2))):

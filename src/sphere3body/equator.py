@@ -1,12 +1,12 @@
 """Closed-form rotating equilibria on the equator for the cotangent
 potential: existence region, longitude differences, the common sine
-ratio, potential energy, and the antipodal-limit scan.
+ratio and the potential energy.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .dynamics import MassTriple
 
@@ -106,63 +106,3 @@ def _closed_form(masses: MassTriple) -> EquatorSolution:
     d12, d23, d31 = _dphis_from_mu(masses.mu, rho)
     neg_v = math.sqrt(prod)  # divided by R when R != 1; stored for R = 1
     return EquatorSolution(d12, d23, d31, rho, neg_v)
-
-
-def default_antipodal_path() -> Callable[[float], MassTriple]:
-    """Mass family m1 = m2 growing toward the antipodal limit, m3 = 1.
-
-    At t = 1, sqrt(m3/m1) + sqrt(m3/m2) = 1 exactly (m1 = m2 = 4 m3).
-    The start m1 = 3 m3 puts the whole path on the tail where -V is
-    monotone decreasing.
-    """
-
-    def path(t: float) -> MassTriple:
-        m = 3.0 + t
-        return MassTriple(m, m, 1.0)
-
-    return path
-
-
-class AntipodalScanRow(NamedTuple):
-    t: float
-    masses: MassTriple
-    neg_potential_energy: float
-    dphi_12: float
-    dphi_23: float
-    dphi_31: float
-
-
-def antipodal_limit_scan(
-    mass_path: Callable[[float], MassTriple] | None = None,
-    steps: int = 50,
-) -> list[AntipodalScanRow]:
-    """Tabulate -V and the longitude differences along a mass path that
-    terminates on the existence boundary.
-
-    The terminal point is evaluated from the closed forms directly
-    (rho -> 0, cosines clamped); every interior point must classify as
-    interior or the scan aborts.
-    """
-    if mass_path is None:
-        mass_path = default_antipodal_path()
-    rows = []
-    for n in range(steps + 1):
-        t = n / steps
-        masses = mass_path(t)
-        check = existence_check(masses)
-        if check.region == INTERIOR:
-            sol = solve_equator(masses)
-        elif n == steps:
-            sol = _closed_form(masses)
-        else:
-            raise ValueError(
-                f"path leaves the interior region at t={t} ({check.region})"
-            )
-        rows.append(
-            AntipodalScanRow(
-                t, masses, sol.neg_potential_energy,
-                sol.dphi_12, sol.dphi_23, sol.dphi_31,
-            )
-        )
-    return rows
-

@@ -72,16 +72,3 @@ def chord_squared(p_i: SpherePoint, p_j: SpherePoint, R: SphereRadius) -> float:
 def arc_angle(p_i: SpherePoint, p_j: SpherePoint) -> float:
     """Arc angle in [0, pi] between two points as seen from the center."""
     return math.acos(_cos_arc(p_i, p_j))
-
-
-def chord_from_arc(sigma: float, R: SphereRadius) -> float:
-    """Chord length D = 2 R sin(sigma / 2) for an arc angle in [0, pi]."""
-    if not 0.0 <= sigma <= math.pi:
-        raise ValueError(f"arc angle must lie in [0, pi], got {sigma}")
-    return 2.0 * R.R * math.sin(0.5 * sigma)
-
-
-def arc_from_chord_squared(d2: float, R: SphereRadius) -> float:
-    """Inverse of chord_from_arc on squared input."""
-    s = _clamp(math.sqrt(max(d2, 0.0)) * R.epsilon)
-    return 2.0 * math.asin(s)

@@ -1,8 +1,8 @@
 """Rotating-meridian machinery: shape <-> configuration translation,
 per-pair force/geometry terms with case classification, the region
-bookkeeping and root finding for the reduced scalar equation g (defined
-in kernels), the special families, and the flat-space (large radius)
-limit.
+bookkeeping, root finding for the reduced scalar equation g (defined in
+kernels) and the sweep's grid counter. The flat-space limit is
+euler_limit's; the paper's closed-form families are test oracles.
 
 Shape angles: a = theta2 - theta1 in (0, pi) is fixed; the unknown is
 x = theta3 - theta1 in (0, 2*pi). The potential is singular at
@@ -15,8 +15,8 @@ A rotator's thetas lift its shape on branch s so that
 W = sum_k m_k e^(2i theta_k) = s * A: the planar angular momentum Im W
 vanishes. The lift promises no more: residual_max, the backward error of
 thetas in radians of x (dynamics.backward_error), judges everything else,
-and find_meridian_rotators and isosceles_rotators keep a solution only
-where it is at most RESIDUAL_TOL (or the tolerance given).
+and find_meridian_rotators keeps a solution only where it is at most
+RESIDUAL_TOL (or the tolerance given).
 
 A shape becomes a solution in one pass, solution_from_shape then
 _solution: the ratio equations (_ratio_terms, also the case's and the
@@ -27,9 +27,9 @@ The sphere's radius comes from the potential alone (pot.radius); a
 function given no potential solves on the unit sphere under the
 cotangent potential.
 
-The solver runs on plain floats. Only the sweep's grid counter and the
-flat-space limit make arrays, and they import numpy where they run, so a
-process that only solves never imports it.
+The solver runs on plain floats. Only the sweep's grid counter makes
+arrays, and it imports numpy where it runs, so a process that only
+solves never imports it.
 """
 
 from __future__ import annotations
@@ -91,10 +91,6 @@ def _check_a(a: float):
         raise ValueError(f"a must lie in (0, pi), got {a}")
 
 
-def region_bounds(region: str, a: float) -> tuple[float, float]:
-    return _region_ends(a)[REGIONS.index(region)]
-
-
 def region_of(x: float, a: float) -> str:
     x = x % TWO_PI
     for region, (lo, hi) in zip(REGIONS, _region_ends(a)):
@@ -132,12 +128,6 @@ def _w_sums(masses: MassTriple, shape: Shape) -> tuple[float, float]:
             m2 * math.sin(2.0 * t21) + m3 * math.sin(2.0 * t31))
 
 
-def amplitude_A(masses: MassTriple, shape: Shape) -> float:
-    """Translation amplitude A = |W|; zero exactly at the fixed-point
-    shapes."""
-    return math.hypot(*_w_sums(masses, shape))
-
-
 def _lift(masses: MassTriple, shape: Shape, s: int):
     """(A, thetas) from one evaluation of W's sums: the amplitude and the
     colatitudes that lift shape on branch s, or None for thetas where
@@ -151,16 +141,6 @@ def _lift(masses: MassTriple, shape: Shape, s: int):
     # e^(2i theta1) = s * conj(W e^(-2i theta1)) / A, and atan2 needs no A
     t1 = 0.5 * math.atan2(s * (-sin_part), s * cos_part)
     return A, (t1, t1 + shape.theta21, t1 + shape.theta31)
-
-
-def shape_to_configurations(
-    masses: MassTriple,
-    shape: Shape,
-    s: int,
-) -> tuple[float, float, float] | None:
-    """Lift a shape to absolute colatitudes on the branch s = +/-1, where
-    W = s * A (module docstring); None for an A-zero shape (_lift)."""
-    return _lift(masses, shape, s)[1]
 
 
 class PairQuantities(NamedTuple):
@@ -620,47 +600,6 @@ def _generic_scan_roots(a, masses, pot) -> list[float]:
     return roots
 
 
-class RegionCounts(NamedTuple):
-    I: int
-    II: int
-    III: int
-    IV: int
-
-    @property
-    def total(self) -> int:
-        return self.I + self.II + self.III + self.IV
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.I, self.II, self.III, self.IV)
-
-
-def count_pi_over_2(nu_diff: float) -> RegionCounts:
-    """Closed-form solution counts at a = pi/2 as a function of
-    nu1 - nu2 (regions I and III always contribute one each)."""
-    if nu_diff < -4.0:
-        return RegionCounts(1, 0, 1, 2)
-    if nu_diff == -4.0:
-        return RegionCounts(1, 0, 1, 1)
-    if nu_diff < 4.0:
-        return RegionCounts(1, 0, 1, 0)
-    if nu_diff == 4.0:
-        return RegionCounts(1, 1, 1, 0)
-    return RegionCounts(1, 2, 1, 0)
-
-
-def count_rotators_scan(
-    a: float,
-    nu1: float,
-    nu2: float,
-) -> RegionCounts:
-    """Root counts of the reduced equation per region, with no
-    configuration lift. Every root counts once: a simple root, a tangent
-    (even-order) root and each root of a close pair alike. Raises
-    ValueError unless 0 < a < pi, as find_meridian_rotators does."""
-    _check_a(a)
-    return RegionCounts(*map(len, _scan_roots(a, nu1, nu2)))
-
-
 # count_rotators_grid_regions counts blocks of nu2 rows: a block's
 # (sample, nu2) arrays and its (nu1 + 1, nu2) difference array each hold
 # at most this many cells (48 KB in float64) unless one row is larger.
@@ -809,183 +748,3 @@ def _count_block(nu1s, nu2b, P, Q, S, turns) -> np.ndarray:
     counts = diff.reshape(n2, n1 + 1)
     counts[:, 0] += turns.size
     return np.cumsum(counts, axis=1, out=counts)[:, :n1]
-
-
-def equilateral_rotator(
-    masses: MassTriple,
-    pot: PairPotential | None = None,
-) -> MeridianSolution:
-    """The equilateral rotator (all mutual arcs 2*pi/3).
-
-    Potential-generic: omega^2 = 4 A |U'(3 R^2)|, on the branch s = -1
-    where U'(3 R^2) < 0 (the potential attracts there) and s = +1
-    otherwise; equal masses give the amplitude-zero fixed point.
-    """
-    pot = pot or _UNIT_COTANGENT
-    shape = Shape(2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
-    u_prime = pot.u_prime(3.0 * pot.radius.R * pot.radius.R)
-    return _solution(shape, masses, -1 if u_prime < 0.0 else 1,
-                     4.0 * abs(u_prime), CASE1, pot)
-
-
-SPECIAL_ISOSCELES_COS_A = (math.sqrt(2.0) - 1.0) / 2.0
-
-
-def isosceles_rotators(
-    masses: MassTriple,
-    a: float | None = None,
-    pot: PairPotential | None = None,
-) -> list[MeridianSolution]:
-    """Isosceles rotators (body 3 at the midpoint of the minor or major
-    arc joining bodies 1 and 2).
-
-    nu1 = nu2: both families exist for every a. Unequal nu: the minor-arc
-    family only at cos(a) = (sqrt(2)-1)/2, the major-arc family only at
-    a = 2*pi/3 (where it is the equilateral rotator). a = None is the
-    special angle.
-    """
-    if a is None:
-        a = math.acos(SPECIAL_ISOSCELES_COS_A)
-    _check_a(a)
-    equal_nu = abs(masses.nu1 - masses.nu2) <= 1e-12 * (masses.nu1 + masses.nu2)
-    candidates = []
-    if equal_nu or abs(math.cos(a) - SPECIAL_ISOSCELES_COS_A) <= 1e-9:
-        candidates.append(a / 2.0)
-    if equal_nu or abs(a - 2.0 * math.pi / 3.0) <= 1e-9:
-        candidates.append(a / 2.0 + math.pi)
-    sols = [solution_from_shape(Shape(a, x), masses, pot) for x in candidates]
-    return [s for s in sols if s.residual_max <= RESIDUAL_TOL]
-
-
-class ExceptionalAngles(NamedTuple):
-    """Closed-form Case 2 / Case 3 shape angles for a given mass ratio.
-
-    theta_pair is theta1 - theta2; theta_other is theta2 - theta3
-    (Case 2) or theta3 - theta1 (Case 3).
-    """
-
-    which: str
-    nu: float
-    sin_theta_pair: float
-    cos_theta_pair: float
-    sin_theta_other: float
-    cos_theta_other: float
-
-    @property
-    def theta_pair(self) -> float:
-        return math.atan2(self.sin_theta_pair, self.cos_theta_pair)
-
-    @property
-    def theta_other(self) -> float:
-        return math.atan2(self.sin_theta_other, self.cos_theta_other)
-
-
-def exceptional_case_angles(which: str, nu: float) -> list[ExceptionalAngles]:
-    """Both cosine branches of the exceptional-case closed forms."""
-    if which not in (CASE2, CASE3):
-        raise ValueError(f"which must be {CASE2} or {CASE3}")
-    if nu <= 0:
-        raise ValueError("mass ratio must be positive")
-    den = (1.0 + nu) * (1.0 + nu * nu)
-    sin_pair = math.sqrt(nu * (1.0 + nu + nu * nu) / den)
-    cos_pair = 1.0 / math.sqrt(den)
-    sin_other = math.sqrt((1.0 + nu + nu * nu) / den)
-    cos_other = math.sqrt(nu ** 3 / den)
-    return [
-        ExceptionalAngles(which, nu, sin_pair, sign * cos_pair,
-                          sin_other, sign * cos_other)
-        for sign in (+1.0, -1.0)
-    ]
-
-
-def case4_fixed_point(masses: MassTriple) -> MeridianSolution | None:
-    """The all-G-equal fixed point: exists only for equal masses, as the
-    equilateral shape."""
-    m1, m2, m3 = masses.as_tuple()
-    tol = CASE_TOL * max(m1, m2, m3)
-    if abs(m1 - m2) > tol or abs(m2 - m3) > tol:
-        return None
-    shape = Shape(2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
-    return _solution(shape, masses, 0, None, CASE4_FIXED_POINT, _UNIT_COTANGENT)
-
-
-def euler_quintic_coefficients(masses: MassTriple) -> list[float]:
-    """Coefficients (degree descending) of the collinear quintic that
-    the reduced equation degenerates to on the flat plane."""
-    m1, m2, m3 = masses.as_tuple()
-    return [
-        m1 + m2,
-        3.0 * m1 + 2.0 * m2,
-        3.0 * m1 + m2,
-        -(m2 + 3.0 * m3),
-        -(2.0 * m2 + 3.0 * m3),
-        -(m2 + m3),
-    ]
-
-
-class EulerLimitRow(NamedTuple):
-    R: float
-    max_coeff_deviation: float
-    root_deviation: float
-
-
-class EulerLimitReport(NamedTuple):
-    rows: list[EulerLimitRow]
-    order_estimate: float
-    quintic_coefficients: list[float]
-    quintic_root: float
-
-
-def _quintic_positive_root(coeffs: Sequence[float]) -> float:
-    import numpy as np
-
-    roots = np.roots(coeffs)
-    real = [r.real for r in roots if abs(r.imag) < 1e-9 and r.real > 0]
-    if not real:
-        raise ValueError("quintic has no positive real root")
-    return min(real)
-
-
-def euler_limit_check(
-    masses: MassTriple,
-    r21: float,
-    R_values: Sequence[float],
-) -> EulerLimitReport:
-    """Compare the scaled reduced equation against the flat-plane
-    collinear quintic as the sphere radius grows (region II setup).
-
-    The scaled values m3/2 * g * (R/r21)^5 at x = (1 + lambda) * a,
-    a = r21/R, converge to the quintic in lambda at second order in
-    r21/R. reports per-R coefficient deviation and the deviation of the
-    meridian root from the quintic's positive root.
-    """
-    import numpy as np
-
-    coeffs = euler_quintic_coefficients(masses)
-    lam_root = _quintic_positive_root(coeffs)
-    nu1, nu2 = masses.nu1, masses.nu2
-    m3 = masses.m3
-    lam_nodes = np.linspace(0.2, 3.0, 6)
-    vander = np.vander(lam_nodes, 6)
-    rows = []
-    for R in R_values:
-        a = r21 / R
-        try:
-            scale = (R / r21) ** 5
-        except OverflowError:
-            raise ValueError(f"R/r21 = {R / r21} is out of range: (R/r21)^5 "
-                             f"overflows") from None
-        xs = (1.0 + lam_nodes) * a
-        scaled = kernels.g_array(xs, a, nu1, nu2) * scale * m3 / 2.0
-        fitted = np.linalg.solve(vander, scaled)
-        dev = float(np.max(np.abs(fitted - np.array(coeffs))))
-
-        # the region-II root of g nearest the flat-space root
-        roots = _scan_roots(a, nu1, nu2)[1]
-        root_dev = min((abs(x / a - 1.0 - lam_root) for x in roots),
-                       default=math.nan)
-        rows.append(EulerLimitRow(R, dev, root_dev))
-
-    logs = [(math.log(r.R), math.log(r.max_coeff_deviation)) for r in rows]
-    slope = np.polyfit([p[0] for p in logs], [p[1] for p in logs], 1)[0]
-    return EulerLimitReport(rows, -slope, coeffs, lam_root)

@@ -16,7 +16,8 @@ import pytest
 from sphere3body import cli
 from sphere3body import meridian as mer
 from sphere3body.cli import _parse_grid as _grid, main
-from sphere3body.meridian import count_rotators_scan
+
+from oracles import count_rotators_scan
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -166,7 +167,9 @@ class TestVerifyRoundTrip:
         main(["meridian", "--masses", "3,2,1", "--a", str(math.pi / 6),
               "--out", str(sol_file)])
         data = json.loads(sol_file.read_text())
+        # x moves with theta3, as verify reads x as theta3 - theta1
         data["solutions"][0]["theta"][2] += 1e-3
+        data["solutions"][0]["x"] += 1e-3
         sol_file.write_text(json.dumps(data))
 
         code, out = run(capsys, ["verify", str(sol_file)])
@@ -509,12 +512,18 @@ class TestVerifyReport:
         # an int that no float holds
         pytest.param("theta", [0.1, 10 ** 400, 0.3], id="theta-huge_int"),
         pytest.param("omega_squared", 10 ** 400, id="omega_squared-huge_int"),
+        # x is a number, theta3 - theta1 (mod 2 pi) to within 1e-9 rad
+        ("x", "not a number"),
+        ("x", True),
+        pytest.param("x", lambda x: x + 1e-6, id="x-off_by_1e-6"),
     ])
     def test_bad_field_is_named(self, tmp_path, capsys, field, value):
         sol_file = tmp_path / "two.json"
         main(["meridian", "--masses", "3,2,1", "--a", str(math.pi / 4),
               "--out", str(sol_file)])
         data = json.loads(sol_file.read_text())
+        if callable(value):
+            value = value(data["solutions"][0][field])
         data["solutions"][0][field] = value
         sol_file.write_text(json.dumps(data))
         assert main(["verify", str(sol_file), "--integrate"]) == 1
@@ -785,3 +794,33 @@ def test_solving_commands_never_import_numpy(tmp_path):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "[]", "[]"]
+
+
+# run in a fresh interpreter: meridian as JSON, then which of the modules
+# that it does not need it loaded, then the package's public names
+ON_DEMAND_SCRIPT = """
+import contextlib, io, sys
+from sphere3body import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["meridian", "--masses", "3,2,1", "--a", "0.5235987755982988"])
+print(code, sorted({"sphere3body.equator", "sphere3body.euler_limit", "csv"}
+                   & set(sys.modules)))
+import sphere3body
+from sphere3body import *
+from sphere3body import equator
+print(sphere3body.solve_equator is equator.solve_equator,
+      all(globals()[name] is getattr(sphere3body, name)
+          for name in sphere3body.__all__))
+"""
+
+
+def test_meridian_loads_neither_equator_nor_euler_limit(tmp_path):
+    # cmd_equator imports equator, cmd_euler_limit euler_limit and the CSV
+    # branches csv, each where it runs; the package gives the equator's
+    # names on first use, so `from sphere3body import *` still has them
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", ON_DEMAND_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]", "True", "True"]

@@ -9,13 +9,13 @@ from sphere3body.equator import (
     EXTERIOR,
     INTERIOR,
     NoEquatorSolution,
-    antipodal_limit_scan,
-    default_antipodal_path,
     existence_check,
     solve_equator,
 )
 from sphere3body.geometry import SphereRadius
 from sphere3body.potential import cotangent_potential
+
+from oracles import antipodal_limit_scan, default_antipodal_path
 
 R1 = SphereRadius(1.0)
 POT = cotangent_potential(R1)

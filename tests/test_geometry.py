@@ -3,14 +3,9 @@ import random
 
 import pytest
 
-from sphere3body.geometry import (
-    SpherePoint,
-    SphereRadius,
-    arc_angle,
-    arc_from_chord_squared,
-    chord_from_arc,
-    chord_squared,
-)
+from sphere3body.geometry import SpherePoint, SphereRadius, arc_angle, chord_squared
+
+from oracles import arc_from_chord_squared, chord_from_arc
 
 
 def test_sphere_radius_epsilon():

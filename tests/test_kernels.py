@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sphere3body import kernels
-from sphere3body.meridian import REGIONS, region_bounds
+from sphere3body.meridian import REGIONS
+
+from oracles import region_bounds
 
 # region -> (alpha, beta): the signs of sin(x) and sin(x - a)
 REGION_SIGNS = {"I": (1, -1), "II": (1, 1), "III": (-1, 1), "IV": (-1, -1)}

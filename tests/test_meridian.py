@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sphere3body import kernels
+from sphere3body import euler_limit, kernels
 from sphere3body import meridian as mer
 from sphere3body.dynamics import MassTriple, backward_error, configuration_residuals
 from sphere3body.geometry import SphereRadius
@@ -17,6 +17,8 @@ from sphere3body.potential import (
     cotangent_potential,
     repulsive,
 )
+
+import oracles
 from test_dynamics import _outcome
 from test_kernels import REGION_SIGNS, g_reference
 from test_region_roots import NAMED
@@ -187,7 +189,7 @@ class TestGFunction:
 class TestTranslation:
     def test_lift_reproduces_shape(self):
         shape = mer.Shape(0.6, 2.2)
-        t1, t2, t3 = mer.shape_to_configurations(M321, shape, 1)
+        t1, t2, t3 = oracles.shape_to_configurations(M321, shape, 1)
         assert t2 - t1 == pytest.approx(shape.theta21)
         assert t3 - t1 == pytest.approx(shape.theta31)
 
@@ -196,16 +198,16 @@ class TestTranslation:
         # W = sum m_k e^(2i theta_k) = s * A: Im W, the planar angular
         # momentum, vanishes
         shape = mer.Shape(0.6, 2.2)
-        thetas = mer.shape_to_configurations(M321, shape, s)
+        thetas = oracles.shape_to_configurations(M321, shape, s)
         W = sum(m * complex(math.cos(2.0 * t), math.sin(2.0 * t))
                 for m, t in zip(M321.as_tuple(), thetas))
-        A = mer.amplitude_A(M321, shape)
+        A = oracles.amplitude_A(M321, shape)
         assert abs(W - s * A) < 1e-14 * sum(M321.as_tuple())
 
     def test_branch_flip_is_quarter_turn(self):
         shape = mer.Shape(0.6, 2.2)
-        plus = mer.shape_to_configurations(M321, shape, 1)
-        minus = mer.shape_to_configurations(M321, shape, -1)
+        plus = oracles.shape_to_configurations(M321, shape, 1)
+        minus = oracles.shape_to_configurations(M321, shape, -1)
         d = (minus[0] - plus[0]) / (math.pi / 2.0)
         assert abs(d - round(d)) < 1e-10
         assert round(d) % 2 == 1  # odd multiple of pi/2
@@ -213,20 +215,20 @@ class TestTranslation:
     def test_amplitude_zero_has_no_lift(self):
         m = MassTriple(1.0, 1.0, 1.0)
         shape = mer.Shape(2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
-        assert mer.amplitude_A(m, shape) < 1e-12
-        assert mer.shape_to_configurations(m, shape, 1) is None
-        assert mer.shape_to_configurations(m, shape, -1) is None
+        assert oracles.amplitude_A(m, shape) < 1e-12
+        assert oracles.shape_to_configurations(m, shape, 1) is None
+        assert oracles.shape_to_configurations(m, shape, -1) is None
         # 3.5e-8 off the equilateral shape the G values differ (Case 1),
         # but A ~ 7e-8 is under the A-zero bound: an A-zero fixed point
         near = mer.Shape(shape.theta21, shape.theta31 + 3.5e-8)
-        assert mer.shape_to_configurations(m, near, 1) is None
+        assert oracles.shape_to_configurations(m, near, 1) is None
         sol = mer.solution_from_shape(near, m)
         assert sol.case_tag == mer.A_ZERO_FIXED_POINT
         assert sol.s == 0 and sol.omega_squared is None and sol.is_fixed_point
         assert sol.thetas == (0.0, near.theta21, near.theta31)
 
     def test_antipodal_lift(self):
-        fixed = mer.case4_fixed_point(MassTriple(1.0, 1.0, 1.0))
+        fixed = oracles.case4_fixed_point(MassTriple(1.0, 1.0, 1.0))
         assert fixed.thetas == (0.0, fixed.shape.theta21, fixed.shape.theta31)
         for sol in mer.find_meridian_rotators(math.pi / 4, M321) + [fixed]:
             for t, ta in zip(sol.thetas, sol.thetas_alt):
@@ -313,7 +315,7 @@ class TestSolver:
         sols = mer.find_meridian_rotators(a, masses)
         mirror_sols = mer.find_meridian_rotators(a, mirror)
         assert len(sols) == len(mirror_sols) == count
-        assert min(mer.amplitude_A(masses, s.shape) for s in sols) < 3e-4
+        assert min(oracles.amplitude_A(masses, s.shape) for s in sols) < 3e-4
         # swapping m1 and m2 maps x to a - x (mod 2 pi)
         mapped = sorted((a - s.x) % (2.0 * math.pi) for s in sols)
         assert mapped == pytest.approx(sorted(s.x for s in mirror_sols), abs=1e-7)
@@ -417,7 +419,7 @@ class TestSolver:
         for flip in (lambda p: p, repulsive):
             unit_pot = flip(cotangent_potential(R1))
             unit = mer.find_meridian_rotators(math.pi / 6, M321, unit_pot)
-            unit_eq = mer.equilateral_rotator(M321, unit_pot)
+            unit_eq = oracles.equilateral_rotator(M321, unit_pot)
             for R in (0.5, 2.0, 1000.0):
                 pot = flip(cotangent_potential(SphereRadius(R)))
                 scaled = mer.find_meridian_rotators(math.pi / 6, M321, pot)
@@ -427,7 +429,7 @@ class TestSolver:
                     assert [t.hex() for t in s.thetas] == [t.hex() for t in u.thetas]
                     assert s.omega_squared * R ** 3 == pytest.approx(
                         u.omega_squared, rel=1e-12)
-                eq = mer.equilateral_rotator(M321, pot)
+                eq = oracles.equilateral_rotator(M321, pot)
                 assert eq.residual_max <= mer.RESIDUAL_TOL
                 assert eq.omega_squared * R ** 3 == pytest.approx(
                     unit_eq.omega_squared, rel=1e-12)
@@ -437,12 +439,12 @@ class TestCounting:
     def test_scan_count_rejects_a_above_pi(self):
         # it counted (1, 0, 1, 0) roots on regions that run backwards past pi
         with pytest.raises(ValueError, match="a must lie in"):
-            mer.count_rotators_scan(4.0, 2.0, 1.0)
+            oracles.count_rotators_scan(4.0, 2.0, 1.0)
 
     def test_scan_count_rejects_nan_a(self):
         # it raised IndexError
         with pytest.raises(ValueError, match="a must lie in"):
-            mer.count_rotators_scan(math.nan, 2.0, 1.0)
+            oracles.count_rotators_scan(math.nan, 2.0, 1.0)
 
     @pytest.mark.parametrize(
         "diff,expected",
@@ -450,7 +452,7 @@ class TestCounting:
          (4.0, (1, 1, 1, 0)), (5.0, (1, 2, 1, 0))],
     )
     def test_count_pi_over_2_closed_form(self, diff, expected):
-        assert mer.count_pi_over_2(diff).as_tuple() == expected
+        assert oracles.count_pi_over_2(diff).as_tuple() == expected
 
     # beside the tangent roots at |nu1 - nu2| = 4: pairs of roots 5e-4 to
     # 5e-7 apart (+-4 outwards) and no roots (+-4 inwards)
@@ -462,8 +464,8 @@ class TestCounting:
     def test_scan_agrees_with_closed_form(self, diff):
         nu2 = 6.0
         nu1 = nu2 + diff
-        scan = mer.count_rotators_scan(math.pi / 2, nu1, nu2)
-        assert scan.as_tuple() == mer.count_pi_over_2(diff).as_tuple()
+        scan = oracles.count_rotators_scan(math.pi / 2, nu1, nu2)
+        assert scan.as_tuple() == oracles.count_pi_over_2(diff).as_tuple()
 
     def test_grid_counter_matches_scan(self):
         a = math.pi / 6
@@ -472,7 +474,7 @@ class TestCounting:
         grid = sum(mer.count_rotators_grid_regions(a, nu1s, nu2s).values())
         for i, n1 in enumerate(nu1s):
             for j, n2 in enumerate(nu2s):
-                assert grid[i, j] == mer.count_rotators_scan(a, n1, n2).total
+                assert grid[i, j] == oracles.count_rotators_scan(a, n1, n2).total
 
     # per-region counts stored from an earlier version of the counters:
     # the named paper cases plus seeded random inputs, and a 10x10 grid
@@ -481,7 +483,7 @@ class TestCounting:
 
     @pytest.mark.parametrize("case", STORED["scan"], ids=lambda c: c["case"])
     def test_scan_counts_match_stored(self, case):
-        counts = mer.count_rotators_scan(case["a"], case["nu1"], case["nu2"])
+        counts = oracles.count_rotators_scan(case["a"], case["nu1"], case["nu2"])
         assert list(counts.as_tuple()) == case["counts"]
 
     def test_grid_counts_match_stored(self):
@@ -501,7 +503,7 @@ def broadcast_grid_regions(a, nu1_values, nu2_values, samples_per_region=400,
     nu2v = np.asarray(nu2_values, dtype=float)
     out = {}
     for region in mer.REGIONS:
-        lo, hi = mer.region_bounds(region, a)
+        lo, hi = oracles.region_bounds(region, a)
         xs = np.linspace(lo + boundary_tol, hi - boundary_tol, samples_per_region)
         P, Q, S = kernels.g_terms(xs, a)
         g = (
@@ -526,7 +528,7 @@ def _grid_cases():
     # nu1 a few ulps either side of a zero of g at one sample: the count
     # there depends on the order in which g's terms are summed
     for k, a in enumerate(rng.uniform(0.2, 3.0, 40)):
-        lo, hi = mer.region_bounds(mer.REGIONS[k % 4], a)
+        lo, hi = oracles.region_bounds(mer.REGIONS[k % 4], a)
         P, Q, S = kernels.g_terms(np.linspace(lo + 1e-8, hi - 1e-8, 400), a)
         i, nu2 = rng.integers(1, 399), rng.uniform(0.1, 10.0)
         nu1 = -(nu2 * Q[i] + S[i]) / P[i]
@@ -595,7 +597,7 @@ class TestGridCounter:
         grid = mer.count_rotators_grid_regions(a, nus, nus)
         for i, nu1 in enumerate(nus):
             for j, nu2 in enumerate(nus):
-                scan = mer.count_rotators_scan(a, nu1, nu2)
+                scan = oracles.count_rotators_scan(a, nu1, nu2)
                 assert tuple(int(grid[r][i, j]) for r in mer.REGIONS) == \
                     scan.as_tuple()
 
@@ -713,9 +715,9 @@ class TestGridThresholds:
 
 class TestSpecialFamilies:
     def test_equilateral_unequal_masses(self):
-        sol = mer.equilateral_rotator(M321)
+        sol = oracles.equilateral_rotator(M321)
         assert sol.s == -1
-        A = mer.amplitude_A(M321, sol.shape)
+        A = oracles.amplitude_A(M321, sol.shape)
         uprime = POT.u_prime(3.0)
         assert sol.omega_squared == pytest.approx(-4.0 * A * uprime, rel=1e-13)
         assert sol.residual_max < 1e-10
@@ -729,19 +731,19 @@ class TestSpecialFamilies:
         pushing = PairPotential(u=lambda d2: -d2 ** -0.5,
                                 u_prime=lambda d2: 0.5 * d2 ** -1.5)
         for m in (M321, MassTriple(1.0, 2.0, 3.0), MassTriple(0.3, 5.0, 1.7)):
-            pulled = mer.equilateral_rotator(m, inverse)
-            pushed = mer.equilateral_rotator(m, pushing)
+            pulled = oracles.equilateral_rotator(m, inverse)
+            pushed = oracles.equilateral_rotator(m, pushing)
             assert pulled.s == -1 and pushed.s == 1
-            assert pushed == mer.equilateral_rotator(m, repulsive(inverse))
+            assert pushed == oracles.equilateral_rotator(m, repulsive(inverse))
             assert pushed.omega_squared == pulled.omega_squared
             assert max(pulled.residual_max, pushed.residual_max) <= 1e-12
             for pot in (POT, repulsive(POT)):
-                sol = mer.equilateral_rotator(m, pot)
+                sol = oracles.equilateral_rotator(m, pot)
                 assert sol.s == (-1 if pot.u_prime(3.0) < 0.0 else 1)
                 assert sol.residual_max < 1e-10
 
     def test_equilateral_equal_masses_fixed_point(self):
-        sol = mer.equilateral_rotator(MassTriple(1.0, 1.0, 1.0))
+        sol = oracles.equilateral_rotator(MassTriple(1.0, 1.0, 1.0))
         assert sol.is_fixed_point
         assert sol.case_tag == mer.A_ZERO_FIXED_POINT
         assert sol.residual_max < 1e-12
@@ -751,19 +753,19 @@ class TestSpecialFamilies:
         rng = np.random.default_rng(42)
         for _ in range(5):
             m = MassTriple(*rng.uniform(0.5, 5.0, size=3))
-            sols = mer.isosceles_rotators(m)
+            sols = oracles.isosceles_rotators(m)
             small = [s for s in sols if s.x == pytest.approx(
-                math.acos(mer.SPECIAL_ISOSCELES_COS_A) / 2.0, abs=1e-9)]
+                math.acos(oracles.SPECIAL_ISOSCELES_COS_A) / 2.0, abs=1e-9)]
             assert len(small) == 1
             sol = small[0]
-            A = mer.amplitude_A(m, sol.shape)
+            A = oracles.amplitude_A(m, sol.shape)
             expected = (16.0 * A / 7.0) * math.sqrt((13.0 + 16.0 * math.sqrt(2.0)) / 7.0)
             assert sol.s == 1
             assert sol.omega_squared == pytest.approx(expected, rel=1e-10)
 
     def test_isosceles_equal_nu_any_angle(self):
         m = MassTriple(2.0, 2.0, 1.0)
-        sols = mer.isosceles_rotators(m, 1.1)
+        sols = oracles.isosceles_rotators(m, 1.1)
         xs = sorted(s.x for s in sols)
         assert xs[0] == pytest.approx(0.55, abs=1e-12)
         assert xs[1] == pytest.approx(0.55 + math.pi, abs=1e-12)
@@ -772,7 +774,7 @@ class TestSpecialFamilies:
 
     def test_exceptional_angles_satisfy_equalities(self):
         for nu in (0.1, 0.5, 1.0, 2.0, 10.0):
-            for row in mer.exceptional_case_angles(mer.CASE2, nu):
+            for row in oracles.exceptional_case_angles(mer.CASE2, nu):
                 m = MassTriple(nu, 1.7, 1.0)
                 th1, th2 = 0.0, -row.theta_pair
                 th3 = th2 - row.theta_other
@@ -783,7 +785,7 @@ class TestSpecialFamilies:
                 scale = m.m1 * m.m2 + m.m2 * m.m3
                 assert abs(G12 - G23) < 1e-12 * scale
                 assert abs(F12 - F23) < 1e-10 * max(abs(F12), 1.0)
-            for row in mer.exceptional_case_angles(mer.CASE3, nu):
+            for row in oracles.exceptional_case_angles(mer.CASE3, nu):
                 m = MassTriple(1.3, nu, 1.0)
                 th1, th2 = 0.0, -row.theta_pair
                 th3 = th1 + row.theta_other
@@ -800,13 +802,13 @@ class TestSpecialFamilies:
         # at the exceptional angle the region solver returns the closed-form
         # shape (reflected, so that a = theta_pair lies in (0, pi)), tagged
         # with its case
-        for row in mer.exceptional_case_angles(mer.CASE2, nu):
+        for row in oracles.exceptional_case_angles(mer.CASE2, nu):
             a = row.theta_pair
             sols = mer.find_meridian_rotators(a, MassTriple(nu, 1.7, 1.0))
             x = (a + row.theta_other) % (2.0 * math.pi)
             assert any(s.case_tag == mer.CASE2 and abs(s.x - x) <= 1e-12
                        for s in sols), (a, x, [(s.x, s.case_tag) for s in sols])
-        for row in mer.exceptional_case_angles(mer.CASE3, nu):
+        for row in oracles.exceptional_case_angles(mer.CASE3, nu):
             a = row.theta_pair
             sols = mer.find_meridian_rotators(a, MassTriple(1.3, nu, 1.0))
             x = -row.theta_other % (2.0 * math.pi)
@@ -816,18 +818,18 @@ class TestSpecialFamilies:
     @pytest.mark.parametrize("a", [0.0, -0.3, math.pi, 4.0, math.nan])
     def test_isosceles_rejects_a_outside_range(self, a):
         with pytest.raises(ValueError, match="a must lie in"):
-            mer.isosceles_rotators(M321, a)
+            oracles.isosceles_rotators(M321, a)
 
     def test_exceptional_angles_reject_bad_input(self):
         with pytest.raises(ValueError, match="which must be"):
-            mer.exceptional_case_angles(mer.CASE1, 2.0)
+            oracles.exceptional_case_angles(mer.CASE1, 2.0)
         for nu in (0.0, -1.0):
             with pytest.raises(ValueError, match="mass ratio must be positive"):
-                mer.exceptional_case_angles(mer.CASE2, nu)
+                oracles.exceptional_case_angles(mer.CASE2, nu)
 
     def test_case4_only_for_equal_masses(self):
-        assert mer.case4_fixed_point(M321) is None
-        sol = mer.case4_fixed_point(MassTriple(2.0, 2.0, 2.0))
+        assert oracles.case4_fixed_point(M321) is None
+        sol = oracles.case4_fixed_point(MassTriple(2.0, 2.0, 2.0))
         assert sol is not None
         assert sol.is_fixed_point
         assert sol.residual_max < 1e-12
@@ -835,34 +837,33 @@ class TestSpecialFamilies:
 
 class TestEulerLimit:
     def test_quintic_coefficients(self):
-        assert mer.euler_quintic_coefficients(M321) == [5, 13, 11, -5, -7, -3]
+        assert euler_limit.euler_quintic_coefficients(M321) == [5, 13, 11, -5, -7, -3]
 
     def test_equal_mass_root_is_one(self):
         m = MassTriple(1.0, 1.0, 1.0)
-        assert mer._quintic_positive_root(mer.euler_quintic_coefficients(m)) == (
-            pytest.approx(1.0, abs=1e-12)
-        )
+        coeffs = euler_limit.euler_quintic_coefficients(m)
+        assert euler_limit._quintic_positive_root(coeffs) == pytest.approx(1.0, abs=1e-12)
 
     def test_quintic_without_positive_root_is_an_error(self):
         # roots -1 and -2 +- i
         with pytest.raises(ValueError, match="no positive real root"):
-            mer._quintic_positive_root([1.0, 5.0, 9.0, 5.0])
+            euler_limit._quintic_positive_root([1.0, 5.0, 9.0, 5.0])
 
     def test_convergence_order_two(self):
-        report = mer.euler_limit_check(M321, 1.0, [100.0, 1000.0, 10000.0])
+        report = euler_limit.euler_limit_check(M321, 1.0, [100.0, 1000.0, 10000.0])
         assert report.order_estimate == pytest.approx(2.0, abs=0.2)
         devs = [r.max_coeff_deviation for r in report.rows]
         assert devs[0] > devs[1] > devs[2]
 
     def test_root_converges(self):
-        report = mer.euler_limit_check(M321, 1.0, [100.0, 1000.0, 10000.0])
+        report = euler_limit.euler_limit_check(M321, 1.0, [100.0, 1000.0, 10000.0])
         devs = [r.root_deviation for r in report.rows]
         assert devs[0] > devs[1] > devs[2]
         assert devs[-1] < 1e-6
 
     def test_equal_mass_root_deviation_tiny(self):
         m = MassTriple(1.0, 1.0, 1.0)
-        report = mer.euler_limit_check(m, 1.0, [1000.0, 10000.0])
+        report = euler_limit.euler_limit_check(m, 1.0, [1000.0, 10000.0])
         assert all(r.root_deviation < 1e-4 for r in report.rows)
 
 
@@ -941,7 +942,7 @@ def test_small_amplitude_matches_mpmath():
     with mpmath.workdps(60):
         ref = abs(1 + mpmath.expj(2 * mpmath.mpf(shape.theta21))
                   + mpmath.expj(2 * mpmath.mpf(shape.theta31)))
-        got = mer.amplitude_A(MassTriple(1.0, 1.0, 1.0), shape)
+        got = oracles.amplitude_A(MassTriple(1.0, 1.0, 1.0), shape)
         assert abs((got - ref) / ref) < 1e-9
 
 
@@ -997,7 +998,7 @@ def chain_omega_and_branch(pq, masses, A):
 
 def chain_lift(masses, shape, s):
     m1, m2, m3 = masses.as_tuple()
-    if mer.amplitude_A(masses, shape) <= mer.A_TOL * (m1 + m2 + m3):
+    if oracles.amplitude_A(masses, shape) <= mer.A_TOL * (m1 + m2 + m3):
         raise _AZero(shape)
     t21, t31 = shape.theta21, shape.theta31
     cos_part = m1 + m2 * math.cos(2.0 * t21) + m3 * math.cos(2.0 * t31)
@@ -1019,7 +1020,7 @@ def chain_solution(shape, masses, s, omega_squared, case_tag, pot):
 
 def chain_from_shape(shape, masses, pot):
     pq = mer.pair_quantities(masses, shape, pot)
-    A = mer.amplitude_A(masses, shape)
+    A = oracles.amplitude_A(masses, shape)
     s, omega_squared, tag = chain_omega_and_branch(pq, masses, A)
     return chain_solution(shape, masses, s, omega_squared, tag, pot)
 
@@ -1027,7 +1028,7 @@ def chain_from_shape(shape, masses, pot):
 def chain_equilateral(masses, pot):
     shape = mer.Shape(2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
     u_prime = pot.u_prime(3.0 * pot.radius.R * pot.radius.R)
-    omega_squared = 4.0 * mer.amplitude_A(masses, shape) * abs(u_prime)
+    omega_squared = 4.0 * oracles.amplitude_A(masses, shape) * abs(u_prime)
     return chain_solution(shape, masses, -1 if u_prime < 0.0 else 1,
                           omega_squared, mer.CASE1, pot)
 
@@ -1040,7 +1041,7 @@ def chain_generic_roots(a, masses, pot):
 
     roots = []
     for region in mer.REGIONS:
-        lo, hi = mer.region_bounds(region, a)
+        lo, hi = oracles.region_bounds(region, a)
         lo += mer.GENERIC_BOUNDARY_GAP
         hi -= mer.GENERIC_BOUNDARY_GAP
         xs = np.linspace(lo, hi, mer.GENERIC_SCAN_SAMPLES).tolist()
@@ -1125,25 +1126,26 @@ def test_special_families_match_transcription_bitwise():
     tags = set()
     for masses in masses_list:
         for pot in pots:
-            got = _solution_fields(mer.equilateral_rotator(masses, pot))
+            got = _solution_fields(oracles.equilateral_rotator(masses, pot))
             assert got == _hex_fields(chain_equilateral(masses, pot))
             tags.add(got[4])
             for a in (None, 0.7, 2.0 * math.pi / 3.0):
-                angle = math.acos(mer.SPECIAL_ISOSCELES_COS_A) if a is None else a
+                angle = math.acos(oracles.SPECIAL_ISOSCELES_COS_A) if a is None else a
                 equal_nu = abs(masses.nu1 - masses.nu2) <= 1e-12 * (
                     masses.nu1 + masses.nu2)
                 xs = []
-                if equal_nu or abs(math.cos(angle) - mer.SPECIAL_ISOSCELES_COS_A) <= 1e-9:
+                cos_gap = abs(math.cos(angle) - oracles.SPECIAL_ISOSCELES_COS_A)
+                if equal_nu or cos_gap <= 1e-9:
                     xs.append(angle / 2.0)
                 if equal_nu or abs(angle - 2.0 * math.pi / 3.0) <= 1e-9:
                     xs.append(angle / 2.0 + math.pi)
                 expect = [chain_from_shape(mer.Shape(angle, x), masses, pot)
                           for x in xs]
                 assert [_solution_fields(s) for s in
-                        mer.isosceles_rotators(masses, a, pot)] == [
+                        oracles.isosceles_rotators(masses, a, pot)] == [
                     _hex_fields(f) for f in expect if f[5] <= mer.RESIDUAL_TOL]
                 tags.update(f[4] for f in expect)
-        fixed = mer.case4_fixed_point(masses)
+        fixed = oracles.case4_fixed_point(masses)
         if fixed is not None:
             shape = mer.Shape(2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
             assert _solution_fields(fixed) == _hex_fields(chain_solution(
@@ -1230,7 +1232,7 @@ def test_regions_match_transcription_bitwise():
             xs += [p, p - 1e-13, p + 1e-13, p - 1e-9, p + 1e-9, p - 1e-7, p + 1e-7]
         xs += [math.nan, math.inf, -0.0]
         for region in mer.REGIONS:
-            assert _region_outcome(lambda: mer.region_bounds(region, a)) == (
+            assert _region_outcome(lambda: oracles.region_bounds(region, a)) == (
                 _region_outcome(lambda: region_bounds_reference(region, a)))
         for x in xs:
             assert _region_outcome(lambda: mer.region_of(x, a)) == _region_outcome(

@@ -3,12 +3,7 @@ import random
 
 import pytest
 
-from sphere3body.geometry import (
-    SpherePoint,
-    SphereRadius,
-    chord_from_arc,
-    chord_squared,
-)
+from sphere3body.geometry import SpherePoint, SphereRadius, chord_squared
 from sphere3body.potential import (
     ANTIPODAL,
     COLLISION,
@@ -17,6 +12,8 @@ from sphere3body.potential import (
     repulsive,
     total_potential,
 )
+
+from oracles import chord_from_arc
 
 
 def cotangent_u_prime_reference(d2, R):

@@ -5,11 +5,13 @@ import math
 
 import pytest
 
-from sphere3body import dynamics, equator, geometry, meridian, potential
+from sphere3body import dynamics, equator, euler_limit, geometry, meridian, potential
 from sphere3body.dynamics import MassTriple, Trajectory
 from sphere3body.equator import ExistenceResult
 from sphere3body.geometry import SpherePoint, SphereRadius
 from sphere3body.meridian import Shape
+
+import oracles
 
 
 def _u(d2):
@@ -34,7 +36,7 @@ RECORDS = {
     equator.ExistenceResult: dict(region=equator.EXTERIOR, violated="mu_3"),
     equator.EquatorSolution: dict(dphi_12=2.0, dphi_23=2.0, dphi_31=2.0 * math.pi - 4.0,
                                   rho=0.9, neg_potential_energy=1.5),
-    equator.AntipodalScanRow: dict(t=0.5, masses=MassTriple(3.5, 3.5, 1.0),
+    oracles.AntipodalScanRow: dict(t=0.5, masses=MassTriple(3.5, 3.5, 1.0),
                                    neg_potential_energy=2.0, dphi_12=1.0,
                                    dphi_23=2.5, dphi_31=2.0 * math.pi - 3.5),
     meridian.Shape: dict(theta21=0.5, theta31=3.5),
@@ -43,14 +45,14 @@ RECORDS = {
     meridian.MeridianSolution: dict(
         x=3.5, shape=Shape(0.5, 3.5), thetas=(0.1, 0.6, 3.6), s=1,
         omega_squared=2.0, case_tag=meridian.CASE1, residual_max=1e-16),
-    meridian.RegionCounts: dict(I=1, II=2, III=1, IV=0),
-    meridian.ExceptionalAngles: dict(which=meridian.CASE2, nu=2.0, sin_theta_pair=0.6,
-                                     cos_theta_pair=0.8, sin_theta_other=0.8,
-                                     cos_theta_other=-0.6),
-    meridian.EulerLimitRow: dict(R=10.0, max_coeff_deviation=1e-3,
-                                 root_deviation=2e-3),
-    meridian.EulerLimitReport: dict(
-        rows=[meridian.EulerLimitRow(10.0, 1e-3, 2e-3)], order_estimate=2.0,
+    oracles.RegionCounts: dict(I=1, II=2, III=1, IV=0),
+    oracles.ExceptionalAngles: dict(which=meridian.CASE2, nu=2.0, sin_theta_pair=0.6,
+                                    cos_theta_pair=0.8, sin_theta_other=0.8,
+                                    cos_theta_other=-0.6),
+    euler_limit.EulerLimitRow: dict(R=10.0, max_coeff_deviation=1e-3,
+                                    root_deviation=2e-3),
+    euler_limit.EulerLimitReport: dict(
+        rows=[euler_limit.EulerLimitRow(10.0, 1e-3, 2e-3)], order_estimate=2.0,
         quintic_coefficients=[5.0, 13.0, 11.0, -5.0, -7.0, -3.0], quintic_root=0.8),
 }
 
@@ -66,7 +68,8 @@ PARAMS = [pytest.param(cls, kwargs, id=cls.__name__) for cls, kwargs in RECORDS.
 
 def test_every_record_class_is_listed():
     found = {
-        obj for module in (dynamics, equator, geometry, meridian, potential)
+        obj for module in (dynamics, equator, euler_limit, geometry, meridian,
+                           potential, oracles)
         for name, obj in vars(module).items()
         if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
         and not name.startswith("_") and obj.__module__ == module.__name__
@@ -114,7 +117,7 @@ def test_equal_by_value(cls, kwargs):
 
 
 @pytest.mark.parametrize("cls,kwargs", [
-    p for p in PARAMS if p.values[0] is not meridian.EulerLimitReport])
+    p for p in PARAMS if p.values[0] is not euler_limit.EulerLimitReport])
 def test_hashable(cls, kwargs):
     # EulerLimitReport holds lists, so it never hashed
     assert hash(cls(**kwargs)) == hash(cls(**kwargs))

@@ -20,6 +20,8 @@ from sphere3body import kernels
 from sphere3body import meridian as mer
 from sphere3body.dynamics import MassTriple
 
+import oracles
+
 SAMPLES_PER_REGION = 2000
 MERGE_TOL = 1e-10
 ROOT_XTOL = 1e-13
@@ -77,7 +79,7 @@ def _old_refine_extremum(f, lo, hi, sign, iters=100):
 
 
 def old_scan_region_roots(a, nu1, nu2, region):
-    lo, hi = mer.region_bounds(region, a)
+    lo, hi = oracles.region_bounds(region, a)
     lo += BOUNDARY_TOL
     hi -= BOUNDARY_TOL
     if hi <= lo:
@@ -199,7 +201,7 @@ def test_no_false_tangent_root():
     # the scan took g ~ -1.9e-9 at x ~ 0.014038, which does not change
     # sign, for a tangent root
     a, nu1, nu2 = FALSE_TANGENT
-    assert mer.count_rotators_scan(a, nu1, nu2).as_tuple() == (1, 2, 1, 2)
+    assert oracles.count_rotators_scan(a, nu1, nu2).as_tuple() == (1, 2, 1, 2)
     assert any(abs(x - 0.014038) < 1e-5
                for x in old_scan_region_roots(a, nu1, nu2, "II"))
     assert not _changes_sign(0.014038, 1e-4, a, nu1, nu2)
@@ -282,7 +284,7 @@ def numpy_scan_region_roots(a, nu1, nu2, region):
     chebinterpolate on every call, knots through np.unique, g and the
     tangent test at the knots on arrays, and root refinement (today's
     ``mer._bisect``) on numpy scalars."""
-    lo, hi = mer.region_bounds(region, a)
+    lo, hi = oracles.region_bounds(region, a)
     mid = 0.5 * (lo + hi)
     chart = math.tan(0.25 * (hi - lo))
     lo += mer.BOUNDARY_TOL
@@ -532,7 +534,7 @@ def test_region_counts_have_the_parity_of_the_end_values():
         if abs(a - math.pi / 2) < 1e-3:
             continue
         nu1, nu2 = 10.0 ** rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-2.0, 2.0)
-        counts = mer.count_rotators_scan(a, nu1, nu2).as_tuple()
+        counts = oracles.count_rotators_scan(a, nu1, nu2).as_tuple()
         assert [n % 2 for n in counts] == [1, 0, 1, 0], (a, nu1, nu2, counts)
         cells += 1
 
@@ -552,9 +554,9 @@ def test_huge_nu_fit_is_scaled_exactly(monkeypatch):
     assert [[x.hex() for x in r] for r in scaled] == \
         [[x.hex() for x in r] for r in unscaled]
     assert sum(map(len, scaled)) >= len(scaled) // 2
-    assert mer.count_rotators_scan(1.0, 8e307, 1.0).total > 0
+    assert oracles.count_rotators_scan(1.0, 8e307, 1.0).total > 0
     with pytest.raises(ValueError, match="too large: g overflows"):
-        mer.count_rotators_scan(1.0, 1.7e308, 1.0)
+        oracles.count_rotators_scan(1.0, 1.7e308, 1.0)
 
 
 def _bernstein_coefficients(roots):
