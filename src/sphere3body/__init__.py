@@ -2,15 +2,18 @@
 two-sphere under the cotangent potential.
 
 Submodules: geometry (sphere primitives), potential (pair potentials),
-dynamics (equations of motion, integrator, residual oracles), equator
-(closed-form equatorial rotators), meridian (rotating-meridian solver),
-euler_limit (the flat-space limit), cli (command-line interface),
-kernels (the reduced equation g).
+dynamics (masses, meridian pulls, the backward error), integrator
+(equations of motion, RK4, residual oracle), equator (closed-form
+equatorial rotators), meridian (rotating-meridian solver), grid (the
+sweep's grid counter), euler_limit (the flat-space limit), cli
+(command-line interface), kernels (the reduced equation g).
 
-Importing the package does not import equator or euler_limit, so a
-process that solves on the meridian never compiles them: the equator's
-names below are looked up on first use (a module __getattr__, PEP 562),
-and euler_limit is imported by the euler-limit command alone.
+Importing the package loads geometry, potential, dynamics, kernels and
+meridian: what the meridian command runs, and no more. Each other module
+is loaded by the command that runs it, so a process that solves on the
+meridian never compiles it: equator by equator (and on first use of the
+equator's names below, through a module __getattr__, PEP 562),
+integrator by verify, grid by sweep, euler_limit by euler-limit.
 """
 
 from . import kernels

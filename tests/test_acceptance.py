@@ -12,14 +12,10 @@ import pytest
 
 from sphere3body import euler_limit, kernels
 from sphere3body import meridian as mer
-from sphere3body.dynamics import (
-    MassTriple,
-    SphericalState,
-    configuration_residuals,
-    integrate,
-)
+from sphere3body.dynamics import MassTriple
 from sphere3body.equator import solve_equator
 from sphere3body.geometry import SpherePoint, SphereRadius, arc_angle
+from sphere3body.integrator import SphericalState, configuration_residuals, integrate
 from sphere3body.potential import cotangent_potential, repulsive
 
 import oracles

@@ -664,6 +664,18 @@ def test_out_of_range_input_is_usage_error(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_too_extreme_mass_ratio_is_usage_error():
+    # nu1 = 1e103 cubed overflows, past MassTriple's bound on the ratios
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "sphere3body.cli", "meridian", "--masses",
+         "1e103,1,1", "--a", "1"], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 1
+    assert "masses or their ratios are too extreme" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 @pytest.mark.parametrize("masses", ["1,1,1", "4,4,4"])
 def test_equal_masses_at_two_thirds_pi_end_cleanly(masses, capsys):
     # the equilateral root of g is of higher order here, and the scan
@@ -796,14 +808,16 @@ def test_solving_commands_never_import_numpy(tmp_path):
     assert proc.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "[]", "[]"]
 
 
-# run in a fresh interpreter: meridian as JSON, then which of the modules
-# that it does not need it loaded, then the package's public names
+# run in a fresh interpreter: one command (the script's arguments), then
+# which of the modules loaded on demand it loaded, then the package's
+# public names
 ON_DEMAND_SCRIPT = """
 import contextlib, io, sys
 from sphere3body import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["meridian", "--masses", "3,2,1", "--a", "0.5235987755982988"])
-print(code, sorted({"sphere3body.equator", "sphere3body.euler_limit", "csv"}
+    code = cli.main(sys.argv[1:])
+print(code, sorted({"sphere3body.equator", "sphere3body.euler_limit",
+                    "sphere3body.grid", "sphere3body.integrator", "csv"}
                    & set(sys.modules)))
 import sphere3body
 from sphere3body import *
@@ -812,15 +826,51 @@ print(sphere3body.solve_equator is equator.solve_equator,
       all(globals()[name] is getattr(sphere3body, name)
           for name in sphere3body.__all__))
 """
+# each command and the modules of ON_DEMAND_SCRIPT's set that it loads;
+# six.json is a meridian file in the working directory
+ON_DEMAND = [
+    (["meridian", "--masses", "3,2,1", "--a", "0.5235987755982988"], []),
+    (["meridian", "--masses", "3,2,1", "--a", "0.7853981633974483",
+      "--format", "csv"], ["csv"]),
+    (["sweep", "--a-grid", "1.2:1.2:1", "--nu1-grid", "0.5:8:5",
+      "--nu2-grid", "0.5:8:5"], ["sphere3body.grid"]),
+    (["verify", "six.json", "--integrate"], ["sphere3body.integrator"]),
+    (["equator", "--masses", "1,2,3"], ["sphere3body.equator"]),
+    (["--help"], []),
+]
 
 
 def test_meridian_loads_neither_equator_nor_euler_limit(tmp_path):
-    # cmd_equator imports equator, cmd_euler_limit euler_limit and the CSV
-    # branches csv, each where it runs; the package gives the equator's
-    # names on first use, so `from sphere3body import *` still has them
+    # each command loads only what it runs: cmd_equator imports equator,
+    # cmd_euler_limit euler_limit, the CSV branches csv, cmd_verify the
+    # integrator, and sweep the grid counter (meridian gives its name on
+    # first use). The package gives the equator's names on first use, so
+    # `from sphere3body import *` still has them
+    assert main(["meridian", "--masses", "3,2,1", "--a", "0.5235987755982988",
+                 "--out", str(tmp_path / "six.json")]) == 0
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", ON_DEMAND_SCRIPT],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "[]", "True", "True"]
+    for argv, loaded in ON_DEMAND:
+        proc = subprocess.run([sys.executable, "-c", ON_DEMAND_SCRIPT, *argv],
+                              capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", repr(loaded), "True", "True"], argv
+
+
+@pytest.mark.parametrize("module", [cli, mer])
+def test_unknown_name_is_an_attribute_error(module):
+    # the module __getattr__ that gives names on demand gives no other
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        module.nope
+    assert not hasattr(module, "nope")
+    with pytest.raises(ImportError):
+        exec(f"from {module.__name__} import nope", {})
+
+
+def test_names_given_on_demand_are_their_home_modules_objects():
+    from sphere3body import grid, integrator
+
+    assert cli.integrate is integrator.integrate
+    assert cli.configuration_residuals is integrator.configuration_residuals
+    assert mer.count_rotators_grid_regions is grid.count_rotators_grid_regions

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from sphere3body import meridian as mer
-from sphere3body.dynamics import (
-    MassTriple,
+from sphere3body.dynamics import MassTriple
+from sphere3body.equator import solve_equator
+from sphere3body.geometry import SpherePoint, SphereRadius
+from sphere3body.integrator import (
     SphericalState,
     _accelerations,
     angular_momentum,
@@ -14,8 +16,6 @@ from sphere3body.dynamics import (
     integrate,
     kinetic_energy,
 )
-from sphere3body.equator import solve_equator
-from sphere3body.geometry import SpherePoint, SphereRadius
 from sphere3body.potential import (
     PairPotential,
     SingularityError,

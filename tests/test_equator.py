@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sphere3body.dynamics import MassTriple, configuration_residuals
+from sphere3body.dynamics import MassTriple
 from sphere3body.equator import (
     BOUNDARY,
     EXTERIOR,
@@ -13,6 +13,7 @@ from sphere3body.equator import (
     solve_equator,
 )
 from sphere3body.geometry import SphereRadius
+from sphere3body.integrator import configuration_residuals
 from sphere3body.potential import cotangent_potential
 
 from oracles import antipodal_limit_scan, default_antipodal_path

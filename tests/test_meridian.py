@@ -9,8 +9,10 @@ import pytest
 
 from sphere3body import euler_limit, kernels
 from sphere3body import meridian as mer
-from sphere3body.dynamics import MassTriple, backward_error, configuration_residuals
+from sphere3body.dynamics import MassTriple, backward_error
 from sphere3body.geometry import SphereRadius
+from sphere3body.grid import _count_block, _normalised_terms
+from sphere3body.integrator import configuration_residuals
 from sphere3body.potential import (
     PairPotential,
     SingularityError,
@@ -627,7 +629,7 @@ def guess_misses(P, Q, S, nu1, nu2):
 
 def count_block(nu1, nu2, P, Q, S):
     """_count_block on raw g terms, sign-normalised as the counter does."""
-    return mer._count_block(nu1, nu2, *mer._normalised_terms(P, Q, S))
+    return _count_block(nu1, nu2, *_normalised_terms(P, Q, S))
 
 
 class TestGridThresholds:

@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphere3body import meridian as mer
-from sphere3body.dynamics import (
-    MassTriple,
+from sphere3body.dynamics import MassTriple
+from sphere3body.equator import solve_equator
+from sphere3body.geometry import SpherePoint, SphereRadius, arc_angle
+from sphere3body.integrator import (
     SphericalState,
     angular_momentum,
     configuration_residuals,
     integrate,
 )
-from sphere3body.equator import solve_equator
-from sphere3body.geometry import SpherePoint, SphereRadius, arc_angle
 from sphere3body.potential import cotangent_potential
 
 import oracles

@@ -5,8 +5,10 @@ import math
 
 import pytest
 
-from sphere3body import dynamics, equator, euler_limit, geometry, meridian, potential
-from sphere3body.dynamics import MassTriple, Trajectory
+from sphere3body import (dynamics, equator, euler_limit, geometry, integrator,
+                         meridian, potential)
+from sphere3body.dynamics import MassTriple
+from sphere3body.integrator import Trajectory
 from sphere3body.equator import ExistenceResult
 from sphere3body.geometry import SpherePoint, SphereRadius
 from sphere3body.meridian import Shape
@@ -21,11 +23,11 @@ def _u(d2):
 # every record class with keyword arguments for all of its fields
 RECORDS = {
     dynamics.MassTriple: dict(m1=3.0, m2=2.0, m3=1.0),
-    dynamics.SphericalState: dict(
+    integrator.SphericalState: dict(
         points=(SpherePoint(0.5, 0.0), SpherePoint(1.0, 0.0), SpherePoint(2.0, 0.0)),
         theta_dot=(0.0, 0.0, 0.0), phi_dot=(1.0, 1.0, 1.0)),
-    dynamics.AngularMomentum: dict(cx=0.5, cy=-0.25, cz=2.0),
-    dynamics.Trajectory: dict(
+    integrator.AngularMomentum: dict(cx=0.5, cy=-0.25, cz=2.0),
+    integrator.Trajectory: dict(
         times=(0.0, 0.5), thetas=((0.5, 1.0, 2.0),) * 2, phis=((0.0,) * 3,) * 2,
         theta_dots=((0.0,) * 3,) * 2, phi_dots=((1.0,) * 3,) * 2,
         energy_drift=1e-15, c_drift=2e-15, error=None),
@@ -68,8 +70,8 @@ PARAMS = [pytest.param(cls, kwargs, id=cls.__name__) for cls, kwargs in RECORDS.
 
 def test_every_record_class_is_listed():
     found = {
-        obj for module in (dynamics, equator, euler_limit, geometry, meridian,
-                           potential, oracles)
+        obj for module in (dynamics, equator, euler_limit, geometry, integrator,
+                           meridian, potential, oracles)
         for name, obj in vars(module).items()
         if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
         and not name.startswith("_") and obj.__module__ == module.__name__
