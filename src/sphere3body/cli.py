@@ -16,7 +16,9 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from . import kernels
@@ -153,85 +155,102 @@ def cmd_equator(args) -> int:
 # ---------------------------------------------------------------- meridian
 
 
+# A solution record's fields, in the order meridian writes them: the key,
+# the MeridianSolution attribute, the form, and whether the CSV has it.
+# TEXT is a string, INT an int, REAL a float or None (JSON null, an empty
+# CSV field), ANGLE a float in radians that the JSON follows with
+# key_over_pi, its multiple of pi, and ANGLES three of them (CSV columns
+# key1, key2, key3). The forms are numbered in the order of a record's
+# pool (_record_writers).
+TEXT, INT, REAL, ANGLE, ANGLES = range(5)
+SOLUTION_FIELDS = (
+    ("region", "region", TEXT, True),
+    ("x", "x", ANGLE, True),
+    ("theta", "thetas", ANGLES, True),
+    ("theta_alt", "thetas_alt", ANGLES, False),
+    ("s", "s", INT, True),
+    ("omega_squared", "omega_squared", REAL, True),
+    ("case", "case_tag", TEXT, False),
+    ("residual", "residual_max", REAL, True),
+)
 # A solution file as json.dumps(payload, indent=2) writes it, byte for
-# byte: each key once, each float through float.__repr__ (json's own
-# call, with its names for the floats that are not finite), each string
-# through json's C string encoder. The solutions list is "[]" or the
-# solutions' records joined by ",\n".
-_MERIDIAN_JSON = """\
-{
-  "metadata": {
-    "masses": [
-      %s,
-      %s,
-      %s
-    ],
-    "a": %s,
-    "radius": %s,
-    "potential": %s
-  },
-  "solutions": %s
-}"""
-_SOLUTION_JSON = """\
-    {
-      "region": %s,
-      "x": %s,
-      "x_over_pi": %s,
-      "theta": [
-        %s,
-        %s,
-        %s
-      ],
-      "theta_over_pi": [
-        %s,
-        %s,
-        %s
-      ],
-      "theta_alt": [
-        %s,
-        %s,
-        %s
-      ],
-      "theta_alt_over_pi": [
-        %s,
-        %s,
-        %s
-      ],
-      "s": %s,
-      "omega_squared": %s,
-      "case": %s,
-      "residual": %s
-    }"""
+# byte, with the solutions list "[]" or the records joined by ",\n"
+_MERIDIAN_JSON = json.dumps({
+    "metadata": {"masses": [None] * 3, "a": None, "radius": None,
+                 "potential": None},
+    "solutions": None}, indent=2).replace("null", "%s")
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_floats(values) -> list[str]:
-    """The floats as json.dumps writes them: float.__repr__, but NaN,
-    Infinity and -Infinity where they are not finite. Their sum checks
-    them all at once; where a finite sum overflows, the renaming passes
-    every text through unchanged."""
-    texts = list(map(float.__repr__, values))
+    """The floats as json.dumps writes them: float.__repr__ (json's own
+    call), but NaN, Infinity and -Infinity where they are not finite, and
+    null for None. Their sum checks them all at once; where a finite sum
+    overflows, the renaming passes every text through unchanged."""
+    try:
+        texts = list(map(float.__repr__, values))
+    except TypeError:  # a None
+        texts = _json_floats([0.0 if v is None else v for v in values])
+        return ["null" if v is None else t for v, t in zip(values, texts)]
     if not math.isfinite(sum(values)):
         texts = [_JSON_NONFINITE.get(t, t) for t in texts]
     return texts
 
 
-def _solution_json(sol: mer.MeridianSolution) -> str:
-    thetas, alts = sol.thetas, sol.thetas_alt
-    omega2 = sol.omega_squared
-    texts = _json_floats((
-        sol.x, sol.x / math.pi,
-        *thetas, *[t / math.pi for t in thetas],
-        *alts, *[t / math.pi for t in alts],
-        0.0 if omega2 is None else omega2, sol.residual_max))
-    return _SOLUTION_JSON % (
-        encode_basestring_ascii(sol.region), *texts[:14], int.__repr__(sol.s),
-        "null" if omega2 is None else texts[14],
-        encode_basestring_ascii(sol.case_tag), texts[15])
+def _record_writers(fields):
+    """meridian's writers for a table of solution fields: a solution's JSON
+    record, the CSV header, and a solution's CSV row after a, nu1 and nu2.
+
+    A record's values, read in one attrgetter call sorted by form, make a
+    pool: TEXT, INT, REAL, each angle (a triple flattened), then, for the
+    JSON, each angle over pi, its floats written by one _json_floats call.
+    One itemgetter puts the pool in a template's order, for one % format."""
+    by_form = sorted(fields, key=itemgetter(2))
+    values = attrgetter(*[attr for _, attr, _, _ in by_form])
+    # where the values of each form after TEXT begin
+    ints, reals, angles, triples = (sum(f[2] < form for f in fields)
+                                    for form in (INT, REAL, ANGLE, ANGLES))
+    at, n = {}, 0
+    for key, _, form, _ in by_form:
+        at[key] = range(n, n + (3 if form == ANGLES else 1))
+        n += len(at[key])
+    skeleton, json_slots, header, csv_slots = {}, [], ["a", "nu1", "nu2"], []
+    csv_row = ["%.17g"] * 3
+    for key, _, form, in_csv in fields:
+        skeleton[key] = [None] * 3 if form == ANGLES else None
+        json_slots += at[key]
+        if form >= ANGLE:
+            skeleton[key + "_over_pi"] = skeleton[key]
+            json_slots += [k + n - angles for k in at[key]]
+        if in_csv:
+            header += [f"{key}{k}" for k in (1, 2, 3)] if form == ANGLES else [key]
+            csv_slots += at[key]
+            csv_row += ["%.17g" if form >= ANGLE else "%s"] * len(at[key])
+    # one record of the solutions list, at depth 2: the text between
+    # "[\n  [\n" and "\n  ]\n]"
+    template = json.dumps([[skeleton]], indent=2)[6:-6].replace("null", "%s")
+    json_at, csv_at = itemgetter(*json_slots), itemgetter(*csv_slots)
+    csv_row = ",".join(csv_row) + "\r\n"
+    pi = math.pi
+
+    # an int's %s is its repr, as json and csv.writer write it
+    def solution_json(sol) -> str:
+        v = values(sol)
+        floats = [*v[reals:triples], *chain.from_iterable(v[triples:])]
+        floats += [t / pi for t in floats[angles - reals:]]
+        return template % json_at([*map(encode_basestring_ascii, v[:ints]),
+                                   *v[ints:reals], *_json_floats(floats)])
+
+    def solution_csv(head, sol) -> str:
+        v = values(sol)
+        return csv_row % (*head, *csv_at([
+            *v[:reals], *["" if r is None else _fmt(r) for r in v[reals:angles]],
+            *v[angles:triples], *chain.from_iterable(v[triples:])]))
+
+    return solution_json, header, solution_csv
 
 
-CSV_HEADER = ["a", "nu1", "nu2", "region", "x", "theta1", "theta2",
-              "theta3", "s", "omega_squared", "residual"]
+_solution_json, CSV_HEADER, _solution_csv = _record_writers(SOLUTION_FIELDS)
 
 
 def cmd_meridian(args) -> int:
@@ -241,19 +260,10 @@ def cmd_meridian(args) -> int:
     solutions = mer.find_meridian_rotators(args.a, args.masses, pot,
                                            residual_tol=args.tol_residual)
     if args.format == "csv":
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(CSV_HEADER)
-        for sol in solutions:
-            writer.writerow([
-                _fmt(args.a), _fmt(args.masses.nu1), _fmt(args.masses.nu2),
-                sol.region, _fmt(sol.x), *(_fmt(t) for t in sol.thetas), sol.s,
-                "" if sol.omega_squared is None else _fmt(sol.omega_squared),
-                _fmt(sol.residual_max),
-            ])
-        _emit(buf.getvalue(), args.out)
+        # the rows csv.writer would write: no field needs quoting, CRLF ends each
+        head = (args.a, args.masses.nu1, args.masses.nu2)
+        _emit(",".join(CSV_HEADER) + "\r\n" + "".join(
+            _solution_csv(head, sol) for sol in solutions), args.out)
     else:
         records = ",\n".join(map(_solution_json, solutions))
         _emit(_MERIDIAN_JSON % (
@@ -363,7 +373,9 @@ X_TOL = 1e-9
 
 def _sigma_drift(thetas, omega, masses, pot):
     """Integrate the configuration over one period and report the max
-    drift of the three mutual arc angles, plus the relative drift of |c|."""
+    drift of the three mutual arc angles, plus c_drift: the change of the
+    angular-momentum vector, |c1 - c0| / max(|c0|, 1), which is absolute
+    where |c0| < 1."""
     from .integrator import SphericalState
 
     t_end = 2.0 * math.pi / omega if omega > 0 else 10.0

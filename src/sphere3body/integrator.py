@@ -275,9 +275,8 @@ def integrate(
         e1, c1 = _invariants(traj, len(times) - 1, masses, pot)
         escale = max(abs(e0), 1.0)
         energy_drift = abs(e1 - e0) / escale
-        # the norm of a blown-up state may overflow to inf, as it should
-        cscale = max(_norm(c0), 1.0)
-        c_drift = _norm([v1 - v0 for v1, v0 in zip(c1, c0)]) / cscale
+        cscale = max(math.hypot(*c0), 1.0)
+        c_drift = math.hypot(*[v1 - v0 for v1, v0 in zip(c1, c0)]) / cscale
     except (SingularityError, ValueError, OverflowError):
         return traj  # the drifts are undefined
     return traj._replace(energy_drift=energy_drift, c_drift=c_drift)
@@ -289,30 +288,6 @@ def _invariants(traj: Trajectory, idx: int, masses, pot):
         st.points, masses.as_tuple(), pot)
     c = angular_momentum(st, masses, pot.radius).as_tuple()
     return e, c
-
-
-def _fma(x: float, y: float, z: float) -> float:
-    """x * y + z rounded once (math.fma from Python 3.13 on), for finite
-    x, y and z: exact in integers, then int division, which rounds
-    correctly. Raises OverflowError where the result is not finite."""
-    (a, b), (c, d), (e, f) = (x.as_integer_ratio(), y.as_integer_ratio(),
-                              z.as_integer_ratio())
-    return (a * c * f + e * b * d) / (b * d * f)
-
-
-def _norm(v: Sequence[float]) -> float:
-    """The length of a 3-vector, summed as numpy.linalg.norm sums it
-    where its dot product fuses each multiply-add (OpenBLAS on FMA
-    hardware), so that c_drift keeps the digits it had when the
-    trajectory was an array: sqrt(fma(z, z, fma(y, y, x * x))). inf or
-    nan where a component or the sum is not finite, as there."""
-    x, y, z = v
-    sq = x * x
-    try:
-        sq = _fma(z, z, _fma(y, y, sq))
-    except (OverflowError, ValueError):  # an inf or nan, or an overflow
-        sq = sq + y * y + z * z
-    return math.sqrt(sq)
 
 
 def configuration_residuals(

@@ -208,7 +208,8 @@ class MeridianSolution(NamedTuple):
 
     @property
     def thetas_alt(self) -> tuple[float, float, float]:
-        return tuple(t + math.pi for t in self.thetas)
+        t1, t2, t3 = self.thetas
+        return (t1 + math.pi, t2 + math.pi, t3 + math.pi)
 
     @property
     def region(self) -> str:

@@ -831,7 +831,7 @@ print(sphere3body.solve_equator is equator.solve_equator,
 ON_DEMAND = [
     (["meridian", "--masses", "3,2,1", "--a", "0.5235987755982988"], []),
     (["meridian", "--masses", "3,2,1", "--a", "0.7853981633974483",
-      "--format", "csv"], ["csv"]),
+      "--format", "csv"], []),
     (["sweep", "--a-grid", "1.2:1.2:1", "--nu1-grid", "0.5:8:5",
       "--nu2-grid", "0.5:8:5"], ["sphere3body.grid"]),
     (["verify", "six.json", "--integrate"], ["sphere3body.integrator"]),
@@ -842,7 +842,7 @@ ON_DEMAND = [
 
 def test_meridian_loads_neither_equator_nor_euler_limit(tmp_path):
     # each command loads only what it runs: cmd_equator imports equator,
-    # cmd_euler_limit euler_limit, the CSV branches csv, cmd_verify the
+    # cmd_euler_limit euler_limit and, for its CSV, csv, cmd_verify the
     # integrator, and sweep the grid counter (meridian gives its name on
     # first use). The package gives the equator's names on first use, so
     # `from sphere3body import *` still has them
