@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import io
 import json
 import math
 import os
@@ -110,9 +109,12 @@ def _emit(text: str, out: str | None):
             sys.stdout.write("\n")
 
 
-def _potential(name, R: SphereRadius):
-    pot = cotangent_potential(R)
-    return repulsive(pot) if name == "repulsive" else pot
+# the potentials by name (meridian --potential, a solution file's
+# metadata), each a builder from a radius
+POTENTIALS = {
+    "cotangent": cotangent_potential,
+    "repulsive": lambda R: repulsive(cotangent_potential(R)),
+}
 
 
 # ---------------------------------------------------------------- equator
@@ -256,7 +258,7 @@ _solution_json, CSV_HEADER, _solution_csv = _record_writers(SOLUTION_FIELDS)
 def cmd_meridian(args) -> int:
     if not 0.0 < args.a < math.pi:
         raise ValueError(f"--a must lie in (0, pi), got {args.a}")
-    pot = _potential(args.potential, SphereRadius(args.radius))
+    pot = POTENTIALS[args.potential](SphereRadius(args.radius))
     solutions = mer.find_meridian_rotators(args.a, args.masses, pot,
                                            residual_tol=args.tol_residual)
     if args.format == "csv":
@@ -267,7 +269,7 @@ def cmd_meridian(args) -> int:
     else:
         records = ",\n".join(map(_solution_json, solutions))
         _emit(_MERIDIAN_JSON % (
-            *_json_floats((*args.masses.as_tuple(), args.a, args.radius)),
+            *_json_floats((*args.masses, args.a, args.radius)),
             encode_basestring_ascii(args.potential),
             f"[\n{records}\n  ]" if solutions else "[]"), args.out)
     return 0 if solutions else 2
@@ -463,13 +465,14 @@ def cmd_verify(args) -> int:
         R = SphereRadius(_json_number(meta["radius"], "radius"))
         # files written before the key existed hold the cotangent potential
         potential = meta.get("potential", "cotangent")
-        if potential not in ("cotangent", "repulsive"):
+        # a list or a dict is not hashable, so only a string is looked up
+        if not (isinstance(potential, str) and potential in POTENTIALS):
             raise ValueError(f"unknown potential {potential!r}")
         records = [_verify_record(rec) for rec in data["solutions"]]
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: cannot parse {args.solutions}: {exc}", file=sys.stderr)
         return 1
-    pot = _potential(potential, R)
+    pot = POTENTIALS[potential](R)
 
     reports = []
     # a file with no solution verifies none: exit 2, as meridian did
@@ -518,16 +521,11 @@ def cmd_euler_limit(args) -> int:
 
     report = euler_limit_check(args.masses, args.r21, args.R_list)
     if args.format == "csv":
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["R", "max_coeff_deviation", "root_deviation"])
-        for row in report.rows:
-            writer.writerow([_fmt(row.R), _fmt(row.max_coeff_deviation),
-                             _fmt(row.root_deviation)])
-        writer.writerow(["# order_estimate", _fmt(report.order_estimate), ""])
-        _emit(buf.getvalue(), args.out)
+        # the rows csv.writer would write: no field needs quoting, CRLF ends each
+        lines = ["R,max_coeff_deviation,root_deviation",
+                 *(",".join(map(_fmt, row)) for row in report.rows),
+                 f"# order_estimate,{_fmt(report.order_estimate)},"]
+        _emit("".join(line + "\r\n" for line in lines), args.out)
     else:
         payload = {
             "quintic_coefficients": report.quintic_coefficients,
@@ -567,8 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True,
                    help="theta2 - theta1 in radians, in (0, pi)")
     p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--potential", choices=["cotangent", "repulsive"],
-                   default="cotangent")
+    p.add_argument("--potential", choices=POTENTIALS, default="cotangent")
     p.add_argument("--tol-residual", type=tolerance, default=mer.RESIDUAL_TOL,
                    help="largest backward error, in radians of x")
     p.add_argument("--format", choices=["json", "csv"], default="json")

@@ -32,7 +32,7 @@ class MassTriple(_MassFields):
 
     def __new__(cls, m1: float, m2: float, m3: float):
         self = super().__new__(cls, m1, m2, m3)
-        m = self.as_tuple()
+        m = (m1, m2, m3)  # a plain tuple, for the messages
         # written so that nan fails too; min() would let it through
         if not all(0.0 < v < math.inf for v in m):
             raise ValueError(f"masses must be positive and finite: {m}")
@@ -44,7 +44,7 @@ class MassTriple(_MassFields):
         # of accepted ratios where it was until it is re-derived from what
         # the scan needs. The scan loses roots well inside it (at a = 1,
         # nu = (1e18, 1), region III counts none, where its count is odd).
-        total = m[0] + m[1] + m[2]
+        total = m1 + m2 + m3
         if not (total * total < math.inf
                 and all(0.0 < nu * nu * nu < math.inf for nu in (self.nu1, self.nu2))):
             raise ValueError(f"masses or their ratios are too extreme: {m}")
@@ -53,9 +53,6 @@ class MassTriple(_MassFields):
     @classmethod
     def _make(cls, iterable):  # so that _replace checks too
         return cls(*iterable)
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.m1, self.m2, self.m3)
 
     @property
     def nu1(self) -> float:
@@ -88,7 +85,6 @@ def meridian_pulls(thetas, masses, pot) -> tuple[float, float, float]:
 
     Raises SingularityError labelled with the pair.
     """
-    m = masses.as_tuple()
     R = pot.radius.R
     four_r2 = 4.0 * R * R
     pulls = []
@@ -96,7 +92,7 @@ def meridian_pulls(thetas, masses, pot) -> tuple[float, float, float]:
         d = thetas[k] - thetas[i]
         h = sin(0.5 * d)
         u = pair_value(pot.u_prime, four_r2 * h * h, k, i)
-        pulls.append(2.0 * m[k] * m[i] * u * sin(d))
+        pulls.append(2.0 * masses[k] * masses[i] * u * sin(d))
     return tuple(pulls)
 
 
@@ -109,10 +105,10 @@ def _meridian_defect(thetas, omega_squared, masses, pot) -> float:
     when w^2 > 0, also the planar angular momentum
     |sum m_k sin t_k cos t_k| against m1 + m2 + m3.
     """
-    m = masses.as_tuple()
+    m1, m2, m3 = masses
     p12, p23, p31 = meridian_pulls(thetas, masses, pot)
     pulls = ((p12, -p31), (-p12, p23), (-p23, p31))
-    spins = [mk * sin(t) * cos(t) for mk, t in zip(m, thetas)]
+    spins = [mk * sin(t) * cos(t) for mk, t in zip(masses, thetas)]
     defects = []
     for spin, (p, q) in zip(spins, pulls):
         spin *= -omega_squared
@@ -120,7 +116,7 @@ def _meridian_defect(thetas, omega_squared, masses, pot) -> float:
         if scale != 0.0:
             defects.append(abs(spin - p - q) / scale)
     if omega_squared > 0.0:
-        defects.append(abs(sum(spins)) / (m[0] + m[1] + m[2]))
+        defects.append(abs(sum(spins)) / (m1 + m2 + m3))
     # a nan (an overflowed term) counts as the largest
     return max(defects, key=lambda v: (v != v, v), default=0.0)
 

@@ -17,7 +17,7 @@ from .meridian import _scan_roots
 def euler_quintic_coefficients(masses: MassTriple) -> list[float]:
     """Coefficients (degree descending) of the collinear quintic that
     the reduced equation degenerates to on the flat plane."""
-    m1, m2, m3 = masses.as_tuple()
+    m1, m2, m3 = masses
     return [
         m1 + m2,
         3.0 * m1 + 2.0 * m2,

@@ -13,15 +13,16 @@ sin(x)*|sin(x)|, so no region table is needed. The six products that P,
 Q and S add up are written once (``_products``): g_terms, g_of_x's g
 and g_terms_scale, which bounds g's rounding, all take them from there.
 
-A float x (numpy's float64 is one) takes its sines from ``math``, an
-array from numpy, which only the array path imports: the root finder
-samples and refines g on plain floats (``g_of_x``), so a process that
-solves and never makes an array never imports numpy. ``g_scalar`` is
-``g_of_x`` at one x. Both paths give the same bits only while numpy's
-float64 sin agrees with the C library's; numpy 2.4.6 on an AVX512_SPR
-host (its highest dispatch target) disagreed at none of 8 million
-points, and the exact g_scalar == g_array test in tests/test_kernels.py
-checks it on every host.
+Each g function takes one form of x. ``g_of_x``, ``g_scalar`` (g_of_x
+at one x) and ``g_terms_scale`` take a float and take their sines from
+``math``; ``g_terms`` and ``g_array`` take an array and take them from
+numpy, which only they import. The root finder samples and refines g on
+plain floats (``g_of_x``), so a process that solves and never makes an
+array never imports numpy. Both forms give the same bits only while
+numpy's float64 sin agrees with the C library's; numpy 2.4.6 on an
+AVX512_SPR host (its highest dispatch target) disagreed at none of 8
+million points, and the exact g_scalar == g_array test in
+tests/test_kernels.py checks it on every host.
 """
 
 from __future__ import annotations
@@ -47,15 +48,12 @@ def _products(x, a, sin, sa2s2a):
 
 
 def g_terms(x, a: float):
-    """(P, Q, S) with g = nu1*P + nu2*Q + S, for a float or an array x."""
-    if isinstance(x, float):
-        sin = math.sin
-    else:
-        import numpy as np
+    """(P, Q, S) with g = nu1*P + nu2*Q + S, as numpy arrays, at each x of
+    an array."""
+    import numpy as np
 
-        sin = np.sin
     sa2 = math.sin(a) ** 2
-    p1, p2, p3, p4, p5, p6 = _products(x, a, sin, sa2 * math.sin(2.0 * a))
+    p1, p2, p3, p4, p5, p6 = _products(x, a, np.sin, sa2 * math.sin(2.0 * a))
     return p1 - p2, p3 - p4, -sa2 * (p5 - p6)
 
 

@@ -121,7 +121,7 @@ class Shape(NamedTuple):
 def _w_sums(masses: MassTriple, shape: Shape) -> tuple[float, float]:
     """The real and imaginary parts of W * e^(-2i theta1)
     = m1 + m2 e^(2i theta21) + m3 e^(2i theta31)."""
-    m1, m2, m3 = masses.as_tuple()
+    m1, m2, m3 = masses
     t21, t31 = shape.theta21, shape.theta31
     return (m1 + m2 * math.cos(2.0 * t21) + m3 * math.cos(2.0 * t31),
             m2 * math.sin(2.0 * t21) + m3 * math.sin(2.0 * t31))
@@ -132,7 +132,7 @@ def _lift(masses: MassTriple, shape: Shape, s: int):
     colatitudes that lift shape on branch s, or None for thetas where
     A <= A_TOL * (m1 + m2 + m3) (the lift is indefinite; the shape is a
     fixed point)."""
-    m1, m2, m3 = masses.as_tuple()
+    m1, m2, m3 = masses
     cos_part, sin_part = _w_sums(masses, shape)
     A = math.hypot(cos_part, sin_part)
     if A <= A_TOL * (m1 + m2 + m3):
@@ -160,7 +160,7 @@ def pair_quantities(
     pot: PairPotential | None = None,
 ) -> PairQuantities:
     shape.validate()
-    m1, m2, m3 = masses.as_tuple()
+    m1, m2, m3 = masses
     t21, t31 = shape.theta21, shape.theta31
     F12, F23, F31 = meridian_pulls((0.0, t21, t31), masses, pot or _UNIT_COTANGENT)
     G12 = m1 * m2 * math.sin(2.0 * t21)
@@ -178,7 +178,7 @@ def _ratio_terms(pq: PairQuantities) -> tuple[float, float, float, float]:
 
 def classify_case(pq: PairQuantities, masses: MassTriple) -> str:
     """Which pair of rigid-rotator equations applies for this shape."""
-    m1, m2, m3 = masses.as_tuple()
+    m1, m2, m3 = masses
     tol = CASE_TOL * (m1 * m2 + m2 * m3 + m3 * m1)
     _, d12, _, d31 = _ratio_terms(pq)
     d1 = abs(d12) <= tol

@@ -88,9 +88,6 @@ class RegionCounts(NamedTuple):
     def total(self) -> int:
         return self.I + self.II + self.III + self.IV
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.I, self.II, self.III, self.IV)
-
 
 def count_pi_over_2(nu_diff: float) -> RegionCounts:
     """Closed-form solution counts at a = pi/2 as a function of
@@ -210,7 +207,7 @@ def exceptional_case_angles(which: str, nu: float) -> list[ExceptionalAngles]:
 def case4_fixed_point(masses: MassTriple) -> MeridianSolution | None:
     """The all-G-equal fixed point: exists only for equal masses, as the
     equilateral shape."""
-    m1, m2, m3 = masses.as_tuple()
+    m1, m2, m3 = masses
     tol = CASE_TOL * max(m1, m2, m3)
     if abs(m1 - m2) > tol or abs(m2 - m3) > tol:
         return None

@@ -288,7 +288,7 @@ class TestSweep:
         assert header[:4] == ["a", "nu1", "nu2", "count"]
         scan = count_rotators_scan(math.pi / 6, 3.0, 2.0)
         assert int(data[3]) == scan.total == 6
-        assert [int(v) for v in data[4:8]] == list(scan.as_tuple())
+        assert [int(v) for v in data[4:8]] == list(scan)
 
     def test_empty_grid_is_usage_error(self, capsys):
         assert main(["sweep", "--a-grid", "0.15:1.55:0"]) == 1
@@ -342,7 +342,7 @@ class TestSweep:
         assert code == 0
         counts = [int(v) for v in out.splitlines()[1].split(",")[3:]]
         scan = count_rotators_scan(a, nu1, 1.0)
-        assert counts == [scan.total, *scan.as_tuple()]
+        assert counts == [scan.total, *scan]
 
     def test_footer_reports_max(self, tmp_path):
         out_file = tmp_path / "sweep.csv"
@@ -597,6 +597,34 @@ class TestEulerLimit:
         assert lines[0] == "R,max_coeff_deviation,root_deviation"
         assert lines[-1].startswith("# order_estimate")
 
+    @pytest.mark.parametrize("r_list", [[], ["--R-list", "2,3"]],
+                             ids=["default-R", "R-2-3"])
+    @pytest.mark.parametrize("masses", ["1,1,1", "3,2,1", "25,25,1", "1,1,4"])
+    def test_csv_matches_csv_writer(self, masses, r_list, tmp_path, capsys):
+        argv = ["euler-limit", "--masses", masses, *r_list, "--format", "csv"]
+        want = csv_writer_euler_limit(cli.build_parser().parse_args(argv))
+        code, out = run(capsys, argv)
+        assert code == 0 and out == want
+        out_file = tmp_path / "euler.csv"
+        assert main([*argv, "--out", str(out_file)]) == 0
+        assert out_file.read_bytes() == want.encode()
+
+
+def csv_writer_euler_limit(args) -> str:
+    """euler-limit's CSV as csv.writer wrote it, one writerow per row,
+    before the rows were joined by hand."""
+    from sphere3body.euler_limit import euler_limit_check
+
+    report = euler_limit_check(args.masses, args.r21, args.R_list)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["R", "max_coeff_deviation", "root_deviation"])
+    for row in report.rows:
+        writer.writerow([f"{row.R:.17g}", f"{row.max_coeff_deviation:.17g}",
+                         f"{row.root_deviation:.17g}"])
+    writer.writerow(["# order_estimate", f"{report.order_estimate:.17g}", ""])
+    return buf.getvalue()
+
 
 @pytest.mark.parametrize("argv", [
     ["sweep", "--potential", "repulsive"],
@@ -699,13 +727,17 @@ def test_verify_rejects_an_unknown_potential(tmp_path, capsys):
                  "--potential", "repulsive", "--out", str(sol_file)]) == 0
     data = json.loads(sol_file.read_text())
     assert main(["verify", str(sol_file)]) == 0
-    data["metadata"]["potential"] = "repulsve"
-    sol_file.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert main(["verify", str(sol_file)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: cannot parse {sol_file}")
-    assert "'repulsve'" in captured.err and captured.out == ""
+    # nor is a name that is not a string (a list is not hashable)
+    for bad, shown in [("repulsve", "'repulsve'"), (["cotangent"], "['cotangent']"),
+                       (5, "5")]:
+        data["metadata"]["potential"] = bad
+        sol_file.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", str(sol_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot parse {sol_file}")
+        assert f"unknown potential {shown}" in captured.err, bad
+        assert captured.out == ""
     assert main(["meridian", "--masses", "3,2,1", "--a", repr(math.pi / 6),
                  "--out", str(sol_file)]) == 0
     data = json.loads(sol_file.read_text())
@@ -836,16 +868,19 @@ ON_DEMAND = [
       "--nu2-grid", "0.5:8:5"], ["sphere3body.grid"]),
     (["verify", "six.json", "--integrate"], ["sphere3body.integrator"]),
     (["equator", "--masses", "1,2,3"], ["sphere3body.equator"]),
+    (["euler-limit", "--masses", "3,2,1", "--format", "csv"],
+     ["sphere3body.euler_limit"]),
     (["--help"], []),
 ]
 
 
 def test_meridian_loads_neither_equator_nor_euler_limit(tmp_path):
     # each command loads only what it runs: cmd_equator imports equator,
-    # cmd_euler_limit euler_limit and, for its CSV, csv, cmd_verify the
-    # integrator, and sweep the grid counter (meridian gives its name on
-    # first use). The package gives the equator's names on first use, so
-    # `from sphere3body import *` still has them
+    # cmd_euler_limit euler_limit (its CSV, like every CSV, is joined
+    # text: no command imports csv), cmd_verify the integrator, and sweep
+    # the grid counter (meridian gives its name on first use). The package
+    # gives the equator's names on first use, so `from sphere3body import *`
+    # still has them
     assert main(["meridian", "--masses", "3,2,1", "--a", "0.5235987755982988",
                  "--out", str(tmp_path / "six.json")]) == 0
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -89,7 +89,7 @@ def test_kinetic_energy_manual():
     pts = (SpherePoint(0.5, 0.1), SpherePoint(1.0, 2.0), SpherePoint(2.0, -1.0))
     st = SphericalState(pts, (0.3, -0.2, 0.1), (1.0, 0.5, -0.4))
     expect = 0.0
-    for mk, p, td, pd in zip(m.as_tuple(), pts, st.theta_dot, st.phi_dot):
+    for mk, p, td, pd in zip(m, pts, st.theta_dot, st.phi_dot):
         expect += 0.5 * mk * 4.0 * (td * td + math.sin(p.theta) ** 2 * pd * pd)
     assert kinetic_energy(st, m, SphereRadius(2.0)) == pytest.approx(expect, rel=1e-14)
 
@@ -122,7 +122,7 @@ class TestResiduals:
 def _state_accelerations(st, masses, pot):
     """_accelerations of a SphericalState: (theta_ddot, phi_ddot) of
     bodies 1 to 3, as integrate calls it."""
-    m1, m2, m3 = masses.as_tuple()
+    m1, m2, m3 = masses
     R = pot.radius.R
     return _accelerations(
         *st.thetas, *st.phis, *st.theta_dot, *st.phi_dot,
@@ -179,7 +179,7 @@ class TestIntegrate:
         )
         traj = integrate(st, m, cotangent_potential(R), 0.3, 0.3 / 50)
         assert traj.error is None
-        c0, c1 = (np.array(angular_momentum(traj.state_at(i), m, R).as_tuple())
+        c0, c1 = (np.array(angular_momentum(traj.state_at(i), m, R))
                   for i in (0, -1))
         assert np.linalg.norm(c0) < 1.0
         assert traj.c_drift > 1e-8
@@ -313,7 +313,7 @@ def rhs_reference(y, m, u_prime, R):
 def rk4_reference(state, masses, u_prime, R, t_end, dt, store_every):
     """(times, rows, error) of the tuple RK4 loop on the sphere of radius
     R."""
-    m = masses.as_tuple()
+    m = masses
     y = state.thetas + state.phis + state.theta_dot + state.phi_dot
     n_steps = max(1, int(round(t_end / dt)))
     h = t_end / n_steps
@@ -400,7 +400,7 @@ def test_eom_rhs_matches_reference_bitwise():
         ref_u_prime = lambda d2, R=R: cotangent_u_prime_reference(d2, R)
         if n % 2:
             ref_u_prime = lambda d2, up=ref_u_prime: -up(d2)
-        expect = _outcome(lambda: rhs_reference(y, m.as_tuple(), ref_u_prime, R)[6:])
+        expect = _outcome(lambda: rhs_reference(y, m, ref_u_prime, R)[6:])
         got = _outcome(lambda: _state_accelerations(st, m, pot))
         assert got == expect, (n, st)
         seen.add(expect[0] if expect[0] != "SingularityError" else expect[1:4:2])

@@ -37,6 +37,11 @@ def random_cases(seed, n):
         yield a, nu1, nu2, region, rng.uniform(lo + 1e-6, hi - 1e-6)
 
 
+def terms_at(x, a):
+    """g_terms, which takes arrays, at one float x, as floats."""
+    return [float(t[0]) for t in kernels.g_terms(np.array([x]), a)]
+
+
 def test_backend_identifier():
     assert kernels.BACKEND == "python"
 
@@ -45,7 +50,7 @@ def test_matches_paper_reference():
     for a, nu1, nu2, region, x in random_cases(7, 400):
         ref = g_reference(x, a, nu1, nu2, region)
         tol = dict(rel=1e-12, abs=1e-14 * (2.0 + nu1 + nu2))
-        P, Q, S = kernels.g_terms(x, a)
+        P, Q, S = terms_at(x, a)
         assert nu1 * P + nu2 * Q + S == pytest.approx(ref, **tol)
         assert kernels.g_scalar(x, a, nu1, nu2) == pytest.approx(ref, **tol)
         assert kernels.g_array([x], a, nu1, nu2)[0] == pytest.approx(ref, **tol)
@@ -78,22 +83,23 @@ def test_array_handles_noncontiguous_input():
 
 
 def test_scalar_path_stays_on_plain_floats():
-    # the bisection's g: no numpy scalar, whether x is a float or a
-    # numpy float64 (a float subclass)
+    # the bisection's g and the scale of its rounding: no numpy scalar,
+    # whether x is a float or a numpy float64 (a float subclass); g_terms
+    # takes arrays and gives arrays
     for x in (1.0, np.float64(1.0)):
-        assert all(type(v) is float for v in kernels.g_terms(x, 0.5))
+        assert all(type(v) is float for v in kernels.g_terms_scale(x, 0.5))
         assert type(kernels.g_scalar(x, 0.5, 3.0, 2.0)) is float
     assert all(type(v) is np.ndarray for v in kernels.g_terms(np.array([1.0]), 0.5))
 
 
 def test_terms_scale_bounds_the_terms():
     for a, nu1, nu2, _region, x in random_cases(13, 200):
-        P, Q, S = kernels.g_terms(x, a)
+        P, Q, S = terms_at(x, a)
         Ps, Qs, Ss = kernels.g_terms_scale(x, a)
         assert abs(P) <= Ps and abs(Q) <= Qs and abs(S) <= Ss
     # at the equilateral shape of a = 2*pi/3 the terms cancel to rounding
     # noise while the products they add up stay of order one
-    P, Q, S = kernels.g_terms(4.0 * math.pi / 3.0, 2.0 * math.pi / 3.0)
+    P, Q, S = terms_at(4.0 * math.pi / 3.0, 2.0 * math.pi / 3.0)
     scale = kernels.g_terms_scale(4.0 * math.pi / 3.0, 2.0 * math.pi / 3.0)
     assert max(abs(P), abs(Q), abs(S)) < 1e-15
     assert min(scale) > 0.1
@@ -128,7 +134,7 @@ def terms_scale_transcription(x, a):
 
 
 def test_shared_products_match_transcription_bitwise():
-    # g on floats (g_of_x, g_scalar) and arrays (g_array), and the scale
+    # g on floats (g_of_x, g_scalar) and arrays (g_terms, g_array), and the scale
     # of g's rounding, all from kernels._products, against the terms as
     # they were written out: random (a, x) in all four regions, with
     # nu1 and nu2 of either sign, and the point where P, Q and S cancel
@@ -140,8 +146,9 @@ def test_shared_products_match_transcription_bitwise():
         g = nu1 * P + nu2 * Q + S
         assert kernels.g_of_x(a, nu1, nu2)(x).hex() == g.hex()
         assert kernels.g_scalar(x, a, nu1, nu2).hex() == g.hex()
-        assert [t.hex() for t in kernels.g_terms(x, a)] == [
-            t.hex() for t in (P, Q, S)]
+        x1 = np.array([x])
+        assert [t.tobytes() for t in kernels.g_terms(x1, a)] == [
+            t.tobytes() for t in terms_transcription(x1, a, np.sin)]
         assert [t.hex() for t in kernels.g_terms_scale(x, a)] == [
             t.hex() for t in terms_scale_transcription(x, a)]
     xs = np.array([x for _a, _nu1, _nu2, x in cases])

@@ -202,9 +202,9 @@ class TestTranslation:
         shape = mer.Shape(0.6, 2.2)
         thetas = oracles.shape_to_configurations(M321, shape, s)
         W = sum(m * complex(math.cos(2.0 * t), math.sin(2.0 * t))
-                for m, t in zip(M321.as_tuple(), thetas))
+                for m, t in zip(M321, thetas))
         A = oracles.amplitude_A(M321, shape)
-        assert abs(W - s * A) < 1e-14 * sum(M321.as_tuple())
+        assert abs(W - s * A) < 1e-14 * sum(M321)
 
     def test_branch_flip_is_quarter_turn(self):
         shape = mer.Shape(0.6, 2.2)
@@ -454,7 +454,7 @@ class TestCounting:
          (4.0, (1, 1, 1, 0)), (5.0, (1, 2, 1, 0))],
     )
     def test_count_pi_over_2_closed_form(self, diff, expected):
-        assert oracles.count_pi_over_2(diff).as_tuple() == expected
+        assert oracles.count_pi_over_2(diff) == expected
 
     # beside the tangent roots at |nu1 - nu2| = 4: pairs of roots 5e-4 to
     # 5e-7 apart (+-4 outwards) and no roots (+-4 inwards)
@@ -467,7 +467,7 @@ class TestCounting:
         nu2 = 6.0
         nu1 = nu2 + diff
         scan = oracles.count_rotators_scan(math.pi / 2, nu1, nu2)
-        assert scan.as_tuple() == oracles.count_pi_over_2(diff).as_tuple()
+        assert scan == oracles.count_pi_over_2(diff)
 
     def test_grid_counter_matches_scan(self):
         a = math.pi / 6
@@ -486,7 +486,7 @@ class TestCounting:
     @pytest.mark.parametrize("case", STORED["scan"], ids=lambda c: c["case"])
     def test_scan_counts_match_stored(self, case):
         counts = oracles.count_rotators_scan(case["a"], case["nu1"], case["nu2"])
-        assert list(counts.as_tuple()) == case["counts"]
+        assert list(counts) == case["counts"]
 
     def test_grid_counts_match_stored(self):
         grid = self.STORED["grid"]
@@ -600,8 +600,7 @@ class TestGridCounter:
         for i, nu1 in enumerate(nus):
             for j, nu2 in enumerate(nus):
                 scan = oracles.count_rotators_scan(a, nu1, nu2)
-                assert tuple(int(grid[r][i, j]) for r in mer.REGIONS) == \
-                    scan.as_tuple()
+                assert tuple(int(grid[r][i, j]) for r in mer.REGIONS) == scan
 
 
 def sign_changes(P, Q, S, nu1, nu2):
@@ -874,7 +873,7 @@ def dict_pair_quantities(masses, shape, pot, R):
     dicts: F_ij = 2 m_i m_j U'(4 R^2 sin^2(d/2)) sin(d), d = t_i - t_j,
     and G_ij = m_i m_j sin(2 (t_j - t_i)), at thetas (0, theta21, theta31)."""
     shape.validate()
-    m = masses.as_tuple()
+    m = masses
     th = (0.0, shape.theta21, shape.theta31)
     F = {}
     G = {}
@@ -927,7 +926,7 @@ def test_pair_forces_near_collision_match_mpmath(x):
     mpmath = pytest.importorskip("mpmath")
     a = 1.0
     pq = mer.pair_quantities(M321, mer.Shape(a, x), POT)
-    m = M321.as_tuple()
+    m = M321
     th = (0.0, a, x)
     with mpmath.workdps(60):
         for (i, j), got in zip(((0, 1), (1, 2), (2, 0)), (pq.F12, pq.F23, pq.F31)):
@@ -970,7 +969,7 @@ class _AZero(Exception):
 
 
 def chain_classify_case(pq, masses):
-    m1, m2, m3 = masses.as_tuple()
+    m1, m2, m3 = masses
     tol = mer.CASE_TOL * (m1 * m2 + m2 * m3 + m3 * m1)
     d1 = abs(pq.G12 - pq.G23) <= tol
     d2 = abs(pq.G31 - pq.G12) <= tol
@@ -999,7 +998,7 @@ def chain_omega_and_branch(pq, masses, A):
 
 
 def chain_lift(masses, shape, s):
-    m1, m2, m3 = masses.as_tuple()
+    m1, m2, m3 = masses
     if oracles.amplitude_A(masses, shape) <= mer.A_TOL * (m1 + m2 + m3):
         raise _AZero(shape)
     t21, t31 = shape.theta21, shape.theta31
