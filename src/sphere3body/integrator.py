@@ -10,7 +10,12 @@ per-pair loop on the untranslated equations that shares only the pair
 order and label (potential.PAIRS, pair_value) with dynamics.meridian_pulls,
 the one definition of the meridian force balance. The equations of
 motion have one definition, the scalar kernel _accelerations, which
-integrate calls four times per RK4 step on twelve local floats.
+integrate calls four times per RK4 step on twelve local floats. The
+kernel splits into the terms of the position alone (_position_terms:
+every sine, cosine, U' and force sum) and the velocity terms; each
+integrate call keeps the last position's terms and reuses them while
+the colatitudes and longitude differences stay equal, as they do,
+often exactly, along a rigid rotation.
 
 Every function that takes a potential reads the sphere's radius from it
 (pot.radius). A SphericalState holds angles and rates only, so the
@@ -78,18 +83,17 @@ def kinetic_energy(state: SphericalState, masses: MassTriple,
     return R2 * k
 
 
-def _accelerations(t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3,
-                   w1, w2, w3, u_prime, two_r2):
-    """Second derivatives (theta_ddot_1..3, phi_ddot_1..3) of the raw
-    equations of motion; w_k = 2 m_k and two_r2 = 2 R^2.
+def _position_terms(t1, t2, t3, d12, d23, d31, w1, w2, w3, u_prime, two_r2):
+    """The twelve terms of the accelerations that depend on the position
+    alone, (sc1, sc2, sc3, gt1, gt2, gt3, q1, q2, q3, r1, r2, r3): per
+    body sc = sin cos of its colatitude, gt its theta force sum,
+    q = gp / sin^2 its phi force term and r = 2 cos / sin; d_ik is
+    phi_i - phi_k. w_k = 2 m_k and two_r2 = 2 R^2.
 
-    This is the integrator's hot loop, written with plain floats: one
-    sine and cosine per colatitude and per longitude difference, one U'
-    per pair, shared by both bodies of the pair. cos and sin of
+    One sine and cosine per colatitude and per longitude difference, one
+    U' per pair, shared by both bodies of the pair. cos and sin of
     phi_i - phi_k are even and odd, so each pair's values serve both
-    orders. The floating-point operations are those of the per-pair
-    loop that tests/test_dynamics.py keeps as the reference, in the same
-    order, so results agree with it bit for bit.
+    orders.
 
     Raises SingularityError labelled with the pair, ZeroDivisionError
     for a body on a pole, and ValueError for an infinite angle.
@@ -100,23 +104,23 @@ def _accelerations(t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3,
     # cos sigma clamped to [-1, 1] as max(-1, min(1, .)) does
     pair = (1, 2)
     try:
-        cos12 = cos(p1 - p2)
+        cos12 = cos(d12)
         cs = c1 * c2 + s1 * s2 * cos12
         cs = cs if cs < 1.0 else 1.0
         u12 = u_prime(two_r2 * (1.0 - (cs if cs > -1.0 else -1.0)))
         pair = (2, 3)
-        cos23 = cos(p2 - p3)
+        cos23 = cos(d23)
         cs = c2 * c3 + s2 * s3 * cos23
         cs = cs if cs < 1.0 else 1.0
         u23 = u_prime(two_r2 * (1.0 - (cs if cs > -1.0 else -1.0)))
         pair = (3, 1)
-        cos31 = cos(p3 - p1)
+        cos31 = cos(d31)
         cs = c3 * c1 + s3 * s1 * cos31
         cs = cs if cs < 1.0 else 1.0
         u31 = u_prime(two_r2 * (1.0 - (cs if cs > -1.0 else -1.0)))
     except SingularityError as err:
         raise SingularityError(err.kind, err.d2, pair) from None
-    sin12, sin23, sin31 = sin(p1 - p2), sin(p2 - p3), sin(p3 - p1)
+    sin12, sin23, sin31 = sin(d12), sin(d23), sin(d31)
     # f_ki = 2 m_i U'_ki: the pull of body i on body k
     f12, f13 = w2 * u12, w3 * u31
     f21, f23 = w1 * u12, w3 * u23
@@ -129,14 +133,57 @@ def _accelerations(t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3,
     gp1 = 0.0 + f12 * s2 * s1 * sin12 - f13 * s3 * s1 * sin31
     gp2 = 0.0 - f21 * s1 * s2 * sin12 + f23 * s3 * s2 * sin23
     gp3 = 0.0 + f31 * s1 * s3 * sin31 - f32 * s2 * s3 * sin23
-    # the phi equations divide by sin(theta_k): ZeroDivisionError on a pole
+    # the phi equations divide by sin(theta_k): ZeroDivisionError on a
+    # pole, raised before the caller can store anything
+    q1, r1 = gp1 / (s1 * s1), 2.0 * (c1 / s1)
+    q2, r2 = gp2 / (s2 * s2), 2.0 * (c2 / s2)
+    q3, r3 = gp3 / (s3 * s3), 2.0 * (c3 / s3)
+    return s1 * c1, s2 * c2, s3 * c3, gt1, gt2, gt3, q1, q2, q3, r1, r2, r3
+
+
+def _accelerations(t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3,
+                   w1, w2, w3, u_prime, two_r2, memo):
+    """Second derivatives (theta_ddot_1..3, phi_ddot_1..3) of the raw
+    equations of motion; w_k = 2 m_k and two_r2 = 2 R^2.
+
+    This is the integrator's hot loop, written with plain floats. memo is
+    a two-item list [key, terms], [None, None] when fresh: the position
+    key (t1, t2, t3, p1 - p2, p2 - p3, p3 - p1) of the last evaluation
+    that succeeded and its _position_terms. A call whose key equals it
+    reuses those terms and computes only the centrifugal and Coriolis
+    terms, sc pd pd + gt and q - r td pd. A rigid rotation, seen from the
+    frame that turns with it, holds these keys still.
+
+    The floating-point operations are those of the per-pair loop that
+    tests/test_dynamics.py keeps as the reference, in the same order, so
+    results agree with it bit for bit, reused terms included. Keys are
+    compared with ==, which differs from bit equality in two ways:
+    - -0.0 == 0.0. A zero colatitude is a pole, which raises before
+      anything is stored. A zero longitude difference enters through cos,
+      which is even, and through sin(d) = +-0.0 as a product term of a gp
+      sum that starts from 0.0: the partial sum is never -0.0, so adding
+      or subtracting a zero of either sign leaves it as it is, and a
+      non-finite factor makes the product NaN either way.
+    - NaN != NaN, so a key holding NaN is computed afresh. Tuple ==
+      matches an item to itself by identity first; the same float object
+      holds the same bits, which give the same terms.
+
+    Raises as _position_terms does; a raising call leaves memo as it was.
+    """
+    key = (t1, t2, t3, p1 - p2, p2 - p3, p3 - p1)
+    if key == memo[0]:
+        terms = memo[1]
+    else:
+        terms = _position_terms(*key, w1, w2, w3, u_prime, two_r2)
+        memo[0], memo[1] = key, terms
+    sc1, sc2, sc3, gt1, gt2, gt3, q1, q2, q3, r1, r2, r3 = terms
     return (
-        s1 * c1 * pd1 * pd1 + gt1,
-        s2 * c2 * pd2 * pd2 + gt2,
-        s3 * c3 * pd3 * pd3 + gt3,
-        gp1 / (s1 * s1) - 2.0 * (c1 / s1) * td1 * pd1,
-        gp2 / (s2 * s2) - 2.0 * (c2 / s2) * td2 * pd2,
-        gp3 / (s3 * s3) - 2.0 * (c3 / s3) * td3 * pd3,
+        sc1 * pd1 * pd1 + gt1,
+        sc2 * pd2 * pd2 + gt2,
+        sc3 * pd3 * pd3 + gt3,
+        q1 - r1 * td1 * pd1,
+        q2 - r2 * td2 * pd2,
+        q3 - r3 * td3 * pd3,
     )
 
 
@@ -172,7 +219,10 @@ def integrate(
     """Classical fixed-step RK4 over the raw equations of motion.
 
     The step works on twelve local floats and calls _accelerations once
-    per stage. Every (store_every)-th state and the last one are kept.
+    per stage, with a memo that this call owns: a stage at the position
+    of the stage before reuses its position terms (sines, cosines, U' and
+    the force sums), bit for bit what recomputing them gives. Every
+    (store_every)-th state and the last one are kept.
     Reports the drifts of the energy E = K - V and of the angular
     momentum vector c from the first state to the last,
     |E1 - E0| / max(|E0|, 1) and |c1 - c0| / max(|c0|, 1): relative, but
@@ -200,6 +250,7 @@ def integrate(
     h = t_end / n_steps
     hh = 0.5 * h
     h6 = h / 6.0
+    memo = [None, None]
 
     times = [0.0]
     rows = [(t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3)]
@@ -210,25 +261,25 @@ def integrate(
         try:
             tdd1a, tdd2a, tdd3a, pdd1a, pdd2a, pdd3a = _accelerations(
                 t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3,
-                w1, w2, w3, up, two_r2)
+                w1, w2, w3, up, two_r2, memo)
             td1b, td2b, td3b = td1 + hh * tdd1a, td2 + hh * tdd2a, td3 + hh * tdd3a
             pd1b, pd2b, pd3b = pd1 + hh * pdd1a, pd2 + hh * pdd2a, pd3 + hh * pdd3a
             tdd1b, tdd2b, tdd3b, pdd1b, pdd2b, pdd3b = _accelerations(
                 t1 + hh * td1, t2 + hh * td2, t3 + hh * td3,
                 p1 + hh * pd1, p2 + hh * pd2, p3 + hh * pd3,
-                td1b, td2b, td3b, pd1b, pd2b, pd3b, w1, w2, w3, up, two_r2)
+                td1b, td2b, td3b, pd1b, pd2b, pd3b, w1, w2, w3, up, two_r2, memo)
             td1c, td2c, td3c = td1 + hh * tdd1b, td2 + hh * tdd2b, td3 + hh * tdd3b
             pd1c, pd2c, pd3c = pd1 + hh * pdd1b, pd2 + hh * pdd2b, pd3 + hh * pdd3b
             tdd1c, tdd2c, tdd3c, pdd1c, pdd2c, pdd3c = _accelerations(
                 t1 + hh * td1b, t2 + hh * td2b, t3 + hh * td3b,
                 p1 + hh * pd1b, p2 + hh * pd2b, p3 + hh * pd3b,
-                td1c, td2c, td3c, pd1c, pd2c, pd3c, w1, w2, w3, up, two_r2)
+                td1c, td2c, td3c, pd1c, pd2c, pd3c, w1, w2, w3, up, two_r2, memo)
             td1d, td2d, td3d = td1 + h * tdd1c, td2 + h * tdd2c, td3 + h * tdd3c
             pd1d, pd2d, pd3d = pd1 + h * pdd1c, pd2 + h * pdd2c, pd3 + h * pdd3c
             tdd1d, tdd2d, tdd3d, pdd1d, pdd2d, pdd3d = _accelerations(
                 t1 + h * td1c, t2 + h * td2c, t3 + h * td3c,
                 p1 + h * pd1c, p2 + h * pd2c, p3 + h * pd3c,
-                td1d, td2d, td3d, pd1d, pd2d, pd3d, w1, w2, w3, up, two_r2)
+                td1d, td2d, td3d, pd1d, pd2d, pd3d, w1, w2, w3, up, two_r2, memo)
         except SingularityError as err:
             error = str(err)
             break

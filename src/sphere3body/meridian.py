@@ -196,7 +196,8 @@ def classify_case(pq: PairQuantities, masses: MassTriple) -> str:
 class MeridianSolution(NamedTuple):
     """A rigid rotator on a rotating meridian, or a fixed point (s = 0,
     omega_squared None, thetas (0, theta21, theta31): no axis is
-    preferred), with its configuration and residual (module docstring)."""
+    preferred), with its configuration and residual (module docstring)
+    and the region that holds x."""
 
     x: float
     shape: Shape
@@ -205,15 +206,12 @@ class MeridianSolution(NamedTuple):
     omega_squared: float | None
     case_tag: str
     residual_max: float
+    region: str  # region_of(x, shape.theta21), set by _solution
 
     @property
     def thetas_alt(self) -> tuple[float, float, float]:
         t1, t2, t3 = self.thetas
         return (t1 + math.pi, t2 + math.pi, t3 + math.pi)
-
-    @property
-    def region(self) -> str:
-        return region_of(self.x, self.shape.theta21)
 
     @property
     def is_fixed_point(self) -> bool:
@@ -235,7 +233,8 @@ def _solution(shape, masses, s, rate, case_tag, pot) -> MeridianSolution:
             thetas, omega_squared = lifted, rate * A
     residual = backward_error(thetas, omega_squared or 0.0, masses, pot)
     return MeridianSolution(shape.theta31, shape, thetas, s, omega_squared,
-                            case_tag, residual)
+                            case_tag, residual,
+                            region_of(shape.theta31, shape.theta21))
 
 
 # a knot where |g| <= TANGENT_ULPS * eps * (nu1*Ps + nu2*Qs + Ss)

@@ -121,12 +121,13 @@ class TestResiduals:
 
 def _state_accelerations(st, masses, pot):
     """_accelerations of a SphericalState: (theta_ddot, phi_ddot) of
-    bodies 1 to 3, as integrate calls it."""
+    bodies 1 to 3, as integrate calls it at its first stage, with a fresh
+    memo, so every term is computed."""
     m1, m2, m3 = masses
     R = pot.radius.R
     return _accelerations(
         *st.thetas, *st.phis, *st.theta_dot, *st.phi_dot,
-        2.0 * m1, 2.0 * m2, 2.0 * m3, pot.u_prime, 2.0 * (R * R))
+        2.0 * m1, 2.0 * m2, 2.0 * m3, pot.u_prime, 2.0 * (R * R), [None, None])
 
 
 class TestEomRhs:
@@ -252,7 +253,8 @@ class TestIntegrate:
 
 
 # ------------------------------------------------------------------
-# Differential tests: the straight-line kernel in dynamics against a
+# Differential tests: the integrator's kernel (integrator._accelerations,
+# with the position terms it reuses from stage to stage) against a
 # literal transcription of the loop-and-dict right-hand side and the
 # tuple RK4 loop it replaced. Every floating-point operation is kept in
 # order, so results must agree bit for bit, errors included.
@@ -458,6 +460,40 @@ def test_integrate_matches_reference_bitwise(case):
     traj, error = _integrate_both(state, masses, period, period / 4000, 1)
     assert traj.error is error is None
     assert len(traj.times) == 4001
+
+
+def test_integrate_reuses_a_rigid_rotations_position_terms():
+    # a rigid rotation from phi = 0 keeps every stage of this period at the
+    # first stage's colatitudes and longitude differences, bit for bit, so
+    # one evaluation of the position terms (one U' per pair) serves all
+    # 16000 stages
+    calls = 0
+
+    def counting_u_prime(d2):
+        nonlocal calls
+        calls += 1
+        return POT.u_prime(d2)
+
+    masses = MassTriple(3.0, 2.0, 1.0)
+    state, period = _solution_state(math.pi / 6, masses, lambda s: s[0])
+    traj = integrate(state, masses, POT._replace(u_prime=counting_u_prime),
+                     period, period / 4000)
+    assert traj.error is None and len(traj.times) == 4001
+    assert calls == 3
+
+
+def test_integrate_signed_zero_longitude_differences_match_reference():
+    # phi_1 - phi_2 is -0.0 at the first stage and +0.0 at the second,
+    # which sits at the same position (theta_dot = phi_dot = 0), so the
+    # second reuses the terms of the first: sin(-0.0) = -0.0 must leave
+    # them as +0.0 would
+    m = MassTriple(3.0, 2.0, 1.0)
+    st = SphericalState(
+        (SpherePoint(0.9, -0.0), SpherePoint(1.8, 0.0), SpherePoint(2.4, 0.0)),
+        (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+    )
+    traj, error = _integrate_both(st, m, 1.0, 0.01, 1)
+    assert traj.error is error is None
 
 
 def test_integrate_error_and_storing_match_reference():

@@ -46,7 +46,7 @@ RECORDS = {
                                   G31=-1.5),
     meridian.MeridianSolution: dict(
         x=3.5, shape=Shape(0.5, 3.5), thetas=(0.1, 0.6, 3.6), s=1,
-        omega_squared=2.0, case_tag=meridian.CASE1, residual_max=1e-16),
+        omega_squared=2.0, case_tag=meridian.CASE1, residual_max=1e-16, region="III"),
     oracles.RegionCounts: dict(I=1, II=2, III=1, IV=0),
     oracles.ExceptionalAngles: dict(which=meridian.CASE2, nu=2.0, sin_theta_pair=0.6,
                                     cos_theta_pair=0.8, sin_theta_other=0.8,
