@@ -201,6 +201,10 @@ class TestVerifyRoundTrip:
         for sol in report["solutions"]:
             assert sol["sigma_drift"] < 1e-6
             assert sol["c_drift"] < 1e-8
+        # the default tolerances, written out, give the same report
+        assert run(capsys, ["verify", str(sol_file), "--integrate",
+                            "--tol-residual", "1e-9",
+                            "--tol-sigma", "1e-6"]) == (code, out)
 
     def test_closed_stdout_exits_1_quietly(self, tmp_path):
         # `verify six.json --integrate | head -c 5`, with the reader gone
@@ -778,7 +782,7 @@ def test_default_grids_survive_a_sweep(tmp_path):
         path = tmp_path / f"sweep{k}.csv"
         assert main(["sweep", "--out", str(path)]) == 0
         texts.append(path.read_bytes())
-    assert texts[0] == texts[1]
+    assert texts[0] and texts[0] == texts[1]
 
 
 def _readme_block(fence: str, after: str) -> str:
@@ -806,51 +810,18 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
     assert len(namespace["sols"]) == 6
 
 
-# run in a fresh interpreter: cli.main on every command but sweep and
-# euler-limit, then whether numpy was ever imported
-NO_NUMPY_SCRIPT = """
-import contextlib, io, os, sys
-from sphere3body import cli
-out = os.path.join(sys.argv[1], "six.json")
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [
-        cli.main(["meridian", "--masses", "3,2,1", "--a", "0.5235987755982988",
-                  "--out", out]),
-        cli.main(["meridian", "--masses", "3,2,1", "--a", "0.7853981633974483",
-                  "--format", "csv"]),
-        cli.main(["verify", out, "--integrate"]),
-        cli.main(["equator", "--masses", "1,2,3"]),
-        cli.main(["--help"]),
-    ]
-print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "numpy")[:3],
-      sorted({"dataclasses", "inspect"} & set(sys.modules)))
-"""
-
-
-def test_solving_commands_never_import_numpy(tmp_path):
-    # meridian's scan, verify and equator run on plain floats; only the
-    # sweep grid counter and writer, euler-limit and kernels.g_array make
-    # arrays, and they import numpy where they do. The records are named
-    # tuples, so dataclasses (and the inspect it imports) is not loaded
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT, str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "[]", "[]"]
-
-
 # run in a fresh interpreter: one command (the script's arguments), then
-# which of the modules loaded on demand it loaded, then the package's
-# public names
+# which of the watched modules it loaded (every numpy module counts as
+# numpy), then the package's public names
 ON_DEMAND_SCRIPT = """
 import contextlib, io, sys
 from sphere3body import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, sorted({"sphere3body.equator", "sphere3body.euler_limit",
-                    "sphere3body.grid", "sphere3body.integrator", "csv"}
-                   & set(sys.modules)))
+loaded = {"numpy" if m.split(".")[0] == "numpy" else m for m in sys.modules}
+print(code, *sorted(loaded & {"csv", "dataclasses", "inspect", "numpy",
+                              "sphere3body.equator", "sphere3body.euler_limit",
+                              "sphere3body.grid", "sphere3body.integrator"}))
 import sphere3body
 from sphere3body import *
 from sphere3body import equator
@@ -858,39 +829,51 @@ print(sphere3body.solve_equator is equator.solve_equator,
       all(globals()[name] is getattr(sphere3body, name)
           for name in sphere3body.__all__))
 """
-# each command and the modules of ON_DEMAND_SCRIPT's set that it loads;
-# six.json is a meridian file in the working directory
+# the watched modules that numpy imports for itself (inspect, in numpy 2)
+NUMPY_SCRIPT = """
+import sys
+import numpy
+print(*sorted({"csv", "dataclasses", "inspect"} & set(sys.modules)))
+"""
+# each command and the watched modules that it loads, in the order they
+# run: verify reads the six.json that the first meridian writes
 ON_DEMAND = [
-    (["meridian", "--masses", "3,2,1", "--a", "0.5235987755982988"], []),
+    (["meridian", "--masses", "3,2,1", "--a", "0.5235987755982988",
+      "--out", "six.json"], []),
     (["meridian", "--masses", "3,2,1", "--a", "0.7853981633974483",
       "--format", "csv"], []),
     (["sweep", "--a-grid", "1.2:1.2:1", "--nu1-grid", "0.5:8:5",
-      "--nu2-grid", "0.5:8:5"], ["sphere3body.grid"]),
+      "--nu2-grid", "0.5:8:5"], ["numpy", "sphere3body.grid"]),
     (["verify", "six.json", "--integrate"], ["sphere3body.integrator"]),
     (["equator", "--masses", "1,2,3"], ["sphere3body.equator"]),
     (["euler-limit", "--masses", "3,2,1", "--format", "csv"],
-     ["sphere3body.euler_limit"]),
+     ["numpy", "sphere3body.euler_limit"]),
     (["--help"], []),
 ]
 
 
-def test_meridian_loads_neither_equator_nor_euler_limit(tmp_path):
-    # each command loads only what it runs: cmd_equator imports equator,
-    # cmd_euler_limit euler_limit (its CSV, like every CSV, is joined
-    # text: no command imports csv), cmd_verify the integrator, and sweep
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    # meridian's scan, verify and equator run on plain floats: only sweep
+    # and euler-limit import numpy. The records are named tuples, so no
+    # command loads dataclasses (or the inspect it imports), and every CSV
+    # is joined text, so none loads csv. cmd_equator imports equator,
+    # cmd_euler_limit euler_limit, cmd_verify the integrator, and sweep
     # the grid counter (meridian gives its name on first use). The package
     # gives the equator's names on first use, so `from sphere3body import *`
     # still has them
-    assert main(["meridian", "--masses", "3,2,1", "--a", "0.5235987755982988",
-                 "--out", str(tmp_path / "six.json")]) == 0
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    numpy_loads = subprocess.run([sys.executable, "-c", NUMPY_SCRIPT],
+                                 capture_output=True, text=True, check=True,
+                                 timeout=300).stdout.split()
     for argv, loaded in ON_DEMAND:
+        if "numpy" in loaded:
+            loaded = sorted({*loaded, *numpy_loads})
         proc = subprocess.run([sys.executable, "-c", ON_DEMAND_SCRIPT, *argv],
                               capture_output=True, text=True, env=env,
                               cwd=tmp_path, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", repr(loaded), "True", "True"], argv
+        assert proc.stdout.split() == ["0", *loaded, "True", "True"], argv
 
 
 @pytest.mark.parametrize("module", [cli, mer])

@@ -14,6 +14,7 @@ import pytest
 from sphere3body import cli
 from sphere3body import meridian as mer
 from sphere3body.cli import main
+from test_cli import README
 from test_meridian import benchmark_pool
 from test_region_roots import NAMED
 
@@ -191,6 +192,10 @@ def test_csv_named_and_pool_inputs_match_transcription(solved, capsys, tmp_path)
     # the input with no solution writes the header alone
     assert check_csv_bytes((1.0, 1.0, 1.0), 2.0943951023931953, solved, capsys,
                            tmp_path).count("\r\n") == 1
+
+
+def test_readme_lists_the_csv_header():
+    assert f"`{','.join(cli.CSV_HEADER)}`" in README.read_text()
 
 
 @pytest.mark.parametrize("fields", [
