@@ -852,28 +852,53 @@ ON_DEMAND = [
 ]
 
 
-def test_each_command_loads_only_what_it_runs(tmp_path):
-    # meridian's scan, verify and equator run on plain floats: only sweep
-    # and euler-limit import numpy. The records are named tuples, so no
-    # command loads dataclasses (or the inspect it imports), and every CSV
-    # is joined text, so none loads csv. cmd_equator imports equator,
-    # cmd_euler_limit euler_limit, cmd_verify the integrator, and sweep
-    # the grid counter (meridian gives its name on first use). The package
-    # gives the equator's names on first use, so `from sphere3body import *`
-    # still has them
+# the watched modules that say whether a command runs on plain floats
+NUMPY_WATCHED = {"dataclasses", "inspect", "numpy"}
+
+
+@pytest.fixture(scope="module")
+def command_loads(tmp_path_factory):
+    # each ON_DEMAND command run once, in order, in a fresh interpreter:
+    # its arguments, the watched modules it should load and the script's
+    # output words
+    cwd = tmp_path_factory.mktemp("loads")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     numpy_loads = subprocess.run([sys.executable, "-c", NUMPY_SCRIPT],
                                  capture_output=True, text=True, check=True,
                                  timeout=300).stdout.split()
+    runs = []
     for argv, loaded in ON_DEMAND:
         if "numpy" in loaded:
             loaded = sorted({*loaded, *numpy_loads})
         proc = subprocess.run([sys.executable, "-c", ON_DEMAND_SCRIPT, *argv],
                               capture_output=True, text=True, env=env,
-                              cwd=tmp_path, timeout=300)
+                              cwd=cwd, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", *loaded, "True", "True"], argv
+        runs.append((argv, loaded, proc.stdout.split()))
+    return runs
+
+
+def test_solving_commands_never_import_numpy(command_loads):
+    # meridian's scan, verify and equator run on plain floats: only sweep
+    # and euler-limit import numpy. The records are named tuples, so no
+    # command loads dataclasses (or the inspect it imports)
+    for argv, loaded, words in command_loads:
+        assert ([w for w in words if w in NUMPY_WATCHED]
+                == [m for m in loaded if m in NUMPY_WATCHED]), argv
+
+
+def test_meridian_loads_neither_equator_nor_euler_limit(command_loads):
+    # each command loads only what it runs: every CSV is joined text, so
+    # none loads csv. cmd_equator imports equator, cmd_euler_limit
+    # euler_limit, cmd_verify the integrator, and sweep the grid counter
+    # (meridian gives its name on first use). The package gives the
+    # equator's names on first use, so `from sphere3body import *` still
+    # has them
+    for argv, loaded, words in command_loads:
+        assert [w for w in words if w not in NUMPY_WATCHED] == [
+            "0", *[m for m in loaded if m not in NUMPY_WATCHED],
+            "True", "True"], argv
 
 
 @pytest.mark.parametrize("module", [cli, mer])
