@@ -546,12 +546,12 @@ def find_meridian_rotators(
 ) -> list[MeridianSolution]:
     """All rigid rotators on the rotating meridian for fixed a.
 
-    A potential with pot.reduced_g (the cotangent potential and its sign
-    flip): every root of the reduced equation g in each region
-    (_scan_roots), to floating-point resolution; the exceptional
-    Case 2/3 shapes are roots of g too. Any other potential samples the
-    generic ratio equation at GENERIC_SCAN_SAMPLES points per region
-    instead, from GENERIC_BOUNDARY_GAP off each singular point: it
+    A potential with pot.reduced_g, whose u_prime is the cotangent one or
+    its sign flip (whatever its u): every root of the reduced equation g
+    in each region (_scan_roots), to floating-point resolution; the
+    exceptional Case 2/3 shapes are roots of g too. Any other potential
+    samples the generic ratio equation at GENERIC_SCAN_SAMPLES points per
+    region instead, from GENERIC_BOUNDARY_GAP off each singular point: it
     misses tangent roots, close pairs and roots nearer a singular point.
     A root is reported when its backward error (residual_max) is at most
     residual_tol radians of x. No potential means the unit-sphere

@@ -10,7 +10,9 @@ satisfying the same conventions can drive the generic meridian solver.
 
 A potential is the one holder of the sphere's radius: u and u_prime are
 functions of D^2 on that sphere, and every solver, gate and integrator
-that takes a potential reads the radius from its radius field.
+that takes a potential reads the radius from its radius field. The
+cotangent family's u_prime records its sphere too (reduced_g_sphere):
+that marks its meridian RE as the roots of g, and no other radius is let in.
 
 PAIRS orders the three body pairs and pair_value labels a
 SingularityError with its pair, for every pair loop but the integrator's.
@@ -42,21 +44,40 @@ class SingularityError(ValueError):
         super().__init__(f"{kind} singularity at D^2={d2}{where}")
 
 
-class PairPotential(NamedTuple):
+class _PotentialFields(NamedTuple):
+    u: Callable[[float], float]
+    u_prime: Callable[[float], float]
+    radius: SphereRadius = SphereRadius()
+
+
+class PairPotential(_PotentialFields):
     """Potential contract: u(D^2) and its derivative with respect to D^2
     (module docstring); the sign of u_prime says whether it attracts.
 
-    reduced_g marks a potential whose rotating-meridian RE are the roots
-    of the reduced equation g (kernels), and radius is the sphere that
-    D^2 is measured on (the unit sphere unless given). Only
-    cotangent_potential sets reduced_g; it sets the radius it was given,
-    and repulsive() keeps both.
+    radius is the sphere that D^2 is measured on (the unit sphere unless
+    given). A u_prime that records a sphere in u_prime.reduced_g_sphere
+    (only cotangent_potential and repulsive() build one) must be given
+    that radius, through _replace too, or ValueError is raised.
     """
 
-    u: Callable[[float], float]
-    u_prime: Callable[[float], float]
-    reduced_g: bool = False
-    radius: SphereRadius = SphereRadius()
+    __slots__ = ()
+
+    def __new__(cls, u, u_prime, radius: SphereRadius = SphereRadius()):
+        sphere = getattr(u_prime, "reduced_g_sphere", radius)
+        if sphere != radius:
+            raise ValueError(f"u_prime was built for {sphere!r}, not {radius!r}")
+        return super().__new__(cls, u, u_prime, radius)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
+
+    @property
+    def reduced_g(self) -> bool:
+        """True when the rotating-meridian RE are the roots of the reduced
+        equation g (kernels): u_prime records its sphere. The RE depend on
+        U' alone, so a new u keeps it and a new u_prime drops it."""
+        return hasattr(self.u_prime, "reduced_g_sphere")
 
 
 def cotangent_potential(R: SphereRadius) -> PairPotential:
@@ -64,7 +85,8 @@ def cotangent_potential(R: SphereRadius) -> PairPotential:
 
     u_prime is the integrator's innermost call (three per right-hand
     side), so R's constants and the domain check are bound into u and
-    u_prime here, once per radius.
+    u_prime here, once per radius. u_prime records R as reduced_g_sphere,
+    so the potential is solved through g and keeps radius R.
     """
     r2 = R.R * R.R
     d2_antipodal = 4.0 * R.R * R.R
@@ -97,18 +119,19 @@ def cotangent_potential(R: SphereRadius) -> PairPotential:
             kind = COLLISION if d2 < 0.5 * d2_antipodal else ANTIPODAL
             raise SingularityError(kind, d2) from None
 
-    return PairPotential(u=u, u_prime=u_prime, reduced_g=True, radius=R)
+    u_prime.reduced_g_sphere = R
+    return PairPotential(u=u, u_prime=u_prime, radius=R)
 
 
 def repulsive(pot: PairPotential) -> PairPotential:
     """Sign-flipped copy of a potential (attractive <-> repulsive): u and
-    u_prime negated, reduced_g and radius kept."""
-    return PairPotential(
-        u=lambda d2: -pot.u(d2),
-        u_prime=lambda d2: -pot.u_prime(d2),
-        reduced_g=pot.reduced_g,
-        radius=pot.radius,
-    )
+    u_prime negated; radius and the sphere u_prime records are kept."""
+    def u_prime(d2: float) -> float:
+        return -pot.u_prime(d2)
+
+    if pot.reduced_g:
+        u_prime.reduced_g_sphere = pot.u_prime.reduced_g_sphere
+    return PairPotential(u=lambda d2: -pot.u(d2), u_prime=u_prime, radius=pot.radius)
 
 
 # the body pairs (i, j), from 0, in the order of every pair loop

@@ -391,10 +391,12 @@ class TestSolver:
         assert custom and custom != cotangent
 
     def test_generic_path_matches_reduced_path(self):
-        # a cotangent clone without reduced_g is solved by sampling its
-        # ratio equation; it finds every root of g but the tangent roots
-        # of Table 2 at |nu1 - nu2| = 4, where no sample sees a sign change
-        clone = POT._replace(reduced_g=False)
+        # a cotangent clone whose u_prime records no sphere is solved by
+        # sampling its ratio equation; it finds every root of g but the
+        # tangent roots of Table 2 at |nu1 - nu2| = 4, where no sample
+        # sees a sign change
+        clone = PairPotential(POT.u, lambda d2: POT.u_prime(d2), POT.radius)
+        assert not clone.reduced_g
         missing = []
         for a, nu1, nu2 in NAMED[:10]:  # the paper's named inputs
             m = MassTriple(nu1, nu2, 1.0)
@@ -414,6 +416,10 @@ class TestSolver:
     def test_reduced_g_is_the_cotangent_family(self):
         assert POT.reduced_g and repulsive(POT).reduced_g
         assert not PairPotential(u=abs, u_prime=abs).reduced_g
+        # reduced_g is read from u_prime, never set
+        assert PairPotential._fields == ("u", "u_prime", "radius")
+        with pytest.raises(AttributeError):
+            POT.reduced_g = False
 
     def test_larger_radius_scales_omega(self):
         # the radius reaches the solver through the potential alone: the
@@ -1167,6 +1173,22 @@ def test_generic_chain_matches_transcription_bitwise():
             x.hex() for x in roots]
         assert roots
         _check_candidates(a, masses, custom, roots)
+
+
+def test_replaced_u_prime_is_solved_on_the_generic_path():
+    # a new u_prime drops the cotangent record, so the potential is
+    # solved as PairPotential(u, u_prime, radius) is, not through g
+    base = cotangent_potential(SphereRadius(1.3))
+
+    def f(d2):
+        return 1.1 * base.u_prime(d2) - 0.05
+
+    replaced = base._replace(u_prime=f)
+    assert not replaced.reduced_g and replaced.radius == base.radius
+    built = PairPotential(base.u, f, base.radius)
+    xs = [[s.x.hex() for s in mer.find_meridian_rotators(math.pi / 6, M321, pot)]
+          for pot in (replaced, built)]
+    assert len(xs[0]) == 6 and xs[0] == xs[1]
 
 
 def test_generic_scan_skips_regions_narrower_than_its_gap():

@@ -91,6 +91,24 @@ def test_repulsive_flips_sign():
     assert twice.u_prime(d * d) == pot.u_prime(d * d)
 
 
+@pytest.mark.parametrize("R_val", [1.0, 2.5])
+def test_cotangent_family_keeps_its_record(R_val):
+    # the exact path is read from u_prime: negating it twice or giving a
+    # new u keeps it, a new u_prime drops it, and the radius stays bound
+    # to the one u_prime was built for
+    R = SphereRadius(R_val)
+    other = SphereRadius(2.0 * R_val)
+    pot = cotangent_potential(R)
+    for kept in (repulsive(repulsive(pot)), pot._replace(u=lambda d2: 2.0 * pot.u(d2)),
+                 repulsive(pot)._replace(u=abs)):
+        assert kept.reduced_g and kept.radius == R
+        with pytest.raises(ValueError, match="u_prime was built for"):
+            kept._replace(radius=other)
+    dropped = pot._replace(u_prime=lambda d2: pot.u_prime(d2))
+    assert not dropped.reduced_g
+    assert dropped._replace(radius=other).radius == other
+
+
 def test_total_potential_equilateral_equal_masses():
     # three unit masses at mutual arc 2*pi/3: V = 3 * cot(2*pi/3) = -sqrt(3)
     R = SphereRadius(1.0)

@@ -33,8 +33,7 @@ RECORDS = {
         energy_drift=1e-15, c_drift=2e-15, error=None),
     geometry.SpherePoint: dict(theta=0.7, phi=1.1),
     geometry.SphereRadius: dict(R=2.5),
-    potential.PairPotential: dict(u=_u, u_prime=_u, reduced_g=True,
-                                  radius=SphereRadius(2.0)),
+    potential.PairPotential: dict(u=_u, u_prime=_u, radius=SphereRadius(2.0)),
     equator.ExistenceResult: dict(region=equator.EXTERIOR, violated="mu_3"),
     equator.EquatorSolution: dict(dphi_12=2.0, dphi_23=2.0, dphi_31=2.0 * math.pi - 4.0,
                                   rho=0.9, neg_potential_energy=1.5),
@@ -60,7 +59,7 @@ RECORDS = {
 
 DEFAULTS = {
     SphereRadius: {"R": 1.0},
-    potential.PairPotential: {"reduced_g": False, "radius": SphereRadius()},
+    potential.PairPotential: {"radius": SphereRadius()},
     ExistenceResult: {"violated": None},
     Trajectory: {"error": None},
 }
@@ -145,6 +144,26 @@ def test_sphere_radius_rejects(bad):
         SphereRadius(R=bad)
     with pytest.raises(ValueError, match=message):
         SphereRadius()._replace(R=bad)
+
+
+@pytest.mark.parametrize("built,given", [(1.0, 2.0), (1.0, 0.5), (2.0, 1.0)])
+def test_pair_potential_rejects_a_radius_its_u_prime_was_not_built_for(built, given):
+    cot = potential.cotangent_potential(SphereRadius(built))
+    R = SphereRadius(given)
+    message = "u_prime was built for"
+    with pytest.raises(ValueError, match=message):
+        potential.PairPotential(cot.u, cot.u_prime, R)
+    with pytest.raises(ValueError, match=message):
+        potential.PairPotential(u=cot.u, u_prime=cot.u_prime, radius=R)
+    with pytest.raises(ValueError, match=message):
+        cot._replace(radius=R)
+    with pytest.raises(ValueError, match=message):
+        potential.repulsive(cot)._replace(radius=R)
+    if given == 1.0:  # the default radius
+        with pytest.raises(ValueError, match=message):
+            potential.PairPotential(cot.u, cot.u_prime)
+    # a u_prime that records no sphere takes any radius
+    assert potential.PairPotential(_u, _u)._replace(radius=R).radius == R
 
 
 def test_sphere_radius_epsilon_is_exact():
