@@ -11,7 +11,7 @@ from typing import NamedTuple, Sequence
 
 from . import kernels
 from .dynamics import MassTriple
-from .meridian import _scan_roots
+from .meridian import _check_a, _scan_roots
 
 
 def euler_quintic_coefficients(masses: MassTriple) -> list[float]:
@@ -62,10 +62,13 @@ def euler_limit_check(
     The scaled values m3/2 * g * (R/r21)^5 at x = (1 + lambda) * a,
     a = r21/R, converge to the quintic in lambda at second order in
     r21/R. reports per-R coefficient deviation and the deviation of the
-    meridian root from the quintic's positive root.
+    meridian root from the quintic's positive root. Raises ValueError
+    unless a = r21/R lies in (0, pi) for every R.
     """
     import numpy as np
 
+    for R in R_values:
+        _check_a(r21 / R)
     coeffs = euler_quintic_coefficients(masses)
     lam_root = _quintic_positive_root(coeffs)
     nu1, nu2 = masses.nu1, masses.nu2

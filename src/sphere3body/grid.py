@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from . import kernels
-from .meridian import BOUNDARY_TOL, REGIONS, _interiors
+from .meridian import BOUNDARY_TOL, REGIONS, _check_a, _interiors
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,15 +44,15 @@ def count_rotators_grid_regions(
     _scan_roots). Tangent roots are not detected here; this is the
     sweep's coarse counter. Raises ValueError, before anything is
     evaluated, where the largest |nu1| and |nu2| overflow g
-    (kernels.g_bound).
+    (kernels.g_bound), and unless 0 < a < pi, every nu is positive and
+    samples_per_region is at least 2.
 
     Each g value is (nu1 * P + nu2 * Q) + S in floating point, and a sign
     change is one sample below zero with its neighbour above zero (a zero
     sample is no sign change), so a cell's count does not depend on the
     rest of the grid. (Counting neighbour products below zero instead
     misses a sign change whose product underflows to zero, which takes a
-    nonzero |nu1 * P|, |nu2 * Q| or |S| below about 1e-144.) The nu
-    values are finite.
+    nonzero |nu1 * P|, |nu2 * Q| or |S| below about 1e-144.)
 
     Rounding is monotone, so for one nu2 and one sample the computed g
     is monotone in nu1: non-decreasing where P >= 0, non-increasing
@@ -79,6 +79,12 @@ def count_rotators_grid_regions(
     nu2v = np.asarray(nu2_values, dtype=float)
     kernels.g_bound(float(np.abs(nu1v).max(initial=0.0)),
                     float(np.abs(nu2v).max(initial=0.0)))
+    _check_a(a)
+    if not ((nu1v > 0.0).all() and (nu2v > 0.0).all()):
+        raise ValueError("nu1 and nu2 values must be positive")
+    if samples_per_region < 2:
+        raise ValueError(f"samples_per_region must be at least 2, "
+                         f"got {samples_per_region}")
     n1, n2 = len(nu1v), len(nu2v)
     order = np.argsort(nu1v, kind="stable")
     nu1s = nu1v[order]
@@ -87,7 +93,7 @@ def count_rotators_grid_regions(
     for region, inner in zip(REGIONS, _interiors(a, BOUNDARY_TOL)):
         counts = np.zeros((n1, n2), dtype=np.intp)
         out[region] = counts
-        if inner is None or n1 == 0 or samples_per_region < 2:
+        if inner is None or n1 == 0:
             continue
         terms = _normalised_terms(
             *kernels.g_terms(np.linspace(*inner, samples_per_region), a))

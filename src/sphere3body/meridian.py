@@ -45,7 +45,7 @@ from typing import NamedTuple
 from . import kernels
 from .dynamics import MassTriple, backward_error, meridian_pulls
 from .geometry import SphereRadius
-from .potential import PairPotential, cotangent_potential
+from .potential import PairPotential, SingularityError, cotangent_potential
 
 TWO_PI = 2.0 * math.pi
 EPS = sys.float_info.epsilon
@@ -59,7 +59,8 @@ REGIONS = ("I", "II", "III", "IV")
 # which shapes are A-zero fixed points, and moving it changes that set.
 A_TOL = 1e-6
 CASE_TOL = 1e-12  # two G values (or masses) closer than this are equal
-BOUNDARY_TOL = 1e-8  # distance kept from the singular points
+SINGULAR_TOL = 1e-12  # a shape this near a singular point sits on it
+BOUNDARY_TOL = 1e-8  # the gap that the scan and grid keep from the singular points
 # largest backward error, in radians of x, of a reported solution
 RESIDUAL_TOL = 1e-9
 
@@ -108,13 +109,14 @@ class Shape(NamedTuple):
     def theta32(self) -> float:
         return self.theta31 - self.theta21
 
-    def validate(self, tol: float = 1e-12):
+    def validate(self):
+        """Raises ValueError where either angle is out of range or singular."""
         if not 0.0 < self.theta21 < math.pi:
             raise ValueError(f"theta21 must lie in (0, pi), got {self.theta21}")
         if not 0.0 < self.theta31 < TWO_PI:
             raise ValueError(f"theta31 must lie in (0, 2*pi), got {self.theta31}")
         for end in (end for span in _region_ends(self.theta21) for end in span):
-            if abs(self.theta31 - end) <= tol:
+            if abs(self.theta31 - end) <= SINGULAR_TOL:
                 raise ValueError(f"theta31={self.theta31} sits on a singular point")
 
 
@@ -387,19 +389,12 @@ def _bernstein_root(c: list[float], lo: float, hi: float) -> float:
     tol = KNOT_WIDTH / (hi - lo)
     while True:
         t = 1.0 - s
+        far, r, coeffs, sign = (t, s / t, w_rev, 1.0) if s <= 0.5 else (s, t / s, w, -1.0)
         acc = slope = 0.0
-        if s <= 0.5:
-            r = s / t
-            for x in w_rev:
-                slope = slope * r + acc
-                acc = acc * r + x
-            v, dv = t * t * acc, slope - 11.0 * t * acc
-        else:
-            r = t / s
-            for x in w:
-                slope = slope * r + acc
-                acc = acc * r + x
-            v, dv = s * s * acc, 11.0 * s * acc - slope
+        for x in coeffs:
+            slope = slope * r + acc
+            acc = acc * r + x
+        v, dv = far * far * acc, sign * (slope - 11.0 * far * acc)
         if v == 0.0:
             break
         if v < 0.0:
@@ -549,53 +544,54 @@ def find_meridian_rotators(
     A potential with pot.reduced_g, whose u_prime is the cotangent one or
     its sign flip (whatever its u): every root of the reduced equation g
     in each region (_scan_roots), to floating-point resolution; the
-    exceptional Case 2/3 shapes are roots of g too. Any other potential
-    samples the generic ratio equation at GENERIC_SCAN_SAMPLES points per
-    region instead, from GENERIC_BOUNDARY_GAP off each singular point: it
-    misses tangent roots, close pairs and roots nearer a singular point.
-    A root is reported when its backward error (residual_max) is at most
-    residual_tol radians of x. No potential means the unit-sphere
+    exceptional Case 2/3 shapes are roots of g too. Any other potential:
+    the sign changes of its ratio equation (_generic_scan_roots). Each
+    scan keeps its roots inside its own gap from the singular points, so
+    a root is dropped only where its lift raises SingularityError (U'
+    takes D^2, which rounds to 4R^2 within about 1e-8 of an antipodal
+    point), and reported where its backward error (residual_max) is at
+    most residual_tol radians of x. No potential means the unit-sphere
     cotangent one.
     """
     _check_a(a)
     pot = pot or _UNIT_COTANGENT
     if pot.reduced_g:
-        roots = [x for region in _scan_roots(a, masses.nu1, masses.nu2)
-                 for x in region]
+        per_region = _scan_roots(a, masses.nu1, masses.nu2)
     else:
-        roots = _generic_scan_roots(a, masses, pot)
+        per_region = _generic_scan_roots(a, masses, pot)
 
     solutions = []
-    for x in roots:
-        shape = Shape(a, x)
+    for x in (x for roots in per_region for x in roots):
         try:
-            shape.validate(BOUNDARY_TOL)
-            sol = solution_from_shape(shape, masses, pot)
-        except ValueError:
+            sol = solution_from_shape(Shape(a, x), masses, pot)
+        except SingularityError:
             continue
         if sol.residual_max <= residual_tol:
             solutions.append(sol)
     return solutions
 
 
-def _generic_scan_roots(a, masses, pot) -> list[float]:
-    # scan the cross-multiplied ratio equation for a generic potential
+def _generic_scan_roots(a, masses, pot) -> list[list[float]]:
+    """Sign changes of a generic potential's cross-multiplied ratio
+    equation between GENERIC_SCAN_SAMPLES samples of each region less
+    GENERIC_BOUNDARY_GAP at both ends, one list per region in REGIONS
+    order. Tangent roots, close pairs and roots nearer an end are missed."""
     def h(x):
         n12, d12, n31, d31 = _ratio_terms(pair_quantities(masses, Shape(a, x), pot))
         return n12 * d31 - n31 * d12
 
-    roots = []
-    for inner in _interiors(a, GENERIC_BOUNDARY_GAP):
+    roots: list[list[float]] = [[] for _ in REGIONS]
+    for k, inner in enumerate(_interiors(a, GENERIC_BOUNDARY_GAP)):
         if inner is None:
             continue
         lo, hi = inner
         # numpy.linspace's samples, bit for bit
         step = (hi - lo) / (GENERIC_SCAN_SAMPLES - 1)
-        xs = [k * step + lo for k in range(GENERIC_SCAN_SAMPLES - 1)] + [hi]
+        xs = [j * step + lo for j in range(GENERIC_SCAN_SAMPLES - 1)] + [hi]
         hs = [h(x) for x in xs]
         for i in range(GENERIC_SCAN_SAMPLES - 1):
             if hs[i] * hs[i + 1] < 0.0:
-                roots.append(_bisect(h, xs[i], xs[i + 1], hs[i], hs[i + 1]))
+                roots[k].append(_bisect(h, xs[i], xs[i + 1], hs[i], hs[i + 1]))
     return roots
 
 

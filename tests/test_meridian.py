@@ -362,13 +362,11 @@ class TestSolver:
             masses = MassTriple(*m)
             reported = {s.x for s in mer.find_meridian_rotators(a, masses)}
             for x in (x for r in mer._scan_roots(a, masses.nu1, masses.nu2) for x in r):
-                shape = mer.Shape(a, x)
                 try:
-                    shape.validate(mer.BOUNDARY_TOL)
-                except ValueError:
+                    sol = mer.solution_from_shape(mer.Shape(a, x), masses)
+                except SingularityError:
                     assert x not in reported
                     continue
-                sol = mer.solution_from_shape(shape, masses)
                 good = cartesian_defect_in_x(sol.thetas, sol.omega_squared, m) <= 1e-9
                 assert (x in reported) == good, (a, m, x, sol.residual_max)
                 kept += good
@@ -579,11 +577,11 @@ class TestGridCounter:
 
     def test_nu1_order_is_the_callers(self):
         # unsorted, reversed and repeated nu1 values, each against the
-        # transcription
+        # transcription (the rounded draw shifted by 1, as 0 is no ratio)
         rng = np.random.default_rng(7)
         nu = rng.uniform(0.1, 10.0, 30)
         for nu1 in (nu, np.sort(nu)[::-1], np.repeat(nu[:6], 4),
-                    rng.choice(np.round(nu, 0), 25)):
+                    rng.choice(np.round(nu, 0), 25) + 1.0):
             for a in (0.4, math.pi / 2, 2.8):
                 got = mer.count_rotators_grid_regions(a, nu1, nu[:17], 50)
                 want = broadcast_grid_regions(a, nu1, nu[:17], 50)
@@ -596,6 +594,18 @@ class TestGridCounter:
             with pytest.raises(ValueError, match="too large: g overflows"):
                 mer.count_rotators_grid_regions(1.0, [1.0, nu1], [nu2], 400)
         assert mer.count_rotators_grid_regions(1.0, [], [], 400)["I"].shape == (0, 0)
+
+    # inputs it cannot answer, each counted as if it could before
+    @pytest.mark.parametrize("a,nu1,nu2,samples,message", [
+        (4.0, 1.0, 1.0, 400, "a must lie in"),
+        (-0.5, 1.0, 1.0, 400, "a must lie in"),
+        (1.0, -1.0, 1.0, 400, "must be positive"),
+        (1.0, 0.0, 0.0, 400, "must be positive"),
+        (1.0, 1.0, 1.0, 1, "at least 2"),
+    ], ids=["a=4", "a=-0.5", "nu1=-1", "nu=0", "samples=1"])
+    def test_unanswerable_inputs_are_rejected(self, a, nu1, nu2, samples, message):
+        with pytest.raises(ValueError, match=message):
+            mer.count_rotators_grid_regions(a, [nu1], [nu2], samples)
 
     # regions I and III (II and IV near pi) no wider than 2 * BOUNDARY_TOL
     # have no room for samples, and the scan finds no roots in them
@@ -868,6 +878,11 @@ class TestEulerLimit:
         assert devs[0] > devs[1] > devs[2]
         assert devs[-1] < 1e-6
 
+    def test_radius_with_r21_over_r_outside_zero_pi_is_rejected(self):
+        # r21 / R = 5 >= pi at R = 2: there is no a to solve at
+        with pytest.raises(ValueError, match="a must lie in"):
+            euler_limit.euler_limit_check(M321, 10.0, [2.0, 3.0])
+
     def test_equal_mass_root_deviation_tiny(self):
         m = MassTriple(1.0, 1.0, 1.0)
         report = euler_limit.euler_limit_check(m, 1.0, [1000.0, 10000.0])
@@ -1046,8 +1061,9 @@ def chain_generic_roots(a, masses, pot):
         return (pq.F12 - pq.F23) * (pq.G31 - pq.G12) - (pq.F31 - pq.F12) * (
             pq.G12 - pq.G23)
 
-    roots = []
+    roots = []  # one list per region
     for region in mer.REGIONS:
+        roots.append([])
         lo, hi = oracles.region_bounds(region, a)
         lo += mer.GENERIC_BOUNDARY_GAP
         hi -= mer.GENERIC_BOUNDARY_GAP
@@ -1055,7 +1071,7 @@ def chain_generic_roots(a, masses, pot):
         hs = [h(x) for x in xs]
         for i in range(mer.GENERIC_SCAN_SAMPLES - 1):
             if hs[i] * hs[i + 1] < 0.0:
-                roots.append(mer._bisect(h, xs[i], xs[i + 1], hs[i], hs[i + 1]))
+                roots[-1].append(mer._bisect(h, xs[i], xs[i + 1], hs[i], hs[i + 1]))
     return roots
 
 
@@ -1169,10 +1185,11 @@ def test_generic_chain_matches_transcription_bitwise():
     for a, nu1, nu2 in NAMED[:3]:
         masses = MassTriple(nu1, nu2, 1.0)
         roots = chain_generic_roots(a, masses, custom)
-        assert [x.hex() for x in mer._generic_scan_roots(a, masses, custom)] == [
-            x.hex() for x in roots]
-        assert roots
-        _check_candidates(a, masses, custom, roots)
+        got = mer._generic_scan_roots(a, masses, custom)
+        assert [[x.hex() for x in r] for r in got] == [
+            [x.hex() for x in r] for r in roots]
+        assert any(roots)
+        _check_candidates(a, masses, custom, [x for r in roots for x in r])
 
 
 def test_replaced_u_prime_is_solved_on_the_generic_path():
@@ -1197,8 +1214,10 @@ def test_generic_scan_skips_regions_narrower_than_its_gap():
     base = cotangent_potential(SphereRadius(1.0))
     custom = PairPotential(u=base.u, u_prime=base.u_prime)
     a = 1e-7
-    roots = mer._generic_scan_roots(a, M321, custom)
-    assert roots and {mer.region_of(x, a) for x in roots} == {"II", "IV"}
+    roots = dict(zip(mer.REGIONS, mer._generic_scan_roots(a, M321, custom)))
+    assert not roots["I"] and not roots["III"] and roots["II"] and roots["IV"]
+    for region, xs in roots.items():
+        assert all(mer.region_of(x, a) == region for x in xs)
 
 
 # Literal transcriptions of region_bounds, region_of and Shape.validate
@@ -1243,7 +1262,9 @@ def _region_outcome(fn):
 
 
 def test_regions_match_transcription_bitwise():
-    # random (a, x), x on and next to each singular point, and nan
+    # random (a, x), x on and next to each singular point, and nan.
+    # validate has one tolerance, the transcription's default
+    assert mer.SINGULAR_TOL == 1e-12
     rng = random.Random(22)
     angles = [rng.uniform(0.0, math.pi) for _ in range(300)]
     angles += [1e-9, 1e-7, math.pi / 2, 2.0 * math.pi / 3.0, math.pi - 1e-9, math.nan]
@@ -1260,13 +1281,12 @@ def test_regions_match_transcription_bitwise():
         for x in xs:
             assert _region_outcome(lambda: mer.region_of(x, a)) == _region_outcome(
                 lambda: region_of_reference(x, a)), (a, x)
-            for tol in (1e-12, 1e-8, 0.0):
-                got = _region_outcome(lambda: mer.Shape(a, x).validate(tol))
-                want = _region_outcome(lambda: validate_reference(a, x, tol))
-                if want == ("ok", None) and abs(x - 2.0 * math.pi) <= tol:
-                    # the transcription let theta31 within tol below 2 pi
-                    # through: 2 pi, the end of region IV, is singular too
-                    want = ("ValueError", f"theta31={x} sits on a singular point")
-                assert got == want, (a, x, tol)
-                raised += got[0] != "ok"
-    assert raised > 10000
+            got = _region_outcome(lambda: mer.Shape(a, x).validate())
+            want = _region_outcome(lambda: validate_reference(a, x))
+            if want == ("ok", None) and abs(x - 2.0 * math.pi) <= mer.SINGULAR_TOL:
+                # the transcription let theta31 within tol below 2 pi
+                # through: 2 pi, the end of region IV, is singular too
+                want = ("ValueError", f"theta31={x} sits on a singular point")
+            assert got == want, (a, x)
+            raised += got[0] != "ok"
+    assert raised > 7000

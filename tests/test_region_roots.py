@@ -19,6 +19,7 @@ from numpy.polynomial import chebyshev as cheb
 from sphere3body import kernels
 from sphere3body import meridian as mer
 from sphere3body.dynamics import MassTriple
+from sphere3body.potential import SingularityError
 
 import oracles
 
@@ -470,13 +471,11 @@ def _is_float_sign_change(x, a, nu1, nu2):
 
 
 def _reported(x, a, masses):
-    """Whether find_meridian_rotators reports the root x: its shape is
-    valid and its backward error at most RESIDUAL_TOL."""
-    shape = mer.Shape(a, x)
+    """Whether find_meridian_rotators reports the root x: its lift raises
+    no SingularityError and its backward error is at most RESIDUAL_TOL."""
     try:
-        shape.validate(mer.BOUNDARY_TOL)
-        sol = mer.solution_from_shape(shape, masses)
-    except ValueError:
+        sol = mer.solution_from_shape(mer.Shape(a, x), masses)
+    except SingularityError:
         return False
     return sol.residual_max <= mer.RESIDUAL_TOL
 
