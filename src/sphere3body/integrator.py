@@ -9,13 +9,13 @@ Independence from the solver lives here: configuration_residuals is a
 per-pair loop on the untranslated equations that shares only the pair
 order and label (potential.PAIRS, pair_value) with dynamics.meridian_pulls,
 the one definition of the meridian force balance. The equations of
-motion have one definition, the scalar kernel _accelerations, which
-integrate calls four times per RK4 step on twelve local floats. The
-kernel splits into the terms of the position alone (_position_terms:
-every sine, cosine, U' and force sum) and the velocity terms; each
-integrate call keeps the last position's terms and reuses them while
-the colatitudes and longitude differences stay equal, as they do,
-often exactly, along a rigid rotation.
+motion have one definition, written out in each of the four stages of
+integrate's RK4 step on twelve local floats. They split into the terms
+of the position alone (_position_terms: every sine, cosine, U' and
+force sum) and the velocity terms; each integrate call keeps the last
+position's terms and reuses them while the colatitudes and longitude
+differences stay equal, as they do, often exactly, along a rigid
+rotation.
 
 Every function that takes a potential reads the sphere's radius from it
 (pot.radius). A SphericalState holds angles and rates only, so the
@@ -141,52 +141,6 @@ def _position_terms(t1, t2, t3, d12, d23, d31, w1, w2, w3, u_prime, two_r2):
     return s1 * c1, s2 * c2, s3 * c3, gt1, gt2, gt3, q1, q2, q3, r1, r2, r3
 
 
-def _accelerations(t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3,
-                   w1, w2, w3, u_prime, two_r2, memo):
-    """Second derivatives (theta_ddot_1..3, phi_ddot_1..3) of the raw
-    equations of motion; w_k = 2 m_k and two_r2 = 2 R^2.
-
-    This is the integrator's hot loop, written with plain floats. memo is
-    a two-item list [key, terms], [None, None] when fresh: the position
-    key (t1, t2, t3, p1 - p2, p2 - p3, p3 - p1) of the last evaluation
-    that succeeded and its _position_terms. A call whose key equals it
-    reuses those terms and computes only the centrifugal and Coriolis
-    terms, sc pd pd + gt and q - r td pd. A rigid rotation, seen from the
-    frame that turns with it, holds these keys still.
-
-    The floating-point operations are those of the per-pair loop that
-    tests/test_dynamics.py keeps as the reference, in the same order, so
-    results agree with it bit for bit, reused terms included. Keys are
-    compared with ==, which differs from bit equality in two ways:
-    - -0.0 == 0.0. A zero colatitude is a pole, which raises before
-      anything is stored. A zero longitude difference enters through cos,
-      which is even, and through sin(d) = +-0.0 as a product term of a gp
-      sum that starts from 0.0: the partial sum is never -0.0, so adding
-      or subtracting a zero of either sign leaves it as it is, and a
-      non-finite factor makes the product NaN either way.
-    - NaN != NaN, so a key holding NaN is computed afresh. Tuple ==
-      matches an item to itself by identity first; the same float object
-      holds the same bits, which give the same terms.
-
-    Raises as _position_terms does; a raising call leaves memo as it was.
-    """
-    key = (t1, t2, t3, p1 - p2, p2 - p3, p3 - p1)
-    if key == memo[0]:
-        terms = memo[1]
-    else:
-        terms = _position_terms(*key, w1, w2, w3, u_prime, two_r2)
-        memo[0], memo[1] = key, terms
-    sc1, sc2, sc3, gt1, gt2, gt3, q1, q2, q3, r1, r2, r3 = terms
-    return (
-        sc1 * pd1 * pd1 + gt1,
-        sc2 * pd2 * pd2 + gt2,
-        sc3 * pd3 * pd3 + gt3,
-        q1 - r1 * td1 * pd1,
-        q2 - r2 * td2 * pd2,
-        q3 - r3 * td3 * pd3,
-    )
-
-
 Triple = tuple[float, float, float]
 
 
@@ -218,11 +172,28 @@ def integrate(
 ) -> Trajectory:
     """Classical fixed-step RK4 over the raw equations of motion.
 
-    The step works on twelve local floats and calls _accelerations once
-    per stage, with a memo that this call owns: a stage at the position
-    of the stage before reuses its position terms (sines, cosines, U' and
-    the force sums), bit for bit what recomputing them gives. Every
-    (store_every)-th state and the last one are kept.
+    The step works on twelve local floats, and its four stages are
+    written out: each computes its position key (t1, t2, t3, p1 - p2,
+    p2 - p3, p3 - p1), calls _position_terms (sines, cosines, U' and the
+    force sums) only where the key differs from the last one computed,
+    and then the centrifugal and Coriolis terms, sc pd pd + gt and
+    q - r td pd. A rigid rotation, seen from the frame that turns with
+    it, holds the key still, so one evaluation can serve every stage.
+
+    The floating-point operations are those of the per-pair loop that
+    tests/test_dynamics.py keeps as the reference, in the same order, so
+    results agree with it bit for bit, reused terms included. Keys are
+    compared with !=, which differs from bit equality in two ways:
+    - -0.0 == 0.0. A zero colatitude is a pole, which raises before
+      anything is stored. A zero longitude difference enters through cos,
+      which is even, and through sin(d) = +-0.0 as a product term of a gp
+      sum that starts from 0.0: the partial sum is never -0.0, so adding
+      or subtracting a zero of either sign leaves it as it is, and a
+      non-finite factor makes the product NaN either way.
+    - NaN != NaN, so a key holding NaN is always computed afresh (the
+      key starts as NaN, so the first stage computes).
+
+    Every (store_every)-th state and the last one are kept.
     Reports the drifts of the energy E = K - V and of the angular
     momentum vector c from the first state to the last,
     |E1 - E0| / max(|E0|, 1) and |c1 - c0| / max(|c0|, 1): relative, but
@@ -250,36 +221,68 @@ def integrate(
     h = t_end / n_steps
     hh = 0.5 * h
     h6 = h / 6.0
-    memo = [None, None]
+    # the key of the last position terms computed
+    k1 = k2 = k3 = k4 = k5 = k6 = math.nan
 
     times = [0.0]
     rows = [(t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3)]
     error = None
     for step in range(n_steps):
-        # stage j evaluates the accelerations (tdd*j, pdd*j) at the state
-        # whose velocities are td*j, pd*j; stage a is the current state
+        # stage j evaluates the accelerations (tdd*j, pdd*j) at the
+        # velocities td*j, pd*j and a position: the current state's for
+        # stage a, (th*, ph*) for stages b to d
         try:
-            tdd1a, tdd2a, tdd3a, pdd1a, pdd2a, pdd3a = _accelerations(
-                t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3,
-                w1, w2, w3, up, two_r2, memo)
+            d12, d23, d31 = p1 - p2, p2 - p3, p3 - p1
+            if (t1 != k1 or t2 != k2 or t3 != k3
+                    or d12 != k4 or d23 != k5 or d31 != k6):
+                sc1, sc2, sc3, gt1, gt2, gt3, q1, q2, q3, r1, r2, r3 = _position_terms(
+                    t1, t2, t3, d12, d23, d31, w1, w2, w3, up, two_r2)
+                k1, k2, k3, k4, k5, k6 = t1, t2, t3, d12, d23, d31
+            tdd1a, pdd1a = sc1 * pd1 * pd1 + gt1, q1 - r1 * td1 * pd1
+            tdd2a, pdd2a = sc2 * pd2 * pd2 + gt2, q2 - r2 * td2 * pd2
+            tdd3a, pdd3a = sc3 * pd3 * pd3 + gt3, q3 - r3 * td3 * pd3
+
             td1b, td2b, td3b = td1 + hh * tdd1a, td2 + hh * tdd2a, td3 + hh * tdd3a
             pd1b, pd2b, pd3b = pd1 + hh * pdd1a, pd2 + hh * pdd2a, pd3 + hh * pdd3a
-            tdd1b, tdd2b, tdd3b, pdd1b, pdd2b, pdd3b = _accelerations(
-                t1 + hh * td1, t2 + hh * td2, t3 + hh * td3,
-                p1 + hh * pd1, p2 + hh * pd2, p3 + hh * pd3,
-                td1b, td2b, td3b, pd1b, pd2b, pd3b, w1, w2, w3, up, two_r2, memo)
+            th1, th2, th3 = t1 + hh * td1, t2 + hh * td2, t3 + hh * td3
+            ph1, ph2, ph3 = p1 + hh * pd1, p2 + hh * pd2, p3 + hh * pd3
+            d12, d23, d31 = ph1 - ph2, ph2 - ph3, ph3 - ph1
+            if (th1 != k1 or th2 != k2 or th3 != k3
+                    or d12 != k4 or d23 != k5 or d31 != k6):
+                sc1, sc2, sc3, gt1, gt2, gt3, q1, q2, q3, r1, r2, r3 = _position_terms(
+                    th1, th2, th3, d12, d23, d31, w1, w2, w3, up, two_r2)
+                k1, k2, k3, k4, k5, k6 = th1, th2, th3, d12, d23, d31
+            tdd1b, pdd1b = sc1 * pd1b * pd1b + gt1, q1 - r1 * td1b * pd1b
+            tdd2b, pdd2b = sc2 * pd2b * pd2b + gt2, q2 - r2 * td2b * pd2b
+            tdd3b, pdd3b = sc3 * pd3b * pd3b + gt3, q3 - r3 * td3b * pd3b
+
             td1c, td2c, td3c = td1 + hh * tdd1b, td2 + hh * tdd2b, td3 + hh * tdd3b
             pd1c, pd2c, pd3c = pd1 + hh * pdd1b, pd2 + hh * pdd2b, pd3 + hh * pdd3b
-            tdd1c, tdd2c, tdd3c, pdd1c, pdd2c, pdd3c = _accelerations(
-                t1 + hh * td1b, t2 + hh * td2b, t3 + hh * td3b,
-                p1 + hh * pd1b, p2 + hh * pd2b, p3 + hh * pd3b,
-                td1c, td2c, td3c, pd1c, pd2c, pd3c, w1, w2, w3, up, two_r2, memo)
+            th1, th2, th3 = t1 + hh * td1b, t2 + hh * td2b, t3 + hh * td3b
+            ph1, ph2, ph3 = p1 + hh * pd1b, p2 + hh * pd2b, p3 + hh * pd3b
+            d12, d23, d31 = ph1 - ph2, ph2 - ph3, ph3 - ph1
+            if (th1 != k1 or th2 != k2 or th3 != k3
+                    or d12 != k4 or d23 != k5 or d31 != k6):
+                sc1, sc2, sc3, gt1, gt2, gt3, q1, q2, q3, r1, r2, r3 = _position_terms(
+                    th1, th2, th3, d12, d23, d31, w1, w2, w3, up, two_r2)
+                k1, k2, k3, k4, k5, k6 = th1, th2, th3, d12, d23, d31
+            tdd1c, pdd1c = sc1 * pd1c * pd1c + gt1, q1 - r1 * td1c * pd1c
+            tdd2c, pdd2c = sc2 * pd2c * pd2c + gt2, q2 - r2 * td2c * pd2c
+            tdd3c, pdd3c = sc3 * pd3c * pd3c + gt3, q3 - r3 * td3c * pd3c
+
             td1d, td2d, td3d = td1 + h * tdd1c, td2 + h * tdd2c, td3 + h * tdd3c
             pd1d, pd2d, pd3d = pd1 + h * pdd1c, pd2 + h * pdd2c, pd3 + h * pdd3c
-            tdd1d, tdd2d, tdd3d, pdd1d, pdd2d, pdd3d = _accelerations(
-                t1 + h * td1c, t2 + h * td2c, t3 + h * td3c,
-                p1 + h * pd1c, p2 + h * pd2c, p3 + h * pd3c,
-                td1d, td2d, td3d, pd1d, pd2d, pd3d, w1, w2, w3, up, two_r2, memo)
+            th1, th2, th3 = t1 + h * td1c, t2 + h * td2c, t3 + h * td3c
+            ph1, ph2, ph3 = p1 + h * pd1c, p2 + h * pd2c, p3 + h * pd3c
+            d12, d23, d31 = ph1 - ph2, ph2 - ph3, ph3 - ph1
+            if (th1 != k1 or th2 != k2 or th3 != k3
+                    or d12 != k4 or d23 != k5 or d31 != k6):
+                sc1, sc2, sc3, gt1, gt2, gt3, q1, q2, q3, r1, r2, r3 = _position_terms(
+                    th1, th2, th3, d12, d23, d31, w1, w2, w3, up, two_r2)
+                k1, k2, k3, k4, k5, k6 = th1, th2, th3, d12, d23, d31
+            tdd1d, pdd1d = sc1 * pd1d * pd1d + gt1, q1 - r1 * td1d * pd1d
+            tdd2d, pdd2d = sc2 * pd2d * pd2d + gt2, q2 - r2 * td2d * pd2d
+            tdd3d, pdd3d = sc3 * pd3d * pd3d + gt3, q3 - r3 * td3d * pd3d
         except SingularityError as err:
             error = str(err)
             break

@@ -10,7 +10,6 @@ from sphere3body.equator import solve_equator
 from sphere3body.geometry import SpherePoint, SphereRadius
 from sphere3body.integrator import (
     SphericalState,
-    _accelerations,
     angular_momentum,
     configuration_residuals,
     integrate,
@@ -119,17 +118,6 @@ class TestResiduals:
         assert len(configuration_residuals(thetas, phis, 1.0, m, POT)) == 7
 
 
-def _state_accelerations(st, masses, pot):
-    """_accelerations of a SphericalState: (theta_ddot, phi_ddot) of
-    bodies 1 to 3, as integrate calls it at its first stage, with a fresh
-    memo, so every term is computed."""
-    m1, m2, m3 = masses
-    R = pot.radius.R
-    return _accelerations(
-        *st.thetas, *st.phis, *st.theta_dot, *st.phi_dot,
-        2.0 * m1, 2.0 * m2, 2.0 * m3, pot.u_prime, 2.0 * (R * R), [None, None])
-
-
 class TestEomRhs:
     def test_equator_re_has_zero_acceleration(self):
         m = MassTriple(1.0, 2.0, 1.5)
@@ -141,8 +129,12 @@ class TestEomRhs:
             tuple(SpherePoint(t, p) for t, p in zip(EQUATOR_THETAS, sol.phis())),
             (0.0, 0.0, 0.0), (omega, omega, omega),
         )
-        acc = _state_accelerations(st, m, POT)
-        assert max(abs(v) for v in acc) < 1e-12
+        # one step with t_end = dt = 1 adds a sixth to a third of each
+        # stage's accelerations to the rates it stores
+        traj, error = _integrate_both(st, m, 1.0, 1.0, 1)
+        assert traj.error is error is None
+        assert max(abs(v) for v in traj.theta_dots[-1]) < 1e-12
+        assert max(abs(v - omega) for v in traj.phi_dots[-1]) < 1e-12
 
 
 class TestIntegrate:
@@ -253,11 +245,11 @@ class TestIntegrate:
 
 
 # ------------------------------------------------------------------
-# Differential tests: the integrator's kernel (integrator._accelerations,
-# with the position terms it reuses from stage to stage) against a
-# literal transcription of the loop-and-dict right-hand side and the
-# tuple RK4 loop it replaced. Every floating-point operation is kept in
-# order, so results must agree bit for bit, errors included.
+# Differential tests: the integrator's RK4 stages (with the position
+# terms they reuse from stage to stage) against a literal transcription
+# of the loop-and-dict right-hand side and the tuple RK4 loop they
+# replaced. Every floating-point operation is kept in order, so results
+# must agree bit for bit, errors included.
 
 _PAIRS = ((0, 1), (1, 2), (2, 0))
 
@@ -390,6 +382,8 @@ def _random_state(rng):
 
 
 def test_eom_rhs_matches_reference_bitwise():
+    # one integrate step with t_end = dt = 1, so each stage's accelerations
+    # reach the stored state, or its error the trajectory's
     rng = random.Random(2022)
     seen = set()
     for n in range(1500):
@@ -402,12 +396,14 @@ def test_eom_rhs_matches_reference_bitwise():
         ref_u_prime = lambda d2, R=R: cotangent_u_prime_reference(d2, R)
         if n % 2:
             ref_u_prime = lambda d2, up=ref_u_prime: -up(d2)
+        traj, error = _integrate_both(st, m, 1.0, 1.0, 1, pot, ref_u_prime)
+        assert traj.error == error, (n, st)
+        # the outcome of the first stage, at the state itself
         expect = _outcome(lambda: rhs_reference(y, m, ref_u_prime, R)[6:])
-        got = _outcome(lambda: _state_accelerations(st, m, pot))
-        assert got == expect, (n, st)
         seen.add(expect[0] if expect[0] != "SingularityError" else expect[1:4:2])
     # the sample reaches a collision and an antipode of every pair, a pole
-    # and a math domain error; the integrator reports each differently
+    # and a math domain error at the first stage; the integrator reports
+    # each differently
     pairs = [(1, 2), (2, 3), (3, 1)]
     assert {"ok", "ZeroDivisionError", "ValueError"} <= seen
     assert {(k, p) for k in ("collision", "antipodal") for p in pairs} <= seen
@@ -437,14 +433,15 @@ DIFFERENTIAL_CASES = {
 }
 
 
-def _integrate_both(state, masses, t_end, dt, store_every):
-    """integrate and the reference loop on one input; asserts that the
-    stored times and states are equal bit for bit, and returns
-    (trajectory, reference error)."""
-    traj = integrate(state, masses, POT, t_end, dt, store_every)
+def _integrate_both(state, masses, t_end, dt, store_every, pot=POT,
+                    ref_u_prime=lambda d2: cotangent_u_prime_reference(d2, R1)):
+    """integrate with pot and the reference loop with ref_u_prime, on the
+    sphere of pot's radius, on one input; asserts that the stored times
+    and states are equal bit for bit, and returns (trajectory, reference
+    error)."""
+    traj = integrate(state, masses, pot, t_end, dt, store_every)
     times, rows, error = rk4_reference(
-        state, masses, lambda d2: cotangent_u_prime_reference(d2, R1), R1,
-        t_end, dt, store_every)
+        state, masses, ref_u_prime, pot.radius, t_end, dt, store_every)
     got = np.hstack([traj.thetas, traj.phis, traj.theta_dots, traj.phi_dots])
     assert np.array_equal(got.view(np.int64), np.array(rows).view(np.int64))
     assert np.array_equal(np.array(traj.times).view(np.int64),
@@ -462,24 +459,61 @@ def test_integrate_matches_reference_bitwise(case):
     assert len(traj.times) == 4001
 
 
+def _counting_potential():
+    """(POT with a u_prime that records each D^2 it is given, the list it
+    records them in)."""
+    calls = []
+
+    def counting_u_prime(d2):
+        calls.append(d2)
+        return POT.u_prime(d2)
+
+    return POT._replace(u_prime=counting_u_prime), calls
+
+
 def test_integrate_reuses_a_rigid_rotations_position_terms():
     # a rigid rotation from phi = 0 keeps every stage of this period at the
     # first stage's colatitudes and longitude differences, bit for bit, so
     # one evaluation of the position terms (one U' per pair) serves all
     # 16000 stages
-    calls = 0
-
-    def counting_u_prime(d2):
-        nonlocal calls
-        calls += 1
-        return POT.u_prime(d2)
-
+    pot, calls = _counting_potential()
     masses = MassTriple(3.0, 2.0, 1.0)
     state, period = _solution_state(math.pi / 6, masses, lambda s: s[0])
-    traj = integrate(state, masses, POT._replace(u_prime=counting_u_prime),
-                     period, period / 4000)
+    traj = integrate(state, masses, pot, period, period / 4000)
     assert traj.error is None and len(traj.times) == 4001
-    assert calls == 3
+    assert len(calls) == 3
+
+
+# (theta_dot, phi_dot, phis) of six states: the second stage of each moves
+# one angle, which changes exactly one item of the position key from the
+# first stage's: theta_k, or, for phi_k, the one longitude difference to a
+# body at the same longitude (the step, 5e-18, is lost in the difference
+# to the body 2 rad away)
+KEY_MOVES = {
+    "theta1": ((0.5, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 1.0, 2.5)),
+    "theta2": ((0.0, 0.5, 0.0), (0.0, 0.0, 0.0), (0.0, 1.0, 2.5)),
+    "theta3": ((0.0, 0.0, 0.5), (0.0, 0.0, 0.0), (0.0, 1.0, 2.5)),
+    "phi1 - phi2": ((0.0, 0.0, 0.0), (1e-15, 0.0, 0.0), (0.0, 0.0, 2.0)),
+    "phi2 - phi3": ((0.0, 0.0, 0.0), (0.0, 1e-15, 0.0), (2.0, 0.0, 0.0)),
+    "phi3 - phi1": ((0.0, 0.0, 0.0), (0.0, 0.0, 1e-15), (0.0, 2.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("moved", sorted(KEY_MOVES))
+def test_integrate_recomputes_when_one_key_item_moves(moved):
+    # the converse of the rigid rotation's reuse: each stage of these runs
+    # sits at a new position key, so each calls U' once per pair, and a
+    # key check that skipped the one item the second stage moves would
+    # reuse the first stage's terms there
+    pot, calls = _counting_potential()
+    theta_dot, phi_dot, phis = KEY_MOVES[moved]
+    st = SphericalState(
+        tuple(SpherePoint(t, p) for t, p in zip((0.9, 1.8, 2.4), phis)),
+        theta_dot, phi_dot,
+    )
+    traj, error = _integrate_both(st, MassTriple(3.0, 2.0, 1.0), 0.1, 0.01, 1, pot)
+    assert traj.error is error is None and len(traj.times) == 11
+    assert len(calls) == 3 * 4 * 10
 
 
 def test_integrate_signed_zero_longitude_differences_match_reference():
