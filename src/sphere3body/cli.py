@@ -11,11 +11,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import io
 import json
 import math
 import os
-import stat
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -100,32 +98,9 @@ def _add_out(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-class _InPlace(io.FileIO):
-    """A file written over from its start, opened without O_TRUNC: on
-    close, a regular file is cut to what was written."""
-
-    def close(self):
-        if not self.closed and stat.S_ISREG(os.fstat(self.fileno()).st_mode):
-            self.truncate()
-        super().close()
-
-
-def _out_file(path: str):
-    """A text file that replaces what path holds. A new path is made with
-    one exclusive create. An existing one is written over in place and
-    then, if it is a regular file, cut: cheaper than truncating it to zero
-    first, and the path is never unlinked, so a device (--out /dev/null)
-    or a FIFO is written as before."""
-    try:
-        return open(path, "x")
-    except FileExistsError:
-        return io.TextIOWrapper(io.BufferedWriter(
-            _InPlace(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w")))
-
-
 def _emit(text: str, out: str | None):
     if out:
-        with _out_file(out) as fh:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -325,7 +300,7 @@ def cmd_sweep(args) -> int:
     nu2_text = [_fmt(v) for v in nu2_grid.tolist()]
     max_count = -1
     argmax_text = ""
-    with (_out_file(args.out) if args.out
+    with (open(args.out, "w") if args.out
           else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write("a,nu1,nu2,count,count_I,count_II,count_III,count_IV\r\n")
         for a in a_values:

@@ -653,31 +653,6 @@ def test_option_a_command_does_not_read_is_rejected(argv, capsys):
     assert captured.out == ""
 
 
-# each command that writes its --out at once (_emit) and the sweep, which
-# streams it
-OUT_COMMANDS = {
-    "meridian": ["meridian", "--masses", "3,2,1", "--a", "0.5235987755982988"],
-    "sweep": ["sweep", "--a-grid", "0.5:1.5:2", "--nu1-grid", "1:2:2",
-              "--nu2-grid", "3:3:1"],
-}
-
-
-@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
-def test_out_over_a_longer_file_holds_only_the_fresh_bytes(command, tmp_path):
-    fresh, over = tmp_path / "fresh", tmp_path / "over"
-    assert main(OUT_COMMANDS[command] + ["--out", str(fresh)]) == 0
-    over.write_bytes(b"z" * (3 * fresh.stat().st_size))
-    assert main(OUT_COMMANDS[command] + ["--out", str(over)]) == 0
-    assert over.read_bytes() == fresh.read_bytes()
-
-
-@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
-def test_out_to_the_null_device(command, capsys):
-    # an existing path that is not a regular file is written, not cut
-    assert main(OUT_COMMANDS[command] + ["--out", os.devnull]) == 0
-    assert capsys.readouterr() == ("", "")
-
-
 def test_verify_blow_up_writes_no_warning(tmp_path, capsys):
     # the isosceles RE x ~ 3.7187 is unstable: the integrator blows up,
     # and the overflowing end state must not raise numpy RuntimeWarnings

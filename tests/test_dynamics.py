@@ -10,6 +10,7 @@ from sphere3body.equator import solve_equator
 from sphere3body.geometry import SpherePoint, SphereRadius
 from sphere3body.integrator import (
     SphericalState,
+    _position_terms,
     angular_momentum,
     configuration_residuals,
     integrate,
@@ -254,12 +255,11 @@ class TestIntegrate:
 _PAIRS = ((0, 1), (1, 2), (2, 0))
 
 
-def rhs_reference(y, m, u_prime, R):
-    t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3 = y
-    th = (t1, t2, t3)
-    ph = (p1, p2, p3)
-    st = (math.sin(t1), math.sin(t2), math.sin(t3))
-    ct = (math.cos(t1), math.cos(t2), math.cos(t3))
+def _reference_forces(th, ph, m, u_prime, R):
+    """rhs_reference's position half: (sin, cos, theta force sums, phi
+    force sums), one triple each."""
+    st = tuple(math.sin(t) for t in th)
+    ct = tuple(math.cos(t) for t in th)
     R2 = R.R * R.R
     up = {}
     for i, j in _PAIRS:
@@ -271,10 +271,8 @@ def rhs_reference(y, m, u_prime, R):
         except SingularityError as err:
             raise SingularityError(err.kind, err.d2, (i + 1, j + 1)) from None
         up[(i, j)] = up[(j, i)] = val
-    tdd = []
-    pdd = []
-    tds = (td1, td2, td3)
-    pds = (pd1, pd2, pd3)
+    gts = []
+    gps = []
     for k in range(3):
         grav_t = 0.0
         grav_p = 0.0
@@ -295,9 +293,35 @@ def rhs_reference(y, m, u_prime, R):
                 * st[k]
                 * math.sin(ph[k] - ph[i])
             )
-        tdd.append(st[k] * ct[k] * pds[k] * pds[k] + grav_t)
+        gts.append(grav_t)
+        gps.append(grav_p)
+    return st, ct, gts, gps
+
+
+def reference_position_terms(th, ph, m, u_prime, R):
+    """The twelve terms integrator._position_terms returns, each taken
+    from rhs_reference's expressions: sin cos, the theta force sum,
+    grav_p / sin^2 and 2 cos / sin per body."""
+    st, ct, gts, gps = _reference_forces(th, ph, m, u_prime, R)
+    return (
+        tuple(st[k] * ct[k] for k in range(3)) + tuple(gts)
+        + tuple(gps[k] / (st[k] * st[k]) for k in range(3))
+        + tuple(2.0 * (ct[k] / st[k]) for k in range(3))
+    )
+
+
+def rhs_reference(y, m, u_prime, R):
+    t1, t2, t3, p1, p2, p3, td1, td2, td3, pd1, pd2, pd3 = y
+    st, ct, gts, gps = _reference_forces(
+        (t1, t2, t3), (p1, p2, p3), m, u_prime, R)
+    tdd = []
+    pdd = []
+    tds = (td1, td2, td3)
+    pds = (pd1, pd2, pd3)
+    for k in range(3):
+        tdd.append(st[k] * ct[k] * pds[k] * pds[k] + gts[k])
         s2 = st[k] * st[k]
-        pdd.append(grav_p / s2 - 2.0 * (ct[k] / st[k]) * tds[k] * pds[k])
+        pdd.append(gps[k] / s2 - 2.0 * (ct[k] / st[k]) * tds[k] * pds[k])
     return (
         td1, td2, td3, pd1, pd2, pd3,
         tdd[0], tdd[1], tdd[2], pdd[0], pdd[1], pdd[2],
@@ -382,8 +406,10 @@ def _random_state(rng):
 
 
 def test_eom_rhs_matches_reference_bitwise():
-    # one integrate step with t_end = dt = 1, so each stage's accelerations
-    # reach the stored state, or its error the trajectory's
+    # per state, the twelve position terms bit for bit against the
+    # reference's, and one integrate step with t_end = dt = 1, so each
+    # stage's accelerations reach the stored state, or its error the
+    # trajectory's
     rng = random.Random(2022)
     seen = set()
     for n in range(1500):
@@ -396,6 +422,12 @@ def test_eom_rhs_matches_reference_bitwise():
         ref_u_prime = lambda d2, R=R: cotangent_u_prime_reference(d2, R)
         if n % 2:
             ref_u_prime = lambda d2, up=ref_u_prime: -up(d2)
+        th, ph = y[:3], y[3:6]
+        terms = _outcome(lambda: _position_terms(
+            *th, ph[0] - ph[1], ph[1] - ph[2], ph[2] - ph[0],
+            *(2.0 * mk for mk in m), pot.u_prime, 2.0 * (R.R * R.R)))
+        assert terms == _outcome(lambda: reference_position_terms(
+            th, ph, m, ref_u_prime, R)), (n, st)
         traj, error = _integrate_both(st, m, 1.0, 1.0, 1, pot, ref_u_prime)
         assert traj.error == error, (n, st)
         # the outcome of the first stage, at the state itself
