@@ -17,7 +17,7 @@ import os
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter, getitem, itemgetter
 from typing import Sequence
 
 from . import meridian as mer
@@ -315,20 +315,26 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-class _Tails(dict):
-    """The ",count,count_I,count_II,count_III,count_IV\r\n" text of each
-    code of four region counts in base `base`, made on first use."""
+class _Cells(dict):
+    """The n2 cell texts "nu2,count,count_I,count_II,count_III,count_IV\r\n"
+    of each code of four region counts in base `base`, one per nu2 text,
+    made on first use. It holds at most as many codes as a slice has nu1
+    rows (it starts again when full), so never more cells than the
+    slice."""
 
-    def __init__(self, base: int):
+    def __init__(self, base: int, nu2_text: list[str], size: int):
         super().__init__()
-        self.base = base
+        self.base, self.nu2_text, self.size = base, nu2_text, size
 
-    def __missing__(self, code: int) -> str:
+    def __missing__(self, code: int) -> list[str]:
+        if len(self) >= self.size:
+            self.clear()
         rest, c4 = divmod(code, self.base)
         rest, c3 = divmod(rest, self.base)
         c1, c2 = divmod(rest, self.base)
-        tail = self[code] = f",{c1 + c2 + c3 + c4},{c1},{c2},{c3},{c4}\r\n"
-        return tail
+        tail = f",{c1 + c2 + c3 + c4},{c1},{c2},{c3},{c4}\r\n"
+        cells = self[code] = [nu2 + tail for nu2 in self.nu2_text]
+        return cells
 
 
 def _write_sweep_slice(fh, a, per_region, nu1_text, nu2_text) -> tuple[int, str]:
@@ -344,18 +350,20 @@ def _write_sweep_slice(fh, a, per_region, nu1_text, nu2_text) -> tuple[int, str]
     max_count = int(total.flat[k])
     # each cell's four region counts as one code in base max_count + 1
     # (no count exceeds the total), in Python ints where int64 would
-    # overflow. A row is "a,nu1," before each cell's nu2 and code's tail.
+    # overflow. A row is "a,nu1," before each cell's text, the text of
+    # its code for its nu2.
     base = max_count + 1
     code = per_region["I"].astype(np.int64 if base ** 4 <= 2 ** 63 - 1 else object)
     for region in mer.REGIONS[1:]:
         code *= base
         code += per_region[region]
-    tails = _Tails(base)
+    cells = _Cells(base, nu2_text, len(nu1_text))
+    columns = range(len(nu2_text))
     a_text = _fmt(a)
     for nu1, row in zip(nu1_text, code):
         head = f"{a_text},{nu1},"
-        fh.write(head + head.join(map(str.__add__, nu2_text,
-                                      map(tails.__getitem__, row.tolist()))))
+        fh.write(head + head.join(map(getitem, map(cells.__getitem__, row.tolist()),
+                                      columns)))
     return max_count, f"{a_text},{nu1_text[k // len(nu2_text)]}"
 
 

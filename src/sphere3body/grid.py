@@ -60,18 +60,26 @@ def count_rotators_grid_regions(
     therefore below zero, zero and above zero on three runs of indices
     (the reverse where P < 0), which two thresholds bound: t_neg and
     t_pos, the counts of nu1 where g * sign(P) is below zero and at most
-    zero. Each threshold is guessed from the real root -(nu2 * Q + S) / P
-    and confirmed by g one index below and at it; a pair that fails the
-    check (a zero of g near the guess, P = 0, a guess off by rounding)
-    takes both from a binary search of its row of g * sign(P) over nu1.
+    zero. g * sign(P) is also monotone in nu2 (non-decreasing where
+    Q * sign(P) >= 0), so its least and largest values over the grid are
+    at two corners of the box sorted nu1 x nu2, and each sample is tested
+    there once per region (_split_samples): where g * sign(P) > 0 at the
+    least corner, t_neg = t_pos = 0 for every nu2; where it is < 0 at the
+    largest, both are n1. At the other, mixed samples (an exact 0.0 at a
+    corner among them) each threshold is guessed from the real root
+    -(nu2 * Q + S) / P and confirmed by g one index below and at it; a
+    pair that fails the check (a zero of g near the guess, P = 0, a guess
+    off by rounding) takes both from a binary search of its row of
+    g * sign(P) over nu1.
     Two neighbouring samples then change sign on one interval of nu1
     indices: [min t_pos, max t_neg) of the two where P keeps its sign
     between them (empty where it ends first), and where P turns, every
     index outside [min t_neg, max t_pos). A difference array over nu1
-    counts them. g is evaluated a few times per (nu2, sample) pair
-    rather than once per nu1 value (once per nu1 value at a pair that
-    fails the check), and the working memory is one block of nu2 rows
-    (GRID_BLOCK_CELLS) besides the output.
+    counts them. g is evaluated twice per sample at the corners and a
+    few times per mixed (nu2, sample) pair rather than once per nu1
+    value (once per nu1 value at a pair that fails the check), and the
+    working memory is one block of nu2 rows (GRID_BLOCK_CELLS) besides
+    the output.
     """
     import numpy as np
 
@@ -93,13 +101,15 @@ def count_rotators_grid_regions(
     for region, inner in zip(REGIONS, _interiors(a, BOUNDARY_TOL)):
         counts = np.zeros((n1, n2), dtype=np.intp)
         out[region] = counts
-        if inner is None or n1 == 0:
+        if inner is None or n1 == 0 or n2 == 0:
             continue
-        terms = _normalised_terms(
+        *terms, turns = _normalised_terms(
             *kernels.g_terms(np.linspace(*inner, samples_per_region), a))
+        samples = _split_samples(nu1s, nu2v, *terms)
         for j in range(0, n2, rows):
             block = slice(j, j + rows)
-            counts[order, block] = _count_block(nu1s, nu2v[block], *terms).T
+            counts[order, block] = _count_block(
+                nu1s, nu2v[block], turns, *samples).T
     return out
 
 
@@ -116,33 +126,58 @@ def _normalised_terms(P, Q, S):
     return sign * P, sign * Q, sign * S, np.flatnonzero(flip[:-1] != flip[1:])
 
 
-def _count_block(nu1s, nu2b, P, Q, S, turns) -> np.ndarray:
+def _split_samples(nu1s, nu2v, P, Q, S):
+    """The samples of the normalised terms (_normalised_terms) whose h
+    has one sign over the whole grid of sorted nu1s and nu2v, and the
+    others. h = (nu1 * P + Q * nu2) + S is non-decreasing in nu1, and in
+    nu2 where Q >= 0 (non-increasing where Q < 0), so its least and
+    largest values over the grid are at two corners of the box
+    nu1s x nu2v. Where h > 0 at the least corner, t_neg = t_pos = 0;
+    where h < 0 at the largest, t_neg = t_pos = n1; the other samples,
+    an exact 0.0 at a corner among them, are mixed. Returns the (sample,
+    1) column of those thresholds (0 at the mixed samples), the indices
+    of the mixed samples and their P, Q and S as columns."""
+    import numpy as np
+
+    down = Q < 0.0
+    lo_nu2, hi_nu2 = nu2v.min(), nu2v.max()
+    least = (nu1s[0] * P + Q * np.where(down, hi_nu2, lo_nu2)) + S
+    largest = (nu1s[-1] * P + Q * np.where(down, lo_nu2, hi_nu2)) + S
+    below = largest < 0.0
+    mixed = np.flatnonzero(~below & ~(least > 0.0))
+    return (np.where(below, len(nu1s), 0)[:, None], mixed,
+            P[mixed, None], Q[mixed, None], S[mixed, None])
+
+
+def _count_block(nu1s, nu2b, turns, fixed, mixed, P, Q, S) -> np.ndarray:
     """Sign changes of g between neighbouring samples, for sorted nu1s and
-    each nu2 in nu2b, from the terms and turns of _normalised_terms:
-    shape (nu2, nu1)."""
+    each nu2 in nu2b, from the turns of _normalised_terms and the split of
+    _split_samples: shape (nu2, nu1)."""
     import numpy as np
 
     n1, n2 = len(nu1s), len(nu2b)
-    nu2_q = Q[:, None] * nu2b  # arrays are (sample, nu2)
-
-    # t_neg = #{h < 0} and t_pos = #{h <= 0} bound h's three runs; both
-    # are the guess where h is below zero one index below it and above
-    # zero at it, nu1 = -inf below the grid and +inf above it (where
-    # P = 0 that gives NaN, and the search of the pair's row)
+    # arrays are (sample, nu2); t_neg = #{h < 0} and t_pos = #{h <= 0}
+    # bound h's three runs, and are equal at the fixed samples
+    t_neg = t_pos = np.repeat(fixed, n2, axis=1)
+    nu2_q = Q * nu2b
+    # at a mixed sample both are the guess where h is below zero one index
+    # below it and above zero at it, nu1 = -inf below the grid and +inf
+    # above it (where P = 0 that gives NaN, and the search of the pair's
+    # row)
     nu1p = np.concatenate(([-np.inf], nu1s, [np.inf]))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        guess = np.searchsorted(nu1s, (nu2_q + S[:, None]) * (-1.0 / P)[:, None])
-        ok = (((nu1p[guess] * P[:, None] + nu2_q) + S[:, None] < 0.0)
-              & ((nu1p[guess + 1] * P[:, None] + nu2_q) + S[:, None] > 0.0))
-    t_neg = t_pos = guess
+        guess = np.searchsorted(nu1s, (nu2_q + S) * (-1.0 / P))
+        ok = (((nu1p[guess] * P + nu2_q) + S < 0.0)
+              & ((nu1p[guess + 1] * P + nu2_q) + S > 0.0))
+    t_neg[mixed] = guess
     if not ok.all():
-        # at each rejected pair (sample k, nu2 j), where 0 sorts into h's
-        # non-decreasing row over nu1: first (t_neg) and last (t_pos)
-        t_pos = guess.copy()
+        # at each rejected pair (mixed sample k, nu2 j), where 0 sorts into
+        # h's non-decreasing row over nu1: first (t_neg) and last (t_pos)
+        t_pos = t_neg.copy()
         for k, j in zip(*np.nonzero(~ok)):
-            row = (nu1s * P[k] + nu2_q[k, j]) + S[k]
-            t_neg[k, j] = np.searchsorted(row, 0.0, side="left")
-            t_pos[k, j] = np.searchsorted(row, 0.0, side="right")
+            row = (nu1s * P[k, 0] + nu2_q[k, j]) + S[k, 0]
+            t_neg[mixed[k], j] = np.searchsorted(row, 0.0, side="left")
+            t_pos[mixed[k], j] = np.searchsorted(row, 0.0, side="right")
 
     # g < 0 on [0, t_neg) and g > 0 on [t_pos, n1), the reverse where P
     # was flipped. Where P keeps its sign between samples k and k + 1,

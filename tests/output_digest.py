@@ -19,7 +19,11 @@ The calls:
 - ``meridian`` as JSON to ``--out``, as CSV, and with ``--potential
   repulsive --radius 2.5``, on the named cases, the unstable RE and the
   1024-entry pool, each with its 1<->2 mirror;
-- the default ``sweep`` and a small one;
+- the default ``sweep``, a small one, and ``sweep`` slices: the sweep
+  benchmark's 50x50 grid at 400 samples at a = 0.5, pi/2 and 2.5 and
+  at a = 2.094, 2.0944 and 2.095 (next to 2*pi/3, where the counter
+  misses a close triple of roots), a descending ``--nu1-grid``, a
+  ``--nu2-grid`` from 0.001 to 1000, and one cell;
 - ``verify``, with and without ``--integrate``, on the verify workload's
   34 one-solution files, and ``verify --integrate`` on a repulsive file;
 - ``equator``, with and without ``--radius 2``, and ``euler-limit`` as JSON
@@ -35,6 +39,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -119,10 +124,21 @@ def _verify_calls():
         yield ["verify", f"bad{k}.json"]
 
 
-def _other_calls():
+def _sweep_calls():
     yield ["sweep", "--out", OUT]
     yield ["sweep", "--a-grid", "0.5:2.5:3", "--nu1-grid", "0.5:4:5",
            "--nu2-grid", "0.5:4:5", "--samples", "50"]
+    for a in (0.5, math.pi / 2, 2.5, 2.094, 2.0944, 2.095):
+        yield ["sweep", "--a-grid", f"{a!r}:{a!r}:1", "--nu1-grid", "0.1:10:50",
+               "--nu2-grid", "0.1:10:50", "--samples", "400", "--out", OUT]
+    yield ["sweep", "--a-grid", "0.3:2.9:5", "--nu1-grid", "10:0.1:50", "--out", OUT]
+    yield ["sweep", "--a-grid", "0.3:2.9:5", "--nu2-grid", "0.001:1000:40",
+           "--out", OUT]
+    yield ["sweep", "--a-grid", "2.094:2.094:1", "--nu1-grid", "1:1:1",
+           "--nu2-grid", "1:1:1"]
+
+
+def _other_calls():
     for m in SMALL_MASSES:
         yield ["equator", "--masses", m]
         yield ["equator", "--masses", m, "--radius", "2"]
@@ -160,7 +176,8 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for calls in (_meridian_calls(), _verify_calls(), _other_calls()):
+            for calls in (_meridian_calls(), _verify_calls(), _sweep_calls(),
+                          _other_calls()):
                 for call in calls:
                     result = _call(call)
                     total.update(result)

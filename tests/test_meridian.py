@@ -11,7 +11,7 @@ from sphere3body import euler_limit, kernels
 from sphere3body import meridian as mer
 from sphere3body.dynamics import MassTriple, backward_error
 from sphere3body.geometry import SphereRadius
-from sphere3body.grid import _count_block, _normalised_terms
+from sphere3body.grid import _count_block, _normalised_terms, _split_samples
 from sphere3body.integrator import configuration_residuals
 from sphere3body.potential import (
     PairPotential,
@@ -643,13 +643,28 @@ def guess_misses(P, Q, S, nu1, nu2):
 
 
 def count_block(nu1, nu2, P, Q, S):
-    """_count_block on raw g terms, sign-normalised as the counter does."""
-    return _count_block(nu1, nu2, *_normalised_terms(P, Q, S))
+    """_count_block on raw g terms, sign-normalised and classified against
+    the grid's corners as the counter does."""
+    *terms, turns = _normalised_terms(P, Q, S)
+    return _count_block(nu1, nu2, turns, *_split_samples(nu1, nu2, *terms))
 
 
 class TestGridThresholds:
-    """The counter's slow path: root guesses that the check at the guess
-    rejects, settled by bisection, on hand-built g terms."""
+    """The counter's split of samples at the corners of the grid, and its
+    slow path: root guesses that the check at the guess rejects, settled
+    by bisection, on hand-built g terms."""
+
+    @staticmethod
+    def mixed(P, Q, S, nu1, nu2):
+        """The samples that _split_samples leaves to the root guess, which
+        are those where g is not of one sign on the whole grid."""
+        P, Q, S, nu1, nu2 = (np.asarray(v, dtype=float) for v in (P, Q, S, nu1, nu2))
+        *terms, _ = _normalised_terms(P, Q, S)
+        mixed = _split_samples(nu1, nu2, *terms)[1].tolist()
+        g = (nu1[:, None, None] * P + nu2[None, :, None] * Q) + S
+        assert mixed == np.flatnonzero(~(g > 0.0).all(axis=(0, 1))
+                                       & ~(g < 0.0).all(axis=(0, 1))).tolist()
+        return mixed
 
     @staticmethod
     def check(P, Q, S, nu1, nu2):
@@ -728,6 +743,75 @@ class TestGridThresholds:
             self.check(P, Q, S, nu1, nu2)
             turns += np.count_nonzero((P[:-1] < 0.0) != (P[1:] < 0.0))
         assert turns > 100
+
+    def test_exact_zero_at_a_corner_is_mixed(self):
+        # h = 0.0 exactly at the least corner (samples 0 and 2; sample 2
+        # has Q < 0, so that corner is at the largest nu2) and at the
+        # largest (samples 4 and 6), next to samples of one sign: a zero
+        # there counted as h > 0 (or h < 0) adds a sign change
+        P = [1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 2.0, -1.0]
+        Q = [0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+        S = [-1.0, -10.0, 1.0, 10.0, 3.0, 10.0, -8.0, -10.0]
+        nu1, nu2 = [1.0, 2.0, 3.0], [1.0, 1.5, 2.0]
+        self.check(P, Q, S, nu1, nu2)
+        assert self.mixed(P, Q, S, nu1, nu2) == [0, 2, 4, 6]
+
+    def test_one_sign_blocks(self):
+        # every sample has one sign over the whole grid (P turning between
+        # some of them, Q of both signs): no sample is mixed
+        P = [1.0, -1.0, 2.0, 0.5, -3.0, -1.0, 1.0]
+        Q = [1.0, -2.0, -1.0, 0.0, 2.0, 1.0, -1.0]
+        S = [1.0, 30.0, -40.0, -10.0, 50.0, -20.0, 5.0]
+        nu1, nu2 = [0.5, 1.0, 4.0, 4.0, 7.0], [0.25, 2.0, 5.0]
+        assert self.mixed(P, Q, S, nu1, nu2) == []
+        self.check(P, Q, S, nu1, nu2)
+        got = count_block(*map(np.array, (nu1, nu2, P, Q, S)))
+        assert got.tolist() == [[4] * 5] * 3
+        # below zero everywhere, and above zero everywhere
+        for S in ([-100.0] * 7, [100.0] * 7):
+            assert self.mixed(P, [0.0] * 7, S, nu1, nu2) == []
+            self.check(P, [0.0] * 7, S, nu1, nu2)
+
+    def test_signed_zero_terms_at_one_sign_samples(self):
+        # P and Q = +-0.0 at samples where h = S has one sign, at a turn
+        # of P's sign and next to it; h = 0.0 everywhere at the last
+        # sample, which is mixed, as are those where h spans zero
+        P = [1.0, 0.0, -0.0, -1.0, -0.0, 0.0, 1.0, 0.0]
+        Q = [0.0, -0.0, 0.0, 1.0, -0.0, 0.0, -1.0, -0.0]
+        S = [-2.0, 1.0, -1.0, 3.0, 2.0, -3.0, 4.0, 0.0]
+        for nu1 in ([1.0, 2.0, 3.0], [-3.0, -1.0, 2.0]):
+            nu2 = [0.5, 1.0]
+            mixed = self.mixed(P, Q, S, nu1, nu2)
+            assert 0 in mixed and 7 in mixed and not {1, 2, 4, 5} & set(mixed)
+            self.check(P, Q, S, nu1, nu2)
+
+    def test_one_value_grids(self):
+        # one nu1 and one nu2: both corners are the one cell, where h is
+        # below, at and above zero
+        P = [1.0, -1.0, 2.0, 1.0, -0.5, 1.0]
+        Q = [1.0, 1.0, -1.0, 0.0, 2.0, -1.0]
+        S = [-3.0, -3.0, 1.0, -2.0, -1.0, 0.5]
+        for nu1, nu2 in (([2.0], [1.0]), ([1.0], [1.0]), ([2.0], [0.5, 1.0, 3.0]),
+                         ([0.5, 2.0, 4.0], [1.0])):
+            self.check(P, Q, S, nu1, nu2)
+        assert self.mixed(P, Q, S, [2.0], [1.0]) == [0, 3, 4]
+        assert count_block(*map(np.array, ([2.0], [1.0], P, Q, S))).tolist() == [[1]]
+
+    def test_negative_nu1(self):
+        # sorted nu1 below zero and across it, P of both signs: the least
+        # corner is at the most negative nu1
+        rng = np.random.default_rng(23)
+        mixed = uniform = 0
+        for _ in range(100):
+            P = rng.integers(-3, 4, 9) * 0.5
+            Q = rng.integers(-2, 3, 9).astype(float)
+            S = rng.integers(-12, 13, 9).astype(float)
+            nu1 = np.sort(rng.integers(-8, 3, int(rng.integers(1, 7))) * 0.5)
+            nu2 = rng.integers(0, 5, int(rng.integers(1, 4))) * 0.5
+            self.check(P, Q, S, nu1, nu2)
+            k = len(self.mixed(P, Q, S, nu1, nu2))
+            mixed, uniform = mixed + k, uniform + 9 - k
+        assert mixed > 100 and uniform > 100
 
 
 class TestSpecialFamilies:
