@@ -16,16 +16,17 @@ if TYPE_CHECKING:
 
 
 # count_rotators_grid_regions counts blocks of nu2 rows: a block's
-# (sample, nu2) arrays and its (nu1 + 1, nu2) difference array each hold
-# at most this many cells (48 KB in float64) unless one row is larger.
-# At 400 samples, blocks of 12 to 25 rows ran fastest of 6 to 128. Larger
-# blocks grow the top of the heap by a few hundred KB, which glibc's
-# malloc gives back to the system after each block in some heap layouts,
-# so the next block faults it in again (+20% time). Minor page faults per
-# 50x50 slice, over copies with an unused function appended to one module
-# and several PYTHONHASHSEEDs: 0.0-0.1 at 6144, 8192 and 12288 cells (21,
-# 21 and 5 layouts), 372 at 16384 in 2 of 5 layouts. 6144 keeps a margin
-# of 2x below the first size that faulted.
+# (sample, nu2) arrays, over the samples that _collapsed_samples keeps,
+# and its (nu1 + 1, nu2) difference array each hold at most this many
+# cells (48 KB in float64) unless one row is larger. At 400 samples, none
+# of them dropped, blocks of 12 to 25 rows ran fastest of 6 to 128.
+# Larger blocks grow the top of the heap by a few hundred KB, which
+# glibc's malloc gives back to the system after each block in some heap
+# layouts, so the next block faults it in again (+20% time). Minor page
+# faults per 50x50 slice, over copies with an unused function appended to
+# one module and several PYTHONHASHSEEDs: 0.0-0.1 at 6144, 8192 and 12288
+# cells (21, 21 and 5 layouts), 372 at 16384 in 2 of 5 layouts. 6144
+# keeps a margin of 2x below the first size that faulted.
 GRID_BLOCK_CELLS = 6144
 
 
@@ -63,14 +64,21 @@ def count_rotators_grid_regions(
     zero. g * sign(P) is also monotone in nu2 (non-decreasing where
     Q * sign(P) >= 0), so its least and largest values over the grid are
     at two corners of the box sorted nu1 x nu2, and each sample is tested
-    there once per region (_split_samples): where g * sign(P) > 0 at the
-    least corner, t_neg = t_pos = 0 for every nu2; where it is < 0 at the
-    largest, both are n1. At the other, mixed samples (an exact 0.0 at a
-    corner among them) each threshold is guessed from the real root
-    -(nu2 * Q + S) / P and confirmed by g one index below and at it; a
-    pair that fails the check (a zero of g near the guess, P = 0, a guess
-    off by rounding) takes both from a binary search of its row of
-    g * sign(P) over nu1.
+    there once per region (_sides): where g * sign(P) > 0 at the least
+    corner, t_neg = t_pos = 0 for every nu2; where it is < 0 at the
+    largest, both are n1. Such a sample has one sign of g on every cell;
+    where the sample before it has that same sign on every cell, it
+    changes sign with that sample nowhere, and with the sample after it
+    on the cells where the sample before it does, so dropping it leaves
+    every count as it was. Each run of neighbouring samples of one and
+    the same sign of g on every cell is therefore collapsed to its first
+    sample (_collapsed_samples) before anything else (the sweep
+    benchmark's slices keep 43-44 % of their samples). At the other,
+    mixed samples (an exact 0.0 at a corner among them) each threshold
+    is guessed from the real root -(nu2 * Q + S) / P and confirmed by g
+    one index below and at it; a pair that fails the check (a zero of g
+    near the guess, P = 0, a guess off by rounding) takes both from a
+    binary search of its row of g * sign(P) over nu1.
     Two neighbouring samples then change sign on one interval of nu1
     indices: [min t_pos, max t_neg) of the two where P keeps its sign
     between them (empty where it ends first), and where P turns, every
@@ -78,8 +86,8 @@ def count_rotators_grid_regions(
     counts them. g is evaluated twice per sample at the corners and a
     few times per mixed (nu2, sample) pair rather than once per nu1
     value (once per nu1 value at a pair that fails the check), and the
-    working memory is one block of nu2 rows (GRID_BLOCK_CELLS) besides
-    the output.
+    working memory is one block of nu2 rows (GRID_BLOCK_CELLS, counted
+    in kept samples) besides the output.
     """
     import numpy as np
 
@@ -96,20 +104,19 @@ def count_rotators_grid_regions(
     n1, n2 = len(nu1v), len(nu2v)
     order = np.argsort(nu1v, kind="stable")
     nu1s = nu1v[order]
-    rows = max(1, GRID_BLOCK_CELLS // max(samples_per_region, n1 + 1))
     out: dict[str, np.ndarray] = {}
     for region, inner in zip(REGIONS, _interiors(a, BOUNDARY_TOL)):
         counts = np.zeros((n1, n2), dtype=np.intp)
         out[region] = counts
         if inner is None or n1 == 0 or n2 == 0:
             continue
-        *terms, turns = _normalised_terms(
-            *kernels.g_terms(np.linspace(*inner, samples_per_region), a))
-        samples = _split_samples(nu1s, nu2v, *terms)
+        turns, fixed, *mixed = _collapsed_samples(nu1s, nu2v, *kernels.g_terms(
+            np.linspace(*inner, samples_per_region), a))
+        rows = max(1, GRID_BLOCK_CELLS // max(len(fixed), n1 + 1))
         for j in range(0, n2, rows):
             block = slice(j, j + rows)
             counts[order, block] = _count_block(
-                nu1s, nu2v[block], turns, *samples).T
+                nu1s, nu2v[block], turns, fixed, *mixed).T
     return out
 
 
@@ -117,42 +124,65 @@ def _normalised_terms(P, Q, S):
     """(P, Q, S) times -1 at the samples where P < 0, so that
     h = (nu1 * P + nu2 * Q) + S is non-decreasing in nu1 (h = g where
     P >= 0 and -g where P < 0: the same sums of the negated terms give
-    -g exactly, as rounding to nearest is symmetric), and the indices k
-    of the sample pairs (k, k + 1) between which P changes sign."""
+    -g exactly, as rounding to nearest is symmetric), and the mask of
+    those samples."""
     import numpy as np
 
     flip = P < 0.0
     sign = np.where(flip, -1.0, 1.0)
-    return sign * P, sign * Q, sign * S, np.flatnonzero(flip[:-1] != flip[1:])
+    return sign * P, sign * Q, sign * S, flip
 
 
-def _split_samples(nu1s, nu2v, P, Q, S):
-    """The samples of the normalised terms (_normalised_terms) whose h
-    has one sign over the whole grid of sorted nu1s and nu2v, and the
-    others. h = (nu1 * P + Q * nu2) + S is non-decreasing in nu1, and in
-    nu2 where Q >= 0 (non-increasing where Q < 0), so its least and
-    largest values over the grid are at two corners of the box
-    nu1s x nu2v. Where h > 0 at the least corner, t_neg = t_pos = 0;
-    where h < 0 at the largest, t_neg = t_pos = n1; the other samples,
-    an exact 0.0 at a corner among them, are mixed. Returns the (sample,
-    1) column of those thresholds (0 at the mixed samples), the indices
-    of the mixed samples and their P, Q and S as columns."""
+def _sides(nu1s, nu2v, P, Q, S):
+    """The side of zero that h takes over the whole grid of sorted nu1s
+    and nu2v at each sample of the normalised terms (_normalised_terms):
+    1 where h > 0 on every cell, -1 where h < 0 on every cell and 0 at
+    the other, mixed samples. h = (nu1 * P + Q * nu2) + S is
+    non-decreasing in nu1, and in nu2 where Q >= 0 (non-increasing where
+    Q < 0), so its least and largest values over the grid are at two
+    corners of the box nu1s x nu2v, and an exact 0.0 at a corner is
+    mixed."""
     import numpy as np
 
     down = Q < 0.0
     lo_nu2, hi_nu2 = nu2v.min(), nu2v.max()
     least = (nu1s[0] * P + Q * np.where(down, hi_nu2, lo_nu2)) + S
     largest = (nu1s[-1] * P + Q * np.where(down, lo_nu2, hi_nu2)) + S
-    below = largest < 0.0
-    mixed = np.flatnonzero(~below & ~(least > 0.0))
-    return (np.where(below, len(nu1s), 0)[:, None], mixed,
-            P[mixed, None], Q[mixed, None], S[mixed, None])
+    return (least > 0.0).astype(np.int8) - (largest < 0.0)
+
+
+def _collapsed_samples(nu1s, nu2v, P, Q, S):
+    """_count_block's samples from the raw g terms of one region's
+    samples, for the grid of sorted nu1s and nu2v, with each run of
+    neighbouring samples where g has one and the same sign on every
+    cell collapsed to its first sample: a sample of one sign of g on
+    every cell, that of the sample before it, changes sign with that
+    sample nowhere and with the sample after it where the sample before
+    it does, so dropping it changes no count. g's side is h's (_sides)
+    times the sign of P. Returns, for the kept samples, the indices k of
+    the pairs (k, k + 1) between which P changes sign, the (sample, 1)
+    column of thresholds t_neg = t_pos (0 where h > 0 on every cell, n1
+    where h < 0 on every cell, 0 at the mixed samples), the indices of
+    the mixed samples and their normalised P, Q and S as columns."""
+    import numpy as np
+
+    P, Q, S, flip = _normalised_terms(P, Q, S)
+    side = _sides(nu1s, nu2v, P, Q, S)
+    mixed = side == 0
+    g_side = np.where(flip, -side, side)
+    keep = np.ones_like(mixed)
+    keep[1:] = mixed[1:] | (g_side[1:] != g_side[:-1])
+    flip, side = flip[keep], side[keep]
+    return (np.flatnonzero(flip[:-1] != flip[1:]),
+            np.where(side < 0, len(nu1s), 0)[:, None],
+            np.flatnonzero(side == 0),
+            P[mixed][:, None], Q[mixed][:, None], S[mixed][:, None])
 
 
 def _count_block(nu1s, nu2b, turns, fixed, mixed, P, Q, S) -> np.ndarray:
     """Sign changes of g between neighbouring samples, for sorted nu1s and
-    each nu2 in nu2b, from the turns of _normalised_terms and the split of
-    _split_samples: shape (nu2, nu1)."""
+    each nu2 in nu2b, from the samples of _collapsed_samples: shape
+    (nu2, nu1)."""
     import numpy as np
 
     n1, n2 = len(nu1s), len(nu2b)

@@ -23,7 +23,8 @@ The calls:
   benchmark's 50x50 grid at 400 samples at a = 0.5, pi/2 and 2.5 and
   at a = 2.094, 2.0944 and 2.095 (next to 2*pi/3, where the counter
   misses a close triple of roots), a descending ``--nu1-grid``, a
-  ``--nu2-grid`` from 0.001 to 1000, and one cell;
+  ``--nu2-grid`` from 0.001 to 1000, one cell, ``--samples 2`` and 3 on
+  a 50x50 grid, and ``--nu1-grid`` from 1e-6 and from 1000 to 1e6;
 - ``verify``, with and without ``--integrate``, on the verify workload's
   34 one-solution files, and ``verify --integrate`` on a repulsive file;
 - ``equator``, with and without ``--radius 2``, and ``euler-limit`` as JSON
@@ -136,6 +137,14 @@ def _sweep_calls():
            "--out", OUT]
     yield ["sweep", "--a-grid", "2.094:2.094:1", "--nu1-grid", "1:1:1",
            "--nu2-grid", "1:1:1"]
+    # two and three samples per region, and nu1 up to 1e6: g has one sign
+    # over the whole grid at 47 % of the samples from nu1 = 1e-6 and at
+    # 96 % from nu1 = 1000
+    for samples in ("2", "3"):
+        yield ["sweep", "--a-grid", "0.3:2.9:5", "--nu1-grid", "0.1:10:50",
+               "--nu2-grid", "0.1:10:50", "--samples", samples, "--out", OUT]
+    for nu1 in ("1e-6:1e6:40", "1000:1e6:40"):
+        yield ["sweep", "--a-grid", "0.3:2.9:5", "--nu1-grid", nu1, "--out", OUT]
 
 
 def _other_calls():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -11,7 +12,8 @@ from sphere3body import euler_limit, kernels
 from sphere3body import meridian as mer
 from sphere3body.dynamics import MassTriple, backward_error
 from sphere3body.geometry import SphereRadius
-from sphere3body.grid import _count_block, _normalised_terms, _split_samples
+from sphere3body.grid import (
+    _collapsed_samples, _count_block, _normalised_terms, _sides)
 from sphere3body.integrator import configuration_residuals
 from sphere3body.potential import (
     PairPotential,
@@ -643,10 +645,9 @@ def guess_misses(P, Q, S, nu1, nu2):
 
 
 def count_block(nu1, nu2, P, Q, S):
-    """_count_block on raw g terms, sign-normalised and classified against
-    the grid's corners as the counter does."""
-    *terms, turns = _normalised_terms(P, Q, S)
-    return _count_block(nu1, nu2, turns, *_split_samples(nu1, nu2, *terms))
+    """_count_block on raw g terms, sign-normalised, classified against
+    the grid's corners and collapsed as the counter does."""
+    return _count_block(nu1, nu2, *_collapsed_samples(nu1, nu2, P, Q, S))
 
 
 class TestGridThresholds:
@@ -656,11 +657,11 @@ class TestGridThresholds:
 
     @staticmethod
     def mixed(P, Q, S, nu1, nu2):
-        """The samples that _split_samples leaves to the root guess, which
-        are those where g is not of one sign on the whole grid."""
+        """The samples that _sides leaves to the root guess, which are
+        those where g is not of one sign on the whole grid."""
         P, Q, S, nu1, nu2 = (np.asarray(v, dtype=float) for v in (P, Q, S, nu1, nu2))
         *terms, _ = _normalised_terms(P, Q, S)
-        mixed = _split_samples(nu1, nu2, *terms)[1].tolist()
+        mixed = np.flatnonzero(_sides(nu1, nu2, *terms) == 0).tolist()
         g = (nu1[:, None, None] * P + nu2[None, :, None] * Q) + S
         assert mixed == np.flatnonzero(~(g > 0.0).all(axis=(0, 1))
                                        & ~(g < 0.0).all(axis=(0, 1))).tolist()
@@ -812,6 +813,78 @@ class TestGridThresholds:
             k = len(self.mixed(P, Q, S, nu1, nu2))
             mixed, uniform = mixed + k, uniform + 9 - k
         assert mixed > 100 and uniform > 100
+
+
+# Hand-built samples by the side of zero g takes on the cells of
+# COLLAPSE_NU1 x COLLAPSE_NU2, as (P, Q, S): "+" and "p" are above zero on
+# every cell, "-" and "n" below (p and n with P < 0, so h = -g has the
+# other sign), "m" and "w" change sign on the grid (w with P < 0) and "z"
+# is 0.0 exactly at the least corner and above zero elsewhere.
+COLLAPSE_NU1, COLLAPSE_NU2 = [0.5, 1.0, 2.0, 4.0], [0.5, 1.0, 3.0]
+COLLAPSE_SAMPLES = {
+    "+": (1.0, 1.0, 1.0), "p": (-1.0, 1.0, 10.0),
+    "-": (1.0, -1.0, -10.0), "n": (-2.0, -1.0, -1.0),
+    "m": (1.0, 0.5, -2.5), "w": (-1.0, 0.0, 1.5), "z": (1.0, 0.0, -0.5),
+}
+COLLAPSE_SIDES = {"+": 1, "p": 1, "-": -1, "n": -1, "m": 0, "w": 0, "z": 0}
+
+
+class TestGridCollapse:
+    """_collapsed_samples' drop of each sample that has one sign of g on
+    every cell, the sign of the sample before it: the samples it keeps
+    and the counts from them against the full count of sign changes."""
+
+    @staticmethod
+    def check(labels):
+        """The full count over the grid of the samples that labels
+        names and the number of samples the collapse keeps, after
+        checking that the collapsed count equals the full count and that
+        the collapse keeps the mixed samples and the first of each run
+        of one side."""
+        P, Q, S = np.array([COLLAPSE_SAMPLES[c] for c in labels]).T
+        nu1, nu2 = np.array(COLLAPSE_NU1), np.array(COLLAPSE_NU2)
+        g = (nu1[:, None, None] * P + nu2[None, :, None] * Q) + S
+        sides = [COLLAPSE_SIDES[c] for c in labels]
+        for k, side in enumerate(sides):
+            assert side == int((g[..., k] > 0.0).all()) - int((g[..., k] < 0.0).all())
+        kept = 1 + sum(s == 0 or s != r for r, s in zip(sides, sides[1:]))
+        turns, fixed, *mixed = _collapsed_samples(nu1, nu2, P, Q, S)
+        assert len(fixed) == kept
+        want = sign_changes(P, Q, S, nu1, nu2)
+        assert np.array_equal(_count_block(nu1, nu2, turns, fixed, *mixed).T, want)
+        return want, kept
+
+    def test_long_one_sign_runs(self):
+        labels = "+" * 15 + "m" + "-" * 20 + "wz" + "+" * 12 + "-" * 9 + "mm"
+        assert self.check(labels)[1] == 9
+
+    def test_one_sign_run_across_a_turn_of_p(self):
+        # P changes sign inside the run of g > 0 (and of g < 0), so h
+        # flips there while g keeps its sign: each run keeps one sample
+        for labels in ("m++ppp+pw", "w-nn-n-m", "zp+pnn-n"):
+            assert self.check(labels)[1] == 3
+
+    def test_neighbouring_one_sign_samples_of_opposite_sign(self):
+        # one sign change on every cell per pair, with P of one sign (h
+        # of both signs) and with P turning (h of one sign)
+        for labels in ("+-", "+n", "p-", "pn", "n+", "+n+n+n", "p-p-"):
+            want, kept = self.check(labels)
+            assert kept == len(labels) and (want == len(labels) - 1).all()
+
+    def test_runs_at_the_first_and_last_sample(self):
+        for labels in ("+++++mzm-----", "pppp-nnn", "nnnnwp+p+", "-----+",
+                       "m" + "p" * 30, "+" * 30 + "w"):
+            self.check(labels)
+
+    def test_a_region_of_one_class(self):
+        for labels in ("+p+pp+" * 10, "-n-nn" * 10):
+            want, kept = self.check(labels)
+            assert kept == 1 and not want.any()
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_two_and_three_samples(self, size):
+        for labels in itertools.product(COLLAPSE_SAMPLES, repeat=size):
+            self.check("".join(labels))
 
 
 class TestSpecialFamilies:
