@@ -470,7 +470,11 @@ def cmd_verify(args) -> int:
         # a list or a dict is not hashable, so only a string is looked up
         if not (isinstance(potential, str) and potential in POTENTIALS):
             raise ValueError(f"unknown potential {potential!r}")
-        records = [_verify_record(rec) for rec in data["solutions"]]
+        solutions = data["solutions"]
+        # a dict or a string iterates, but is no list of solutions
+        if not isinstance(solutions, list):
+            raise ValueError(f"solutions is not a list: {solutions!r}")
+        records = [_verify_record(rec) for rec in solutions]
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: cannot parse {args.solutions}: {exc}", file=sys.stderr)
         return 1

@@ -18,8 +18,10 @@ if TYPE_CHECKING:
 # count_rotators_grid_regions counts blocks of nu2 rows: a block's
 # (sample, nu2) arrays, over the samples that _collapsed_samples keeps,
 # and its (nu1 + 1, nu2) difference array each hold at most this many
-# cells (48 KB in float64) unless one row is larger. At 400 samples, none
-# of them dropped, blocks of 12 to 25 rows ran fastest of 6 to 128.
+# cells (48 KB in float64) unless one row is larger. That size was timed
+# before the collapse of one-sign runs: at 400 samples, all kept, blocks
+# of 12 to 25 rows ran fastest of 6 to 128. The sweep benchmark's seed-1
+# slices now keep 11,038 of their 25,600 samples, in 133 blocks, untimed.
 # Larger blocks grow the top of the heap by a few hundred KB, which
 # glibc's malloc gives back to the system after each block in some heap
 # layouts, so the next block faults it in again (+20% time). Minor page
@@ -65,26 +67,26 @@ def count_rotators_grid_regions(
     Q * sign(P) >= 0), so its least and largest values over the grid are
     at two corners of the box sorted nu1 x nu2, and each sample is tested
     there once per region (_sides): where g * sign(P) > 0 at the least
-    corner, t_neg = t_pos = 0 for every nu2; where it is < 0 at the
-    largest, both are n1. Such a sample has one sign of g on every cell;
-    where the sample before it has that same sign on every cell, it
+    corner or < 0 at the largest, the sample has one sign of g on every
+    cell; where the sample before it has that same sign on every cell, it
     changes sign with that sample nowhere, and with the sample after it
     on the cells where the sample before it does, so dropping it leaves
     every count as it was. Each run of neighbouring samples of one and
     the same sign of g on every cell is therefore collapsed to its first
     sample (_collapsed_samples) before anything else (the sweep
-    benchmark's slices keep 43-44 % of their samples). At the other,
-    mixed samples (an exact 0.0 at a corner among them) each threshold
-    is guessed from the real root -(nu2 * Q + S) / P and confirmed by g
-    one index below and at it; a pair that fails the check (a zero of g
-    near the guess, P = 0, a guess off by rounding) takes both from a
-    binary search of its row of g * sign(P) over nu1.
+    benchmark's slices keep 43-44 % of their samples). At every kept
+    sample, one-sign or not, each threshold is guessed from the real
+    root -(nu2 * Q + S) / P (0 or n1 at a one-sign sample, unless
+    rounding moves it) and confirmed by g one index below and at it; a
+    pair that fails the check (a zero of g near the guess, P = 0, a
+    guess off by rounding) takes both from a binary search of its row
+    of g * sign(P) over nu1.
     Two neighbouring samples then change sign on one interval of nu1
     indices: [min t_pos, max t_neg) of the two where P keeps its sign
     between them (empty where it ends first), and where P turns, every
     index outside [min t_neg, max t_pos). A difference array over nu1
     counts them. g is evaluated twice per sample at the corners and a
-    few times per mixed (nu2, sample) pair rather than once per nu1
+    few times per kept (nu2, sample) pair rather than once per nu1
     value (once per nu1 value at a pair that fails the check), and the
     working memory is one block of nu2 rows (GRID_BLOCK_CELLS, counted
     in kept samples) besides the output.
@@ -110,13 +112,13 @@ def count_rotators_grid_regions(
         out[region] = counts
         if inner is None or n1 == 0 or n2 == 0:
             continue
-        turns, fixed, *mixed = _collapsed_samples(nu1s, nu2v, *kernels.g_terms(
+        turns, *terms = _collapsed_samples(nu1s, nu2v, *kernels.g_terms(
             np.linspace(*inner, samples_per_region), a))
-        rows = max(1, GRID_BLOCK_CELLS // max(len(fixed), n1 + 1))
+        rows = max(1, GRID_BLOCK_CELLS // max(len(terms[0]), n1 + 1))
         for j in range(0, n2, rows):
             block = slice(j, j + rows)
             counts[order, block] = _count_block(
-                nu1s, nu2v[block], turns, fixed, *mixed).T
+                nu1s, nu2v[block], turns, *terms).T
     return out
 
 
@@ -160,26 +162,21 @@ def _collapsed_samples(nu1s, nu2v, P, Q, S):
     sample nowhere and with the sample after it where the sample before
     it does, so dropping it changes no count. g's side is h's (_sides)
     times the sign of P. Returns, for the kept samples, the indices k of
-    the pairs (k, k + 1) between which P changes sign, the (sample, 1)
-    column of thresholds t_neg = t_pos (0 where h > 0 on every cell, n1
-    where h < 0 on every cell, 0 at the mixed samples), the indices of
-    the mixed samples and their normalised P, Q and S as columns."""
+    the pairs (k, k + 1) between which P changes sign and the
+    normalised P, Q and S as columns."""
     import numpy as np
 
     P, Q, S, flip = _normalised_terms(P, Q, S)
     side = _sides(nu1s, nu2v, P, Q, S)
-    mixed = side == 0
     g_side = np.where(flip, -side, side)
-    keep = np.ones_like(mixed)
-    keep[1:] = mixed[1:] | (g_side[1:] != g_side[:-1])
-    flip, side = flip[keep], side[keep]
+    keep = np.ones_like(flip)
+    keep[1:] = (side[1:] == 0) | (g_side[1:] != g_side[:-1])
+    flip = flip[keep]
     return (np.flatnonzero(flip[:-1] != flip[1:]),
-            np.where(side < 0, len(nu1s), 0)[:, None],
-            np.flatnonzero(side == 0),
-            P[mixed][:, None], Q[mixed][:, None], S[mixed][:, None])
+            P[keep][:, None], Q[keep][:, None], S[keep][:, None])
 
 
-def _count_block(nu1s, nu2b, turns, fixed, mixed, P, Q, S) -> np.ndarray:
+def _count_block(nu1s, nu2b, turns, P, Q, S) -> np.ndarray:
     """Sign changes of g between neighbouring samples, for sorted nu1s and
     each nu2 in nu2b, from the samples of _collapsed_samples: shape
     (nu2, nu1)."""
@@ -187,27 +184,24 @@ def _count_block(nu1s, nu2b, turns, fixed, mixed, P, Q, S) -> np.ndarray:
 
     n1, n2 = len(nu1s), len(nu2b)
     # arrays are (sample, nu2); t_neg = #{h < 0} and t_pos = #{h <= 0}
-    # bound h's three runs, and are equal at the fixed samples
-    t_neg = t_pos = np.repeat(fixed, n2, axis=1)
+    # bound h's three runs. Both are the guess where h is below zero one
+    # index below it and above zero at it, nu1 = -inf below the grid and
+    # +inf above it (0 or n1 at a one-sign sample unless rounding moves
+    # it; where P = 0 that gives NaN, and the search of the pair's row)
     nu2_q = Q * nu2b
-    # at a mixed sample both are the guess where h is below zero one index
-    # below it and above zero at it, nu1 = -inf below the grid and +inf
-    # above it (where P = 0 that gives NaN, and the search of the pair's
-    # row)
     nu1p = np.concatenate(([-np.inf], nu1s, [np.inf]))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        guess = np.searchsorted(nu1s, (nu2_q + S) * (-1.0 / P))
-        ok = (((nu1p[guess] * P + nu2_q) + S < 0.0)
-              & ((nu1p[guess + 1] * P + nu2_q) + S > 0.0))
-    t_neg[mixed] = guess
+        t_neg = t_pos = np.searchsorted(nu1s, (nu2_q + S) * (-1.0 / P))
+        ok = (((nu1p[t_neg] * P + nu2_q) + S < 0.0)
+              & ((nu1p[t_neg + 1] * P + nu2_q) + S > 0.0))
     if not ok.all():
-        # at each rejected pair (mixed sample k, nu2 j), where 0 sorts into
-        # h's non-decreasing row over nu1: first (t_neg) and last (t_pos)
+        # at each rejected pair (sample k, nu2 j), where 0 sorts into h's
+        # non-decreasing row over nu1: first (t_neg) and last (t_pos)
         t_pos = t_neg.copy()
         for k, j in zip(*np.nonzero(~ok)):
             row = (nu1s * P[k, 0] + nu2_q[k, j]) + S[k, 0]
-            t_neg[mixed[k], j] = np.searchsorted(row, 0.0, side="left")
-            t_pos[mixed[k], j] = np.searchsorted(row, 0.0, side="right")
+            t_neg[k, j] = np.searchsorted(row, 0.0, side="left")
+            t_pos[k, j] = np.searchsorted(row, 0.0, side="right")
 
     # g < 0 on [0, t_neg) and g > 0 on [t_pos, n1), the reverse where P
     # was flipped. Where P keeps its sign between samples k and k + 1,

@@ -83,10 +83,11 @@ class PairPotential(_PotentialFields):
 def cotangent_potential(R: SphereRadius) -> PairPotential:
     """The cotangent pair potential (1/R) cot(sigma) bound to a radius.
 
-    u_prime is the integrator's innermost call (three per right-hand
-    side), so R's constants and the domain check are bound into u and
-    u_prime here, once per radius. u_prime records R as reduced_g_sphere,
-    so the potential is solved through g and keeps radius R.
+    u_prime is the integrator's innermost call (three per position
+    whose terms it computes), so R's constants and the domain check are
+    bound into u and u_prime here, once per radius. u_prime records R as
+    reduced_g_sphere, so the potential is solved through g and keeps
+    radius R.
     """
     r2 = R.R * R.R
     d2_antipodal = 4.0 * R.R * R.R

@@ -554,6 +554,20 @@ class TestVerifyReport:
         assert "cannot parse" in captured.err and field in captured.err
         assert captured.out == ""
 
+    # an empty dict or string would iterate as no solution (exit 2)
+    @pytest.mark.parametrize("value", [{}, "", None], ids=["dict", "string", "null"])
+    def test_solutions_that_are_not_a_list(self, tmp_path, capsys, value):
+        sol_file = tmp_path / "two.json"
+        main(["meridian", "--masses", "3,2,1", "--a", str(math.pi / 4),
+              "--out", str(sol_file)])
+        data = json.loads(sol_file.read_text())
+        data["solutions"] = value
+        sol_file.write_text(json.dumps(data))
+        assert main(["verify", str(sol_file)]) == 1
+        captured = capsys.readouterr()
+        assert "cannot parse" in captured.err and "solutions" in captured.err
+        assert captured.out == ""
+
 
 class TestEulerLimit:
     @pytest.mark.parametrize("extra,option", [

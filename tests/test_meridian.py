@@ -646,7 +646,8 @@ def guess_misses(P, Q, S, nu1, nu2):
 
 def count_block(nu1, nu2, P, Q, S):
     """_count_block on raw g terms, sign-normalised, classified against
-    the grid's corners and collapsed as the counter does."""
+    the grid's corners and collapsed as the counter does, every kept
+    sample through the root guess."""
     return _count_block(nu1, nu2, *_collapsed_samples(nu1, nu2, P, Q, S))
 
 
@@ -657,8 +658,9 @@ class TestGridThresholds:
 
     @staticmethod
     def mixed(P, Q, S, nu1, nu2):
-        """The samples that _sides leaves to the root guess, which are
-        those where g is not of one sign on the whole grid."""
+        """The samples that _sides classes as mixed, which are those
+        where g is not of one sign on the whole grid; the collapse keeps
+        every one of them."""
         P, Q, S, nu1, nu2 = (np.asarray(v, dtype=float) for v in (P, Q, S, nu1, nu2))
         *terms, _ = _normalised_terms(P, Q, S)
         mixed = np.flatnonzero(_sides(nu1, nu2, *terms) == 0).tolist()
@@ -798,6 +800,24 @@ class TestGridThresholds:
         assert self.mixed(P, Q, S, [2.0], [1.0]) == [0, 3, 4]
         assert count_block(*map(np.array, ([2.0], [1.0], P, Q, S))).tolist() == [[1]]
 
+    def test_one_sign_samples_whose_guess_the_check_rejects(self):
+        # h > 0 on every cell at sample 0, but at nu2 = 1 its computed
+        # root rounds past nu1s[0] = 0.9 (0.9 * 0.3 rounds up, to an even
+        # last bit, and both ties of the sums round the way that keeps
+        # h > 0); h < 0 on every cell at sample 2, whose root at nu2 = 1
+        # rounds onto nu1s[-1] = 1.2. Sample 1 is mixed, so the collapse
+        # keeps all three, and the row search settles 0 and 2
+        P = [0.3, 1.0, 1.0]
+        Q = [3 * 2.0**-55, 0.0, -0.9]
+        S = [-(0.9 * 0.3 + 2.0**-54), -1.1, -0.3]
+        nu1, nu2 = [0.9, 1.0, 1.2], [1.0, 2.0]
+        assert self.mixed(P, Q, S, nu1, nu2) == [1]
+        assert len(_collapsed_samples(*map(np.array, (nu1, nu2, P, Q, S)))[1]) == 3
+        self.check(P, Q, S, nu1, nu2)
+        for k in (0, 2):
+            one = [np.array(v[k:k + 1]) for v in (P, Q, S)]
+            assert guess_misses(*one, np.array(nu1), np.array(nu2)) > 0
+
     def test_negative_nu1(self):
         # sorted nu1 below zero and across it, P of both signs: the least
         # corner is at the most negative nu1
@@ -848,10 +868,10 @@ class TestGridCollapse:
         for k, side in enumerate(sides):
             assert side == int((g[..., k] > 0.0).all()) - int((g[..., k] < 0.0).all())
         kept = 1 + sum(s == 0 or s != r for r, s in zip(sides, sides[1:]))
-        turns, fixed, *mixed = _collapsed_samples(nu1, nu2, P, Q, S)
-        assert len(fixed) == kept
         want = sign_changes(P, Q, S, nu1, nu2)
-        assert np.array_equal(_count_block(nu1, nu2, turns, fixed, *mixed).T, want)
+        turns, P, Q, S = _collapsed_samples(nu1, nu2, P, Q, S)
+        assert len(P) == kept
+        assert np.array_equal(_count_block(nu1, nu2, turns, P, Q, S).T, want)
         return want, kept
 
     def test_long_one_sign_runs(self):
