@@ -1,6 +1,9 @@
 """The sweep's grid counter: per-region sign-change counts of g over a
-(nu1, nu2) grid for one a, in numpy arrays. Only sweep imports this
-module (meridian's module __getattr__ gives count_rotators_grid_regions
+(nu1, nu2) grid for one a, in numpy arrays. Where the nu1 and nu2
+arrays are equal (the same values in the same order), region IV is
+written as the transpose of region II instead of being counted: swapping
+bodies 1 and 2 takes II onto IV and swaps nu1 and nu2. Only sweep imports
+this module (meridian's module __getattr__ gives count_rotators_grid_regions
 by name), so a process that only solves never compiles it.
 """
 
@@ -90,6 +93,17 @@ def count_rotators_grid_regions(
     value (once per nu1 value at a pair that fails the check), and the
     working memory is one block of nu2 rows (GRID_BLOCK_CELLS, counted
     in kept samples) besides the output.
+
+    Swapping bodies 1 and 2 maps x to a - x (mod 2 pi), which takes region
+    II onto region IV and swaps nu1 and nu2, so count_IV(nu1, nu2) =
+    count_II(nu2, nu1). Where nu1_values and nu2_values are equal arrays
+    (the same values in the same order, as on the sweep's default and
+    benchmark grids), IV is therefore not counted: it is a copy of II's
+    transpose, which shares no memory with II. The samples of II and IV
+    are not mirror images in floating point, so this rests on the
+    sampled counts agreeing; tests/test_meridian.py (TestGridMirror)
+    compares the copy with IV counted directly. Every other grid, the
+    same values in another order included, counts all four regions.
     """
     import numpy as np
 
@@ -106,8 +120,12 @@ def count_rotators_grid_regions(
     n1, n2 = len(nu1v), len(nu2v)
     order = np.argsort(nu1v, kind="stable")
     nu1s = nu1v[order]
+    square = np.array_equal(nu1v, nu2v)
     out: dict[str, np.ndarray] = {}
     for region, inner in zip(REGIONS, _interiors(a, BOUNDARY_TOL)):
+        if square and region == "IV":
+            out[region] = out["II"].T.copy()
+            continue
         counts = np.zeros((n1, n2), dtype=np.intp)
         out[region] = counts
         if inner is None or n1 == 0 or n2 == 0:

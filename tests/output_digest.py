@@ -22,7 +22,10 @@ The calls:
 - the default ``sweep``, a small one, and ``sweep`` slices: the sweep
   benchmark's 50x50 grid at 400 samples at a = 0.5, pi/2 and 2.5 and
   at a = 2.094, 2.0944 and 2.095 (next to 2*pi/3, where the counter
-  misses a close triple of roots), a descending ``--nu1-grid``, a
+  misses a close triple of roots), a descending ``--nu1-grid``, equal
+  descending ``--nu1-grid`` and ``--nu2-grid`` (region IV written as
+  II's transpose), the same values ascending in ``--nu1-grid`` and
+  descending in ``--nu2-grid`` (counted directly), a
   ``--nu2-grid`` from 0.001 to 1000, one cell, ``--samples 2`` and 3 on
   a 50x50 grid, and ``--nu1-grid`` from 1e-6 and from 1000 to 1e6;
 - ``verify``, with and without ``--integrate``, on the verify workload's
@@ -133,6 +136,13 @@ def _sweep_calls():
         yield ["sweep", "--a-grid", f"{a!r}:{a!r}:1", "--nu1-grid", "0.1:10:50",
                "--nu2-grid", "0.1:10:50", "--samples", "400", "--out", OUT]
     yield ["sweep", "--a-grid", "0.3:2.9:5", "--nu1-grid", "10:0.1:50", "--out", OUT]
+    # equal descending grids, whose region IV is II's transpose, and the
+    # same 50 values (multiples of 0.5) ascending and descending, which
+    # are not equal arrays and are counted region by region
+    yield ["sweep", "--a-grid", "0.3:2.9:5", "--nu1-grid", "10:0.1:50",
+           "--nu2-grid", "10:0.1:50", "--out", OUT]
+    yield ["sweep", "--a-grid", "0.3:2.9:5", "--nu1-grid", "0.5:25:50",
+           "--nu2-grid", "25:0.5:50", "--out", OUT]
     yield ["sweep", "--a-grid", "0.3:2.9:5", "--nu2-grid", "0.001:1000:40",
            "--out", OUT]
     yield ["sweep", "--a-grid", "2.094:2.094:1", "--nu1-grid", "1:1:1",

@@ -621,6 +621,55 @@ class TestGridCounter:
                 assert tuple(int(grid[r][i, j]) for r in mer.REGIONS) == scan
 
 
+def _square_grid_cases():
+    # the sweep benchmark's seed-1 slices (perfbench/workloads.py, Sweep)
+    rng = random.Random(1)
+    seed1 = [math.pi / 2] + [rng.uniform(0.0, math.pi) for _ in range(15)]
+    for a in seed1 + [2.094, 2.0944, 2.095]:
+        yield a, SWEEP_NU, 400
+    for samples in (2, 3):
+        for a in seed1:
+            yield a, SWEEP_NU, samples
+    for a in (0.4, math.pi / 2, 2.8):
+        yield a, SWEEP_NU[::-1], 400
+        yield a, np.repeat(SWEEP_NU[::7], 3), 50
+
+
+class TestGridMirror:
+    """On equal nu1 and nu2 arrays the counter writes region IV as the
+    transpose of region II (swapping bodies 1 and 2 takes II onto IV and
+    swaps nu1 and nu2): that IV against IV counted directly, from the
+    same nu2 values plus one more, and regions I and III symmetric."""
+
+    def test_mirrored_iv_matches_direct_count(self):
+        for a, nu, samples in _square_grid_cases():
+            square = mer.count_rotators_grid_regions(a, nu, nu, samples)
+            # not equal arrays, so every region is counted; a cell's
+            # count does not depend on the rest of the grid
+            direct = mer.count_rotators_grid_regions(
+                a, nu, np.append(nu, 6.0), samples)
+            n = len(nu)
+            for region in mer.REGIONS:
+                assert square[region].shape == (n, n)
+                assert np.array_equal(square[region], direct[region][:, :n]), \
+                    (a, samples, region)
+            assert np.array_equal(square["IV"], square["II"].T)
+            assert np.array_equal(square["I"], square["I"].T)
+            assert np.array_equal(square["III"], square["III"].T)
+            assert not np.shares_memory(square["IV"], square["II"])
+
+    def test_same_values_in_another_order_are_counted(self):
+        # nu2 the reverse of nu1: the same set, not equal arrays, so IV is
+        # counted, and equals the mirrored IV of the square call with its
+        # columns reversed
+        for a in (0.4, math.pi / 2, 2.8):
+            square = mer.count_rotators_grid_regions(a, SWEEP_NU, SWEEP_NU, 50)
+            turned = mer.count_rotators_grid_regions(
+                a, SWEEP_NU, SWEEP_NU[::-1], 50)
+            for region in mer.REGIONS:
+                assert np.array_equal(turned[region], square[region][:, ::-1])
+
+
 def sign_changes(P, Q, S, nu1, nu2):
     """Neighbouring samples of (nu1 * P + nu2 * Q) + S strictly below and
     above zero, counted over the whole (nu1, nu2, samples) grid."""
@@ -633,13 +682,15 @@ def sign_changes(P, Q, S, nu1, nu2):
 
 def guess_misses(P, Q, S, nu1, nu2):
     """How many (nu2, sample) thresholds the root guess
-    searchsorted(nu1, -(nu2 * Q + S) / P) misses, by a full count of the
-    samples of g below zero and at most zero."""
+    searchsorted(nu1, (Q * nu2 + S) * (-1.0 / P)), _count_block's
+    expression, misses, by a full count of the samples of g below zero
+    and at most zero."""
     g = (np.asarray(nu1)[:, None, None] * P
          + np.asarray(nu2)[None, :, None] * Q) + S
     h = np.where(P < 0.0, -g, g)
     with np.errstate(divide="ignore", invalid="ignore"):
-        guess = np.searchsorted(nu1, -(np.multiply.outer(nu2, Q) + S) / P)
+        guess = np.searchsorted(
+            nu1, (np.multiply.outer(nu2, Q) + S) * (-1.0 / np.asarray(P)))
     return int(np.count_nonzero(guess != np.count_nonzero(h < 0.0, axis=0))
                + np.count_nonzero(guess != np.count_nonzero(h <= 0.0, axis=0)))
 

@@ -71,6 +71,18 @@ def test_translation_lift_round_trip(m, a):
         assert t3 - t1 == pytest.approx(x, abs=1e-12)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_scan_counts_mirror_under_swap_of_bodies_1_and_2(a, log_nu1, log_nu2):
+    # swapping bodies 1 and 2 maps x to a - x (mod 2 pi): regions I and
+    # III onto themselves and II onto IV, with nu1 and nu2 swapped
+    nu1, nu2 = 10.0 ** log_nu1, 10.0 ** log_nu2
+    c = oracles.count_rotators_scan(a, nu1, nu2)
+    swapped = oracles.count_rotators_scan(a, nu2, nu1)
+    assert (c.II, c.I, c.III) == (swapped.IV, swapped.I, swapped.III)
+
+
 def _meridian_solutions():
     return mer.find_meridian_rotators(math.pi / 4, M321)
 
