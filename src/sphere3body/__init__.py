@@ -26,7 +26,7 @@ from .meridian import (
 )
 from .potential import cotangent_potential, repulsive
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 __all__ = [
     "MassTriple",
     "SpherePoint",

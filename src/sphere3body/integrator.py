@@ -1,5 +1,5 @@
-"""Verification dynamics: the raw equations of motion, angular momentum
-and kinetic energy, a fixed-step RK4 integrator, and the residuals of
+"""Verification dynamics: the raw equations of motion, angular momentum,
+a fixed-step RK4 integrator, and the residuals of
 the rotating-equilibrium conditions. None of it solves: verify imports
 this module where it runs (angular momentum, and integrate under
 --integrate), and configuration_residuals is the tests' oracle. A
@@ -18,9 +18,9 @@ differences stay equal, as they do, often exactly, along a rigid
 rotation.
 
 Every function that takes a potential reads the sphere's radius from it
-(pot.radius). A SphericalState holds angles and rates only, so the
-kinematics that take no potential, kinetic_energy and angular_momentum,
-take the radius as an argument.
+(pot.radius). A SphericalState holds angles and rates only, so
+angular_momentum, which takes no potential, takes the radius as an
+argument.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 from .dynamics import MassTriple
 from .geometry import SpherePoint, SphereRadius, chord_squared
-from .potential import PAIRS, PairPotential, SingularityError, pair_value, total_potential
+from .potential import PAIRS, PairPotential, SingularityError, pair_value
 
 
 class SphericalState(NamedTuple):
@@ -70,17 +70,6 @@ def angular_momentum(state: SphericalState, masses: MassTriple,
         cy += m * (cp * td - st * ct * sp * pd)
         cz += m * st * st * pd
     return AngularMomentum(R2 * cx, R2 * cy, R2 * cz)
-
-
-def kinetic_energy(state: SphericalState, masses: MassTriple,
-                   R: SphereRadius) -> float:
-    """Kinetic energy on the sphere of radius R."""
-    R2 = R.R ** 2
-    k = 0.0
-    for m, p, td, pd in zip(masses, state.points, state.theta_dot, state.phi_dot):
-        st = math.sin(p.theta)
-        k += 0.5 * m * (td * td + st * st * pd * pd)
-    return R2 * k
 
 
 def _position_terms(t1, t2, t3, d12, d23, d31, w1, w2, w3, u_prime, two_r2):
@@ -153,7 +142,6 @@ class Trajectory(NamedTuple):
     phis: tuple[Triple, ...]
     theta_dots: tuple[Triple, ...]
     phi_dots: tuple[Triple, ...]
-    energy_drift: float
     c_drift: float
     error: str | None = None
 
@@ -194,15 +182,14 @@ def integrate(
       key starts as NaN, so the first stage computes).
 
     Every (store_every)-th state and the last one are kept.
-    Reports the drifts of the energy E = K - V and of the angular
-    momentum vector c from the first state to the last,
-    |E1 - E0| / max(|E0|, 1) and |c1 - c0| / max(|c0|, 1): relative, but
-    absolute where the starting value is below 1. On a singularity the
-    partial trajectory is returned with the error recorded; nothing else
-    is an error. The step is fixed, so a run through a close encounter
-    can end with error None and a large energy_drift: the caller judges
-    the drifts (verify gates on the arc-angle drift alone). The sphere's
-    radius is pot.radius.
+    Reports the drift of the angular momentum vector c from the first
+    state to the last, |c1 - c0| / max(|c0|, 1): relative, but absolute
+    where |c0| is below 1. On a singularity the partial trajectory is
+    returned with the error recorded; nothing else is an error. The step
+    is fixed, so a run through a close encounter can end with error None
+    and yet be inaccurate: the caller judges the stored states (verify
+    gates on the arc-angle drift alone). The sphere's radius is
+    pot.radius.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -317,29 +304,18 @@ def integrate(
         phis=tuple(r[3:6] for r in rows),
         theta_dots=tuple(r[6:9] for r in rows),
         phi_dots=tuple(r[9:12] for r in rows),
-        # the drifts where the terminal state is unusable (blow-up)
-        energy_drift=math.inf,
+        # the drift where the terminal state is unusable (blow-up)
         c_drift=math.inf,
         error=error,
     )
     try:
-        e0, c0 = _invariants(traj, 0, masses, pot)
-        e1, c1 = _invariants(traj, len(times) - 1, masses, pot)
-        escale = max(abs(e0), 1.0)
-        energy_drift = abs(e1 - e0) / escale
+        c0 = angular_momentum(traj.state_at(0), masses, pot.radius)
+        c1 = angular_momentum(traj.state_at(-1), masses, pot.radius)
         cscale = max(math.hypot(*c0), 1.0)
         c_drift = math.hypot(*[v1 - v0 for v1, v0 in zip(c1, c0)]) / cscale
-    except (SingularityError, ValueError, OverflowError):
-        return traj  # the drifts are undefined
-    return traj._replace(energy_drift=energy_drift, c_drift=c_drift)
-
-
-def _invariants(traj: Trajectory, idx: int, masses, pot):
-    st = traj.state_at(idx)
-    e = kinetic_energy(st, masses, pot.radius) - total_potential(
-        st.points, masses, pot)
-    c = angular_momentum(st, masses, pot.radius)
-    return e, c
+    except (ValueError, OverflowError):
+        return traj  # the drift is undefined
+    return traj._replace(c_drift=c_drift)
 
 
 def configuration_residuals(

@@ -7,6 +7,11 @@ g near x = 0 (mod 2 pi) therefore follow x = k a (1 + O(a^2)), where
 equilibria of the same masses: Euler's three configurations, one for
 each place of body 3 (below 0, between 0 and 1, above 1). This module
 solves the flat equations for k by bisection.
+
+The roots near x = c = pi/2 and 3 pi/2 follow x = c + k a + O(a^3)
+with k = m2 / (m1 + m2): body 3 sits a quarter turn from the centre of
+mass of the close pair, which lies k a along the arc from body 1 to
+body 2.
 """
 
 from __future__ import annotations
@@ -53,3 +58,10 @@ def flat_collinear_offsets(masses) -> tuple[float, float, float]:
     and 2 at 0 and 1 and body 3 at k, ascending."""
     return tuple(_bisect(lambda k: flat_collinear_defect(masses, k), lo, hi)
                  for lo, hi in FLAT_BRACKETS)
+
+
+def near_quarter_offset(masses) -> float:
+    """k of the roots x = c + k a near c = pi/2 and 3 pi/2: the centre of
+    mass of bodies 1 and 2, at 0 and 1, of masses m1 and m2."""
+    m1, m2, _ = masses
+    return m2 / (m1 + m2)

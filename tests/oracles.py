@@ -1,7 +1,9 @@
 """The paper's closed forms, and the thin wrappers that only tests call.
 
 No command runs any of these, so they live with the tests rather than
-in the package: the solver is checked against them. The closed forms
+in the package: the solver is checked against them. The cotangent U and
+the energy K - V are the integrator's conserved quantity, which the
+package does not compute (a potential is its U'). The closed forms
 (the equilateral and isosceles families, the exceptional Case 2/3
 angles, the Case 4 fixed point, the counts at a = pi/2 and the
 equator's antipodal limit) are built on private solver pieces where a
@@ -17,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from sphere3body.dynamics import MassTriple
 from sphere3body.equator import INTERIOR, _closed_form, existence_check, solve_equator
-from sphere3body.geometry import SphereRadius, _clamp
+from sphere3body.geometry import SphereRadius, _clamp, chord_squared
 from sphere3body.meridian import (
     _UNIT_COTANGENT,
     CASE1,
@@ -37,7 +39,13 @@ from sphere3body.meridian import (
     _w_sums,
     solution_from_shape,
 )
-from sphere3body.potential import PairPotential
+from sphere3body.potential import (
+    ANTIPODAL,
+    COLLISION,
+    PAIRS,
+    PairPotential,
+    SingularityError,
+)
 
 # ---------------------------------------------------------------- geometry
 
@@ -53,6 +61,40 @@ def arc_from_chord_squared(d2: float, R: SphereRadius) -> float:
     """Inverse of chord_from_arc on squared input."""
     s = _clamp(math.sqrt(max(d2, 0.0)) * R.epsilon)
     return 2.0 * math.asin(s)
+
+
+# ---------------------------------------------------------------- energy
+
+
+def cotangent_u(d2: float, R: SphereRadius) -> float:
+    """The cotangent pair potential U = (1/R) cot(sigma) in the squared
+    chord, (1 - 2 eps^2 D^2) / sqrt(D^2 (1 - eps^2 D^2)), on the sphere of
+    radius R: the U whose derivative cotangent_potential(R).u_prime is.
+    Raises SingularityError at D^2 <= 0 and D^2 >= 4 R^2."""
+    if d2 <= 0.0:
+        raise SingularityError(COLLISION, d2)
+    if d2 >= 4.0 * R.R * R.R:
+        raise SingularityError(ANTIPODAL, d2)
+    e2 = R.epsilon * R.epsilon
+    return (1.0 - 2.0 * e2 * d2) / math.sqrt(d2 * (1.0 - e2 * d2))
+
+
+def kinetic_energy(state, masses: MassTriple, R: SphereRadius) -> float:
+    """K of an integrator.SphericalState on the sphere of radius R."""
+    k = 0.0
+    for m, p, td, pd in zip(masses, state.points, state.theta_dot, state.phi_dot):
+        st = math.sin(p.theta)
+        k += 0.5 * m * (td * td + st * st * pd * pd)
+    return R.R ** 2 * k
+
+
+def cotangent_energy(state, masses: MassTriple, R: SphereRadius) -> float:
+    """E = K - V under cotangent_potential(R), with V = sum over the pairs
+    of m_i m_j U(D_ij^2)."""
+    v = sum(masses[i] * masses[j]
+            * cotangent_u(chord_squared(state.points[i], state.points[j], R), R)
+            for i, j in PAIRS)
+    return kinetic_energy(state, masses, R) - v
 
 
 # ---------------------------------------------------------------- meridian

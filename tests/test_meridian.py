@@ -378,8 +378,7 @@ class TestSolver:
     def test_custom_potential_is_solved_through_its_ratio_equation(self, monkeypatch):
         # a Newton-like potential is solved through its ratio equation,
         # never through g
-        newton = PairPotential(u=lambda d2: -d2 ** -0.5,
-                               u_prime=lambda d2: 0.5 * d2 ** -1.5)
+        newton = PairPotential(u_prime=lambda d2: 0.5 * d2 ** -1.5)
 
         def solve(pot):
             return [(s.x, s.region, s.omega_squared, s.residual_max)
@@ -395,7 +394,7 @@ class TestSolver:
         # sampling its ratio equation; it finds every root of g but the
         # tangent roots of Table 2 at |nu1 - nu2| = 4, where no sample
         # sees a sign change
-        clone = PairPotential(POT.u, lambda d2: POT.u_prime(d2), POT.radius)
+        clone = PairPotential(lambda d2: POT.u_prime(d2), POT.radius)
         assert not clone.reduced_g
         missing = []
         for a, nu1, nu2 in NAMED[:10]:  # the paper's named inputs
@@ -415,9 +414,9 @@ class TestSolver:
 
     def test_reduced_g_is_the_cotangent_family(self):
         assert POT.reduced_g and repulsive(POT).reduced_g
-        assert not PairPotential(u=abs, u_prime=abs).reduced_g
+        assert not PairPotential(u_prime=abs).reduced_g
         # reduced_g is read from u_prime, never set
-        assert PairPotential._fields == ("u", "u_prime", "radius")
+        assert PairPotential._fields == ("u_prime", "radius")
         with pytest.raises(AttributeError):
             POT.reduced_g = False
 
@@ -968,13 +967,11 @@ class TestSpecialFamilies:
         assert sol.residual_max < 1e-10
 
     def test_equilateral_branch_is_the_sign_of_u_prime(self):
-        # u = -1/D has U' > 0 with no repulsive() wrapper: the branch
+        # U = -1/D has U' > 0 with no repulsive() wrapper: the branch
         # follows U'(3 R^2), and the rotator is the repulsive copy's of
-        # u = 1/D bit for bit (negating U' is exact)
-        inverse = PairPotential(u=lambda d2: d2 ** -0.5,
-                                u_prime=lambda d2: -0.5 * d2 ** -1.5)
-        pushing = PairPotential(u=lambda d2: -d2 ** -0.5,
-                                u_prime=lambda d2: 0.5 * d2 ** -1.5)
+        # U = 1/D bit for bit (negating U' is exact)
+        inverse = PairPotential(u_prime=lambda d2: -0.5 * d2 ** -1.5)
+        pushing = PairPotential(u_prime=lambda d2: 0.5 * d2 ** -1.5)
         for m in (M321, MassTriple(1.0, 2.0, 3.0), MassTriple(0.3, 5.0, 1.7)):
             pulled = oracles.equilateral_rotator(m, inverse)
             pushed = oracles.equilateral_rotator(m, pushing)
@@ -1143,8 +1140,7 @@ def test_pair_quantities_match_dict_version_bitwise():
     seen = set()
     for n in range(1500):
         R = SphereRadius(rng.choice([0.5, 1.0, 3.0]))
-        nan_pot = PairPotential(u=lambda d2: math.nan, u_prime=lambda d2: math.nan,
-                                radius=R)
+        nan_pot = PairPotential(u_prime=lambda d2: math.nan, radius=R)
         pot = [cotangent_potential(R), repulsive(cotangent_potential(R)),
                nan_pot][n % 3]
         masses = MassTriple(*(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(3)))
@@ -1370,8 +1366,7 @@ def test_special_families_match_transcription_bitwise():
                    MassTriple(1.3, 2.2, 0.7)] + [
         MassTriple(*(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(3)))
         for _ in range(12)]
-    pushing = PairPotential(u=lambda d2: -d2 ** -0.5,
-                            u_prime=lambda d2: 0.5 * d2 ** -1.5,
+    pushing = PairPotential(u_prime=lambda d2: 0.5 * d2 ** -1.5,
                             radius=SphereRadius(1.7))
     pots = (POT, repulsive(cotangent_potential(SphereRadius(2.5))), pushing)
     tags = set()
@@ -1408,7 +1403,7 @@ def test_generic_chain_matches_transcription_bitwise():
     # a potential without reduced_g: the scan of the cross-multiplied
     # ratio equation and each of its roots through both chains
     base = cotangent_potential(SphereRadius(1.3))
-    custom = PairPotential(u=base.u, u_prime=lambda d2: 1.1 * base.u_prime(d2) - 0.05,
+    custom = PairPotential(u_prime=lambda d2: 1.1 * base.u_prime(d2) - 0.05,
                            radius=SphereRadius(1.3))
     for a, nu1, nu2 in NAMED[:3]:
         masses = MassTriple(nu1, nu2, 1.0)
@@ -1422,7 +1417,7 @@ def test_generic_chain_matches_transcription_bitwise():
 
 def test_replaced_u_prime_is_solved_on_the_generic_path():
     # a new u_prime drops the cotangent record, so the potential is
-    # solved as PairPotential(u, u_prime, radius) is, not through g
+    # solved as PairPotential(u_prime, radius) is, not through g
     base = cotangent_potential(SphereRadius(1.3))
 
     def f(d2):
@@ -1430,7 +1425,7 @@ def test_replaced_u_prime_is_solved_on_the_generic_path():
 
     replaced = base._replace(u_prime=f)
     assert not replaced.reduced_g and replaced.radius == base.radius
-    built = PairPotential(base.u, f, base.radius)
+    built = PairPotential(f, base.radius)
     xs = [[s.x.hex() for s in mer.find_meridian_rotators(math.pi / 6, M321, pot)]
           for pot in (replaced, built)]
     assert len(xs[0]) == 6 and xs[0] == xs[1]
@@ -1440,7 +1435,7 @@ def test_generic_scan_skips_regions_narrower_than_its_gap():
     # at a = 1e-7, regions I and III are narrower than
     # 2 * GENERIC_BOUNDARY_GAP: only II and IV are sampled
     base = cotangent_potential(SphereRadius(1.0))
-    custom = PairPotential(u=base.u, u_prime=base.u_prime)
+    custom = PairPotential(u_prime=base.u_prime)
     a = 1e-7
     roots = dict(zip(mer.REGIONS, mer._generic_scan_roots(a, M321, custom)))
     assert not roots["I"] and not roots["III"] and roots["II"] and roots["IV"]
