@@ -13,7 +13,8 @@ meridian: what the meridian command runs, and no more. Each other module
 is loaded by the command that runs it, so a process that solves on the
 meridian never compiles it: equator by equator (and on first use of the
 equator's names below, through a module __getattr__, PEP 562),
-integrator by verify, grid by sweep, euler_limit by euler-limit.
+integrator by verify and grid by sweep. euler_limit is a library check
+that no command loads.
 """
 
 from . import kernels
@@ -26,7 +27,7 @@ from .meridian import (
 )
 from .potential import cotangent_potential, repulsive
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 __all__ = [
     "MassTriple",
     "SpherePoint",

@@ -63,8 +63,8 @@ def _parse_grid(text: str):
             f"grid of {n} points cannot be allocated") from None
 
 
-# argparse types; a text float() rejects is reported by argparse as an
-# "invalid <function name> value"
+# an argparse type; a text float() rejects is reported by argparse as an
+# "invalid tolerance value"
 
 
 def tolerance(text: str) -> float:
@@ -72,21 +72,6 @@ def tolerance(text: str) -> float:
     if not 0.0 <= tol < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return tol
-
-
-def positive(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
-
-
-def radii(text: str) -> list[float]:
-    """Comma-separated radii, at least two distinct, in ascending order."""
-    values = sorted(positive(r) for r in text.split(","))
-    if values[0] == values[-1]:
-        raise argparse.ArgumentTypeError(f"needs two distinct radii, got {text}")
-    return values
 
 
 def _add_masses(p: argparse.ArgumentParser):
@@ -515,38 +500,6 @@ def cmd_verify(args) -> int:
     return 0 if all_pass else 2
 
 
-# ---------------------------------------------------------------- euler-limit
-
-
-def cmd_euler_limit(args) -> int:
-    for R in args.R_list:
-        if not 0.0 < args.r21 / R < math.pi:
-            raise ValueError(f"--r21 / R must lie in (0, pi) for every R in "
-                             f"--R-list, got --r21 {args.r21} and R {R}")
-    from .euler_limit import euler_limit_check
-
-    report = euler_limit_check(args.masses, args.r21, args.R_list)
-    if args.format == "csv":
-        # the rows csv.writer would write: no field needs quoting, CRLF ends each
-        lines = ["R,max_coeff_deviation,root_deviation",
-                 *(",".join(map(_fmt, row)) for row in report.rows),
-                 f"# order_estimate,{_fmt(report.order_estimate)},"]
-        _emit("".join(line + "\r\n" for line in lines), args.out)
-    else:
-        payload = {
-            "quintic_coefficients": report.quintic_coefficients,
-            "quintic_root": report.quintic_root,
-            "order_estimate": report.order_estimate,
-            "rows": [
-                {"R": r.R, "max_coeff_deviation": r.max_coeff_deviation,
-                 "root_deviation": _json_value(r.root_deviation)}
-                for r in report.rows
-            ],
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    return 0
-
-
 # ---------------------------------------------------------------- parser
 
 
@@ -596,17 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also integrate one period and report drifts")
     _add_out(p)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("euler-limit", help="flat-space limit convergence check")
-    _add_masses(p)
-    p.add_argument("--r21", type=positive, default=1.0,
-                   help="fixed arc distance between bodies 1 and 2 (> 0)")
-    p.add_argument("--R-list", type=radii, default="100,1000,10000",
-                   help="comma-separated sphere radii, at least two distinct, "
-                        "each with r21/R in (0, pi)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_out(p)
-    p.set_defaults(func=cmd_euler_limit)
 
     return parser
 

@@ -1,7 +1,7 @@
 """The flat-space (large radius) limit of the meridian equation: as the
 sphere's radius grows, the scaled reduced equation g tends to the
-collinear quintic of Euler's configurations on the plane. Only the
-euler-limit command imports this module.
+collinear quintic of Euler's configurations on the plane. A library
+check: no command imports this module.
 """
 
 from __future__ import annotations

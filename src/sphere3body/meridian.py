@@ -542,11 +542,11 @@ def find_meridian_rotators(
     """All rigid rotators on the rotating meridian for fixed a.
 
     A potential with pot.reduced_g, whose u_prime is the cotangent one or
-    its sign flip (whatever its u): every root of the reduced equation g
-    in each region (_scan_roots), to floating-point resolution; the
-    exceptional Case 2/3 shapes are roots of g too. Any other potential:
-    the sign changes of its ratio equation (_generic_scan_roots). Each
-    scan keeps its roots inside its own gap from the singular points, so
+    its sign flip: every root of the reduced equation g in each region
+    (_scan_roots), to floating-point resolution; the exceptional Case 2/3
+    shapes are roots of g too. Any other potential: the sign changes of
+    its ratio equation (_generic_scan_roots). Each scan keeps its roots
+    inside its own gap from the singular points, so
     a root is dropped only where its lift raises SingularityError (U'
     takes D^2, which rounds to 4R^2 within about 1e-8 of an antipodal
     point), and reported where its backward error (residual_max) is at

@@ -30,8 +30,7 @@ The calls:
   a 50x50 grid, and ``--nu1-grid`` from 1e-6 and from 1000 to 1e6;
 - ``verify``, with and without ``--integrate``, on the verify workload's
   34 one-solution files, and ``verify --integrate`` on a repulsive file;
-- ``equator``, with and without ``--radius 2``, and ``euler-limit`` as JSON
-  and as CSV, with and without ``--R-list 2,3``, on 1,1,1, 3,2,1, 25,25,1
+- ``equator``, with and without ``--radius 2``, on 1,1,1, 3,2,1, 25,25,1
   and 1,1,4;
 - every ``--help``, and usage errors (``verify`` on files whose
   ``metadata.potential`` is unknown among them).
@@ -161,12 +160,8 @@ def _other_calls():
     for m in SMALL_MASSES:
         yield ["equator", "--masses", m]
         yield ["equator", "--masses", m, "--radius", "2"]
-        for fmt in ("json", "csv"):
-            yield ["euler-limit", "--masses", m, "--format", fmt]
-            yield ["euler-limit", "--masses", m, "--format", fmt, "--R-list", "2,3",
-                   "--out", OUT]
     yield ["--help"]
-    for command in ("meridian", "sweep", "verify", "equator", "euler-limit"):
+    for command in ("meridian", "sweep", "verify", "equator"):
         yield [command, "--help"]
     yield from [
         [], ["bogus"], ["meridian"],
@@ -181,9 +176,6 @@ def _other_calls():
         ["sweep", "--a-grid", "1:2"], ["sweep", "--samples", "0"],
         ["verify", "missing.json"], ["verify", "x.json", "--tol-sigma", "nan"],
         ["equator", "--masses", "1,1,1", "--radius", "0"],
-        ["euler-limit", "--masses", "3,2,1", "--R-list", "2,2"],
-        ["euler-limit", "--masses", "3,2,1", "--r21", "-1"],
-        ["euler-limit", "--masses", "3,2,1", "--r21", "10", "--R-list", "2,3"],
     ]
 
 

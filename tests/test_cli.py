@@ -569,79 +569,14 @@ class TestVerifyReport:
         assert captured.out == ""
 
 
-class TestEulerLimit:
-    @pytest.mark.parametrize("extra,option", [
-        (["--R-list", "0"], "--R-list"),
-        (["--R-list", "100"], "--R-list"),
-        (["--R-list", "100,100"], "--R-list"),
-        (["--R-list", "100,nan"], "--R-list"),
-        (["--R-list", "100,x"], "--R-list"),
-        (["--R-list", "0.1,100"], "--R-list"),
-        (["--R-list", "1e150,1e300"], "R/r21"),
-        (["--r21", "0"], "--r21"),
-        (["--r21", "-1"], "--r21"),
-        (["--r21", "inf"], "--r21"),
-    ])
-    def test_invalid_input(self, extra, option, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["euler-limit", "--masses", "3,2,1", *extra])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert option in captured.err
-        assert "Traceback" not in captured.err and "Warning" not in captured.err
-
-    def test_no_region_root_is_null(self, capsys):
-        # r21/R just below pi leaves region II narrower than the boundary
-        # margin: no root, so no root deviation
-        code, out = run(capsys, ["euler-limit", "--masses", "3,2,1",
-                                 "--R-list", "0.3183099,1"])
-        assert code == 0
-        assert json.loads(out)["rows"][0]["root_deviation"] is None
-
-    def test_quintic_for_321(self, capsys):
-        code, out = run(capsys, ["euler-limit", "--masses", "3,2,1"])
-        assert code == 0
-        data = json.loads(out)
-        assert data["quintic_coefficients"] == [5, 13, 11, -5, -7, -3]
-        assert data["order_estimate"] == pytest.approx(2.0, abs=0.2)
-
-    def test_csv_format(self, capsys):
-        code, out = run(capsys, [
-            "euler-limit", "--masses", "1,1,1", "--R-list", "100,1000",
-            "--format", "csv"])
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "R,max_coeff_deviation,root_deviation"
-        assert lines[-1].startswith("# order_estimate")
-
-    @pytest.mark.parametrize("r_list", [[], ["--R-list", "2,3"]],
-                             ids=["default-R", "R-2-3"])
-    @pytest.mark.parametrize("masses", ["1,1,1", "3,2,1", "25,25,1", "1,1,4"])
-    def test_csv_matches_csv_writer(self, masses, r_list, tmp_path, capsys):
-        argv = ["euler-limit", "--masses", masses, *r_list, "--format", "csv"]
-        want = csv_writer_euler_limit(cli.build_parser().parse_args(argv))
-        code, out = run(capsys, argv)
-        assert code == 0 and out == want
-        out_file = tmp_path / "euler.csv"
-        assert main([*argv, "--out", str(out_file)]) == 0
-        assert out_file.read_bytes() == want.encode()
-
-
-def csv_writer_euler_limit(args) -> str:
-    """euler-limit's CSV as csv.writer wrote it, one writerow per row,
-    before the rows were joined by hand."""
-    from sphere3body.euler_limit import euler_limit_check
-
-    report = euler_limit_check(args.masses, args.r21, args.R_list)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["R", "max_coeff_deviation", "root_deviation"])
-    for row in report.rows:
-        writer.writerow([f"{row.R:.17g}", f"{row.max_coeff_deviation:.17g}",
-                         f"{row.root_deviation:.17g}"])
-    writer.writerow(["# order_estimate", f"{report.order_estimate:.17g}", ""])
-    return buf.getvalue()
+def test_retired_euler_limit_command_is_a_usage_error(capsys):
+    # the flat-space limit is a library check (euler_limit_check), no
+    # longer a command
+    assert main(["euler-limit", "--masses", "3,2,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -651,10 +586,6 @@ def csv_writer_euler_limit(args) -> str:
     ["sweep", "--format", "json"],
     ["sweep", "--tol-root", "1e-6"],
     ["sweep", "--tol-residual", "1e-6"],
-    ["euler-limit", "--masses", "3,2,1", "--radius", "2"],
-    ["euler-limit", "--masses", "3,2,1", "--potential", "repulsive"],
-    ["euler-limit", "--masses", "3,2,1", "--tol-root", "1e-6"],
-    ["euler-limit", "--masses", "3,2,1", "--tol-residual", "1e-6"],
     ["equator", "--masses", "1,1,1", "--format", "csv"],
     ["equator", "--masses", "1,1,1", "--potential", "repulsive"],
     ["equator", "--masses", "1,1,1", "--tol-root", "1e-6"],
@@ -814,7 +745,7 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
              for line in _readme_block("sh", "## CLI").splitlines()]
     commands = [shlex.split(line)[1:] for line in lines
                 if line.startswith("sphere3body ")]
-    assert len(commands) == 8
+    assert len(commands) == 7
     for argv in commands:
         exit_2 = argv == ["equator", "--masses", "25,25,1"]
         assert main(argv) == (2 if exit_2 else 0), argv
@@ -822,6 +753,7 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
     namespace = {}
     exec(_readme_block("python", "## Library"), namespace)
     assert len(namespace["sols"]) == 6
+    assert namespace["report"].quintic_coefficients == [5, 13, 11, -5, -7, -3]
 
 
 # run in a fresh interpreter: one command (the script's arguments), then
@@ -860,8 +792,6 @@ ON_DEMAND = [
       "--nu2-grid", "0.5:8:5"], ["numpy", "sphere3body.grid"]),
     (["verify", "six.json", "--integrate"], ["sphere3body.integrator"]),
     (["equator", "--masses", "1,2,3"], ["sphere3body.equator"]),
-    (["euler-limit", "--masses", "3,2,1", "--format", "csv"],
-     ["numpy", "sphere3body.euler_limit"]),
     (["--help"], []),
 ]
 
@@ -895,8 +825,8 @@ def command_loads(tmp_path_factory):
 
 def test_solving_commands_never_import_numpy(command_loads):
     # meridian's scan, verify and equator run on plain floats: only sweep
-    # and euler-limit import numpy. The records are named tuples, so no
-    # command loads dataclasses (or the inspect it imports)
+    # imports numpy. The records are named tuples, so no command loads
+    # dataclasses (or the inspect it imports)
     for argv, loaded, words in command_loads:
         assert ([w for w in words if w in NUMPY_WATCHED]
                 == [m for m in loaded if m in NUMPY_WATCHED]), argv
@@ -904,11 +834,11 @@ def test_solving_commands_never_import_numpy(command_loads):
 
 def test_meridian_loads_neither_equator_nor_euler_limit(command_loads):
     # each command loads only what it runs: every CSV is joined text, so
-    # none loads csv. cmd_equator imports equator, cmd_euler_limit
-    # euler_limit, cmd_verify the integrator, and sweep the grid counter
-    # (meridian gives its name on first use). The package gives the
-    # equator's names on first use, so `from sphere3body import *` still
-    # has them
+    # none loads csv. cmd_equator imports equator, cmd_verify the
+    # integrator, and sweep the grid counter (meridian gives its name on
+    # first use); no command loads the library check euler_limit. The
+    # package gives the equator's names on first use, so
+    # `from sphere3body import *` still has them
     for argv, loaded, words in command_loads:
         assert [w for w in words if w not in NUMPY_WATCHED] == [
             "0", *[m for m in loaded if m not in NUMPY_WATCHED],

@@ -149,12 +149,21 @@ def _energy_drift(traj, m, R):
 
 class TestIntegrate:
     def test_conserves_invariants(self):
+        # an equatorial RE over one period, and a state that moves: at the
+        # RE every stage's accelerations nearly vanish, so only the moving
+        # state sees a wrong RK4 stage weight
         m = MassTriple(1.0, 2.0, 1.5)
-        st = equator_state(m, 1.0)
-        traj = integrate(st, m, POT, 2.0 * math.pi, 2.0 * math.pi / 4000)
-        assert traj.error is None
-        assert _energy_drift(traj, m, R1) < 1e-10
-        assert traj.c_drift < 1e-10
+        moving = SphericalState(
+            (SpherePoint(0.9, 0.0), SpherePoint(1.8, 2.0), SpherePoint(1.2, 4.0)),
+            (0.05, -0.02, 0.0), (0.3, 0.3, 0.3),
+        )
+        for st, t_end, dt in [(equator_state(m, 1.0), 2.0 * math.pi,
+                               2.0 * math.pi / 4000),
+                              (moving, 1.0, 1.0 / 4000)]:
+            traj = integrate(st, m, POT, t_end, dt)
+            assert traj.error is None
+            assert _energy_drift(traj, m, R1) < 1e-10
+            assert traj.c_drift < 1e-10
 
     @pytest.mark.parametrize("R", [2.0, 4.0])
     def test_conserves_energy_off_the_unit_sphere(self, R):

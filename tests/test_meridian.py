@@ -1113,6 +1113,18 @@ class TestEulerLimit:
         report = euler_limit.euler_limit_check(m, 1.0, [1000.0, 10000.0])
         assert all(r.root_deviation < 1e-4 for r in report.rows)
 
+    def test_no_region_root_is_nan(self):
+        # r21/R just below pi leaves region II narrower than the boundary
+        # margin: no root, so no root deviation
+        report = euler_limit.euler_limit_check(M321, 1.0, [0.3183099, 1.0])
+        assert math.isnan(report.rows[0].root_deviation)
+
+    def test_radius_whose_scale_overflows_is_rejected(self):
+        # a = r21/R = 1e-150 is in (0, pi), but (R/r21)^5 overflows; no
+        # warning comes first (pytest makes warnings errors)
+        with pytest.raises(ValueError, match="R/r21"):
+            euler_limit.euler_limit_check(M321, 1.0, [1e150, 1e300])
+
 
 def dict_pair_quantities(masses, shape, pot, R):
     """A literal transcription of pair_quantities, with F and G kept in
