@@ -586,6 +586,10 @@ def test_retired_euler_limit_command_is_a_usage_error(capsys):
     ["sweep", "--format", "json"],
     ["sweep", "--tol-root", "1e-6"],
     ["sweep", "--tol-residual", "1e-6"],
+    ["meridian", "--masses", "3,2,1", "--a", "0.7", "--tol-root", "1e-6"],
+    ["verify", "solutions.json", "--masses", "3,2,1"],
+    ["verify", "solutions.json", "--radius", "2"],
+    ["verify", "solutions.json", "--potential", "repulsive"],
     ["equator", "--masses", "1,1,1", "--format", "csv"],
     ["equator", "--masses", "1,1,1", "--potential", "repulsive"],
     ["equator", "--masses", "1,1,1", "--tol-root", "1e-6"],
